@@ -67,13 +67,16 @@ def max_size():
         raise UsageError(f"SUPERFLAG_MAX_SIZE must be an integer, got {raw!r}")
 
 
-def _check_sizes(**sizes):
-    cap = max_size()
+def _check_sizes(cap=None, **sizes):
+    """Reject sizes above ``cap``; without one, the SUPERFLAG_MAX_SIZE cap."""
+    override = "--max-size"
+    if cap is None:
+        cap, override = max_size(), "SUPERFLAG_MAX_SIZE"
     for name, value in sizes.items():
         if value > cap:
             raise UsageError(
                 f"{name}={value} exceeds the size cap {cap}"
-                " (raise SUPERFLAG_MAX_SIZE to override)"
+                f" (raise {override} to override)"
             )
 
 
@@ -261,7 +264,7 @@ def cmd_verify(args):
                 v = defaults[p]
             values.append(v)
         if args.suite != "bwb":
-            _check_sizes(**dict(zip(params, values)))
+            _check_sizes(cap, **dict(zip(params, values)))
         reports = [fn(*values)]
     else:
         reports = run_all(max_size=cap)
@@ -359,8 +362,8 @@ def build_parser():
     p.add_argument("--k1", type=int)
     p.add_argument("--l1", type=int)
     p.add_argument("--max-size", type=int,
-                   help="size cap for the full run (default"
-                        " SUPERFLAG_MAX_SIZE or 3)")
+                   help="size cap (default SUPERFLAG_MAX_SIZE or 3);"
+                        " --suite bwb is exempt")
     p.add_argument("--json-out", metavar="FILE",
                    help="write the structured report here")
     p.set_defaults(fn=cmd_verify)

@@ -1,37 +1,23 @@
-"""Kernel backend selection.
+"""Scalar and monomial kernels.
 
-Imports the compiled kernels when they were built, falling back to the pure
-Python implementation otherwise.  ``SUPERFLAG_PURE=1`` forces the fallback
-(useful for benchmarking and for debugging suspected kernel issues).
-``BACKEND`` names the choice and is quoted in verification reports.
+Re-exports the pure-Python primitives of ``_pure``.  ``BACKEND`` names the
+implementation and is quoted in verification reports.
 """
 
-import os
+from ._pure import (
+    Q_ONE,
+    Q_ZERO,
+    merge_odd,
+    mul_even,
+    q_add,
+    q_inv,
+    q_mul,
+    q_neg,
+    q_normalize,
+    q_sub,
+)
 
-if os.environ.get("SUPERFLAG_PURE") == "1":
-    from . import _pure as _impl
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _pure as _impl
-
-        BACKEND = "pure"
-
-Q_ZERO = _impl.Q_ZERO
-Q_ONE = _impl.Q_ONE
-q_normalize = _impl.q_normalize
-q_add = _impl.q_add
-q_neg = _impl.q_neg
-q_sub = _impl.q_sub
-q_mul = _impl.q_mul
-q_inv = _impl.q_inv
-merge_odd = _impl.merge_odd
-mul_even = _impl.mul_even
+BACKEND = "pure"
 
 __all__ = [
     "BACKEND", "Q_ZERO", "Q_ONE", "q_normalize", "q_add", "q_neg", "q_sub",

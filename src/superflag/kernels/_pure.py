@@ -7,9 +7,6 @@ through them:
   ints ``(a, b, c, d, den)`` meaning ``(a + b*i + c*sqrt2 + d*i*sqrt2)/den``
   with ``den > 0`` and ``gcd(a, b, c, d, den) == 1``;
 * merging of sorted odd-index tuples with the anticommutation sign.
-
-The same API is provided by the optional compiled module ``_speedups``;
-``superflag.kernels`` picks one at import time.
 """
 
 from math import gcd

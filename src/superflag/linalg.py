@@ -5,7 +5,7 @@ this package are tiny (a few dozen rows), so clarity wins over cleverness;
 everything is exact, there are no tolerance decisions anywhere.
 """
 
-from .scalars import ONE, ZERO, FieldScalar
+from .scalars import ONE, ZERO
 
 
 class SingularMatrixError(ValueError):
@@ -14,23 +14,6 @@ class SingularMatrixError(ValueError):
 
 def identity(n):
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[ZERO] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for p in range(k):
-            c = ai[p]
-            if not c:
-                continue
-            bp = b[p]
-            row = out[i]
-            for j in range(m):
-                if bp[j]:
-                    row[j] = row[j] + c * bp[j]
-    return out
 
 
 def invert(a):
@@ -73,10 +56,6 @@ def rref(a):
     return rows[:rank], pivots
 
 
-def rank(a):
-    return len(rref(a)[0]) if a else 0
-
-
 def solve(a, b):
     """One exact solution of ``a x = b`` (free variables set to 0), or None."""
     if not a:
@@ -90,26 +69,6 @@ def solve(a, b):
             return None  # pivot in the RHS column: inconsistent
         x[col] = row[m]
     return x
-
-
-def nullspace(a):
-    """A basis of the exact kernel, one vector per free column."""
-    if not a:
-        return []
-    m = len(a[0])
-    rows, pivots = rref(a)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(m):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * m
-        vec[free] = ONE
-        for row, col in zip(rows, pivots):
-            if row[free]:
-                vec[col] = -row[free]
-        basis.append(vec)
-    return basis
 
 
 class RankTracker:

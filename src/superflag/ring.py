@@ -325,6 +325,9 @@ class SuperPoly:
         return a.terms == b.terms
 
     def __hash__(self):
+        # Constants hash like the scalar they equal.
+        if self.is_scalar():
+            return hash(self.scalar_part())
         return hash(frozenset(self.terms.items()))
 
     # -- calculus ----------------------------------------------------------

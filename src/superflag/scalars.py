@@ -47,12 +47,6 @@ class FieldScalar:
         return (Fraction(a, den), Fraction(b, den),
                 Fraction(c, den), Fraction(d, den))
 
-    def as_fraction(self):
-        a, b, c, d, den = self.q
-        if b or c or d:
-            raise ValueError(f"{self} is not rational")
-        return Fraction(a, den)
-
     def to_complex(self):
         """Floating approximation (used only by test oracles)."""
         a, b, c, d, den = self.q
@@ -60,10 +54,6 @@ class FieldScalar:
 
     def is_zero(self):
         return self.q == Q_ZERO
-
-    def is_rational(self):
-        _, b, c, d, _ = self.q
-        return not (b or c or d)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -142,7 +132,11 @@ class FieldScalar:
         return self.q == other.q
 
     def __hash__(self):
-        return hash(self.q)
+        # Rational values hash like the int or Fraction they equal.
+        a, b, c, d, den = self.q
+        if b or c or d:
+            return hash(self.q)
+        return hash(Fraction(a, den))
 
     def __bool__(self):
         return self.q != Q_ZERO
@@ -206,7 +200,7 @@ class FieldScalar:
                 else:
                     try:
                         value = value * cls(Fraction(factor))
-                    except ValueError:
+                    except (ValueError, ArithmeticError):
                         raise ValueError(
                             f"bad factor {factor!r} in scalar literal {text!r}"
                         ) from None

@@ -10,6 +10,7 @@ the structured form is versioned as ``superflag-report/1``.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -115,6 +116,7 @@ class SuiteReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)

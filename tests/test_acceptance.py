@@ -241,6 +241,7 @@ def test_criterion_6_basis_change_and_embedding(capfd):
 
 
 def test_criterion_7_image_witness(capfd):
+    assert suite_imP_witness.__name__ == "suite_imP_witness"
     with criterion(7, "witness bracket outside the embedded subalgebra",
                    10, capture=capfd) as failures:
         for k1, l1 in ((1, 1), (2, 1), (2, 2)):

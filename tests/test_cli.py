@@ -131,6 +131,22 @@ def test_size_cap_enforced(capsys, monkeypatch):
     assert "size cap" in err
 
 
+def test_verify_max_size_caps_single_suite(capsys):
+    code, _, err = run(capsys, "verify", "--suite", "osp-defining",
+                       "--m", "2", "--n", "1", "--max-size", "1")
+    assert code == 2 and "size cap 1" in err
+    code, out, _ = run(capsys, "verify", "--suite", "osp-defining",
+                       "--m", "1", "--n", "1", "--max-size", "1")
+    assert code == 0 and "verify: PASS" in out
+
+
+def test_bad_matrix_literal_is_usage_error(capsys):
+    code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
+                         "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"
+                                     " 0,0,0,0,0; 0,0,0,0,0")
+    assert code == 2 and err.startswith("error: ") and "1/0" in err
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

@@ -1,4 +1,4 @@
-"""The low-level kernels: pure/compiled agreement and sign oracles."""
+"""The low-level kernels: normalisation and sign oracles."""
 
 import math
 from fractions import Fraction
@@ -6,40 +6,17 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superflag.kernels import BACKEND, _pure
+import superflag
+from superflag.kernels import merge_odd, mul_even, q_mul, q_normalize
 from superflag.scalars import FieldScalar
-
-try:
-    from superflag.kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [("pure", _pure)] + (
-    [("compiled", _speedups)] if _speedups is not None else []
-)
 
 ints = st.integers(min_value=-40, max_value=40)
 dens = st.integers(min_value=1, max_value=24)
-qtuples = st.builds(
-    lambda a, b, c, d, den: _pure.q_normalize(a, b, c, d, den),
-    ints, ints, ints, ints, dens,
-)
+qtuples = st.builds(q_normalize, ints, ints, ints, ints, dens)
 
 
 def test_backend_exposed():
-    assert BACKEND in ("pure", "compiled")
-
-
-@given(qtuples, qtuples)
-@settings(max_examples=300, deadline=None)
-def test_backends_agree(x, y):
-    for name, impl in BACKENDS:
-        assert impl.q_add(x, y) == _pure.q_add(x, y), name
-        assert impl.q_mul(x, y) == _pure.q_mul(x, y), name
-        assert impl.q_sub(x, y) == _pure.q_sub(x, y), name
-        assert impl.q_neg(x) == _pure.q_neg(x), name
-        if any(x[:4]):
-            assert impl.q_inv(x) == _pure.q_inv(x), name
+    assert superflag.BACKEND == "pure"
 
 
 @given(qtuples)
@@ -62,9 +39,7 @@ def test_mul_matches_field_scalar(x, y):
         return FieldScalar(Fraction(a, den), Fraction(b, den),
                            Fraction(c, den), Fraction(d, den))
 
-    for name, impl in BACKENDS:
-        got = to_scalar(impl.q_mul(x, y))
-        assert got == to_scalar(x) * to_scalar(y), name
+    assert to_scalar(q_mul(x, y)) == to_scalar(x) * to_scalar(y)
 
 
 def _permutation_sign(perm):
@@ -83,13 +58,12 @@ def test_merge_odd_permutation_sign_oracle():
     their concatenation."""
     base = frozenset(range(5))
     subsets = [tuple(sorted(s)) for s in _powerset(base)]
-    for name, impl in BACKENDS:
-        for u in subsets:
-            rest = base - set(u)
-            for v in (tuple(sorted(rest)), tuple(sorted(rest))[:2]):
-                sign, merged = impl.merge_odd(u, v)
-                assert merged == tuple(sorted(u + v))
-                assert sign == _permutation_sign(u + v), (name, u, v)
+    for u in subsets:
+        rest = base - set(u)
+        for v in (tuple(sorted(rest)), tuple(sorted(rest))[:2]):
+            sign, merged = merge_odd(u, v)
+            assert merged == tuple(sorted(u + v))
+            assert sign == _permutation_sign(u + v), (u, v)
 
 
 def _powerset(items):
@@ -100,24 +74,12 @@ def _powerset(items):
 
 
 def test_merge_odd_repeat_kills():
-    for name, impl in BACKENDS:
-        assert impl.merge_odd((1,), (1,)) == (0, ()), name
-        assert impl.merge_odd((1, 2), (2,))[0] == 0, name
-
-
-@given(st.lists(st.integers(min_value=0, max_value=8), max_size=5),
-       st.lists(st.integers(min_value=0, max_value=8), max_size=5))
-@settings(max_examples=300, deadline=None)
-def test_merge_odd_backends_agree(u, v):
-    u = tuple(sorted(set(u)))
-    v = tuple(sorted(set(v)))
-    for name, impl in BACKENDS:
-        assert impl.merge_odd(u, v) == _pure.merge_odd(u, v), name
+    assert merge_odd((1,), (1,)) == (0, ())
+    assert merge_odd((1, 2), (2,))[0] == 0
 
 
 def test_mul_even_merges_sorted_exponents():
     p = ((0, 2), (3, 1))
     q = ((0, 1), (2, 4))
-    for name, impl in BACKENDS:
-        assert impl.mul_even(p, q) == ((0, 3), (2, 4), (3, 1)), name
-        assert impl.mul_even((), p) == p, name
+    assert mul_even(p, q) == ((0, 3), (2, 4), (3, 1))
+    assert mul_even((), p) == p

@@ -174,3 +174,11 @@ def test_power_and_hash(ctx):
     u = ctx.var("u")
     assert u ** 3 == u * u * u
     assert hash(u + u) == hash(u * 2)
+
+
+def test_constant_hash_matches_scalar(ctx):
+    assert NUMERIC_CTX.scalar(1) == 1
+    assert len({NUMERIC_CTX.scalar(1), 1}) == 1
+    assert hash(NUMERIC_CTX.zero) == hash(ctx.zero) == hash(0)
+    assert hash(ctx.scalar(SQRT2)) == hash(SQRT2)
+    assert hash(ctx.one) == hash(ONE)

@@ -64,6 +64,13 @@ def test_render_golden():
     assert FieldScalar(0, 0, 0, Fraction(-1, 2)).render() == "-1/2*i*r2"
 
 
+def test_hash_agrees_with_equality():
+    assert FieldScalar(1) == 1 and len({FieldScalar(1), 1}) == 1
+    assert hash(ZERO) == hash(0)
+    assert hash(FieldScalar(Fraction(-3, 2))) == hash(Fraction(-3, 2))
+    assert {Fraction(1, 2): "half"}[FieldScalar(Fraction(1, 2))] == "half"
+
+
 def test_parse_round_trip_examples():
     for text in ["0", "1", "-1", "i", "r2", "1/2", "1 + i", "-1/2*i*r2",
                  "2 - 3*i + 1/2*r2 - 5*i*r2"]:
