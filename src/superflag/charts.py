@@ -457,10 +457,12 @@ def fundamental_bracket_sign(parity_x, parity_y):
 class IsotropicChart:
     """The five-block chart with its isotropy relations resolved.
 
-    ``chart`` carries the constrained coordinate matrices (dependent
-    entries replaced by their solutions); ``formal`` carries the same
-    layout with every slot an independent variable, together with the
-    ``solution`` substitution used to resolve it.  The block relations are
+    ``formal`` carries the layout with every non-identity slot a variable;
+    its ring extends the chart's ring by the dependent names.  ``chart`` is
+    derived from ``formal``: each dependent slot takes its ``solution``
+    value and every entry is demoted to the smaller ring, so the chart is
+    the formal chart resolved by the solution by construction.  The block
+    relations are
 
         Z1 + Z1^T + X1^T X1 = 0
         Zeta1^T + Xi1^T X1 + Eta1 = 0
@@ -497,28 +499,14 @@ class IsotropicChart:
 
 
 def _isotropic_name_lists(k1, l1):
-    """Independent names of the first step, in the field display order."""
+    """Independent first-step names: evens, odds and the field display order."""
     s = k1 - 1
-    evens, odds, order = [], [], []
-    for j in range(1, s + 1):
-        evens.append(f"x1_{j}")
-    for a in range(1, l1 + 1):
-        odds.append(f"xi1_{a}")
-    for a in range(1, l1 + 1):
-        for b in range(1, s + 1):
-            odds.append(f"eta1_{a}_{b}")
-    for i in range(1, l1 + 1):
-        for j in range(1, i + 1):
-            evens.append(f"y1_{i}_{j}")
-    for i in range(1, s + 1):
-        for j in range(1, i):
-            evens.append(f"z1_{i}_{j}")
-    order = [n for n in evens if n.startswith("x1_")]
-    order += odds[:l1]
-    order += odds[l1:]
-    order += [n for n in evens if n.startswith("y1_")]
-    order += [n for n in evens if n.startswith("z1_")]
-    return evens, odds, order
+    xs = [f"x1_{j}" for j in range(1, s + 1)]
+    xis = [f"xi1_{a}" for a in range(1, l1 + 1)]
+    etas = [f"eta1_{a}_{b}" for a in range(1, l1 + 1) for b in range(1, s + 1)]
+    ys = [f"y1_{i}_{j}" for i in range(1, l1 + 1) for j in range(1, i + 1)]
+    zs = [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(1, i)]
+    return xs + ys + zs, xis + etas, xs + xis + etas + ys + zs
 
 
 def _first_step_rows(k1, l1):
@@ -526,32 +514,17 @@ def _first_step_rows(k1, l1):
     return BlockShape(2 * k1 - 1, 2 * l1, (s, s, 1), (l1, l1))
 
 
-def _tail_pieces(ft, tail_index_sets):
-    """Names, index sets, and slot layout of the trailing flag steps."""
-    tail_ft = FlagType(ft.k[1:], ft.l[1:])
-    tail = build_chart(tail_ft, tail_index_sets, step_offset=1)
-    placed = []
-    for name in tail.independent:
-        s, i, j = tail.slots[name]
-        placed.append((name, s, i, j))
-    return tail, placed
-
-
-def _build_tail_matrices(ft, tail, placed, ctx):
+def _tail_matrices(tail, ctx):
+    """The coordinate matrices of the trailing steps, rebuilt over ``ctx``."""
     mats = []
-    for s in range(1, tail.ft.r + 1):
+    for s, m in enumerate(tail.matrices, 1):
         fixed = _identity_rows(tail.ft, s, *tail.index_sets[s - 1])
         entries = {(i, j): ONE for i, j in fixed.items()}
-        for name, ps, i, j in placed:
+        for name, (ps, i, j) in tail.slots.items():
             if ps == s:
                 entries[(i, j)] = ctx.var(name)
-        mats.append(
-            SuperMatrix.build(
-                BlockShape(tail.ft.k[s - 1], tail.ft.l[s - 1]),
-                BlockShape(tail.ft.k[s], tail.ft.l[s]),
-                entries, ctx=ctx, parity=0,
-            )
-        )
+        mats.append(SuperMatrix.build(m.rows, m.cols, entries, ctx=ctx,
+                                      parity=0))
     return mats
 
 
@@ -560,8 +533,9 @@ def isotropic_chart(k1, l1, tail=None, tail_index_sets=None):
 
     The first flag step is (2k1-1, k1-1 | 2l1, l1); ``tail`` optionally
     appends further steps as a pair of tuples, completing the chart on the
-    total space.  Dependent first-step coordinates are solved from the
-    isotropy relations; see :class:`IsotropicChart`.
+    total space.  The chart is the formal chart with its dependent
+    first-step coordinates replaced by their solutions from the isotropy
+    relations; see :class:`IsotropicChart`.
     """
     if k1 < 1 or l1 < 1:
         raise FlagTypeError("the isotropic chart needs k1 >= 1 and l1 >= 1")
@@ -571,128 +545,61 @@ def isotropic_chart(k1, l1, tail=None, tail_index_sets=None):
         ks.extend(tail[0])
         ls.extend(tail[1])
     ft = validate_flag_type(ks, ls)
-    s = k1 - 1
     evens, odds, order = _isotropic_name_lists(k1, l1)
-
-    tail_chart = placed = None
+    tail_chart = None
     if ft.r > 1:
-        tail_chart, placed = _tail_pieces(ft, tail_index_sets)
-        evens = evens + list(tail_chart.ctx.even_names)
-        odds = odds + list(tail_chart.ctx.odd_names)
-        order = order + list(tail_chart.independent)
-
+        tail_chart = build_chart(FlagType(ft.k[1:], ft.l[1:]),
+                                 tail_index_sets, step_offset=1)
+        evens += tail_chart.ctx.even_names
+        odds += tail_chart.ctx.odd_names
+        order += tail_chart.independent
     ctx = RingContext()
     ctx.evens(*evens)
     ctx.odds(*odds)
-    v = ctx.var
-    half = Fraction(1, 2)
 
-    zval = {}
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            if i > j:
-                zval[(i, j)] = v(f"z1_{i}_{j}")
-            elif i == j:
-                zval[(i, j)] = v(f"x1_{i}") * v(f"x1_{i}") * (-half)
-            else:
-                zval[(i, j)] = -v(f"z1_{j}_{i}") - v(f"x1_{i}") * v(f"x1_{j}")
-    yval = {}
-    for i in range(1, l1 + 1):
-        for j in range(1, l1 + 1):
-            if i >= j:
-                yval[(i, j)] = v(f"y1_{i}_{j}")
-            else:
-                yval[(i, j)] = v(f"y1_{j}_{i}") - v(f"xi1_{i}") * v(f"xi1_{j}")
-    zetaval = {
-        (i, a): -v(f"x1_{i}") * v(f"xi1_{a}") - v(f"eta1_{a}_{i}")
-        for i in range(1, s + 1)
-        for a in range(1, l1 + 1)
-    }
-
-    rows = _first_step_rows(k1, l1)
-    cols = BlockShape(s, l1)
-    entries = {}
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            entries[(i - 1, j - 1)] = zval[(i, j)]
-        for a in range(1, l1 + 1):
-            entries[(i - 1, s + a - 1)] = zetaval[(i, a)]
-        entries[(s + i - 1, i - 1)] = ONE
-    for j in range(1, s + 1):
-        entries[(2 * s, j - 1)] = v(f"x1_{j}")
-    for a in range(1, l1 + 1):
-        entries[(2 * s, s + a - 1)] = v(f"xi1_{a}")
-        for b in range(1, s + 1):
-            entries[(2 * s + a, b - 1)] = v(f"eta1_{a}_{b}")
-        for b in range(1, l1 + 1):
-            entries[(2 * s + a, s + b - 1)] = yval[(a, b)]
-        entries[(2 * s + l1 + a, s + a - 1)] = ONE
-    first = SuperMatrix.build(rows, cols, entries, ctx=ctx, parity=0)
-
-    index_sets = [
-        (tuple(range(k1, 2 * k1 - 1)), tuple(range(l1 + 1, 2 * l1 + 1)))
-    ]
-    matrices = [first]
-    slots = {}
-    for j in range(1, s + 1):
-        slots[f"x1_{j}"] = (1, 2 * s, j - 1)
-    for i in range(1, s + 1):
-        for j in range(1, i):
-            slots[f"z1_{i}_{j}"] = (1, i - 1, j - 1)
-    for a in range(1, l1 + 1):
-        slots[f"xi1_{a}"] = (1, 2 * s, s + a - 1)
-        for b in range(1, s + 1):
-            slots[f"eta1_{a}_{b}"] = (1, 2 * s + a, b - 1)
-        for b in range(1, a + 1):
-            slots[f"y1_{a}_{b}"] = (1, 2 * s + a, s + b - 1)
-    if tail_chart is not None:
-        matrices.extend(_build_tail_matrices(ft, tail_chart, placed, ctx))
-        index_sets.extend(tail_chart.index_sets)
-        for name, ps, i, j in placed:
-            slots[name] = (ps + 1, i, j)
-    chart = Chart(ft, tuple(index_sets), ctx, tuple(matrices), slots,
+    formal = _formal_isotropic_chart(k1, l1, ft, ctx, tail_chart)
+    solution = _dependent_solution(k1, l1, formal.ctx)
+    name_at = {slot: name for name, slot in formal.slots.items()}
+    matrices = []
+    for s, fm in enumerate(formal.matrices, 1):
+        entries = {}
+        for (i, j), v in fm.entries.items():
+            name = name_at.get((s, i, j))
+            entries[(i, j)] = ctx.demote(solution.get(name, v))
+        matrices.append(SuperMatrix.build(fm.rows, fm.cols, entries, ctx=ctx,
+                                          parity=0))
+    slots = {name: slot for name, slot in formal.slots.items()
+             if name not in solution}
+    chart = Chart(ft, formal.index_sets, ctx, tuple(matrices), slots,
                   tuple(order))
-
-    formal = _formal_isotropic_chart(k1, l1, ft, tail_chart, placed)
-    fsol = _dependent_solution(k1, l1, formal.ctx)
-    return IsotropicChart(k1, l1, ft, chart, formal, fsol,
+    return IsotropicChart(k1, l1, ft, chart, formal, solution,
                           gram_form("odd", k1 - 1, l1))
 
 
-def _formal_isotropic_chart(k1, l1, ft, tail_chart, placed):
-    """The same layout with every non-identity slot a fresh variable."""
+def _formal_isotropic_chart(k1, l1, ft, ctx, tail_chart):
+    """The same layout with every non-identity slot a variable.
+
+    Its ring extends ``ctx`` by the dependent names: the upper triangle of
+    Y1, the upper-with-diagonal triangle of Z1 and all of Zeta1.
+    """
     s = k1 - 1
-    evens, odds, order = [], [], []
-    for j in range(1, s + 1):
-        evens.append(f"x1_{j}")
-        order.append(f"x1_{j}")
-    for a in range(1, l1 + 1):
-        odds.append(f"xi1_{a}")
-        order.append(f"xi1_{a}")
-    for a in range(1, l1 + 1):
-        for b in range(1, s + 1):
-            odds.append(f"eta1_{a}_{b}")
-            order.append(f"eta1_{a}_{b}")
-    for i in range(1, l1 + 1):
-        for j in range(1, l1 + 1):
-            evens.append(f"y1_{i}_{j}")
-            order.append(f"y1_{i}_{j}")
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            evens.append(f"z1_{i}_{j}")
-            order.append(f"z1_{i}_{j}")
-    for i in range(1, s + 1):
-        for a in range(1, l1 + 1):
-            odds.append(f"zeta1_{i}_{a}")
-            order.append(f"zeta1_{i}_{a}")
-    if tail_chart is not None:
-        evens = evens + list(tail_chart.ctx.even_names)
-        odds = odds + list(tail_chart.ctx.odd_names)
-        order = order + list(tail_chart.independent)
-    ctx = RingContext()
-    ctx.evens(*evens)
-    ctx.odds(*odds)
+    ctx = ctx.extended(
+        even=[f"y1_{i}_{j}" for i in range(1, l1 + 1)
+              for j in range(i + 1, l1 + 1)]
+        + [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(i, s + 1)],
+        odd=[f"zeta1_{i}_{a}" for i in range(1, s + 1)
+             for a in range(1, l1 + 1)],
+    )
     v = ctx.var
+    order = [f"x1_{j}" for j in range(1, s + 1)]
+    order += [f"xi1_{a}" for a in range(1, l1 + 1)]
+    order += [f"eta1_{a}_{b}" for a in range(1, l1 + 1)
+              for b in range(1, s + 1)]
+    order += [f"y1_{i}_{j}" for i in range(1, l1 + 1)
+              for j in range(1, l1 + 1)]
+    order += [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(1, s + 1)]
+    order += [f"zeta1_{i}_{a}" for i in range(1, s + 1)
+              for a in range(1, l1 + 1)]
 
     rows = _first_step_rows(k1, l1)
     cols = BlockShape(s, l1)
@@ -725,9 +632,10 @@ def _formal_isotropic_chart(k1, l1, ft, tail_chart, placed):
         (tuple(range(k1, 2 * k1 - 1)), tuple(range(l1 + 1, 2 * l1 + 1)))
     ]
     if tail_chart is not None:
-        matrices.extend(_build_tail_matrices(ft, tail_chart, placed, ctx))
+        matrices.extend(_tail_matrices(tail_chart, ctx))
         index_sets.extend(tail_chart.index_sets)
-        for name, ps, i, j in placed:
+        order += tail_chart.independent
+        for name, (ps, i, j) in tail_chart.slots.items():
             slots[name] = (ps + 1, i, j)
     return Chart(ft, tuple(index_sets), ctx, tuple(matrices), slots,
                  tuple(order))

@@ -253,7 +253,12 @@ SUITES = {
 
 
 def cmd_verify(args):
-    cap = args.max_size if args.max_size else max_size()
+    if args.max_size is None:
+        cap = max_size()
+    elif args.max_size < 1:
+        raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
+    else:
+        cap = args.max_size
     if args.suite:
         fn, params = SUITES[args.suite]
         values = []
@@ -362,8 +367,8 @@ def build_parser():
     p.add_argument("--k1", type=int)
     p.add_argument("--l1", type=int)
     p.add_argument("--max-size", type=int,
-                   help="size cap (default SUPERFLAG_MAX_SIZE or 3);"
-                        " --suite bwb is exempt")
+                   help="size cap, at least 1 (default SUPERFLAG_MAX_SIZE"
+                        " or 3); --suite bwb is exempt")
     p.add_argument("--json-out", metavar="FILE",
                    help="write the structured report here")
     p.set_defaults(fn=cmd_verify)

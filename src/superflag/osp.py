@@ -21,6 +21,19 @@ solution space of ``M^ST @ G + G @ M = 0``:
 
 Every basis generator is tagged by its free block parameter (for instance
 ``A11:1,2`` or ``G4:1``) so structure constants are reproducible run to run.
+
+The generators come from one family table per slot naming: ``original``
+(the odd/even flavors) and ``primed``.  Each row names a tag, a row block,
+a column block and an index range over them: ``full``, ``strict`` (i < j),
+``upper`` (i <= j) or ``vec`` (one index, along the block that is not the
+middle one).  Blocks are the parts of the Gram shape: even parts b1, b2 and
+the one-wide middle block b3 (present only when there are three even
+parts), odd parts c1, c2; the three symplectic B rows are shared by both tables.  A
+generator has +1 at its primary slot (r, c) and one forced entry that the
+Gram form fixes: every Gram here is a signed permutation g_x e(x, pi(x)),
+so the defining equation puts -sigma g_r g_c at (pi(c), pi(r)), where
+sigma = -1 on the even-row/odd-column slots that the supertranspose
+negates.  When that slot is (r, c) itself there is no second entry.
 """
 
 from __future__ import annotations
@@ -29,8 +42,7 @@ from dataclasses import dataclass, field
 
 from .linalg import RankTracker
 from .matrices import BlockShape, SuperMatrix
-from .ring import NUMERIC_CTX
-from .scalars import FieldScalar, I_INV_SQRT2, INV_SQRT2, ONE
+from .scalars import I_INV_SQRT2, INV_SQRT2, ONE
 
 
 class NotInSpanError(ValueError):
@@ -186,208 +198,90 @@ def membership_residual(m, gram):
 # Basis enumeration
 # ---------------------------------------------------------------------------
 
+#: The symplectic block families, shared by both layouts.
+_SP_FAMILIES = (
+    ("B11", "c1", "c1", "full"),
+    ("B12", "c1", "c2", "upper"),
+    ("B21", "c2", "c1", "upper"),
+)
 
-def _unit_entries(shape, spec):
-    """Build a generator matrix from ((i, j), +-1) entry specs."""
-    entries = {(i, j): (ONE if s > 0 else -ONE) for (i, j), s in spec}
-    return SuperMatrix.build(shape, shape, entries)
+#: One row per free block family: tag, row block, column block, index range.
+_FAMILIES = {
+    "original": (
+        ("A11", "b1", "b1", "full"),
+        ("A12", "b1", "b2", "strict"),
+        ("A21", "b2", "b1", "strict"),
+        ("G1", "b1", "b3", "vec"),
+        ("G2", "b2", "b3", "vec"),
+        ("C11", "b1", "c1", "full"),
+        ("C12", "b1", "c2", "full"),
+        ("C21", "b2", "c1", "full"),
+        ("C22", "b2", "c2", "full"),
+        ("G3", "b3", "c1", "vec"),
+        ("G4", "b3", "c2", "vec"),
+    ) + _SP_FAMILIES,
+    "primed": (
+        ("A21", "b1", "b1", "strict"),
+        ("A12", "b2", "b2", "strict"),
+        ("A11", "b2", "b1", "full"),
+        ("G2", "b1", "b3", "vec"),
+        ("G1", "b2", "b3", "vec"),
+        ("C21", "b1", "c1", "full"),
+        ("C11", "b2", "c1", "full"),
+        ("C22", "b1", "c2", "full"),
+        ("C12", "b2", "c2", "full"),
+        ("G4", "b3", "c1", "vec"),
+        ("G3", "c1", "b3", "vec"),
+    ) + _SP_FAMILIES,
+}
 
 
-def _sp_block_generators(shape, c1, c2, n):
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            gens.append((f"B11:{i + 1},{j + 1}", 0,
-                         [((c1 + i, c1 + j), 1), ((c2 + j, c2 + i), -1)],
-                         (c1 + i, c1 + j)))
-    for i in range(n):
-        for j in range(i, n):
-            spec = [((c1 + i, c2 + j), 1)]
-            if i != j:
-                spec.append(((c1 + j, c2 + i), 1))
-            gens.append((f"B12:{i + 1},{j + 1}", 0, spec, (c1 + i, c2 + j)))
-    for i in range(n):
-        for j in range(i, n):
-            spec = [((c2 + i, c1 + j), 1)]
-            if i != j:
-                spec.append(((c2 + j, c1 + i), 1))
-            gens.append((f"B21:{i + 1},{j + 1}", 0, spec, (c2 + i, c1 + j)))
-    return gens
+def _index_range(kind, rows, cols, along_cols):
+    """((i, j), label) for every free entry of one family's block."""
+    if kind == "vec":
+        if along_cols:
+            return [((0, j), f"{j + 1}") for j in range(cols)]
+        return [((i, 0), f"{i + 1}") for i in range(rows)]
+    start = {"full": lambda i: 0, "strict": lambda i: i + 1,
+             "upper": lambda i: i}[kind]
+    return [((i, j), f"{i + 1},{j + 1}")
+            for i in range(rows) for j in range(start(i), cols)]
 
 
-def _basis_specs(flavor, a, b):
-    """(tag, parity, entry spec, primary slot) for every free block entry."""
-    shape = _shape(flavor, a, b)
+def _family_specs(layout, gram):
+    """(tag, parity, entries, primary slot) of every family-table entry,
+    with the forced entry read off the Gram form (see the module doc)."""
+    shape = gram.shape
+    names = ("b1", "b2", "b3", "c1", "c2") if len(shape.even_parts) == 3 \
+        else ("b1", "b2", "c1", "c2")
+    blocks = {name: (lo, hi - lo)
+              for name, (lo, hi) in zip(names, shape.part_ranges())}
+    perm, sign = {}, {}
+    for (x, y), v in gram.matrix.entries.items():
+        perm[x], sign[x] = y, v.scalar_part()
+    specs = []
+    for tag, row, col, kind in _FAMILIES[layout]:
+        if row not in blocks or col not in blocks:
+            continue
+        (r0, nr), (c0, nc) = blocks[row], blocks[col]
+        parity = int(row[0] == "c") ^ int(col[0] == "c")
+        for (i, j), label in _index_range(kind, nr, nc, row == "b3"):
+            r, c = r0 + i, c0 + j
+            entries = {(r, c): ONE}
+            forced = (perm[c], perm[r])
+            if forced != (r, c):
+                value = -(sign[r] * sign[c])
+                # sigma: supertranspose negates the even-row, odd-column slots
+                entries[forced] = -value if r < shape.even <= c else value
+            specs.append((f"{tag}:{label}", parity, entries, (r, c)))
+    return specs
+
+
+def _gl_specs(shape):
     p = shape.even
-    gens = []
-    if flavor == "gl":
-        for i in range(shape.total):
-            for j in range(shape.total):
-                parity = int(i >= p) ^ int(j >= p)
-                gens.append((f"E:{i + 1},{j + 1}", parity, [((i, j), 1)], (i, j)))
-        # evens first, then odds, preserving index order within each class
-        gens.sort(key=lambda g: g[1])
-        return shape, gens
-
-    if flavor == "odd":
-        m, n = a, b
-        b1, b2, b3 = 0, m, 2 * m
-        c1, c2 = p, p + n
-        for i in range(m):
-            for j in range(m):
-                gens.append((f"A11:{i + 1},{j + 1}", 0,
-                             [((b1 + i, b1 + j), 1), ((b2 + j, b2 + i), -1)],
-                             (b1 + i, b1 + j)))
-        for i in range(m):
-            for j in range(i + 1, m):
-                gens.append((f"A12:{i + 1},{j + 1}", 0,
-                             [((b1 + i, b2 + j), 1), ((b1 + j, b2 + i), -1)],
-                             (b1 + i, b2 + j)))
-                gens.append((f"A21:{i + 1},{j + 1}", 0,
-                             [((b2 + i, b1 + j), 1), ((b2 + j, b1 + i), -1)],
-                             (b2 + i, b1 + j)))
-        for i in range(m):
-            gens.append((f"G1:{i + 1}", 0,
-                         [((b1 + i, b3), 1), ((b3, b2 + i), -1)], (b1 + i, b3)))
-            gens.append((f"G2:{i + 1}", 0,
-                         [((b2 + i, b3), 1), ((b3, b1 + i), -1)], (b2 + i, b3)))
-        gens.extend(_sp_block_generators(shape, c1, c2, n))
-        for i in range(m):
-            for j in range(n):
-                gens.append((f"C11:{i + 1},{j + 1}", 1,
-                             [((b1 + i, c1 + j), 1), ((c2 + j, b2 + i), 1)],
-                             (b1 + i, c1 + j)))
-                gens.append((f"C12:{i + 1},{j + 1}", 1,
-                             [((b1 + i, c2 + j), 1), ((c1 + j, b2 + i), -1)],
-                             (b1 + i, c2 + j)))
-                gens.append((f"C21:{i + 1},{j + 1}", 1,
-                             [((b2 + i, c1 + j), 1), ((c2 + j, b1 + i), 1)],
-                             (b2 + i, c1 + j)))
-                gens.append((f"C22:{i + 1},{j + 1}", 1,
-                             [((b2 + i, c2 + j), 1), ((c1 + j, b1 + i), -1)],
-                             (b2 + i, c2 + j)))
-        for j in range(n):
-            gens.append((f"G3:{j + 1}", 1,
-                         [((b3, c1 + j), 1), ((c2 + j, b3), 1)], (b3, c1 + j)))
-            gens.append((f"G4:{j + 1}", 1,
-                         [((b3, c2 + j), 1), ((c1 + j, b3), -1)], (b3, c2 + j)))
-    elif flavor == "even":
-        k, n = a, b
-        b1, b2 = 0, k
-        c1, c2 = p, p + n
-        for i in range(k):
-            for j in range(k):
-                gens.append((f"A11:{i + 1},{j + 1}", 0,
-                             [((b1 + i, b1 + j), 1), ((b2 + j, b2 + i), -1)],
-                             (b1 + i, b1 + j)))
-        for i in range(k):
-            for j in range(i + 1, k):
-                gens.append((f"A12:{i + 1},{j + 1}", 0,
-                             [((b1 + i, b2 + j), 1), ((b1 + j, b2 + i), -1)],
-                             (b1 + i, b2 + j)))
-                gens.append((f"A21:{i + 1},{j + 1}", 0,
-                             [((b2 + i, b1 + j), 1), ((b2 + j, b1 + i), -1)],
-                             (b2 + i, b1 + j)))
-        gens.extend(_sp_block_generators(shape, c1, c2, n))
-        for i in range(k):
-            for j in range(n):
-                gens.append((f"C11:{i + 1},{j + 1}", 1,
-                             [((b1 + i, c1 + j), 1), ((c2 + j, b2 + i), 1)],
-                             (b1 + i, c1 + j)))
-                gens.append((f"C12:{i + 1},{j + 1}", 1,
-                             [((b1 + i, c2 + j), 1), ((c1 + j, b2 + i), -1)],
-                             (b1 + i, c2 + j)))
-                gens.append((f"C21:{i + 1},{j + 1}", 1,
-                             [((b2 + i, c1 + j), 1), ((c2 + j, b1 + i), 1)],
-                             (b2 + i, c1 + j)))
-                gens.append((f"C22:{i + 1},{j + 1}", 1,
-                             [((b2 + i, c2 + j), 1), ((c1 + j, b1 + i), -1)],
-                             (b2 + i, c2 + j)))
-    elif flavor == "primed":
-        t, n = a, b
-        c1, c2 = p, p + n
-        if t % 2:
-            # five-block layout (k-1, k-1, 1 | n, n); even part antisymmetric
-            k1 = (t + 1) // 2
-            s = k1 - 1
-            b1, b2, b3 = 0, s, 2 * s
-            for i in range(s):
-                for j in range(i + 1, s):
-                    gens.append((f"A21:{i + 1},{j + 1}", 0,
-                                 [((b1 + i, b1 + j), 1), ((b1 + j, b1 + i), -1)],
-                                 (b1 + i, b1 + j)))
-                    gens.append((f"A12:{i + 1},{j + 1}", 0,
-                                 [((b2 + i, b2 + j), 1), ((b2 + j, b2 + i), -1)],
-                                 (b2 + i, b2 + j)))
-            for i in range(s):
-                for j in range(s):
-                    gens.append((f"A11:{i + 1},{j + 1}", 0,
-                                 [((b2 + i, b1 + j), 1), ((b1 + j, b2 + i), -1)],
-                                 (b2 + i, b1 + j)))
-            for i in range(s):
-                gens.append((f"G2:{i + 1}", 0,
-                             [((b1 + i, b3), 1), ((b3, b1 + i), -1)],
-                             (b1 + i, b3)))
-                gens.append((f"G1:{i + 1}", 0,
-                             [((b2 + i, b3), 1), ((b3, b2 + i), -1)],
-                             (b2 + i, b3)))
-            gens.extend(_sp_block_generators(shape, c1, c2, n))
-            for i in range(s):
-                for j in range(n):
-                    gens.append((f"C21:{i + 1},{j + 1}", 1,
-                                 [((b1 + i, c1 + j), 1), ((c2 + j, b1 + i), 1)],
-                                 (b1 + i, c1 + j)))
-                    gens.append((f"C11:{i + 1},{j + 1}", 1,
-                                 [((b2 + i, c1 + j), 1), ((c2 + j, b2 + i), 1)],
-                                 (b2 + i, c1 + j)))
-                    gens.append((f"C22:{i + 1},{j + 1}", 1,
-                                 [((b1 + i, c2 + j), 1), ((c1 + j, b1 + i), -1)],
-                                 (b1 + i, c2 + j)))
-                    gens.append((f"C12:{i + 1},{j + 1}", 1,
-                                 [((b2 + i, c2 + j), 1), ((c1 + j, b2 + i), -1)],
-                                 (b2 + i, c2 + j)))
-            for j in range(n):
-                gens.append((f"G4:{j + 1}", 1,
-                             [((b3, c1 + j), 1), ((c2 + j, b3), 1)],
-                             (b3, c1 + j)))
-                gens.append((f"G3:{j + 1}", 1,
-                             [((c1 + j, b3), 1), ((b3, c2 + j), -1)],
-                             (c1 + j, b3)))
-        else:
-            # four-block layout (k, k | n, n)
-            k = t // 2
-            b1, b2 = 0, k
-            for i in range(k):
-                for j in range(i + 1, k):
-                    gens.append((f"A21:{i + 1},{j + 1}", 0,
-                                 [((b1 + i, b1 + j), 1), ((b1 + j, b1 + i), -1)],
-                                 (b1 + i, b1 + j)))
-                    gens.append((f"A12:{i + 1},{j + 1}", 0,
-                                 [((b2 + i, b2 + j), 1), ((b2 + j, b2 + i), -1)],
-                                 (b2 + i, b2 + j)))
-            for i in range(k):
-                for j in range(k):
-                    gens.append((f"A11:{i + 1},{j + 1}", 0,
-                                 [((b2 + i, b1 + j), 1), ((b1 + j, b2 + i), -1)],
-                                 (b2 + i, b1 + j)))
-            gens.extend(_sp_block_generators(shape, c1, c2, n))
-            for i in range(k):
-                for j in range(n):
-                    gens.append((f"C21:{i + 1},{j + 1}", 1,
-                                 [((b1 + i, c1 + j), 1), ((c2 + j, b1 + i), 1)],
-                                 (b1 + i, c1 + j)))
-                    gens.append((f"C11:{i + 1},{j + 1}", 1,
-                                 [((b2 + i, c1 + j), 1), ((c2 + j, b2 + i), 1)],
-                                 (b2 + i, c1 + j)))
-                    gens.append((f"C22:{i + 1},{j + 1}", 1,
-                                 [((b1 + i, c2 + j), 1), ((c1 + j, b1 + i), -1)],
-                                 (b1 + i, c2 + j)))
-                    gens.append((f"C12:{i + 1},{j + 1}", 1,
-                                 [((b2 + i, c2 + j), 1), ((c1 + j, b2 + i), -1)],
-                                 (b2 + i, c2 + j)))
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    return shape, gens
+    return [(f"E:{i + 1},{j + 1}", int(i >= p) ^ int(j >= p), {(i, j): ONE},
+             (i, j))
+            for i in range(shape.total) for j in range(shape.total)]
 
 
 _BLOCK_ORDER = ["A11", "A12", "A21", "G1", "G2", "B11", "B12", "B21",
@@ -404,12 +298,17 @@ def _tag_sort_key(item):
 def basis(flavor, a, b):
     """Canonical generators, one per free block entry, all verified members."""
     _check_sizes(flavor, a, b)
-    shape, specs = _basis_specs(flavor, a, b)
+    shape = _shape(flavor, a, b)
+    if flavor == "gl":
+        gram, specs = None, _gl_specs(shape)
+    else:
+        gram = gram_form(flavor, a, b)
+        specs = _family_specs("primed" if flavor == "primed" else "original",
+                              gram)
     specs.sort(key=_tag_sort_key)
-    gram = None if flavor == "gl" else gram_form(flavor, a, b)
     gens = []
-    for tag, parity, spec, primary in specs:
-        mat = _unit_entries(shape, spec)
+    for tag, parity, entries, primary in specs:
+        mat = SuperMatrix.build(shape, shape, entries)
         if gram is not None and not is_member(mat, gram):
             raise AssertionError(f"generator {tag} fails the defining equation")
         gens.append(Generator(tag, parity, mat, primary))

@@ -229,18 +229,30 @@ def test_vector_field_bracket_closes_on_coordinates():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k1,l1", [(1, 1), (2, 1), (2, 2), (3, 1)])
-def test_isotropic_residual_vanishes(k1, l1):
-    iso = isotropic_chart(k1, l1)
+#: (2, 1) with a one-step tail: the tail matrices are built only through
+#: the formal chart.
+TAIL_CASE = pytest.param(2, 1, ((1,), (0,)), id="2-1-tail")
+
+
+@pytest.mark.parametrize("k1,l1,tail", [
+    pytest.param(1, 1, None, id="1-1"), pytest.param(2, 1, None, id="2-1"),
+    pytest.param(2, 2, None, id="2-2"), pytest.param(3, 1, None, id="3-1"),
+    TAIL_CASE,
+])
+def test_isotropic_residual_vanishes(k1, l1, tail):
+    iso = isotropic_chart(k1, l1, tail=tail)
     res = iso.residual()
     for i in range(res.rows.total):
         for j in range(res.cols.total):
             assert res[i, j].is_zero(), (i, j)
 
 
-@pytest.mark.parametrize("k1,l1", [(2, 1), (2, 2)])
-def test_formal_relations_resolved_by_solution(k1, l1):
-    iso = isotropic_chart(k1, l1)
+@pytest.mark.parametrize("k1,l1,tail", [
+    pytest.param(2, 1, None, id="2-1"), pytest.param(2, 2, None, id="2-2"),
+    TAIL_CASE,
+])
+def test_formal_relations_resolved_by_solution(k1, l1, tail):
+    iso = isotropic_chart(k1, l1, tail=tail)
     for entry in iso.formal_residual_entries():
         assert entry.substitute(iso.solution).is_zero()
 

@@ -140,6 +140,14 @@ def test_verify_max_size_caps_single_suite(capsys):
     assert code == 0 and "verify: PASS" in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_verify_max_size_below_one_is_usage_error(capsys, cap):
+    for suite in ((), ("--suite", "osp-defining")):
+        code, out, err = run(capsys, "verify", *suite, "--max-size", cap)
+        assert code == 2 and out == ""
+        assert f"--max-size must be at least 1, got {cap}" in err
+
+
 def test_bad_matrix_literal_is_usage_error(capsys):
     code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
                          "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"

@@ -1,10 +1,12 @@
 """Orthosymplectic algebras: bases, brackets, center, isomorphisms,
 parabolic patterns."""
 
+import hashlib
 import random
 
 import pytest
 
+from superflag.linalg import RankTracker
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
     NotInSpanError,
@@ -24,7 +26,7 @@ from superflag.osp import (
     stabilized_subspace_indices,
     super_jacobi_holds,
 )
-from superflag.scalars import FieldScalar, ONE
+from superflag.scalars import FieldScalar, ONE, ZERO
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -66,6 +68,90 @@ def test_defining_equation_all_generators(flavor, a, b):
     assert not is_member(spoiled, bas.gram)
     assert membership_residual(spoiled, bas.gram) != \
         membership_residual(probe, bas.gram)
+
+
+def _sizes(first, second):
+    return [(a, b) for a in range(first + 1) for b in range(second + 1)
+            if a or b]
+
+
+#: sha256 over (sizes, tag, parity, primary slot, rendered matrix) of every
+#: generator of each flavor, sizes up to 3 (primed t up to 6), taken from the
+#: hand-written generator lists that the family table replaced.  Tags and
+#: their order feed the structure constants in the report; the nullspace
+#: oracle below sees neither.
+PINNED_BASES = {
+    "odd": (_sizes(3, 3), "191342748c2dea72c7347f440012fb85"
+                          "e771e4adf6ae6e4a33f38318f3da9558"),
+    "even": (_sizes(3, 3), "9adfc72b5968381bf20952bafd3c8e11"
+                           "b5abfeb9c1b8cdfdec8219392fb57a76"),
+    "primed": (_sizes(6, 3), "20fed8cca7601d0bce562c2e542eff1c"
+                             "2c28aa9d4c492ac42d1f0a0c4376bc81"),
+    "gl": (_sizes(3, 3), "b2396c74e1deddb8958e9164e3561fa4"
+                         "d25701235f904a96d85df0d5c57b797a"),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(PINNED_BASES))
+def test_bases_match_pinned_digest(flavor):
+    sizes, want = PINNED_BASES[flavor]
+    h = hashlib.sha256()
+    for a, b in sizes:
+        for g in basis(flavor, a, b):
+            h.update(f"{a},{b}|{g.tag}|{g.parity}|{g.primary}|"
+                     f"{g.matrix.render()}\n".encode())
+    assert h.hexdigest() == want
+
+
+def _defining_system(gram):
+    """Row-reduced M^ST G + G M = 0 over the unknown entries of M, one
+    unknown per slot; built from unit matrices, not from the basis."""
+    shape = gram.shape
+    slots = [(i, j) for i in range(shape.total) for j in range(shape.total)]
+    equations = {}
+    for col, slot in enumerate(slots):
+        unit = SuperMatrix.build(shape, shape, {slot: ONE})
+        for out, v in membership_residual(unit, gram).entries.items():
+            equations.setdefault(out, {})[col] = v.scalar_part()
+    system = RankTracker(len(slots))
+    for coeffs in equations.values():
+        system.add([coeffs.get(c, ZERO) for c in range(len(slots))])
+    return slots, system
+
+
+@pytest.mark.parametrize("flavor,a,b",
+                         [("odd",) + s for s in _sizes(3, 3)]
+                         + [("even",) + s for s in _sizes(3, 3)]
+                         + [("primed",) + s for s in _sizes(6, 3)])
+def test_basis_is_a_basis_of_the_nullspace(flavor, a, b):
+    """Independent oracle: the generators are independent solutions of the
+    defining equation, as many as the solution space has dimensions, and
+    the solution space splits as dimension_counts says."""
+    gram = gram_form(flavor, a, b)
+    slots, system = _defining_system(gram)
+    p = gram.shape.even
+
+    def parities(vec):
+        return {int(i >= p) ^ int(j >= p)
+                for (i, j), x in zip(slots, vec) if x}
+
+    split = [0, 0]
+    null = system.nullspace()
+    for vec in null:
+        (parity,) = parities(vec)
+        split[parity] += 1
+    assert tuple(split) == dimension_counts(flavor, a, b)
+
+    bas = basis(flavor, a, b)
+    assert len(bas) == len(null)
+    independent = RankTracker(len(slots))
+    for g in bas:
+        vec = [g.matrix[slot].scalar_part() for slot in slots]
+        assert parities(vec) == {g.parity}, g.tag
+        for row in system.rows:
+            dot = sum((x * y for x, y in zip(row, vec) if x and y), ZERO)
+            assert dot.is_zero(), g.tag
+        assert independent.add(vec), g.tag
 
 
 def test_closure_osp_3_2():
