@@ -62,9 +62,12 @@ class UsageError(Exception):
 def max_size():
     raw = os.environ.get("SUPERFLAG_MAX_SIZE", "3")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
         raise UsageError(f"SUPERFLAG_MAX_SIZE must be an integer, got {raw!r}")
+    if cap < 1:
+        raise UsageError(f"SUPERFLAG_MAX_SIZE must be at least 1, got {cap}")
+    return cap
 
 
 def _check_sizes(cap=None, **sizes):
@@ -231,9 +234,7 @@ def cmd_bwb(args):
     if not weights:
         print("  (empty list)")
     for w in weights:
-        violation = next(
-            (r for r in rs.positive_roots() if w.inner(r) < 0), None
-        )
+        violation = rs.violation(w)
         if violation is None:
             print(f"  {w.render():<24} dominant")
         else:

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over Q(i, sqrt2).
+"""Exact linear algebra over Q(i, sqrt2).
 
-Plain Gauss-Jordan elimination on lists of lists of FieldScalar.  Sizes in
-this package are tiny (a few dozen rows), so clarity wins over cleverness;
-everything is exact, there are no tolerance decisions anywhere.
+One elimination, ``RankTracker``: an incremental reduced row echelon form
+over lists of FieldScalar.  Inversion feeds it the rows of [A | I]; the
+center computation feeds it bracket rows and reads off the nullspace.
+Sizes in this package are tiny (a few dozen rows), so clarity wins over
+cleverness; everything is exact, there are no tolerance decisions anywhere.
 """
 
 from .scalars import ONE, ZERO
@@ -12,63 +14,19 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def identity(n):
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def invert(a):
-    """Exact inverse; raises SingularMatrixError when the rank drops."""
+    """Exact inverse; raises SingularMatrixError when the rank drops.
+
+    The reduced form of [A | I] is [I | A^-1] exactly when every pivot lies
+    in the A half.
+    """
     n = len(a)
-    work = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_lead = work[col][col].inverse()
-        work[col] = [x * inv_lead for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def rref(a):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in a]
-    m = len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(m):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv_lead = rows[rank][col].inverse()
-        rows[rank] = [x * inv_lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return rows[:rank], pivots
-
-
-def solve(a, b):
-    """One exact solution of ``a x = b`` (free variables set to 0), or None."""
-    if not a:
-        return [] if all(not x for x in b) else None
-    m = len(a[0])
-    augmented = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    rows, pivots = rref(augmented)
-    x = [ZERO] * m
-    for row, col in zip(rows, pivots):
-        if col == m:
-            return None  # pivot in the RHS column: inconsistent
-        x[col] = row[m]
-    return x
+    tracker = RankTracker(2 * n)
+    for i, row in enumerate(a):
+        tracker.add(list(row) + [ONE if j == i else ZERO for j in range(n)])
+    if tracker.pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in tracker.rows]
 
 
 class RankTracker:

@@ -104,7 +104,7 @@ class OspBasis:
         makes the read-off a sound span test.
         """
         coeffs = {}
-        acc = None
+        terms = []
         for gen in self.generators:
             entry = m[gen.primary]
             if entry.is_zero():
@@ -115,13 +115,22 @@ class OspBasis:
                 )
             c = entry.scalar_part()
             coeffs[gen.tag] = c
-            scaled = gen.matrix * c
-            acc = scaled if acc is None else acc + scaled
+            terms.append((c, gen.matrix))
+        acc = _linear_combination(terms)
         if acc is None:
             acc = SuperMatrix.zeros(m.rows, m.cols, m.ctx)
         if acc != m:
             raise NotInSpanError("matrix is not in the span of the basis")
         return coeffs
+
+
+def _linear_combination(terms):
+    """The sum of ``matrix * c`` over ``(c, matrix)`` pairs; None if empty."""
+    acc = None
+    for c, mat in terms:
+        scaled = mat * c
+        acc = scaled if acc is None else acc + scaled
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -398,12 +407,8 @@ def center(flavor, a, b):
             if tracker.is_full():
                 break
         for vec in tracker.nullspace():
-            acc = None
-            for c, g in zip(vec, sector):
-                if not c:
-                    continue
-                scaled = g.matrix * c
-                acc = scaled if acc is None else acc + scaled
+            acc = _linear_combination(
+                (c, g.matrix) for c, g in zip(vec, sector) if c)
             if acc is not None:
                 out.append(acc)
     return out

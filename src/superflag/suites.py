@@ -25,10 +25,12 @@ from .charts import (
     lemma_h_generator,
 )
 from .kernels import BACKEND
-from .linalg import solve
 from .matrices import BlockShape, SuperMatrix
 from .osp import (
     PARABOLIC_TAGS,
+    Generator,
+    NotInSpanError,
+    OspBasis,
     basis,
     basis_change_S,
     center,
@@ -208,10 +210,6 @@ def suite_lemma_fields(k1, l1, tail=None, tail_index_sets=None):
     return rep
 
 
-def _all_members(gens, gram):
-    return [g.tag for g in gens if not is_member(g.matrix, gram)]
-
-
 @_timed
 def suite_isomorphism(k1, l1):
     """Basis change to the primed form, the induced isomorphism, and the
@@ -230,12 +228,10 @@ def suite_isomorphism(k1, l1):
                 lhs == primed_gram.matrix)
         s_inv = s.invert()
         primed = basis("primed", t, l1)
-        fwd = _all_members(
-            [type(g)(g.tag, g.parity, conjugate(g.matrix, s, s_inv), g.primary)
-             for g in src], primed_gram)
-        back = _all_members(
-            [type(g)(g.tag, g.parity, conjugate(g.matrix, s_inv, s), g.primary)
-             for g in primed], src.gram)
+        fwd = [g.tag for g in src
+               if not is_member(conjugate(g.matrix, s, s_inv), primed_gram)]
+        back = [g.tag for g in primed
+                if not is_member(conjugate(g.matrix, s_inv, s), src.gram)]
         round_trip = all(
             conjugate(conjugate(g.matrix, s, s_inv), s_inv, s) == g.matrix
             for g in src
@@ -277,19 +273,12 @@ def suite_isomorphism(k1, l1):
     return rep
 
 
-def _vectorize(m):
-    return [
-        m[i, j].scalar_part()
-        for i in range(m.rows.total)
-        for j in range(m.cols.total)
-    ]
-
-
-def _in_span(target, span_matrices):
-    cols = [_vectorize(b) for b in span_matrices]
-    b = _vectorize(target)
-    a = [[col[i] for col in cols] for i in range(len(b))]
-    return solve(a, b) is not None
+def _in_span(target, bas):
+    try:
+        bas.coefficients_of(target)
+    except NotInSpanError:
+        return False
+    return True
 
 
 def _monomial_coefficient_matrices(m):
@@ -314,6 +303,8 @@ def suite_imP_witness(k1, l1):
     """The witness bracket showing the image is larger than the bordered
     subalgebra: two explicit odd-type matrices with Grassmann blocks whose
     commutator has first-row/first-column support."""
+    if k1 < 1 or l1 < 1:
+        raise ValueError("the imP witness needs k1 >= 1 and l1 >= 1")
     rep = SuiteReport(f"imP-witness(k1={k1},l1={l1})")
     shape = BlockShape(2 * k1, 2 * l1, (k1, k1), (l1, l1))
     ctx = RingContext()
@@ -391,9 +382,14 @@ def suite_imP_witness(k1, l1):
             is_member(ma_num, gram) and is_member(mb_num, gram)
             and j_image_contains(ma_num) and not j_image_contains(mb_num))
 
-    inner = basis("primed", 2 * k1 - 1, l1)
-    j_even = [embed_j(g.matrix) for g in inner.even_generators()]
-    full_even = [g.matrix for g in basis("primed", 2 * k1, l1).even_generators()]
+    full = basis("primed", 2 * k1, l1)
+    full_even = OspBasis(full.flavor, full.sizes, full.gram,
+                         full.even_generators())
+    j_even = OspBasis(full.flavor, full.sizes, full.gram, [
+        Generator(g.tag, 0, embed_j(g.matrix),
+                  (g.primary[0] + 1, g.primary[1] + 1))
+        for g in basis("primed", 2 * k1 - 1, l1).even_generators()
+    ])
     pieces = _monomial_coefficient_matrices(bracket)
     in_full = all(_in_span(p, full_even) for p in pieces)
     outside = any(not _in_span(p, j_even) for p in pieces)

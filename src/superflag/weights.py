@@ -138,9 +138,13 @@ class RootSystem:
             roots.append(Weight.basis_la(s, n, n).scale(2))
         return roots
 
+    def violation(self, w):
+        """The first positive root with a negative inner product, or None."""
+        return next((r for r in self.positive_roots() if w.inner(r) < 0), None)
+
     def is_dominant(self, w):
         """Non-negative inner product with every positive root."""
-        return all(w.inner(r) >= 0 for r in self.positive_roots())
+        return self.violation(w) is None
 
 
 def root_system(k1, l1):

@@ -148,6 +148,22 @@ def test_verify_max_size_below_one_is_usage_error(capsys, cap):
         assert f"--max-size must be at least 1, got {cap}" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_max_size_env_below_one_is_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("SUPERFLAG_MAX_SIZE", cap)
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert f"SUPERFLAG_MAX_SIZE must be at least 1, got {cap}" in err
+
+
+@pytest.mark.parametrize("k1,l1", [("1", "0"), ("0", "1")])
+def test_imp_witness_degenerate_sizes_are_usage_errors(capsys, k1, l1):
+    code, out, err = run(capsys, "verify", "--suite", "imp-witness",
+                         "--k1", k1, "--l1", l1)
+    assert code == 2 and out == ""
+    assert "the imP witness needs k1 >= 1 and l1 >= 1" in err
+
+
 def test_bad_matrix_literal_is_usage_error(capsys):
     code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
                          "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"

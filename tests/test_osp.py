@@ -9,6 +9,7 @@ import pytest
 from superflag.linalg import RankTracker
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
+    Generator,
     NotInSpanError,
     PARABOLIC_TAGS,
     basis,
@@ -152,6 +153,34 @@ def test_basis_is_a_basis_of_the_nullspace(flavor, a, b):
             dot = sum((x * y for x, y in zip(row, vec) if x and y), ZERO)
             assert dot.is_zero(), g.tag
         assert independent.add(vec), g.tag
+
+
+def _bordered_even_basis(k1, l1):
+    """Even generators of primed(2k1-1|2l1), zero-bordered into
+    primed(2k1|2l1), each primary slot shifted with its matrix."""
+    return [Generator(g.tag, 0, embed_j(g.matrix),
+                      (g.primary[0] + 1, g.primary[1] + 1))
+            for g in basis("primed", 2 * k1 - 1, l1).even_generators()]
+
+
+@pytest.mark.parametrize("case",
+                         [(f,) + s for f in ("odd", "even", "gl")
+                          for s in _sizes(3, 3)]
+                         + [("primed",) + s for s in _sizes(6, 3)]
+                         + [("bordered", k1, l1) for k1 in (1, 2, 3)
+                            for l1 in (1, 2, 3)])
+def test_primary_slots_are_private(case):
+    """coefficients_of reads each coefficient off its generator's primary
+    slot: +1 there, and zero there in every other generator."""
+    flavor, a, b = case
+    gens = _bordered_even_basis(a, b) if flavor == "bordered" \
+        else basis(flavor, a, b).generators
+    owner = {g.primary: g.tag for g in gens}
+    assert len(owner) == len(gens)
+    for g in gens:
+        assert g.matrix[g.primary] == ONE, g.tag
+        for slot in g.matrix.entries:
+            assert owner.get(slot, g.tag) == g.tag, (g.tag, owner[slot])
 
 
 def test_closure_osp_3_2():
