@@ -1,11 +1,13 @@
 """Exact linear algebra over Q(i, sqrt2).
 
 One elimination, ``RankTracker``: an incremental reduced row echelon form
-over lists of FieldScalar.  Inversion feeds it the rows of [A | I]; the
-center computation feeds it bracket rows and reads off the nullspace.
-Sizes in this package are tiny (a few dozen rows), so clarity wins over
-cleverness; everything is exact, there are no tolerance decisions anywhere.
+of FieldScalar rows, stored sparse.  Inversion feeds it the rows of
+[A | I]; the center computation feeds it ad rows read off the structure
+constants and reads off the nullspace.  Everything is exact, there are no
+tolerance decisions anywhere.
 """
+
+import bisect
 
 from .scalars import ONE, ZERO
 
@@ -32,43 +34,49 @@ def invert(a):
 class RankTracker:
     """Incremental RREF: feed rows one by one, stop as soon as rank is full.
 
-    Used for center computations where the full stacked system has thousands
-    of rows but the rank usually saturates after a handful.
+    Rows are kept as sparse ``{column: value}`` dicts, so a reduction step
+    touches only the nonzero entries: center rows and the rows of [A | I]
+    are mostly zeros.  ``rows`` and ``nullspace()`` are dense.
     """
 
     def __init__(self, ncols):
         self.ncols = ncols
-        self.rows = []
+        self._rows = []
         self.pivots = []
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self):
+        """The reduced rows, dense, ordered by pivot column."""
+        return [[row.get(c, ZERO) for c in range(self.ncols)]
+                for row in self._rows]
 
     def is_full(self):
         return self.rank == self.ncols
 
     def add(self, vec):
-        """Reduce and absorb one row; returns True when the rank grew."""
-        vec = list(vec)
-        for row, col in zip(self.rows, self.pivots):
-            if vec[col]:
-                factor = vec[col]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        lead = next((c for c in range(self.ncols) if vec[c]), None)
-        if lead is None:
+        """Reduce and absorb one row, a dense sequence or a ``{column:
+        value}`` dict of its entries; returns True when the rank grew."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        vec = {c: x for c, x in items if x}
+        for row, col in zip(self._rows, self.pivots):
+            factor = vec.get(col)
+            if factor:
+                add_scaled(vec, row, -factor)
+        if not vec:
             return False
+        lead = min(vec)
         inv_lead = vec[lead].inverse()
-        vec = [x * inv_lead for x in vec]
-        for i, row in enumerate(self.rows):
-            if row[lead]:
-                factor = row[lead]
-                self.rows[i] = [x - factor * y for x, y in zip(row, vec)]
-        # keep rows ordered by pivot column
-        pos = next(
-            (i for i, c in enumerate(self.pivots) if c > lead), len(self.pivots)
-        )
-        self.rows.insert(pos, vec)
+        vec = {c: x * inv_lead for c, x in vec.items()}
+        for row in self._rows:
+            factor = row.get(lead)
+            if factor:
+                add_scaled(row, vec, -factor)
+        pos = bisect.bisect(self.pivots, lead)
+        self._rows.insert(pos, vec)
         self.pivots.insert(pos, lead)
         return True
 
@@ -80,8 +88,19 @@ class RankTracker:
                 continue
             vec = [ZERO] * self.ncols
             vec[free] = ONE
-            for row, col in zip(self.rows, self.pivots):
-                if row[free]:
+            for row, col in zip(self._rows, self.pivots):
+                if free in row:
                     vec[col] = -row[free]
             basis.append(vec)
         return basis
+
+
+def add_scaled(target, row, factor):
+    """target += factor * row for sparse ``{key: FieldScalar}`` dicts, in
+    place, dropping the entries that cancel."""
+    for c, y in row.items():
+        s = target.get(c, ZERO) + factor * y
+        if s:
+            target[c] = s
+        else:
+            target.pop(c, None)

@@ -38,9 +38,10 @@ negates.  When that slot is (r, c) itself there is no second entry.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
-from .linalg import RankTracker
+from .linalg import RankTracker, add_scaled
 from .matrices import BlockShape, SuperMatrix
 from .scalars import I_INV_SQRT2, INV_SQRT2, ONE
 
@@ -70,12 +71,16 @@ class OspBasis:
     flavor: str
     sizes: tuple
     gram: GramForm
-    generators: list
+    generators: tuple
     name: str = "osp"
     _by_tag: dict = field(default_factory=dict, repr=False)
+    _by_primary: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self.generators = tuple(self.generators)
         self._by_tag = {g.tag: g for g in self.generators}
+        self._by_primary = {g.primary: i
+                            for i, g in enumerate(self.generators)}
 
     def __len__(self):
         return len(self.generators)
@@ -99,14 +104,19 @@ class OspBasis:
         """Expand ``m`` exactly in this basis, or raise NotInSpanError.
 
         Each generator owns a distinct +1 "primary" slot that no other
-        generator touches, so candidate coefficients are read off directly;
-        the re-assembled combination is then compared entry by entry, which
-        makes the read-off a sound span test.
+        generator touches, so the candidate coefficients are the entries of
+        ``m`` on primary slots: only ``m``'s nonzero entries are visited,
+        and the coefficients come out in generator order.  The re-assembled
+        combination is then compared with ``m`` entry by entry, which makes
+        the read-off a sound span test.
         """
+        found = sorted(self._by_primary[slot] for slot in m.entries
+                       if slot in self._by_primary)
         coeffs = {}
         terms = []
-        for gen in self.generators:
-            entry = m[gen.primary]
+        for i in found:
+            gen = self.generators[i]
+            entry = m.entries[gen.primary]
             if entry.is_zero():
                 continue
             if not entry.is_scalar():
@@ -160,11 +170,14 @@ def _shape(flavor, a, b):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
+@functools.lru_cache(maxsize=4)
 def gram_form(flavor, a, b):
     """The Gram matrix of the defining form for the given flavor and sizes.
 
     Parameters mean (m, n) for ``odd``, (k, l) for ``even`` and (t, l) for
-    ``primed`` where t is the full even size 2k-1 or 2k.
+    ``primed`` where t is the full even size 2k-1 or 2k.  Memoised like
+    ``basis``, whose forms these are; ``embed_j`` and ``j_image_contains``
+    ask for them on every call.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -304,8 +317,15 @@ def _tag_sort_key(item):
     return (item[1], _BLOCK_ORDER.index(block), nums)
 
 
+@functools.lru_cache(maxsize=4)
 def basis(flavor, a, b):
-    """Canonical generators, one per free block entry, all verified members."""
+    """Canonical generators, one per free block entry, all verified members.
+
+    Memoised for the four bases one suite run asks for (the isomorphism
+    suite's odd, even and two primed ones); an unbounded cache would keep
+    every basis a long-running process ever built.  Callers share the
+    result, so its ``generators`` is a tuple and nothing mutates a matrix.
+    """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
     if flavor == "gl":
@@ -376,9 +396,75 @@ def closure_check(bas):
     }
 
 
+class _BracketTable:
+    """closure_check's structure constants indexed by generator pair.
+
+    ``of(a, b)`` is [a, b] as ``{tag: coefficient}`` for any ordered pair
+    of tags, using [b, a] = -(-1)^{|a||b|} [a, b] for the pairs that
+    closure_check expanded the other way round and [x, x] = 0 for even x;
+    it raises NotInSpanError when closure could not expand the bracket.
+    """
+
+    def __init__(self, bas, closure):
+        self.index = {g.tag: i for i, g in enumerate(bas.generators)}
+        self.parity = {g.tag: g.parity for g in bas.generators}
+        self.failed = set(closure["failures"])
+        self.table = {}
+        for p, q, r, c in closure["structure_constants"]:
+            self.table.setdefault((p, q), {})[r] = c
+
+    def of(self, a, b):
+        if self.index[a] > self.index[b]:
+            coeffs = self.of(b, a)
+            if self.parity[a] and self.parity[b]:
+                return coeffs
+            return {r: -c for r, c in coeffs.items()}
+        if (a, b) in self.failed:
+            raise NotInSpanError(f"[{a}, {b}] is not in the span of the"
+                                 " basis")
+        return self.table.get((a, b), {})
+
+    def compose(self, coeffs, other, left):
+        """[sum_r c_r e_r, other] if ``left``, else [other, sum_r c_r e_r]."""
+        acc = {}
+        for r, c in coeffs.items():
+            add_scaled(acc, self.of(r, other) if left else self.of(other, r),
+                       c)
+        return acc
+
+
+def jacobi_failures(bas, closure, triples):
+    """The tag triples (x, y, z) that break the graded Jacobi identity
+    [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]], composed from
+    closure_check's structure constants instead of matrix brackets.
+
+    The basis is linearly independent, so the identity holds for the
+    matrices exactly when it holds for the coefficient vectors.  A triple
+    that needs a bracket closure could not expand fails.
+    """
+    br = _BracketTable(bas, closure)
+    bad = []
+    for x, y, z in triples:
+        try:
+            left = br.compose(br.of(y, z), x, left=False)
+            right = br.compose(br.of(x, y), z, left=True)
+            tail = br.compose(br.of(x, z), y, left=False)
+        except NotInSpanError:
+            bad.append((x, y, z))
+            continue
+        add_scaled(right, tail, -ONE if br.parity[x] and br.parity[y]
+                    else ONE)
+        if left != right:
+            bad.append((x, y, z))
+    return bad
+
+
 def super_jacobi_holds(x, y, z):
     """Graded Leibniz form of the Jacobi identity for three homogeneous
-    matrices: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]]."""
+    matrices: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]].
+
+    Matrix brackets throughout: the oracle for ``jacobi_failures``.
+    """
     left = x.superbracket(y.superbracket(z))
     right = x.superbracket(y).superbracket(z)
     tail = y.superbracket(x.superbracket(z))
@@ -387,9 +473,16 @@ def super_jacobi_holds(x, y, z):
     return left == right + tail
 
 
-def center(flavor, a, b):
-    """Exact basis of {Z : [Z, X] = 0 for all X}, computed per parity sector."""
-    bas = basis(flavor, a, b)
+def center_from_constants(bas, closure):
+    """Exact basis of {Z : [Z, X] = 0 for all X}, computed per parity sector
+    from closure_check's structure constants.
+
+    In a sector with generators g_1..g_s, Z = sum c_i g_i is central when
+    sum c_i [g_i, X] = 0 for every generator X, that is, coefficient by
+    coefficient of each [g_i, X] in the basis: one ad row per (X, tag).
+    Raises NotInSpanError when closure could not expand a bracket.
+    """
+    br = _BracketTable(bas, closure)
     out = []
     for parity in (0, 1):
         sector = [g for g in bas.generators if g.parity == parity]
@@ -397,11 +490,12 @@ def center(flavor, a, b):
             continue
         tracker = RankTracker(len(sector))
         for probe in bas.generators:
-            brackets = [g.matrix.superbracket(probe.matrix) for g in sector]
-            slots = sorted({k for br in brackets for k in br.entries})
-            for slot in slots:
-                row = [br[slot].scalar_part() for br in brackets]
-                tracker.add(row)
+            columns = [br.of(g.tag, probe.tag) for g in sector]
+            tags = sorted({t for col in columns for t in col},
+                          key=br.index.__getitem__)
+            for tag in tags:
+                tracker.add({i: col[tag] for i, col in enumerate(columns)
+                             if tag in col})
                 if tracker.is_full():
                     break
             if tracker.is_full():
@@ -412,6 +506,12 @@ def center(flavor, a, b):
             if acc is not None:
                 out.append(acc)
     return out
+
+
+def center(flavor, a, b):
+    """Exact basis of the center of ``basis(flavor, a, b)``."""
+    bas = basis(flavor, a, b)
+    return center_from_constants(bas, closure_check(bas))
 
 
 # ---------------------------------------------------------------------------

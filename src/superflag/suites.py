@@ -33,7 +33,7 @@ from .osp import (
     OspBasis,
     basis,
     basis_change_S,
-    center,
+    center_from_constants,
     closure_check,
     conjugate,
     dimension_counts,
@@ -41,8 +41,8 @@ from .osp import (
     gram_form,
     is_member,
     j_image_contains,
+    jacobi_failures,
     parabolic_basis,
-    super_jacobi_holds,
 )
 from .ring import RingContext
 from .scalars import FieldScalar, ONE, ZERO
@@ -150,25 +150,24 @@ def suite_osp_defining(m, n):
             not closure["failures"],
             f"{len(closure['structure_constants'])} structure constants"
             if not closure["failures"] else str(closure["failures"][:4]))
-    gens = list(bas)
+    tags = bas.tags()
     rng = random.Random(20240811)
-    if len(gens) <= 12:
-        triples = [(x, y, z) for x in gens for y in gens for z in gens]
+    if len(tags) <= 12:
+        triples = [(x, y, z) for x in tags for y in tags for z in tags]
     else:
         triples = [
-            (rng.choice(gens), rng.choice(gens), rng.choice(gens))
+            (rng.choice(tags), rng.choice(tags), rng.choice(tags))
             for _ in range(300)
         ]
-    bad_j = [
-        (x.tag, y.tag, z.tag)
-        for x, y, z in triples
-        if not super_jacobi_holds(x.matrix, y.matrix, z.matrix)
-    ]
+    bad_j = jacobi_failures(bas, closure, triples)
     rep.add("jacobi", "graded Jacobi identity on generator triples",
             not bad_j, f"{len(triples)} triples" if not bad_j else str(bad_j[:3]))
-    z = center("odd", m, n)
-    rep.add("center", "the center is {0}", not z,
-            "trivial" if not z else f"dimension {len(z)}")
+    try:
+        z = center_from_constants(bas, closure)
+        witness = f"dimension {len(z)}" if z else "trivial"
+    except NotInSpanError:
+        z, witness = None, "undetermined: closure failed"
+    rep.add("center", "the center is {0}", z == [], witness)
     return rep
 
 
@@ -214,6 +213,8 @@ def suite_lemma_fields(k1, l1, tail=None, tail_index_sets=None):
 def suite_isomorphism(k1, l1):
     """Basis change to the primed form, the induced isomorphism, and the
     zero-bordering embedding."""
+    if k1 < 1 or l1 < 1:
+        raise ValueError("the isomorphism suite needs k1 >= 1 and l1 >= 1")
     rep = SuiteReport(f"isomorphism(k1={k1},l1={l1})")
     for flavor, t in (("odd", 2 * k1 - 1), ("even", 2 * k1)):
         if flavor == "odd":
@@ -242,16 +243,17 @@ def suite_isomorphism(k1, l1):
                 not fwd and not back and round_trip,
                 ", ".join(fwd + back) or f"{len(src)} generators both ways")
     src = basis("primed", 2 * k1 - 1, l1)
+    embedded = {g.tag: embed_j(g.matrix) for g in src}
     pairs_ok = all(
         embed_j(x.matrix.superbracket(y.matrix))
-        == embed_j(x.matrix).superbracket(embed_j(y.matrix))
+        == embedded[x.tag].superbracket(embedded[y.tag])
         for x in src for y in src
     )
     rep.add("dj-bracket",
             "the zero-bordering embedding preserves every superbracket",
             pairs_ok, f"{len(src)}^2 pairs")
-    img_ok = all(j_image_contains(embed_j(g.matrix)) for g in src)
-    probe = embed_j(src.generators[0].matrix)
+    img_ok = all(j_image_contains(embedded[g.tag]) for g in src)
+    probe = embedded[src.generators[0].tag]
     spoiled = probe + SuperMatrix.build(
         probe.rows, probe.cols, {(0, 1): ONE}, parity=probe.parity or 0)
     rep.add("j-image-slice",
@@ -262,7 +264,7 @@ def suite_isomorphism(k1, l1):
     p1_tags = PARABOLIC_TAGS[("p1", "primed")]
     stray = []
     for g in p_primed:
-        coeffs = p1_primed.coefficients_of(embed_j(g.matrix))
+        coeffs = p1_primed.coefficients_of(embedded[g.tag])
         for tag, c in coeffs.items():
             if c != ZERO and tag.split(":")[0] not in p1_tags:
                 stray.append((g.tag, tag))

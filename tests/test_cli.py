@@ -164,6 +164,14 @@ def test_imp_witness_degenerate_sizes_are_usage_errors(capsys, k1, l1):
     assert "the imP witness needs k1 >= 1 and l1 >= 1" in err
 
 
+@pytest.mark.parametrize("k1,l1", [("1", "0"), ("0", "1")])
+def test_isomorphism_degenerate_sizes_are_usage_errors(capsys, k1, l1):
+    code, out, err = run(capsys, "verify", "--suite", "isomorphism",
+                         "--k1", k1, "--l1", l1)
+    assert code == 2 and out == ""
+    assert "the isomorphism suite needs k1 >= 1 and l1 >= 1" in err
+
+
 def test_bad_matrix_literal_is_usage_error(capsys):
     code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
                          "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"

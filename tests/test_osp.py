@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from superflag import suites
 from superflag.linalg import RankTracker
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
@@ -15,6 +16,7 @@ from superflag.osp import (
     basis,
     basis_change_S,
     center,
+    center_from_constants,
     closure_check,
     conjugate,
     dimension_counts,
@@ -22,11 +24,13 @@ from superflag.osp import (
     gram_form,
     is_member,
     j_image_contains,
+    jacobi_failures,
     membership_residual,
     parabolic_basis,
     stabilized_subspace_indices,
     super_jacobi_holds,
 )
+from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
 
@@ -217,6 +221,130 @@ def test_jacobi_sampled_2_1():
         assert super_jacobi_holds(x.matrix, y.matrix, z.matrix)
 
 
+#: sha256 over (tag_p, tag_q, tag_r, rendered coefficient) of
+#: closure_check's structure constants, recorded before the Jacobi check
+#: and the center were derived from them.
+PINNED_CONSTANTS = {
+    ("odd", 1, 1): "0832aba9bbccc32f5e46df1b901ba4e3"
+                   "180c45ae784093e07583460620ed0df1",
+    ("odd", 2, 1): "c99c6e8037e67050192ad4ceb62f1a5d"
+                   "f5b73961dbde0cdb67b1839adaf74673",
+    ("odd", 1, 2): "91f736b71b10228a618ae5dc160e9a49"
+                   "7c9c3bfce70e67dca6b491667fa9c07b",
+    ("odd", 2, 2): "28e78f38e885096851c4dd44158dde56"
+                   "6924fcd8b0bf08cc6169a74554098dfe",
+    ("even", 1, 1): "593ac142fbd363194eb7088c09755306"
+                    "847a21ed90822b7e9e6892cf5a0960b8",
+    ("even", 2, 1): "6ef667b8a10ceb3d6ce34fa7966c35ae"
+                    "9bc334321ac87e9d7d2869ba27136dbd",
+    ("gl", 2, 1): "d072b5b2802b6abb3419c5c8849e5691"
+                  "e960e1a9dd13180e66cadf95fe33c202",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
+def test_structure_constants_match_pinned_digest(case):
+    report = closure_check(basis(*case))
+    assert report["failures"] == []
+    h = hashlib.sha256()
+    for p, q, r, c in report["structure_constants"]:
+        h.update(f"{p}|{q}|{r}|{c.render()}\n".encode())
+    assert h.hexdigest() == PINNED_CONSTANTS[case]
+
+
+def _all_triples(bas):
+    tags = bas.tags()
+    return [(x, y, z) for x in tags for y in tags for z in tags]
+
+
+@pytest.mark.parametrize("case", [("odd", 1, 1), ("gl", 1, 1)])
+def test_jacobi_from_constants_matches_matrix_oracle(case):
+    bas = basis(*case)
+    triples = _all_triples(bas)
+    assert jacobi_failures(bas, closure_check(bas), triples) == []
+    assert all(super_jacobi_holds(bas[x].matrix, bas[y].matrix,
+                                  bas[z].matrix) for x, y, z in triples[::7])
+
+
+def test_jacobi_detects_every_flipped_constant():
+    """Each sign flip of a single structure constant of osp(3|2) breaks
+    the Jacobi identity on some triple; the true table breaks none."""
+    bas = basis("odd", 1, 1)
+    closure = closure_check(bas)
+    triples = _all_triples(bas)
+    constants = closure["structure_constants"]
+    for i, (p, q, r, c) in enumerate(constants):
+        mutated = dict(closure, structure_constants=constants[:i]
+                       + [(p, q, r, -c)] + constants[i + 1:])
+        assert jacobi_failures(bas, mutated, triples), (p, q, r)
+    assert closure["structure_constants"] == constants
+
+
+def test_jacobi_fails_every_triple_needing_a_missing_bracket():
+    bas = basis("odd", 1, 1)
+    closure = closure_check(bas)
+    x, y = bas.tags()[0], bas.tags()[3]
+    broken = dict(closure, failures=[(x, y)])
+    failing = set(jacobi_failures(bas, broken, _all_triples(bas)))
+    assert (x, y, y) in failing and (y, x, x) in failing
+    assert jacobi_failures(bas, closure, sorted(failing)) == []
+    with pytest.raises(NotInSpanError):
+        center_from_constants(bas, broken)
+
+
+def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
+    """When closure cannot expand a bracket, the suite's Jacobi and center
+    checks fail too instead of reading the gap as zero."""
+    real = suites.closure_check
+
+    def broken(bas):
+        report = real(bas)
+        p, q = report["structure_constants"][0][:2]
+        return dict(report, failures=[(p, q)])
+
+    monkeypatch.setattr(suites, "closure_check", broken)
+    records = {r.check_id: r for r in suites.suite_osp_defining(1, 1).records}
+    assert not records["closure"].ok and not records["jacobi"].ok
+    assert not records["center"].ok
+    assert records["center"].witness == "undetermined: closure failed"
+
+
+def _bracket_probing_center(flavor, a, b):
+    """Center by matrix brackets: per parity sector, the coefficients c_g
+    with sum c_g [g, X] = 0 entry by entry for every generator X."""
+    bas = basis(flavor, a, b)
+    out = []
+    for parity in (0, 1):
+        sector = [g for g in bas.generators if g.parity == parity]
+        if not sector:
+            continue
+        tracker = RankTracker(len(sector))
+        for probe in bas.generators:
+            brackets = [g.matrix.superbracket(probe.matrix) for g in sector]
+            for slot in sorted({k for br in brackets for k in br.entries}):
+                tracker.add([br[slot].scalar_part() for br in brackets])
+        for vec in tracker.nullspace():
+            acc = None
+            for c, g in zip(vec, sector):
+                if c:
+                    term = g.matrix * c
+                    acc = term if acc is None else acc + term
+            out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("case",
+                         [(f,) + s for f in ("odd", "even")
+                          for s in _sizes(2, 2)]
+                         + [("gl", 1, 1), ("gl", 2, 1), ("gl", 2, 2),
+                            ("gl", 3, 1)])
+def test_center_matches_bracket_probing_oracle(case):
+    got = center(*case)
+    assert got == _bracket_probing_center(*case)
+    if case[0] == "gl":
+        assert len(got) == 1
+
+
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 1), (1, 2)])
 def test_center_trivial(m, n):
     assert center("odd", m, n) == []
@@ -250,6 +378,13 @@ def test_coefficients_of_round_trip():
         combo = term if combo is None else combo + term
     got = bas.coefficients_of(combo)
     assert {t: c for t, c in got.items() if not c.is_zero()} == want
+    # read in generator order, whatever order the entries were built in
+    reverse = None
+    for g in reversed(bas.generators):
+        if g.tag in want:
+            term = g.matrix * want[g.tag]
+            reverse = term if reverse is None else reverse + term
+    assert list(bas.coefficients_of(reverse).items()) == list(want.items())
 
 
 def test_coefficients_of_rejects_non_member():
@@ -258,6 +393,51 @@ def test_coefficients_of_rejects_non_member():
     outside = SuperMatrix.build(sh, sh, {(0, 0): ONE}, parity=0)
     with pytest.raises(NotInSpanError):
         bas.coefficients_of(outside)
+
+
+def test_coefficients_of_rejects_support_off_the_primary_slots():
+    """A matrix whose entries all sit on forced (non-primary) slots reads
+    off no coefficient; the re-assembly check still rejects it."""
+    bas = basis("odd", 1, 1)
+    primaries = {g.primary for g in bas}
+    forced = sorted({slot for g in bas for slot in g.matrix.entries}
+                    - primaries)
+    assert forced
+    sh = bas.gram.shape
+    for slot in forced:
+        outside = SuperMatrix.build(sh, sh, {slot: ONE})
+        with pytest.raises(NotInSpanError):
+            bas.coefficients_of(outside)
+
+
+def test_coefficients_of_rejects_non_scalar_primary_entry():
+    bas = basis("odd", 1, 1)
+    ctx = RingContext()
+    ctx.odds("theta")
+    gen = bas.generators[0]
+    candidate = gen.matrix.lift(ctx) * ctx.var("theta")
+    assert not candidate[gen.primary].is_scalar()
+    with pytest.raises(NotInSpanError, match="not scalar"):
+        bas.coefficients_of(candidate)
+
+
+@pytest.mark.parametrize("case", [("odd", 2, 1), ("even", 1, 2),
+                                  ("primed", 3, 1), ("gl", 2, 1)])
+def test_cached_basis_is_immutable_and_repeatable(case):
+    def rendered(bas):
+        return [(g.tag, g.parity, g.primary, g.matrix.render()) for g in bas]
+
+    first = basis(*case)
+    assert isinstance(first.generators, tuple)
+    with pytest.raises(AttributeError):
+        first.generators.append(first.generators[0])
+    again = basis(*case)
+    assert rendered(again) == rendered(first)
+    basis.cache_clear()
+    gram_form.cache_clear()
+    fresh = basis(*case)
+    assert fresh is not first and rendered(fresh) == rendered(first)
+    assert isinstance(parabolic_basis("p", 2, 1).generators, tuple)
 
 
 @pytest.mark.parametrize("flavor,k1,l1", [
