@@ -4,8 +4,9 @@ A flag type (k, l) fixes a chain of sub-superspaces; a chart is a tuple of
 coordinate matrices ``Z[s]``, one per flag step, each containing a fixed
 identity submatrix in the rows named by the index sets and fresh variables
 in the remaining rows.  The supergroup acts by ``Z -> L Z C^{-1}`` where C
-is the designated row submatrix, and first-order fundamental vector fields
-are read off by acting with ``E + t X`` for a square-zero parameter t.
+is the designated row submatrix.  The first-order fundamental vector field
+of X is the t-linear part of the action of ``E + t X`` for a square-zero
+parameter t, which ``fundamental_field`` computes in closed form.
 
 The isotropic chart is the special first-step chart whose column span is
 isotropic for the orthosymplectic form; its dependent coordinates are
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 from .matrices import BlockShape, SuperMatrix
 from .osp import basis, gram_form
-from .ring import RingContext, SuperPoly
+from .ring import RingContext, SuperPoly, add_product, common_context
 from .scalars import ONE
 
 
@@ -272,6 +273,12 @@ def chart_variable_count(ft):
 # ---------------------------------------------------------------------------
 
 
+def _designated_rows(ft, index_sets, s):
+    """0-based rows named by the index set of step s, even rows first."""
+    i0, i1 = index_sets[s - 1]
+    return [i - 1 for i in i0] + [ft.k[s - 1] + i - 1 for i in i1]
+
+
 def act(L, chart, J=None):
     """Transform a chart by the supergroup element L.
 
@@ -292,10 +299,9 @@ def act(L, chart, J=None):
     ctx = chart.ctx
     for s in range(1, ft.r + 1):
         prod = carrier @ chart.matrix(s)
-        rows = [i - 1 for i in J[s - 1][0]] + \
-               [ft.k[s - 1] + i - 1 for i in J[s - 1][1]]
         sub_shape = BlockShape(ft.k[s], ft.l[s])
-        c_s = prod.submatrix(rows, range(sub_shape.total), sub_shape, sub_shape)
+        c_s = prod.submatrix(_designated_rows(ft, J, s),
+                             range(sub_shape.total), sub_shape, sub_shape)
         new_mats.append(prod @ c_s.invert())
         ctx = new_mats[-1].ctx
         carrier = c_s
@@ -325,24 +331,35 @@ class VectorField:
 
     def apply(self, poly):
         """Act on a polynomial: sum of coefficient * left derivative."""
-        out = poly.ctx.zero if isinstance(poly, SuperPoly) else self.ctx.zero
+        terms = {}
+        self._apply_into(terms, poly)
+        return SuperPoly._new(common_context(self.ctx, poly.ctx), terms)
+
+    def _apply_into(self, terms, poly, negate=False):
+        """Add this field's value on ``poly`` (subtract it when ``negate``)
+        into the term dict ``terms``, differentiating only by the
+        variables that occur in ``poly``."""
+        if not poly.terms:
+            return
+        present = poly.variables()
         for name, c in self.coefficients.items():
-            if c.is_zero():
-                continue
-            out = out + c * poly.left_derivative(name)
-        return out
+            if c.terms and name in present:
+                add_product(terms, c, poly.left_derivative(name), negate)
 
     def bracket(self, other):
-        """Super-commutator of two fields, again a field on the same ring."""
-        sign = -1 if (self.parity and other.parity) else 1
-        names = list(dict.fromkeys(list(self.order) + list(other.order)))
-        coeffs = {
-            name: self.apply(other.coefficient(name))
-            - sign * other.apply(self.coefficient(name))
-            for name in names
-        }
+        """Super-commutator [V, W] = V W - (-1)^{|V||W|} W V, again a field
+        on the same ring."""
+        ctx = common_context(self.ctx, other.ctx)
+        negate = not (self.parity and other.parity)
+        names = tuple(dict.fromkeys((*self.order, *other.order)))
+        coeffs = {}
+        for name in names:
+            terms = {}
+            self._apply_into(terms, other.coefficient(name))
+            other._apply_into(terms, self.coefficient(name), negate)
+            coeffs[name] = SuperPoly._new(ctx, terms)
         return VectorField(
-            self.ctx, (self.parity + other.parity) % 2, coeffs, tuple(names)
+            self.ctx, (self.parity + other.parity) % 2, coeffs, names
         )
 
     def __add__(self, other):
@@ -410,31 +427,42 @@ class VectorField:
 def fundamental_field(X, chart):
     """First-order vector field of the one-parameter family exp(t X).
 
-    Acts with E + tX where t is square-zero of the parity of X (a fresh
-    odd parameter, or a product of two fresh odd parameters for even X),
-    then reads off the t-linear part of every independent coordinate.
-    X must be declared parity-homogeneous.
+    The field is the t-linear part of ``act(E + tX, chart)`` for a
+    square-zero parameter t of the parity of X, in closed form.  Each chart
+    matrix Z_s is the identity on its designated rows I_s, so step s moves
+    Z_s to (Z_s + tP)(E + tB)^{-1} = Z_s + t(P - Z~_s B), with
+
+        P = A Z_s,   B = the rows I_s of P,
+        A = X~ at step 1 and the previous step's B after it,
+
+    because (E + tB)^{-1} = E - tB when t^2 = 0.  The tildes are the signs
+    of moving t to the front: Z_s t B = t Z~_s B and X t = t X~.  For even
+    X, t is even and central, and nothing changes sign.  For odd X, t is
+    odd and passes an entry M_ik with the sign (-1)^{|M_ik|}; chart
+    matrices are even, so |Z_ik| is the slot parity |i| + |k|, and an odd X
+    with numeric entries has no odd entry, so X~ = X.  The coefficient of
+    each independent coordinate is the entry of P - Z~_s B at its slot.  X
+    must be declared parity-homogeneous.
     """
     if X.parity not in (0, 1):
         raise ValueError("fundamental_field needs a parity-homogeneous matrix")
-    base = chart.ctx
-    taus = ("tau__1",) if X.parity else ("tau__1", "tau__2")
-    ext = base.extended(odd=taus)
-    t = ext.var("tau__1")
-    if not X.parity:
-        t = t * ext.var("tau__2")
-    shape = BlockShape(chart.ft.m, chart.ft.n)
-    L = SuperMatrix.identity(shape, ext) + X.lift(ext) * t
-    moved = act(L, chart)
+    ft, ctx = chart.ft, chart.ctx
+    odd = X.parity == 1
+    carrier = X.lift(ctx).parity_involution() if odd else X.lift(ctx)
+    rates = []
+    for s in range(1, ft.r + 1):
+        z = chart.matrix(s)
+        prod = carrier @ z
+        shape = BlockShape(ft.k[s], ft.l[s])
+        carrier = prod.submatrix(_designated_rows(ft, chart.index_sets, s),
+                                 range(shape.total), shape, shape)
+        twisted = z.parity_involution() if odd else z
+        rates.append(prod - twisted @ carrier)
     coeffs = {}
     for name in chart.independent:
         s, i, j = chart.slot_of(name)
-        delta = moved.matrix(s)[i, j] - ext.lift(chart.matrix(s)[i, j])
-        v = delta.left_derivative("tau__1")
-        if not X.parity:
-            v = v.left_derivative("tau__2")
-        coeffs[name] = base.demote(v)
-    return VectorField(base, X.parity, coeffs, chart.independent)
+        coeffs[name] = rates[s - 1][i, j]
+    return VectorField(ctx, X.parity, coeffs, chart.independent)
 
 
 def fundamental_bracket_sign(parity_x, parity_y):

@@ -1,7 +1,8 @@
 """Command-line interface: exact computations and verification suites.
 
-Exit codes: 0 all requested checks pass; 1 a verification check fails;
-2 usage or input errors.  The environment variable SUPERFLAG_MAX_SIZE
+Exit codes: 0 all requested checks pass; 1 a verification check fails,
+or standard output closed before everything was written; 2 usage or input
+errors.  The environment variable SUPERFLAG_MAX_SIZE
 (default 3) caps the sizes accepted by the symbolic commands, since costs
 grow quickly; the claims being checked are size-uniform, so small sizes
 are the intended witnesses.
@@ -380,7 +381,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (``superflag ... | head -1``).
+        # Point it at devnull so that the flush at exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return FAIL
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE

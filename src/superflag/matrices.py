@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .ring import NUMERIC_CTX, ContextError, SuperPoly
-from .scalars import FieldScalar
+from .scalars import ZERO, FieldScalar
 
 
 class ShapeError(ValueError):
@@ -209,10 +209,7 @@ class SuperMatrix:
 
     def body(self):
         """Dense matrix of the entries' scalar parts."""
-        out = [
-            [FieldScalar() for _ in range(self.cols.total)]
-            for _ in range(self.rows.total)
-        ]
+        out = [[ZERO] * self.cols.total for _ in range(self.rows.total)]
         for (i, j), v in self.entries.items():
             out[i][j] = v.scalar_part()
         return out
@@ -330,6 +327,22 @@ class SuperMatrix:
             else:
                 entries[(j, i)] = v
         return SuperMatrix._new(self.cols, self.rows, self.ctx, self.parity, entries)
+
+    def parity_involution(self):
+        """Entrywise grading automorphism a -> (-1)^{|a|} a.
+
+        An entry's parity is the matrix parity plus its slot parity.  For an
+        odd scalar t, ``M t == t M.parity_involution()``.
+        """
+        if self.parity not in (0, 1):
+            raise ParityError("parity_involution needs a parity-homogeneous"
+                              " matrix")
+        entries = {
+            (i, j): -v if self.parity ^ self._slot_parity(i, j) else v
+            for (i, j), v in self.entries.items()
+        }
+        return SuperMatrix._new(self.rows, self.cols, self.ctx, self.parity,
+                                entries)
 
     def superbracket(self, other):
         if not isinstance(other, SuperMatrix):

@@ -154,15 +154,43 @@ def _as_field_scalar(c):
     raise TypeError(f"cannot interpret {c!r} as a scalar")
 
 
+def common_context(a, b):
+    """The one of two contexts that extends the other, or fail loudly."""
+    if a.extends(b):
+        return a
+    if b.extends(a):
+        return b
+    raise ContextError("polynomials live in unrelated ring contexts")
+
+
 def _align(p, q):
     """Bring two polynomials into a common context, or fail loudly."""
     if p.ctx is q.ctx:
         return p, q
-    if p.ctx.extends(q.ctx):
-        return p, p.ctx.lift(q)
-    if q.ctx.extends(p.ctx):
-        return q.ctx.lift(p), q
-    raise ContextError("polynomials live in unrelated ring contexts")
+    ctx = common_context(p.ctx, q.ctx)
+    return ctx.lift(p), ctx.lift(q)
+
+
+def add_product(terms, p, q, negate=False):
+    """Add ``p * q``, or ``-(p * q)`` when ``negate``, into the term dict
+    ``terms``.  Monomial keys agree across contexts that extend one
+    another, so p and q need not be lifted first; the caller names the
+    context of the sum."""
+    keep = -1 if negate else 1
+    for (ek1, ok1), q1 in p.terms.items():
+        for (ek2, ok2), q2 in q.terms.items():
+            sign, ok = merge_odd(ok1, ok2)
+            if sign == 0:
+                continue
+            c = q_mul(q1, q2)
+            if sign != keep:
+                c = q_neg(c)
+            key = (mul_even(ek1, ek2), ok)
+            acc = q_add(terms.get(key, Q_ZERO), c)
+            if acc == Q_ZERO:
+                terms.pop(key, None)
+            else:
+                terms[key] = acc
 
 
 class SuperPoly:
@@ -287,20 +315,7 @@ class SuperPoly:
             return NotImplemented
         a, b = _align(self, other)
         terms = {}
-        for (ek1, ok1), q1 in a.terms.items():
-            for (ek2, ok2), q2 in b.terms.items():
-                sign, ok = merge_odd(ok1, ok2)
-                if sign == 0:
-                    continue
-                q = q_mul(q1, q2)
-                if sign < 0:
-                    q = q_neg(q)
-                key = (mul_even(ek1, ek2), ok)
-                acc = q_add(terms.get(key, Q_ZERO), q)
-                if acc == Q_ZERO:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
+        add_product(terms, a, b)
         return SuperPoly._new(a.ctx, terms)
 
     def __rmul__(self, other):

@@ -25,6 +25,10 @@ class FieldScalar:
     __slots__ = ("q",)
 
     def __init__(self, a=0, b=0, c=0, d=0):
+        if type(a) is int and type(b) is int and type(c) is int \
+                and type(d) is int:
+            self.q = q_normalize(a, b, c, d, 1)
+            return
         a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
         den = 1
         for part in (a, b, c, d):

@@ -214,6 +214,24 @@ def test_vector_field_apply_and_render():
     assert v.render() == "d/dth - th*d/du"
 
 
+def test_vector_field_apply_matches_termwise_sum():
+    """apply skips absent variables and sums in one term dict; the result
+    is the plain sum of coefficient * left derivative over every name."""
+    ctx = RingContext()
+    u, w = ctx.evens("u", "w")
+    a, b, c = ctx.odds("a", "b", "c")
+    v = VectorField(ctx, 1, {"u": a, "w": u * b, "a": u * u, "b": ctx.zero,
+                             "c": -w}, ("u", "w", "a", "b", "c"))
+    polys = [u * a * b + w * c, u * u * w, a * b * c, ctx.zero,
+             ctx.scalar(FieldScalar(3)), u * c - w * a * b]
+    for f in polys:
+        want = ctx.zero
+        for name, coeff in v.coefficients.items():
+            want = want + coeff * f.left_derivative(name)
+        assert v.apply(f) == want
+        assert v.apply(f).render() == want.render()
+
+
 def test_vector_field_bracket_closes_on_coordinates():
     ctx = RingContext()
     ctx.evens("u", "v")
@@ -327,10 +345,11 @@ def test_fields_annihilate_isotropy_relations():
                 assert w.apply(entry).substitute(iso.solution).is_zero()
 
 
-def test_fundamental_field_is_opposite_homomorphism():
-    """[field(X), field(Y)] = -(-1)^{|X||Y|} field([X, Y]) on osp(3|2)."""
-    iso = isotropic_chart(2, 1)
-    bas = basis("odd", 1, 1)
+def _check_opposite_homomorphism(k1, l1, tail=None):
+    """[field(X), field(Y)] = -(-1)^{|X||Y|} field([X, Y]) on every ordered
+    pair of generators of osp(2k1-1|2l1)."""
+    iso = isotropic_chart(k1, l1, tail=tail)
+    bas = basis("odd", k1 - 1, l1)
     fields = {g.tag: fundamental_field(g.matrix, iso.chart) for g in bas}
     for p in bas:
         for q in bas:
@@ -338,6 +357,113 @@ def test_fundamental_field_is_opposite_homomorphism():
             want = br.scale(
                 FieldScalar(fundamental_bracket_sign(p.parity, q.parity)))
             assert fields[p.tag].bracket(fields[q.tag]) == want, (p.tag, q.tag)
+
+
+def test_fundamental_field_is_opposite_homomorphism():
+    """The field map is an anti-homomorphism on osp(3|2)."""
+    _check_opposite_homomorphism(2, 1)
+
+
+@pytest.mark.parametrize("k1,l1,tail", [
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(3, 2, ((1,), (1,)), id="3-2-tail"),
+])
+def test_fundamental_field_is_opposite_homomorphism_larger(k1, l1, tail):
+    """The same on osp(5|4), on the chart and on a chart with a tail."""
+    _check_opposite_homomorphism(k1, l1, tail)
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the action over a ring extended by t
+# ---------------------------------------------------------------------------
+
+
+def _tau_field(X, chart):
+    """The fundamental field by its definition: act with E + X t, where t
+    is a fresh odd tau (odd X) or a product of two (even X) in an extended
+    ring, and take the left t-derivative of each independent coordinate."""
+    base = chart.ctx
+    taus = ("tau__1",) if X.parity else ("tau__1", "tau__2")
+    ext = base.extended(odd=taus)
+    t = ext.var("tau__1")
+    if not X.parity:
+        t = t * ext.var("tau__2")
+    shape = BlockShape(chart.ft.m, chart.ft.n)
+    moved = act(SuperMatrix.identity(shape, ext) + X.lift(ext) * t, chart)
+    coeffs = {}
+    for name in chart.independent:
+        s, i, j = chart.slot_of(name)
+        v = moved.matrix(s)[i, j] - ext.lift(chart.matrix(s)[i, j])
+        for tau in taus:
+            v = v.left_derivative(tau)
+        coeffs[name] = base.demote(v)
+    return VectorField(base, X.parity, coeffs, chart.independent)
+
+
+def _random_algebra_matrix(rng, shape, parity, ctx=None):
+    """A seeded matrix of the given parity: small integers in the slots of
+    that parity and, when ``ctx`` is given, odd chart variables times
+    integers in the other slots."""
+    odd_names = ctx.odd_names if ctx is not None else ()
+    entries = {}
+    for i in range(shape.total):
+        for j in range(shape.total):
+            slot = int(shape.is_odd_index(i)) ^ int(shape.is_odd_index(j))
+            if slot == parity:
+                if rng.random() < 0.6:
+                    entries[(i, j)] = FieldScalar(rng.randint(-2, 2))
+            elif odd_names and rng.random() < 0.4:
+                entries[(i, j)] = ctx.var(rng.choice(odd_names)) * \
+                    FieldScalar(rng.randint(-2, 2))
+    return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=parity)
+
+
+def _assert_same_field(X, chart):
+    got, want = fundamental_field(X, chart), _tau_field(X, chart)
+    assert got == want
+    assert got.render() == want.render()
+
+
+@pytest.mark.parametrize("k,l", [
+    pytest.param((2, 1), (1, 1), id="2-1"),
+    pytest.param((3, 2, 1), (2, 1, 1), id="3-2-1"),
+    pytest.param((3, 1, 0), (2, 1, 1), id="3-1-0"),      # zero last k
+    pytest.param((3, 2, 1, 1), (3, 2, 1, 0), id="3-2-1-1"),
+])
+def test_closed_form_matches_tau_path_on_built_charts(k, l):
+    """Seeded X of both parities: numeric, and with odd chart variables in
+    the slots of the other parity (so that X itself has odd entries)."""
+    chart = build_chart(validate_flag_type(k, l))
+    shape = BlockShape(chart.ft.m, chart.ft.n)
+    rng = random.Random(f"{k} {l}")
+    for _ in range(4):
+        for parity in (0, 1):
+            _assert_same_field(_random_algebra_matrix(rng, shape, parity),
+                               chart)
+            _assert_same_field(
+                _random_algebra_matrix(rng, shape, parity, chart.ctx), chart)
+
+
+@pytest.mark.parametrize("k1,l1,tail", [
+    pytest.param(2, 1, None, id="2-1"),
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(3, 2, ((1,), (1,)), id="3-2-tail"),
+    pytest.param(4, 3, ((2,), (1,)), id="4-3-tail"),
+])
+def test_closed_form_matches_tau_path_on_isotropic_charts(k1, l1, tail):
+    """Every odd generator, and seeded even combinations of generators."""
+    chart = isotropic_chart(k1, l1, tail=tail).chart
+    bas = basis("odd", k1 - 1, l1)
+    for g in bas:
+        if g.parity:
+            _assert_same_field(g.matrix, chart)
+    rng = random.Random(k1 * 10 + l1)
+    evens = [g.matrix for g in bas if not g.parity]
+    for _ in range(3):
+        x = evens[0] * FieldScalar(rng.randint(1, 3))
+        for m in rng.sample(evens[1:], 3):
+            x = x + m * FieldScalar(rng.randint(-2, 2))
+        _assert_same_field(x, chart)
 
 
 def test_fundamental_field_requires_homogeneous_matrix():

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,29 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_ends_without_traceback(unbuffered):
+    """``superflag ... | head -1``: the reader takes one line and closes the
+    pipe while about 300 kB, more than a pipe buffer holds, are unwritten."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, SUPERFLAG_MAX_SIZE="5",
+               PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superflag.cli", "osp-basis",
+         "--m", "5", "--n", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait(timeout=120)
+    assert first.startswith(b"osp basis, flavor=odd, sizes=(5,5)")
+    assert code in (0, 1, 2)
+    assert err == b"", err.decode(errors="replace")

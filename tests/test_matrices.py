@@ -180,8 +180,30 @@ def test_body_and_map_entries():
         {(0, 0): ctx.scalar(FieldScalar(4)) + ctx.var("th1") * ctx.var("th2")},
         ctx=ctx, parity=0)
     assert m.body() == [[FieldScalar(4), ZERO], [ZERO, ZERO]]
+    assert m.body()[1][1] is ZERO
     doubled = m.map_entries(lambda p: p * 2)
     assert doubled[0, 0].body() == FieldScalar(8)
+
+
+def test_parity_involution_moves_an_odd_scalar_across():
+    """M t = t M' for odd t, where M' negates the entries of odd parity."""
+    rng = random.Random(23)
+    sh = BlockShape(2, 2)
+    ctx = RingContext()
+    ctx.evens("u")
+    ctx.odds("th1", "th2", "t")
+    t = ctx.var("t")
+    pool = [ctx.var("th1"), ctx.var("th2"),
+            ctx.var("u") * ctx.var("th1") * ctx.var("th2"), ctx.one]
+    for parity in (0, 1):
+        for _ in range(10):
+            m = rand_numeric(rng, sh, sh, parity).lift(ctx)
+            m = m + rand_numeric(rng, sh, sh, 1 - parity).lift(ctx) \
+                * ctx.var("th1")
+            m = m + rand_numeric(rng, sh, sh, parity).lift(ctx) * pool[2]
+            assert m.parity == parity
+            assert m * t == t * m.parity_involution()
+            assert m.parity_involution().parity_involution() == m
 
 
 def test_render_and_parse_round_trip():

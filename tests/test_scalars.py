@@ -71,6 +71,18 @@ def test_hash_agrees_with_equality():
     assert {Fraction(1, 2): "half"}[FieldScalar(Fraction(1, 2))] == "half"
 
 
+@settings(max_examples=60, derandomize=True)
+@given(st.tuples(*[st.integers(-50, 50)] * 4), st.integers(0, 4))
+def test_int_arguments_match_fraction_arguments(ints, count):
+    """The all-int constructor path gives the same value, hash and text as
+    the Fraction path, for any number of given components."""
+    args = ints[:count]
+    a = FieldScalar(*args)
+    b = FieldScalar(*[Fraction(v) for v in args])
+    assert a.q == b.q and a == b and hash(a) == hash(b)
+    assert a.render() == b.render()
+
+
 def test_parse_round_trip_examples():
     for text in ["0", "1", "-1", "i", "r2", "1/2", "1 + i", "-1/2*i*r2",
                  "2 - 3*i + 1/2*r2 - 5*i*r2"]:
