@@ -11,6 +11,7 @@ are the intended witnesses.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -51,7 +52,7 @@ from .suites import (
     suite_lemma_fields,
     suite_osp_defining,
 )
-from .weights import psi_highest_weights, root_system, w0_fiber_description
+from .weights import fiber_description, psi_highest_weights, root_system
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -234,14 +235,16 @@ def cmd_bwb(args):
     print(f"highest weights at (k1={args.k1}, l1={args.l1}):")
     if not weights:
         print("  (empty list)")
+    survivors = []
     for w in weights:
         violation = rs.violation(w)
         if violation is None:
+            survivors.append(w)
             print(f"  {w.render():<24} dominant")
         else:
             print(f"  {w.render():<24} not dominant"
                   f"  (negative against {violation.render()})")
-    print("global fiber functions:", w0_fiber_description(args.k1, args.l1))
+    print("global fiber functions:", fiber_description(survivors))
     return PASS
 
 
@@ -296,7 +299,13 @@ def cmd_verify(args):
     return PASS if ok else FAIL
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Parsing leaves the parser unchanged, and an ``append`` action copies
+    its ``default=[]`` before appending, so every call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="superflag",
         description="Exact orthosymplectic superalgebra and flag-chart"
@@ -370,7 +379,8 @@ def build_parser():
     p.add_argument("--l1", type=int)
     p.add_argument("--max-size", type=int,
                    help="size cap, at least 1 (default SUPERFLAG_MAX_SIZE"
-                        " or 3); --suite bwb is exempt")
+                        " or 3); --suite bwb is exempt, since its cost is"
+                        " linear in the ranks")
     p.add_argument("--json-out", metavar="FILE",
                    help="write the structured report here")
     p.set_defaults(fn=cmd_verify)

@@ -48,9 +48,9 @@ from .ring import RingContext
 from .scalars import FieldScalar, ONE, ZERO
 from .weights import (
     bwb_dominant_filter,
+    fiber_description,
     psi_highest_weights,
     root_system,
-    w0_fiber_description,
 )
 
 REPORT_SCHEMA = "superflag-report/1"
@@ -424,7 +424,7 @@ def suite_bwb(k1, l1):
             "exactly the zero weight survives for k1 >= 2, nothing for"
             " k1 = 1",
             ok, "[" + ", ".join(w.render() for w in survivors) + "]")
-    desc = w0_fiber_description(k1, l1)
+    desc = fiber_description(survivors)
     rep.add("fiber-description", "global fiber functions",
             desc == ("ℂ" if expected else "{0}"), desc)
     return rep

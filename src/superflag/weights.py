@@ -139,12 +139,61 @@ class RootSystem:
         return roots
 
     def violation(self, w):
-        """The first positive root with a negative inner product, or None."""
-        return next((r for r in self.positive_roots() if w.inner(r) < 0), None)
+        """The first positive root with a negative inner product, or None.
+
+        "First" is in the order of ``positive_roots()``, which is never
+        built; only the returned root is.  O(s + n):
+        <w, mu_i -+ mu_j> < 0 for some sign exactly when mu_i < |mu_j|,
+        and <w, la_p - la_q> < 0 exactly when la_p < la_q.  Once no
+        la_p - la_q is violated, la is non-increasing, so la_p + la_q
+        (q >= p) is violated for some q exactly when la_p + la_n < 0.
+        """
+        s, n = self.s, self.n
+        mu, la = w.mu, w.la
+        pair = _first_pair(mu, abs)
+        if pair is not None:
+            i, j = pair
+            sign = -1 if mu[i] < mu[j] else 1
+            return Weight.basis_mu(s, n, i + 1) + \
+                Weight.basis_mu(s, n, j + 1).scale(sign)
+        i = next((i for i in range(s) if mu[i] < 0), None)
+        if i is not None:
+            return Weight.basis_mu(s, n, i + 1)
+        pair = _first_pair(la, lambda a: a)
+        if pair is not None:
+            p, q = pair
+            return Weight.basis_la(s, n, p + 1) - Weight.basis_la(s, n, q + 1)
+        p = next((p for p in range(n) if la[p] + la[-1] < 0), None)
+        if p is not None:
+            q = next(q for q in range(p, n) if la[p] + la[q] < 0)
+            return Weight.basis_la(s, n, p + 1) + Weight.basis_la(s, n, q + 1)
+        return None
 
     def is_dominant(self, w):
-        """Non-negative inner product with every positive root."""
-        return self.violation(w) is None
+        """Non-negative inner product with every positive root:
+        mu_1 >= ... >= mu_s >= 0 and la_1 >= ... >= la_n >= 0."""
+        return all(a >= b for a, b in zip(w.mu, w.mu[1:] + (0,))) and all(
+            a >= b for a, b in zip(w.la, w.la[1:] + (0,)))
+
+
+def _first_pair(values, key):
+    """The first (i, j), i < j in lexicographic order, with
+    values[i] < key(values[j]), or None.
+
+    One backward pass keeps the largest key over values[i+1:]; the last
+    i found below it is the smallest.
+    """
+    first, top = None, None
+    for i in reversed(range(len(values))):
+        if top is not None and values[i] < top:
+            first = i
+        k = key(values[i])
+        top = k if top is None else max(top, k)
+    if first is None:
+        return None
+    a = values[first]
+    return first, next(j for j in range(first + 1, len(values))
+                       if key(values[j]) > a)
 
 
 def root_system(k1, l1):
@@ -195,15 +244,14 @@ def bwb_dominant_filter(weights, rs):
     return [w for w in weights if rs.is_dominant(w)]
 
 
-def w0_fiber_description(k1, l1):
-    """Global functions on the fiber: "ℂ" (constants only) or "{0}".
+def fiber_description(survivors):
+    """Global functions on the fiber, read from the dominant survivors:
+    "ℂ" (constants only) or "{0}".
 
-    Filters the highest-weight list by dominance.  A surviving nonzero
-    weight would mean a non-constant global function; no size produces
-    one, and encountering it raises rather than guessing a description.
+    A surviving nonzero weight would mean a non-constant global function;
+    no size produces one, and encountering it raises rather than guessing
+    a description.
     """
-    rs = root_system(k1, l1)
-    survivors = bwb_dominant_filter(psi_highest_weights(k1, l1), rs)
     if not survivors:
         return "{0}"
     if all(w.is_zero() for w in survivors):
@@ -212,3 +260,10 @@ def w0_fiber_description(k1, l1):
         "unexpected non-constant dominant weight: "
         + ", ".join(w.render() for w in survivors)
     )
+
+
+def w0_fiber_description(k1, l1):
+    """Global functions on the fiber at sizes (k1, l1): "ℂ" or "{0}"."""
+    rs = root_system(k1, l1)
+    return fiber_description(
+        bwb_dominant_filter(psi_highest_weights(k1, l1), rs))

@@ -2,14 +2,77 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from superflag.cli import main, parse_flag_type, parse_index_sets, UsageError
+from superflag.cli import (
+    UsageError, build_parser, main, parse_flag_type, parse_index_sets)
 from superflag.charts import validate_flag_type
+
+
+# `superflag bwb` output, pinned from the root-enumerating implementation.
+BWB_OUTPUT = {
+    (3, 2): (
+        "highest weights at (k1=3, l1=2):\n"
+        "  mu1 - mu2                not dominant  (negative against mu2)\n"
+        "  mu1 - la2                not dominant  (negative against la1 + la2)\n"
+        "  -mu2 + la1               not dominant  (negative against mu1 + mu2)\n"
+        "  la1 - la2                not dominant  (negative against 2*la2)\n"
+        "  0                        dominant\n"
+        "global fiber functions: ℂ\n"
+    ),
+    (1, 1): (
+        "highest weights at (k1=1, l1=1):\n"
+        "  (empty list)\n"
+        "global fiber functions: {0}\n"
+    ),
+    (2, 1): (
+        "highest weights at (k1=2, l1=1):\n"
+        "  mu1 - la1                not dominant  (negative against 2*la1)\n"
+        "  -mu1 + la1               not dominant  (negative against mu1)\n"
+        "  0                        dominant\n"
+        "global fiber functions: ℂ\n"
+    ),
+    (1, 2): (
+        "highest weights at (k1=1, l1=2):\n"
+        "  la1 - la2                not dominant  (negative against 2*la2)\n"
+        "global fiber functions: {0}\n"
+    ),
+    (4, 3): (
+        "highest weights at (k1=4, l1=3):\n"
+        "  mu1 - mu3                not dominant  (negative against mu2 + mu3)\n"
+        "  mu1 - la3                not dominant  (negative against la1 + la3)\n"
+        "  -mu3 + la1               not dominant  (negative against mu1 + mu3)\n"
+        "  la1 - la3                not dominant  (negative against la2 + la3)\n"
+        "  0                        dominant\n"
+        "global fiber functions: ℂ\n"
+    ),
+    (6, 5): (
+        "highest weights at (k1=6, l1=5):\n"
+        "  mu1 - mu5                not dominant  (negative against mu2 + mu5)\n"
+        "  mu1 - la5                not dominant  (negative against la1 + la5)\n"
+        "  -mu5 + la1               not dominant  (negative against mu1 + mu5)\n"
+        "  la1 - la5                not dominant  (negative against la2 + la5)\n"
+        "  0                        dominant\n"
+        "global fiber functions: ℂ\n"
+    ),
+    (200, 3): (
+        "highest weights at (k1=200, l1=3):\n"
+        "  mu1 - mu199              not dominant  (negative against mu2 + mu199)\n"
+        "  mu1 - la3                not dominant  (negative against la1 + la3)\n"
+        "  -mu199 + la1             not dominant  (negative against mu1 + mu199)\n"
+        "  la1 - la3                not dominant  (negative against la2 + la3)\n"
+        "  0                        dominant\n"
+        "global fiber functions: ℂ\n"
+    ),
+}
+
+# A suite's wall time in its report line, e.g. "(3 checks, 0.01s, ".
+_TIMING = re.compile(r"\d+\.\d+s,")
 
 
 def run(capsys, *argv):
@@ -106,6 +169,43 @@ def test_bwb_prints_verdicts(capsys):
     assert "global fiber functions: ℂ" in out
     code, out, _ = run(capsys, "bwb", "--k1", "1", "--l1", "1")
     assert code == 0 and "{0}" in out
+
+
+@pytest.mark.parametrize("k1,l1", list(BWB_OUTPUT))
+def test_bwb_output_pinned(capsys, k1, l1):
+    code, out, err = run(capsys, "bwb", "--k1", str(k1), "--l1", str(l1))
+    assert (code, out, err) == (0, BWB_OUTPUT[k1, l1], "")
+
+
+def test_cached_parser_gives_the_same_result_every_call(capsys):
+    """The parser is built once per process; no call may leak into the
+    next (an ``append`` default list filled by one ``act`` call would
+    change the chart of the following call without ``--index-set``)."""
+    calls = [
+        ["act", "--type", "k=2,1 l=1,1", "--matrix", "0,1,0; 1,0,0; 0,0,1",
+         "--index-set", "I1=2;1", "--target", "I1=1;1"],
+        ["act", "--type", "k=2,1 l=1,1", "--matrix", "2,0,0; 1,1,0; 0,0,1"],
+        ["verify", "--suite", "bwb", "--k1", "3", "--l1", "2"],
+        ["verify", "--suite", "bwb", "--k1", "60", "--l1", "40"],
+        ["--version"],
+        ["bwb", "--k1", "3"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, _TIMING.sub("<t>", captured.out), captured.err
+
+    first = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 2]
+    assert "Z_1 = 1, 0; x1_1_1, xi1_1_1; 0, 1" in first[0][1]
+    assert "1/2 + 1/2*x1_2_1" in first[1][1]
+    for _ in range(2):
+        assert [outcome(argv) for argv in calls] == first
+    assert build_parser() is build_parser()
 
 
 def test_verify_single_suite(capsys):

@@ -1,13 +1,16 @@
 """Root systems, dominance, and the dominant-weight case table."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from superflag import cli
+from superflag.suites import suite_bwb
 from superflag.weights import (
     RootSystem,
     Weight,
     bwb_dominant_filter,
+    fiber_description,
     psi_highest_weights,
     root_system,
     w0_fiber_description,
@@ -57,6 +60,59 @@ def test_dominance_simple_root_criterion(w):
 def test_dominance_scale_invariant(w, c):
     rs = RootSystem(3, 2)
     assert rs.is_dominant(w) == rs.is_dominant(w.scale(c))
+
+
+@st.composite
+def _block(draw, size):
+    """Integer coefficients; half the time non-increasing and >= 0 (the
+    dominant shape) with one entry nudged, so that the later root
+    families in the enumeration order are reached too."""
+    values = draw(st.lists(st.integers(min_value=-4, max_value=4),
+                           min_size=size, max_size=size))
+    if size and draw(st.booleans()):
+        values = sorted((abs(a) for a in values), reverse=True)
+        values[draw(st.integers(0, size - 1))] += draw(
+            st.integers(min_value=-2, max_value=1))
+    return tuple(values)
+
+
+@st.composite
+def ranked_weights(draw):
+    s = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=6))
+    return RootSystem(s, n), Weight(draw(_block(s)), draw(_block(n)))
+
+
+# Pinned cases whose first negative root is, in turn: mu_i - mu_j,
+# mu_i + mu_j (a sign slip in the |mu| suffix maximum misses it), mu_i,
+# 2 la_1, la_p - la_q, la_p + la_q with q > p, 2 la_2; then none.
+@given(ranked_weights())
+@example((RootSystem(3, 1), W((1, 2, 0), (0,))))
+@example((RootSystem(3, 1), W((2, 1, -3), (0,))))
+@example((RootSystem(2, 1), W((1, -1), (0,))))
+@example((RootSystem(2, 1), W((1, 0), (-1,))))
+@example((RootSystem(0, 3), W((), (1, 2, 0))))
+@example((RootSystem(0, 3), W((), (0, 0, -1))))
+@example((RootSystem(1, 2), W((0,), (2, -1))))
+@example((RootSystem(0, 0), W((), ())))
+@example((RootSystem(2, 2), W((3, 3), (1, 0))))
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_closed_forms_match_root_enumeration(case):
+    rs, w = case
+    negative = [r for r in rs.positive_roots() if w.inner(r) < 0]
+    assert rs.is_dominant(w) == (not negative)
+    assert rs.violation(w) == (negative[0] if negative else None)
+
+
+def test_bwb_never_enumerates_roots(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("positive roots enumerated")
+
+    monkeypatch.setattr(RootSystem, "positive_roots", refuse)
+    assert suite_bwb(2000, 1500).ok
+    assert w0_fiber_description(2000, 1500) == "ℂ"
+    assert cli.main(["bwb", "--k1", "2000", "--l1", "1500"]) == 0
+    assert "(negative against mu2 + mu1999)" in capsys.readouterr().out
 
 
 def test_dominance_explicit():
@@ -110,6 +166,14 @@ def test_filter_preserves_multiplicity_and_order():
     dom = W((2, 1), (1,))
     bad = W((-1, 0), (0,))
     assert bwb_dominant_filter([dom, bad, z, dom], rs) == [dom, z, dom]
+
+
+def test_fiber_description_from_survivors():
+    z = Weight.zero(2, 1)
+    assert fiber_description([]) == "{0}"
+    assert fiber_description([z, z]) == "ℂ"
+    with pytest.raises(ValueError, match="mu1"):
+        fiber_description([z, W((1, 0), (0,))])
 
 
 def test_nonzero_survivor_raises(monkeypatch):
