@@ -3,7 +3,7 @@
 Exit codes: 0 all requested checks pass; 1 a verification check fails,
 or standard output closed before everything was written; 2 usage or input
 errors.  The environment variable SUPERFLAG_MAX_SIZE
-(default 3) caps the sizes accepted by the symbolic commands, since costs
+(default 4) caps the sizes accepted by the symbolic commands, since costs
 grow quickly; the claims being checked are size-uniform, so small sizes
 are the intended witnesses.
 """
@@ -62,7 +62,7 @@ class UsageError(Exception):
 
 
 def max_size():
-    raw = os.environ.get("SUPERFLAG_MAX_SIZE", "3")
+    raw = os.environ.get("SUPERFLAG_MAX_SIZE", "4")
     try:
         cap = int(raw)
     except ValueError:
@@ -379,7 +379,7 @@ def build_parser():
     p.add_argument("--l1", type=int)
     p.add_argument("--max-size", type=int,
                    help="size cap, at least 1 (default SUPERFLAG_MAX_SIZE"
-                        " or 3); --suite bwb is exempt, since its cost is"
+                        " or 4); --suite bwb is exempt, since its cost is"
                         " linear in the ranks")
     p.add_argument("--json-out", metavar="FILE",
                    help="write the structured report here")

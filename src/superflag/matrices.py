@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .ring import NUMERIC_CTX, ContextError, SuperPoly
+from .ring import NUMERIC_CTX, ContextError, SuperPoly, add_product
 from .scalars import ZERO, FieldScalar
 
 
@@ -55,7 +55,8 @@ class BlockShape:
         return self.even + self.odd
 
     def compatible(self, other):
-        return self.even == other.even and self.odd == other.odd
+        return self is other or (self.even == other.even
+                                 and self.odd == other.odd)
 
     def part_ranges(self):
         """Absolute (start, stop) of each part, even parts first."""
@@ -74,6 +75,35 @@ class BlockShape:
 
     def is_odd_index(self, i):
         return i >= self.even
+
+
+def _common_ctx(a, b):
+    if a is b or a.extends(b):
+        return a
+    if b.extends(a):
+        return b
+    raise ContextError("matrices live in unrelated ring contexts")
+
+
+def _product_parity(a, b):
+    """Parity of ``a @ b`` from the factors' parities; None if unknown."""
+    if a.parity in (0, 1) and b.parity in (0, 1):
+        return a.parity ^ b.parity
+    return None
+
+
+def _add_product(acc, a, b, negate):
+    """Add the entries of ``a @ b``, or of ``-(a @ b)`` when ``negate``,
+    into ``acc``, a map from slot (i, j) to term dict."""
+    by_row = {}
+    for (k, j), v in b.entries.items():
+        by_row.setdefault(k, []).append((j, v))
+    for (i, k), u in a.entries.items():
+        for j, v in by_row.get(k, ()):
+            terms = acc.get((i, j))
+            if terms is None:
+                terms = acc[(i, j)] = {}
+            add_product(terms, u, v, negate)
 
 
 def _entry_value(ctx, value):
@@ -121,10 +151,6 @@ class SuperMatrix:
         mat = cls._new(rows, cols, ctx, None, clean)
         mat.parity = mat._resolve_parity(parity)
         return mat
-
-    @classmethod
-    def zeros(cls, rows, cols, ctx=NUMERIC_CTX, parity=0):
-        return cls._new(rows, cols, ctx, parity, {})
 
     @classmethod
     def identity(cls, shape, ctx=NUMERIC_CTX):
@@ -189,13 +215,8 @@ class SuperMatrix:
 
     @staticmethod
     def _align(a, b):
-        if a.ctx is b.ctx:
-            return a, b
-        if a.ctx.extends(b.ctx):
-            return a, b.lift(a.ctx)
-        if b.ctx.extends(a.ctx):
-            return a.lift(b.ctx), b
-        raise ContextError("matrices live in unrelated ring contexts")
+        ctx = _common_ctx(a.ctx, b.ctx)
+        return a.lift(ctx), b.lift(ctx)
 
     def map_entries(self, fn):
         entries = {}
@@ -281,29 +302,42 @@ class SuperMatrix:
     def __matmul__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        if not self.cols.compatible(other.rows):
-            raise ShapeError("inner shapes do not match")
-        a, b = SuperMatrix._align(self, other)
-        by_row = {}
-        for (k, j), v in b.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        entries = {}
-        for (i, k), u in a.entries.items():
-            for j, v in by_row.get(k, ()):
-                key = (i, j)
-                prod = u * v
-                if prod.is_zero():
-                    continue
-                w = entries.get(key)
-                s = prod if w is None else w + prod
-                if s.is_zero():
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        mat = SuperMatrix._new(a.rows, b.cols, a.ctx, None, entries)
-        if a.parity in (0, 1) and b.parity in (0, 1):
-            mat.parity = a.parity ^ b.parity
-        else:
+        return SuperMatrix.sum_of_products([(self, other, False)])
+
+    @staticmethod
+    def sum_of_products(products):
+        """The sum of ``a @ b``, or of ``-(a @ b)`` when ``negate``, over
+        ``(a, b, negate)`` triples of one result shape.
+
+        Every product adds into one term dict per entry and each entry is
+        built once, so no intermediate matrix or polynomial is made.  The
+        result lives in the largest context among the factors; its parity
+        is the products' common parity, or inferred when they disagree.
+        """
+        a, b, _ = products[0]
+        rows, cols, ctx = a.rows, b.cols, a.ctx
+        parity = _product_parity(a, b)
+        acc = {}
+        for a, b, negate in products:
+            if not a.cols.compatible(b.rows):
+                raise ShapeError("inner shapes do not match")
+            if not (a.rows.compatible(rows) and b.cols.compatible(cols)):
+                raise ShapeError("shape mismatch")
+            if a.ctx is not ctx or b.ctx is not ctx:
+                ctx = _common_ctx(_common_ctx(ctx, a.ctx), b.ctx)
+            if parity is not None and parity != _product_parity(a, b):
+                parity = None
+            _add_product(acc, a, b, negate)
+        return SuperMatrix._from_terms(rows, cols, ctx, parity, acc)
+
+    @classmethod
+    def _from_terms(cls, rows, cols, ctx, parity, acc):
+        """The matrix of the nonzero term dicts in ``acc``; a parity of
+        None is inferred from the entries."""
+        entries = {k: SuperPoly._new(ctx, terms)
+                   for k, terms in acc.items() if terms}
+        mat = cls._new(rows, cols, ctx, parity, entries)
+        if parity is None:
             mat.parity = mat._infer_parity()
         return mat
 
@@ -349,11 +383,17 @@ class SuperMatrix:
             raise TypeError("superbracket needs two supermatrices")
         if self.parity not in (0, 1) or other.parity not in (0, 1):
             raise ParityError("superbracket needs parity-homogeneous matrices")
-        ab = self @ other
-        ba = other @ self
-        if self.parity and other.parity:
-            return ab + ba
-        return ab - ba
+        if not (self.is_square() and other.is_square()
+                and self.rows.compatible(other.rows)):
+            raise ShapeError("superbracket needs square matrices of one"
+                             " shape")
+        ctx = self.ctx if self.ctx is other.ctx \
+            else _common_ctx(self.ctx, other.ctx)
+        acc = {}
+        _add_product(acc, self, other, False)
+        _add_product(acc, other, self, not (self.parity and other.parity))
+        return SuperMatrix._from_terms(self.rows, other.cols, ctx,
+                                       self.parity ^ other.parity, acc)
 
     def invert(self):
         """Exact inverse for matrices with invertible body.

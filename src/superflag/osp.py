@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from .linalg import RankTracker, add_scaled
 from .matrices import BlockShape, SuperMatrix
+from .ring import add_product
 from .scalars import I_INV_SQRT2, INV_SQRT2, ONE
 
 
@@ -106,30 +107,30 @@ class OspBasis:
         Each generator owns a distinct +1 "primary" slot that no other
         generator touches, so the candidate coefficients are the entries of
         ``m`` on primary slots: only ``m``'s nonzero entries are visited,
-        and the coefficients come out in generator order.  The re-assembled
-        combination is then compared with ``m`` entry by entry, which makes
-        the read-off a sound span test.
+        and the coefficients come out in generator order.  The combination
+        is re-assembled into one term dict per slot and compared with
+        ``m``'s entries, which makes the read-off a sound span test.
         """
         found = sorted(self._by_primary[slot] for slot in m.entries
                        if slot in self._by_primary)
         coeffs = {}
-        terms = []
+        acc = {}
         for i in found:
             gen = self.generators[i]
             entry = m.entries[gen.primary]
-            if entry.is_zero():
-                continue
             if not entry.is_scalar():
                 raise NotInSpanError(
                     f"slot {gen.primary} of the candidate is not scalar"
                 )
-            c = entry.scalar_part()
-            coeffs[gen.tag] = c
-            terms.append((c, gen.matrix))
-        acc = _linear_combination(terms)
-        if acc is None:
-            acc = SuperMatrix.zeros(m.rows, m.cols, m.ctx)
-        if acc != m:
+            coeffs[gen.tag] = entry.scalar_part()
+            for slot, v in gen.matrix.entries.items():
+                terms = acc.get(slot)
+                if terms is None:
+                    terms = acc[slot] = {}
+                add_product(terms, entry, v)
+        acc = {slot: terms for slot, terms in acc.items() if terms}
+        if acc.keys() != m.entries.keys() or \
+                any(v.terms != acc[slot] for slot, v in m.entries.items()):
             raise NotInSpanError("matrix is not in the span of the basis")
         return coeffs
 
@@ -212,8 +213,9 @@ def is_member(m, gram):
 
 
 def membership_residual(m, gram):
-    g = gram.matrix.lift(m.ctx) if m.ctx is not gram.matrix.ctx else gram.matrix
-    return m.supertranspose() @ g + g @ m
+    g = gram.matrix
+    return SuperMatrix.sum_of_products(
+        [(m.supertranspose(), g, False), (g, m, False)])
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +575,24 @@ def embed_j(x):
     entries = {(i + 1, j + 1): v for (i, j), v in x.entries.items()}
     return SuperMatrix.build(target_shape, target_shape, entries,
                              ctx=x.ctx, parity=x.parity)
+
+
+def bordered_basis(generators):
+    """The zero-bordered images of primed osp(2k1-1|2l1) generators, as a
+    basis of their span in primed osp(2k1|2l1).
+
+    Each generator keeps its tag and parity; its matrix is ``embed_j`` of
+    the source matrix and its primary slot shifts by (1, 1) with it, so the
+    slots stay private and ``coefficients_of`` and ``closure_check`` apply.
+    """
+    gens = [Generator(g.tag, g.parity, embed_j(g.matrix),
+                      (g.primary[0] + 1, g.primary[1] + 1))
+            for g in generators]
+    if not gens:
+        raise ValueError("no generators to border")
+    t, l1 = gens[0].matrix.rows.even, gens[0].matrix.rows.odd // 2
+    return OspBasis("primed", (t, l1), gram_form("primed", t, l1), gens,
+                    name="j")
 
 
 def j_image_contains(m):

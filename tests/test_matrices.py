@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from superflag.charts import isotropic_chart
 from superflag.linalg import SingularMatrixError
 from superflag.matrices import (
     BlockShape,
@@ -13,6 +14,7 @@ from superflag.matrices import (
     SuperMatrix,
     parse_numeric_matrix,
 )
+from superflag.osp import basis, gram_form, is_member, membership_residual
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
@@ -212,3 +214,94 @@ def test_render_and_parse_round_trip():
     assert m.render() == "1/2, i; -r2, 0"
     with pytest.raises(ShapeError):
         parse_numeric_matrix("1, 0", sh, sh)
+
+
+def _entrywise_product(a, b):
+    """a @ b summed slot by slot through SuperPoly * and +: an oracle that
+    shares nothing with the accumulation loop."""
+    ctx = a.ctx if a.ctx.extends(b.ctx) else b.ctx
+    entries = {}
+    for i in range(a.rows.total):
+        for j in range(b.cols.total):
+            acc = ctx.zero
+            for k in range(a.cols.total):
+                acc = acc + a[i, k] * b[k, j]
+            entries[(i, j)] = acc
+    return SuperMatrix.build(a.rows, b.cols, entries, ctx=ctx)
+
+
+def _grassmann_matrices():
+    """Square Grassmann matrices from the (3,2) isotropic chart: Z Z^ST
+    (even), the same times an odd coordinate (odd) and a numeric odd
+    generator times Z Z^ST (odd, numeric and chart contexts mixed)."""
+    iso = isotropic_chart(3, 2)
+    z = iso.chart.matrix(1)
+    w = z @ z.supertranspose()
+    xi = iso.chart.ctx.var("xi1_1")
+    x = next(g.matrix for g in basis("odd", 2, 2) if g.parity == 1)
+    return [w, w * xi, x @ w]
+
+
+def _generator_matrices():
+    return [g.matrix for g in basis("odd", 1, 1)]
+
+
+def test_product_matches_entrywise_oracle():
+    rng = random.Random(31)
+    sh = BlockShape(2, 2)
+    pairs = [(rand_numeric(rng, sh, sh, pa), rand_numeric(rng, sh, sh, pb))
+             for pa in (0, 1) for pb in (0, 1) for _ in range(5)]
+    mats = _grassmann_matrices()
+    pairs += [(a, b) for a in mats for b in mats]
+    for a, b in pairs:
+        prod = a @ b
+        assert prod == _entrywise_product(a, b)
+        assert prod.parity == a.parity ^ b.parity
+        assert prod.ctx is _entrywise_product(a, b).ctx
+        assert all(not v.is_zero() for v in prod.entries.values())
+
+
+@pytest.mark.parametrize("source", ["generators", "grassmann"])
+def test_superbracket_matches_separate_products(source):
+    mats = _generator_matrices() if source == "generators" \
+        else _grassmann_matrices()
+    for a in mats:
+        for b in mats:
+            br = a.superbracket(b)
+            if a.parity and b.parity:
+                assert br == a @ b + b @ a
+            else:
+                assert br == a @ b - b @ a
+            assert br.parity == a.parity ^ b.parity
+            assert all(not v.is_zero() for v in br.entries.values())
+
+
+def test_membership_residual_matches_separate_products():
+    gram = gram_form("odd", 2, 2)
+    cases = [g.matrix for g in basis("odd", 2, 2)] + _grassmann_matrices()
+    for m in cases:
+        g = gram.matrix.lift(m.ctx)
+        want = m.supertranspose() @ g + g @ m
+        got = membership_residual(m, gram)
+        assert got == want and got.parity == want.parity
+        assert got.ctx is m.ctx
+    assert not is_member(_grassmann_matrices()[0], gram)
+
+
+def test_cancelling_products_store_no_zero_entry():
+    for x in _generator_matrices() + _grassmann_matrices()[:1]:
+        if x.parity == 0:
+            br = x.superbracket(x)
+            assert br.entries == {} and br.parity == 0
+    row, col = BlockShape(1, 0), BlockShape(2, 0)
+    a = SuperMatrix.build(row, col, [[ONE, ONE]])
+    b = SuperMatrix.build(col, row, [[ONE], [-ONE]])
+    prod = a @ b
+    assert prod.entries == {} and prod.parity == 0
+    ctx = RingContext()
+    ctx.odds("th")
+    sh = BlockShape(1, 1)
+    theta = SuperMatrix.build(sh, sh, {(0, 0): ctx.var("th")}, ctx=ctx)
+    assert theta.parity == 1
+    square = theta @ theta
+    assert square.entries == {} and square.parity == 0

@@ -12,9 +12,11 @@ from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
     Generator,
     NotInSpanError,
+    OspBasis,
     PARABOLIC_TAGS,
     basis,
     basis_change_S,
+    bordered_basis,
     center,
     center_from_constants,
     closure_check,
@@ -162,9 +164,8 @@ def test_basis_is_a_basis_of_the_nullspace(flavor, a, b):
 def _bordered_even_basis(k1, l1):
     """Even generators of primed(2k1-1|2l1), zero-bordered into
     primed(2k1|2l1), each primary slot shifted with its matrix."""
-    return [Generator(g.tag, 0, embed_j(g.matrix),
-                      (g.primary[0] + 1, g.primary[1] + 1))
-            for g in basis("primed", 2 * k1 - 1, l1).even_generators()]
+    return bordered_basis(
+        basis("primed", 2 * k1 - 1, l1).even_generators()).generators
 
 
 @pytest.mark.parametrize("case",
@@ -421,6 +422,22 @@ def test_coefficients_of_rejects_non_scalar_primary_entry():
         bas.coefficients_of(candidate)
 
 
+def test_coefficients_of_rejects_non_scalar_forced_entry():
+    """Primary slots read off exactly, but a forced slot carries a
+    Grassmann term: the per-slot term dicts must differ."""
+    bas = basis("odd", 1, 1)
+    ctx = RingContext()
+    ctx.odds("theta")
+    gen = next(g for g in bas if len(g.matrix.entries) == 2)
+    forced = next(slot for slot in gen.matrix.entries if slot != gen.primary)
+    candidate = gen.matrix.lift(ctx) + SuperMatrix.build(
+        gen.matrix.rows, gen.matrix.cols,
+        {forced: ctx.var("theta")}, ctx=ctx, parity=None)
+    assert candidate[gen.primary] == ctx.one
+    with pytest.raises(NotInSpanError, match="not in the span"):
+        bas.coefficients_of(candidate)
+
+
 @pytest.mark.parametrize("case", [("odd", 2, 1), ("even", 1, 2),
                                   ("primed", 3, 1), ("gl", 2, 1)])
 def test_cached_basis_is_immutable_and_repeatable(case):
@@ -483,6 +500,85 @@ def test_embed_j_preserves_brackets():
             lhs = embed_j(x.matrix.superbracket(y.matrix))
             rhs = embed_j(x.matrix).superbracket(embed_j(y.matrix))
             assert lhs == rhs, (x.tag, y.tag)
+
+
+def _matrix_loop_preserves_brackets(src):
+    """The N^2 oracle: embed_j([x, y]) == [j x, j y] as matrices."""
+    return all(embed_j(x.matrix.superbracket(y.matrix))
+               == embed_j(x.matrix).superbracket(embed_j(y.matrix))
+               for x in src for y in src)
+
+
+def _same_structure(src, bordered):
+    """The dj-bracket verdict: both closures succeed with equal constants."""
+    a, b = closure_check(src), closure_check(bordered)
+    return not a["failures"] and not b["failures"] \
+        and a["structure_constants"] == b["structure_constants"]
+
+
+@pytest.mark.parametrize("k1,l1", [(k1, l1) for k1 in (1, 2, 3)
+                                   for l1 in (1, 2)])
+def test_bordered_constants_match_source_and_matrix_oracle(k1, l1):
+    src = basis("primed", 2 * k1 - 1, l1)
+    bordered = bordered_basis(src.generators)
+    assert bordered.gram is gram_form("primed", 2 * k1, l1)
+    assert bordered.tags() == src.tags()
+    for g, h in zip(src, bordered):
+        assert h.parity == g.parity
+        assert h.primary == (g.primary[0] + 1, g.primary[1] + 1)
+        assert h.matrix == embed_j(g.matrix) and j_image_contains(h.matrix)
+    assert closure_check(bordered) == closure_check(src)
+    assert _same_structure(src, bordered)
+    assert _matrix_loop_preserves_brackets(src)
+
+
+def _scale_one(bordered, tag, factor):
+    gens = [Generator(g.tag, g.parity, g.matrix * factor, g.primary)
+            if g.tag == tag else g for g in bordered.generators]
+    return OspBasis(bordered.flavor, bordered.sizes, bordered.gram, gens,
+                    name=bordered.name)
+
+
+def test_scaled_bordered_generator_breaks_the_comparison():
+    src = basis("primed", 3, 1)
+    bordered = bordered_basis(src.generators)
+    for g in src:
+        assert not _same_structure(src, _scale_one(bordered, g.tag, 2)), \
+            g.tag
+
+
+def _dj_record(k1, l1):
+    records = {r.check_id: r for r in suites.suite_isomorphism(k1, l1).records}
+    return records["dj-bracket"]
+
+
+def test_isomorphism_suite_fails_dj_bracket_on_a_scaled_generator(
+        monkeypatch):
+    real = suites.bordered_basis
+
+    def scaled(generators):
+        bordered = real(generators)
+        return _scale_one(bordered, bordered.tags()[-1], 2)
+
+    assert _dj_record(2, 1).ok
+    monkeypatch.setattr(suites, "bordered_basis", scaled)
+    record = _dj_record(2, 1)
+    assert not record.ok and record.witness == "12^2 pairs"
+
+
+def test_isomorphism_suite_fails_dj_bracket_on_a_dropped_constant(
+        monkeypatch):
+    real = suites.closure_check
+
+    def dropping(bas):
+        report = real(bas)
+        if bas.name != "j":
+            return report
+        return dict(report,
+                    structure_constants=report["structure_constants"][1:])
+
+    monkeypatch.setattr(suites, "closure_check", dropping)
+    assert not _dj_record(2, 1).ok
 
 
 def test_j_image_characterization():
