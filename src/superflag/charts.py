@@ -15,10 +15,11 @@ solved once from the isotropy relations and substituted everywhere.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrices import BlockShape, SuperMatrix
+from .matrices import BlockShape, SuperMatrix, add_matrix_product
 from .osp import basis, gram_form
 from .ring import RingContext, SuperPoly, add_product, common_context
 from .scalars import ONE
@@ -171,6 +172,12 @@ class Chart:
 
     def slot_of(self, name):
         return self.slots[name]
+
+    @functools.cached_property
+    def twisted(self):
+        """The coordinate matrices under the parity involution, built once
+        per chart: the Z~_s of ``fundamental_field`` for odd X."""
+        return tuple(z.parity_involution() for z in self.matrices)
 
     def __eq__(self, other):
         if not isinstance(other, Chart):
@@ -449,19 +456,22 @@ def fundamental_field(X, chart):
     ft, ctx = chart.ft, chart.ctx
     odd = X.parity == 1
     carrier = X.lift(ctx).parity_involution() if odd else X.lift(ctx)
+    twisted = chart.twisted if odd else chart.matrices
     rates = []
     for s in range(1, ft.r + 1):
-        z = chart.matrix(s)
-        prod = carrier @ z
+        prod = carrier @ chart.matrix(s)
         shape = BlockShape(ft.k[s], ft.l[s])
         carrier = prod.submatrix(_designated_rows(ft, chart.index_sets, s),
                                  range(shape.total), shape, shape)
-        twisted = z.parity_involution() if odd else z
-        rates.append(prod - twisted @ carrier)
+        # P - Z~_s B, accumulated into P's term dicts
+        acc = {slot: dict(v.terms) for slot, v in prod.entries.items()}
+        add_matrix_product(acc, twisted[s - 1], carrier, negate=True)
+        rates.append(acc)
     coeffs = {}
     for name in chart.independent:
         s, i, j = chart.slot_of(name)
-        coeffs[name] = rates[s - 1][i, j]
+        terms = rates[s - 1].get((i, j))
+        coeffs[name] = SuperPoly._new(ctx, terms) if terms else ctx.zero
     return VectorField(ctx, X.parity, coeffs, chart.independent)
 
 

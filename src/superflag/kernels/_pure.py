@@ -17,6 +17,8 @@ Q_ONE = (1, 0, 0, 0, 1)
 
 def q_normalize(a, b, c, d, den):
     """Reduce to lowest terms with a positive denominator."""
+    if den == 1:
+        return (a, b, c, d, 1)
     if den < 0:
         a, b, c, d, den = -a, -b, -c, -d, -den
     g = gcd(gcd(gcd(a, b), gcd(c, d)), den)

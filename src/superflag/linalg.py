@@ -43,6 +43,7 @@ class RankTracker:
         self.ncols = ncols
         self._rows = []
         self.pivots = []
+        self._by_pivot = {}
 
     @property
     def rank(self):
@@ -62,10 +63,11 @@ class RankTracker:
         value}`` dict of its entries; returns True when the rank grew."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
         vec = {c: x for c, x in items if x}
-        for row, col in zip(self._rows, self.pivots):
-            factor = vec.get(col)
-            if factor:
-                add_scaled(vec, row, -factor)
+        # A stored row vanishes on every pivot column but its own, so
+        # clearing one pivot column of vec leaves the others as they were:
+        # one pass over vec's own pivot columns reduces it.
+        for col in [c for c in vec if c in self._by_pivot]:
+            add_scaled(vec, self._by_pivot[col], -vec[col])
         if not vec:
             return False
         lead = min(vec)
@@ -78,6 +80,7 @@ class RankTracker:
         pos = bisect.bisect(self.pivots, lead)
         self._rows.insert(pos, vec)
         self.pivots.insert(pos, lead)
+        self._by_pivot[lead] = vec
         return True
 
     def nullspace(self):

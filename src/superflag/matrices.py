@@ -92,7 +92,7 @@ def _product_parity(a, b):
     return None
 
 
-def _add_product(acc, a, b, negate):
+def add_matrix_product(acc, a, b, negate):
     """Add the entries of ``a @ b``, or of ``-(a @ b)`` when ``negate``,
     into ``acc``, a map from slot (i, j) to term dict."""
     by_row = {}
@@ -327,7 +327,7 @@ class SuperMatrix:
                 ctx = _common_ctx(_common_ctx(ctx, a.ctx), b.ctx)
             if parity is not None and parity != _product_parity(a, b):
                 parity = None
-            _add_product(acc, a, b, negate)
+            add_matrix_product(acc, a, b, negate)
         return SuperMatrix._from_terms(rows, cols, ctx, parity, acc)
 
     @classmethod
@@ -390,8 +390,9 @@ class SuperMatrix:
         ctx = self.ctx if self.ctx is other.ctx \
             else _common_ctx(self.ctx, other.ctx)
         acc = {}
-        _add_product(acc, self, other, False)
-        _add_product(acc, other, self, not (self.parity and other.parity))
+        add_matrix_product(acc, self, other, False)
+        add_matrix_product(acc, other, self,
+                           not (self.parity and other.parity))
         return SuperMatrix._from_terms(self.rows, other.cols, ctx,
                                        self.parity ^ other.parity, acc)
 

@@ -374,15 +374,31 @@ def closure_check(bas):
     ``(tag_p, tag_q, tag_r, coefficient)`` and any failures.  For a filtered
     basis (a parabolic) a bracket landing outside the subset is a failure,
     which is exactly the subalgebra test.
+
+    Only the pairs whose matrices meet are bracketed: XY = 0 unless a
+    column of X is a row of Y, and YX = 0 unless a row of X is a column of
+    Y.  Every other pair brackets to zero, which expands to no constant and
+    cannot fail, so it is skipped; ``pairs`` still counts all N(N+1)/2.
+    The candidates of each p are walked in ascending q, so the constants
+    come out in the order of the all-pairs loop.
     """
     constants = []
     failures = []
     gens = bas.generators
-    for p in range(len(gens)):
-        for q in range(p, len(gens)):
-            gp, gq = gens[p], gens[q]
-            if p == q and gp.parity == 0:
+    by_row, by_col = {}, {}
+    for q, g in enumerate(gens):
+        for i, j in g.matrix.entries:
+            by_row.setdefault(i, set()).add(q)
+            by_col.setdefault(j, set()).add(q)
+    for p, gp in enumerate(gens):
+        meets = set()
+        for i, j in gp.matrix.entries:
+            meets.update(by_row.get(j, ()))
+            meets.update(by_col.get(i, ()))
+        for q in sorted(meets):
+            if q < p or (q == p and gp.parity == 0):
                 continue  # [X, X] = 0 identically for even X
+            gq = gens[q]
             br = gp.matrix.superbracket(gq.matrix)
             try:
                 coeffs = bas.coefficients_of(br)
@@ -492,12 +508,12 @@ def center_from_constants(bas, closure):
             continue
         tracker = RankTracker(len(sector))
         for probe in bas.generators:
-            columns = [br.of(g.tag, probe.tag) for g in sector]
-            tags = sorted({t for col in columns for t in col},
-                          key=br.index.__getitem__)
-            for tag in tags:
-                tracker.add({i: col[tag] for i, col in enumerate(columns)
-                             if tag in col})
+            rows = {}
+            for i, g in enumerate(sector):
+                for tag, c in br.of(g.tag, probe.tag).items():
+                    rows.setdefault(tag, {})[i] = c
+            for tag in sorted(rows, key=br.index.__getitem__):
+                tracker.add(rows[tag])
                 if tracker.is_full():
                     break
             if tracker.is_full():

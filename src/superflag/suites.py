@@ -228,14 +228,13 @@ def suite_isomorphism(k1, l1):
                 lhs == primed_gram.matrix)
         s_inv = s.invert()
         primed = basis("primed", t, l1)
-        fwd = [g.tag for g in src
-               if not is_member(conjugate(g.matrix, s, s_inv), primed_gram)]
+        images = [conjugate(g.matrix, s, s_inv) for g in src]
+        fwd = [g.tag for g, image in zip(src, images)
+               if not is_member(image, primed_gram)]
         back = [g.tag for g in primed
                 if not is_member(conjugate(g.matrix, s_inv, s), src.gram)]
-        round_trip = all(
-            conjugate(conjugate(g.matrix, s, s_inv), s_inv, s) == g.matrix
-            for g in src
-        )
+        round_trip = all(conjugate(image, s_inv, s) == g.matrix
+                         for g, image in zip(src, images))
         rep.add(f"conjugation-iso-{flavor}",
                 "conjugation by S maps the algebra onto the primed algebra"
                 " bijectively",

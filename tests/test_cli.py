@@ -5,9 +5,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from superflag.cli import (
     UsageError, build_parser, main, parse_flag_type, parse_index_sets)
@@ -293,6 +300,15 @@ def test_bad_matrix_literal_is_usage_error(capsys):
     assert code == 2 and err.startswith("error: ") and "1/0" in err
 
 
+def test_unwritable_json_out_is_usage_error(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "osp-defining",
+                         "--m", "1", "--n", "1", "--json-out", str(report))
+    assert code == 2 and "verify: PASS" in out
+    assert err.startswith("error: cannot write the report to")
+    assert not report.exists()
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -326,3 +342,173 @@ def test_closed_stdout_pipe_ends_without_traceback(unbuffered):
     assert first.startswith(b"osp basis, flavor=odd, sizes=(5,5)")
     assert code in (0, 1, 2)
     assert err == b"", err.decode(errors="replace")
+
+
+# --- fuzzing cli.main ------------------------------------------------------
+#
+# Every argv must end in exit code 0, 1 or 2 without an exception escaping
+# main.  Sizes above 3 are generated freely but reach the program only
+# through a size cap of at most 3 (SUPERFLAG_MAX_SIZE or --max-size), which
+# rejects them before any work; bwb is exempt from the cap and so draws its
+# ranks from a small range.  No case may start a large computation.
+
+settings.register_profile(
+    "cli-fuzz", max_examples=300, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+#: Seconds any one fuzzed invocation may take; every case under a cap of
+#: 3 finishes in well under a second.
+CASE_BUDGET_S = 10.0
+
+_small = st.integers(min_value=-2, max_value=3)
+_valid = st.integers(min_value=1, max_value=3)
+_sizes = st.one_of(_valid, _valid, st.integers(min_value=-2, max_value=0),
+                   st.integers(min_value=4, max_value=10**9))
+_ranks = st.integers(min_value=-2, max_value=60)
+_numbers = st.sampled_from(["0", "0", "0", "1", "-1", "1/2", "i", "r2",
+                            "1+i", "2*r2-i"])
+_entries = _numbers | st.sampled_from(
+    ["", "x", "1/0", "--", "*", "+", " 1 ", "r2*r2", "0/3"])
+_literals = st.one_of(
+    st.lists(st.lists(_entries, min_size=1, max_size=7).map(",".join),
+             min_size=1, max_size=7).map(";".join),
+    st.text(alphabet="0123456789-+*/,;ir2 ", max_size=40))
+
+
+def _square_literals(n):
+    """n x n literals: the zero and identity matrices (parity-homogeneous,
+    so they get past parsing), or rows of numbers or of any entries."""
+    def diagonal(x):
+        return ";".join(",".join(x if i == j else "0" for j in range(n))
+                        for i in range(n))
+
+    return st.one_of(
+        st.sampled_from([diagonal("0"), diagonal("1"), diagonal("-1/2")]),
+        st.sampled_from([_numbers, _entries]).flatmap(
+            lambda entry: st.lists(
+                st.lists(entry, min_size=n, max_size=n).map(",".join),
+                min_size=n, max_size=n).map(";".join)))
+
+
+_flag_types = st.builds(
+    lambda k, l, k_text, l_text: f"{k_text}{','.join(map(str, k))}"
+                                 f" {l_text}{','.join(map(str, l))}",
+    st.lists(st.integers(min_value=-1, max_value=6), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=-1, max_value=6), min_size=1, max_size=4),
+    st.sampled_from(["k=", "k=", "l=", ""]),
+    st.sampled_from(["l=", "l=", "k="]))
+#: Valid flag types and their total size m + n.
+_valid_flag_types = [("k=1,0 l=1,1", 2), ("k=1,1 l=1,0", 2),
+                     ("k=2,1 l=1,0", 3), ("k=2,1 l=1,1", 3),
+                     ("k=1,0 l=2,1", 3), ("k=2,1,0 l=2,1,1", 4)]
+_index_sets = st.builds(
+    lambda step, even, odd: f"I{step}={even};{odd}",
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(["", "1", "2", "1,2", "x"]),
+    st.sampled_from(["", "1", "2", "1,2"]))
+_tags = st.sampled_from(["G4:1", "G3:1", "A11:1,1", "B11:1,1", "C11:1,1",
+                         "E:1,1", "nosuch", ""])
+
+
+def _opt(flag, values):
+    """``[flag, value]``, or nothing in one case out of four, so that
+    required options go missing too."""
+    given = values.map(lambda v: [flag, str(v)])
+    return st.one_of(st.just([]), given, given, given)
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [t for p in ps for t in p])
+
+
+def _command(name, *parts):
+    return _argv(st.just([name]), *parts)
+
+
+def _membership(flavor, m, n):
+    total = {"odd": 2 * m + 1 + 2 * n, "even": 2 * m + 2 * n,
+             "primed": m + 2 * n}[flavor]
+    return _command(
+        "check-membership", st.just(["--flavor", flavor]),
+        st.just(["--m", str(m), "--n", str(n)]),
+        _opt("--parity", st.sampled_from(["0", "1", "auto"])),
+        _opt("--matrix", _square_literals(total) | _literals))
+
+
+def _act(flag_type, total):
+    return _command(
+        "act", st.just(["--type", flag_type]),
+        _opt("--matrix", _square_literals(total) | _literals),
+        _opt("--index-set", _index_sets), _opt("--target", _index_sets))
+
+
+_verify = st.sampled_from(
+    ["osp-defining", "lemma-fields", "isomorphism", "imp-witness", None]
+).flatmap(lambda suite: _command(
+    "verify",
+    st.just(["--suite", suite] if suite else []),
+    *(_opt(f"--{p}", _sizes) for p in ("m", "n", "k1", "l1")),
+    _opt("--max-size", st.integers(min_value=-1, max_value=3)),
+    _opt("--json-out", st.sampled_from(["{tmp}/report.json",
+                                        "{tmp}/missing/report.json"]))))
+
+_verify_bwb = _command("verify", st.just(["--suite", "bwb"]),
+                       _opt("--k1", _ranks), _opt("--l1", _ranks),
+                       _opt("--max-size", _small))
+
+_commands = st.one_of(
+    _command("osp-basis",
+             _opt("--flavor", st.sampled_from(["odd", "even", "primed",
+                                               "gl", "nosuch"])),
+             _opt("--m", _sizes), _opt("--n", _sizes)),
+    _command("check-membership",
+             _opt("--flavor", st.sampled_from(["odd", "even", "primed"])),
+             _opt("--m", _sizes), _opt("--n", _sizes),
+             _opt("--parity", st.sampled_from(["0", "1", "auto", "2"])),
+             _opt("--matrix", _literals)),
+    st.tuples(st.sampled_from(["odd", "even", "primed"]), _valid,
+              _valid).flatmap(lambda fmn: _membership(*fmn)),
+    _command("flag-validate", _opt("--type", _flag_types)),
+    _command("act", _opt("--type", _flag_types), _opt("--matrix", _literals),
+             _opt("--index-set", _index_sets),
+             _opt("--target", _index_sets)),
+    st.sampled_from(_valid_flag_types).flatmap(lambda ft: _act(*ft)),
+    _command("fundamental-field", _opt("--k1", _sizes),
+             _opt("--l1", _sizes), _opt("--tag", _tags),
+             st.sampled_from([[], ["--negate"]])),
+    _command("isotropic-chart", _opt("--k1", _sizes), _opt("--l1", _sizes),
+             _opt("--tail", st.sampled_from(["k=1 l=0", "k=0 l=1",
+                                             "k=1 l=1", "k=1", "x"]))),
+    _command("bwb", _opt("--k1", _ranks), _opt("--l1", _ranks)),
+    _verify,
+    _verify,  # twice: verify has the most paths
+    _verify_bwb,
+    st.sampled_from([[], ["--version"], ["--help"], ["verify", "--help"],
+                     ["no-such-command"]]),
+)
+
+_junk = st.one_of(
+    st.just([]), st.just([]), st.just([]),
+    st.lists(st.sampled_from(["--m", "1", "x", "--nosuch", "-1", ""]),
+             min_size=1, max_size=2))
+
+
+@seed(20261018)
+@settings(settings.get_profile("cli-fuzz"))
+@given(_commands, _junk,
+       st.sampled_from(["3", "3", "3", "3", "2", "1", "0", "x"]))
+def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, junk, env_cap):
+    out, err = StringIO(), StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [t.replace("{tmp}", tmp) for t in argv + junk]
+        with mock.patch.dict(os.environ, {"SUPERFLAG_MAX_SIZE": env_cap}), \
+                redirect_stdout(out), redirect_stderr(err):
+            t0 = time.perf_counter()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            elapsed = time.perf_counter() - t0
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert elapsed < CASE_BUDGET_S, (argv, elapsed)

@@ -42,6 +42,25 @@ def test_mul_matches_field_scalar(x, y):
     assert to_scalar(q_mul(x, y)) == to_scalar(x) * to_scalar(y)
 
 
+def _gcd_reduced(a, b, c, d, den):
+    """Lowest terms by the general rule: the sign moves to the numerators
+    and all five integers are divided by their gcd."""
+    if den < 0:
+        a, b, c, d, den = -a, -b, -c, -d, -den
+    g = math.gcd(a, b, c, d, den)
+    return (a // g, b // g, c // g, d // g, den // g)
+
+
+@given(st.lists(st.integers(min_value=-10**12, max_value=10**12),
+                min_size=4, max_size=4),
+       st.sampled_from([1, 1, 1, -1, 2, -6, 12]))
+@settings(max_examples=300, deadline=None)
+def test_normalize_matches_gcd_reduction(nums, den):
+    """Integer entries (den == 1) skip the gcds; the result is still the
+    gcd-reduced tuple, as it is for every other denominator."""
+    assert q_normalize(*nums, den) == _gcd_reduced(*nums, den)
+
+
 def _permutation_sign(perm):
     """(-1)^inversions, the anticommutation sign of sorting odd factors."""
     inversions = sum(

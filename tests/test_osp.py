@@ -253,6 +253,74 @@ def test_structure_constants_match_pinned_digest(case):
     assert h.hexdigest() == PINNED_CONSTANTS[case]
 
 
+def _all_pairs_closure(bas):
+    """closure_check's all-pairs form: superbracket every generator pair,
+    whether or not the matrices meet, and re-expand in the basis."""
+    constants, failures = [], []
+    gens = bas.generators
+    for p in range(len(gens)):
+        for q in range(p, len(gens)):
+            gp, gq = gens[p], gens[q]
+            if p == q and gp.parity == 0:
+                continue
+            br = gp.matrix.superbracket(gq.matrix)
+            try:
+                coeffs = bas.coefficients_of(br)
+            except NotInSpanError:
+                failures.append((gp.tag, gq.tag))
+                continue
+            for tag, c in sorted(coeffs.items()):
+                constants.append((gp.tag, gq.tag, tag, c))
+    return {"pairs": len(gens) * (len(gens) + 1) // 2,
+            "structure_constants": constants, "failures": failures}
+
+
+def _closure_oracle_basis(case):
+    kind = case[0]
+    if kind == "bordered":
+        return bordered_basis(basis("primed", 2 * case[1] - 1,
+                                    case[2]).generators)
+    if kind == "parabolic":
+        return parabolic_basis(case[1], case[2], case[3], layout="primed")
+    return basis(*case)
+
+
+@pytest.mark.parametrize("case", [
+    ("odd", 1, 1), ("odd", 1, 2), ("odd", 1, 3), ("odd", 2, 1),
+    ("odd", 2, 2), ("odd", 2, 3), ("odd", 3, 1), ("odd", 3, 2),
+    ("odd", 3, 3), ("even", 2, 2), ("primed", 5, 2), ("primed", 6, 2),
+    ("gl", 2, 1), ("bordered", 2, 2),
+    ("parabolic", "p", 3, 2), ("parabolic", "p1", 2, 1),
+])
+def test_closure_check_matches_all_pairs_oracle(case):
+    bas = _closure_oracle_basis(case)
+    got, want = closure_check(bas), _all_pairs_closure(bas)
+    assert got["pairs"] == want["pairs"]
+    assert got["failures"] == want["failures"]
+    assert got["structure_constants"] == want["structure_constants"]
+    if case[0] == "parabolic":
+        assert got["failures"]
+
+
+def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
+    """A guard against quadratic pair work: at osp(9|8) most of the
+    144 * 145 / 2 generator pairs share no matrix index and are never
+    bracketed."""
+    bas = basis("odd", 4, 4)
+    calls = []
+    real = SuperMatrix.superbracket
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(SuperMatrix, "superbracket", counting)
+    report = closure_check(bas)
+    assert report["pairs"] == 10440
+    assert report["failures"] == []
+    assert 0 < len(calls) <= 0.3 * report["pairs"]
+
+
 def _all_triples(bas):
     tags = bas.tags()
     return [(x, y, z) for x in tags for y in tags for z in tags]
@@ -545,6 +613,15 @@ def test_scaled_bordered_generator_breaks_the_comparison():
     for g in src:
         assert not _same_structure(src, _scale_one(bordered, g.tag, 2)), \
             g.tag
+
+
+@pytest.mark.parametrize("k1,l1", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_isomorphism_suite_passes(k1, l1):
+    """Every check holds, the conjugation round trip S (S^-1 M S) S^-1 = M
+    among them."""
+    report = suites.suite_isomorphism(k1, l1)
+    assert [r.check_id for r in report.records if not r.ok] == []
+    assert len(report.records) == 7
 
 
 def _dj_record(k1, l1):
