@@ -8,11 +8,12 @@ verification suites.
 """
 
 __version__ = "0.1.0"
+#: The arithmetic implementation named in reports; pure Python is the only one.
+BACKEND = "pure"
 
 from .scalars import FieldScalar
 from .ring import RingContext, SuperPoly, NUMERIC_CTX
 from .matrices import BlockShape, SuperMatrix
-from .kernels import BACKEND
 
 __all__ = [
     "__version__",

@@ -16,8 +16,7 @@ import json
 import os
 import sys
 
-from . import __version__
-from .kernels import BACKEND
+from . import BACKEND, __version__
 from .charts import (
     ChartError,
     FlagTypeError,

@@ -14,10 +14,9 @@ graded transpose (M11^T, M21^T; -M12^T, M22^T) and satisfies
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .ring import NUMERIC_CTX, ContextError, SuperPoly, add_product
+from .ring import NUMERIC_CTX, SuperPoly, add_product, common_context
 from .scalars import ZERO, FieldScalar
 
 
@@ -77,14 +76,6 @@ class BlockShape:
         return i >= self.even
 
 
-def _common_ctx(a, b):
-    if a is b or a.extends(b):
-        return a
-    if b.extends(a):
-        return b
-    raise ContextError("matrices live in unrelated ring contexts")
-
-
 def _product_parity(a, b):
     """Parity of ``a @ b`` from the factors' parities; None if unknown."""
     if a.parity in (0, 1) and b.parity in (0, 1):
@@ -109,9 +100,7 @@ def add_matrix_product(acc, a, b, negate):
 def _entry_value(ctx, value):
     if isinstance(value, SuperPoly):
         return ctx.lift(value) if value.ctx is not ctx else value
-    if isinstance(value, (int, Fraction, FieldScalar)):
-        return ctx.scalar(value)
-    raise TypeError(f"cannot use {value!r} as a matrix entry")
+    return ctx.scalar(value)
 
 
 class SuperMatrix:
@@ -139,8 +128,8 @@ class SuperMatrix:
         if ctx is None:
             ctx = NUMERIC_CTX
             for v in entries.values():
-                if isinstance(v, SuperPoly) and v.ctx.extends(ctx):
-                    ctx = v.ctx
+                if isinstance(v, SuperPoly) and v.ctx is not ctx:
+                    ctx = common_context(v.ctx, ctx)
         clean = {}
         for (i, j), v in entries.items():
             if not (0 <= i < rows.total and 0 <= j < cols.total):
@@ -215,7 +204,7 @@ class SuperMatrix:
 
     @staticmethod
     def _align(a, b):
-        ctx = _common_ctx(a.ctx, b.ctx)
+        ctx = common_context(a.ctx, b.ctx)
         return a.lift(ctx), b.lift(ctx)
 
     def map_entries(self, fn):
@@ -275,16 +264,10 @@ class SuperMatrix:
     def _scalar_operand(self, scalar):
         """Coerce a multiplier and bring matrix and multiplier to one ctx."""
         if isinstance(scalar, SuperPoly):
-            if scalar.ctx is self.ctx:
-                return self, scalar
-            if scalar.ctx.extends(self.ctx):
-                return self.lift(scalar.ctx), scalar
-            if self.ctx.extends(scalar.ctx):
-                return self, self.ctx.lift(scalar)
-            raise ContextError("matrix and multiplier live in unrelated contexts")
-        if isinstance(scalar, (int, Fraction, FieldScalar)):
-            return self, self.ctx.scalar(scalar)
-        return self, None
+            ctx = common_context(scalar.ctx, self.ctx)
+            return self.lift(ctx), ctx.lift(scalar)
+        scalar = FieldScalar._coerce(scalar)
+        return self, (None if scalar is None else self.ctx.scalar(scalar))
 
     def __mul__(self, scalar):
         """Right multiplication by a scalar or polynomial."""
@@ -324,7 +307,7 @@ class SuperMatrix:
             if not (a.rows.compatible(rows) and b.cols.compatible(cols)):
                 raise ShapeError("shape mismatch")
             if a.ctx is not ctx or b.ctx is not ctx:
-                ctx = _common_ctx(_common_ctx(ctx, a.ctx), b.ctx)
+                ctx = common_context(common_context(ctx, a.ctx), b.ctx)
             if parity is not None and parity != _product_parity(a, b):
                 parity = None
             add_matrix_product(acc, a, b, negate)
@@ -387,8 +370,7 @@ class SuperMatrix:
                 and self.rows.compatible(other.rows)):
             raise ShapeError("superbracket needs square matrices of one"
                              " shape")
-        ctx = self.ctx if self.ctx is other.ctx \
-            else _common_ctx(self.ctx, other.ctx)
+        ctx = common_context(self.ctx, other.ctx)
         acc = {}
         add_matrix_product(acc, self, other, False)
         add_matrix_product(acc, other, self,

@@ -6,18 +6,21 @@ variables anticommute and square to zero -- that is enforced structurally by
 storing each monomial's odd part as a strictly ascending tuple of variable
 ids and tracking the interleaving sign on multiplication.
 
+A monomial key is ``(even, odd)``: ``(var id, exponent)`` pairs sorted by
+id, then the ascending odd ids.  :func:`mul_even` and :func:`merge_odd`
+multiply the two parts; a term dict maps keys to the field tuples of
+:mod:`superflag.scalars`.
+
 Contexts can be *extended* (new variables appended; existing ids stay
 stable), and a polynomial lifts for free into any extending context.
-Combining polynomials from unrelated contexts is an error, never a silent
-union.
+:func:`common_context` is the one rule for which of two contexts a result
+lives in.  Combining polynomials from unrelated contexts is an error, never
+a silent union.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .kernels import Q_ONE, Q_ZERO, merge_odd, mul_even, q_add, q_mul, q_neg
-from .scalars import FieldScalar
+from .scalars import Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg
 
 
 class ContextError(Exception):
@@ -80,10 +83,12 @@ class RingContext:
         return SuperPoly._new(self, {key: Q_ONE})
 
     def scalar(self, c):
-        c = _as_field_scalar(c)
-        if c.is_zero():
+        s = FieldScalar._coerce(c)
+        if s is None:
+            raise TypeError(f"cannot interpret {c!r} as a scalar")
+        if s.is_zero():
             return SuperPoly._new(self, {})
-        return SuperPoly._new(self, {((), ()): c.q})
+        return SuperPoly._new(self, {((), ()): s.q})
 
     @property
     def zero(self):
@@ -146,21 +151,71 @@ class RingContext:
 NUMERIC_CTX = RingContext()
 
 
-def _as_field_scalar(c):
-    if isinstance(c, FieldScalar):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return FieldScalar(c)
-    raise TypeError(f"cannot interpret {c!r} as a scalar")
-
-
 def common_context(a, b):
     """The one of two contexts that extends the other, or fail loudly."""
     if a.extends(b):
         return a
     if b.extends(a):
         return b
-    raise ContextError("polynomials live in unrelated ring contexts")
+    raise ContextError("values live in unrelated ring contexts")
+
+
+def merge_odd(u, v):
+    """Merge two ascending odd-index tuples, counting anticommutation swaps.
+
+    Returns ``(sign, merged)``; sign is 0 when an index repeats (a squared
+    odd generator), otherwise +1/-1 by parity of the inversions needed to
+    interleave ``v`` into ``u``.
+    """
+    if not u:
+        return 1, v
+    if not v:
+        return 1, u
+    out = []
+    i, j = 0, 0
+    nu, nv = len(u), len(v)
+    swaps = 0
+    while i < nu and j < nv:
+        a, b = u[i], v[j]
+        if a == b:
+            return 0, ()
+        if a < b:
+            out.append(a)
+            i += 1
+        else:
+            out.append(b)
+            j += 1
+            swaps += nu - i
+    out.extend(u[i:])
+    out.extend(v[j:])
+    return (1 if swaps % 2 == 0 else -1), tuple(out)
+
+
+def mul_even(p, q):
+    """Merge two sorted ((var, exp), ...) tuples, adding exponents."""
+    if not p:
+        return q
+    if not q:
+        return p
+    out = []
+    i, j = 0, 0
+    np_, nq = len(p), len(q)
+    while i < np_ and j < nq:
+        vi, ei = p[i]
+        vj, ej = q[j]
+        if vi == vj:
+            out.append((vi, ei + ej))
+            i += 1
+            j += 1
+        elif vi < vj:
+            out.append(p[i])
+            i += 1
+        else:
+            out.append(q[j])
+            j += 1
+    out.extend(p[i:])
+    out.extend(q[j:])
+    return tuple(out)
 
 
 def _align(p, q):
@@ -272,9 +327,8 @@ class SuperPoly:
     def _coerce(self, other):
         if isinstance(other, SuperPoly):
             return other
-        if isinstance(other, (int, Fraction, FieldScalar)):
-            return self.ctx.scalar(other)
-        return None
+        c = FieldScalar._coerce(other)
+        return None if c is None else self.ctx.scalar(c)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -400,12 +454,7 @@ class SuperPoly:
             parity, _ = self.ctx._byname[name]
             if not isinstance(value, SuperPoly):
                 value = NUMERIC_CTX.scalar(value)
-            if value.ctx.extends(target):
-                target = value.ctx
-            elif not target.extends(value.ctx):
-                raise ContextError(
-                    f"substitution value for {name!r} lives in an unrelated context"
-                )
+            target = common_context(value.ctx, target)
             if not value.is_zero() and value.parity() != parity:
                 raise ValueError(
                     f"substitution for {name!r} must have parity {parity}"

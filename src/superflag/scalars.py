@@ -1,9 +1,15 @@
-"""Exact arithmetic in Q(i, sqrt2).
+"""Exact arithmetic in Q(i, sqrt2): FieldScalar and its tuple arithmetic.
 
 Every coefficient in this package is an element of the field Q(i, sqrt2),
 stored as a rational linear combination of the basis (1, i, sqrt2, i*sqrt2).
 That field is closed under the arithmetic the package needs (inverses
 included) and avoids any floating point.
+
+Internally an element is a normalised 5-tuple of ints ``(a, b, c, d, den)``
+meaning ``(a + b*i + c*sqrt2 + d*i*sqrt2)/den``, with ``den > 0`` and
+``gcd(a, b, c, d, den) == 1``.  The ``q_*`` functions below are the field
+operations on these tuples; polynomial code calls them directly on the
+coefficients it stores, and :class:`FieldScalar` wraps one tuple.
 
 Text form: ``a + b*i + c*r2 + d*i*r2`` with rational coefficients like
 ``-3/2``; ``r2`` stands for sqrt(2).  Examples: ``1/2 + 1/2*i``, ``-r2``,
@@ -12,9 +18,81 @@ Text form: ``a + b*i + c*r2 + d*i*r2`` with rational coefficients like
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd, lcm
 
-from .kernels import Q_ONE, Q_ZERO, q_add, q_inv, q_mul, q_neg, q_normalize
+Q_ZERO = (0, 0, 0, 0, 1)
+Q_ONE = (1, 0, 0, 0, 1)
+
+
+def q_normalize(a, b, c, d, den):
+    """Reduce to lowest terms with a positive denominator."""
+    if den == 1:
+        return (a, b, c, d, 1)
+    if den < 0:
+        a, b, c, d, den = -a, -b, -c, -d, -den
+    g = gcd(gcd(gcd(a, b), gcd(c, d)), den)
+    if g > 1:
+        return (a // g, b // g, c // g, d // g, den // g)
+    return (a, b, c, d, den)
+
+
+def q_add(x, y):
+    a1, b1, c1, d1, n1 = x
+    a2, b2, c2, d2, n2 = y
+    if n1 == n2:
+        return q_normalize(a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+    return q_normalize(a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                       c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
+
+
+def q_neg(x):
+    a, b, c, d, den = x
+    return (-a, -b, -c, -d, den)
+
+
+def q_mul(x, y):
+    a1, b1, c1, d1, n1 = x
+    a2, b2, c2, d2, n2 = y
+    return q_normalize(
+        a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
+        a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),
+        a1 * c2 + c1 * a2 - b1 * d2 - d1 * b2,
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2,
+        n1 * n2,
+    )
+
+
+def q_inv(x):
+    """Invert via two conjugations: first over i, then over sqrt(2).
+
+    ``x * conj_i(x)`` has the form ``e + f*sqrt2`` with rational e, f, and
+    ``(e + f*sqrt2)(e - f*sqrt2) = e^2 - 2 f^2`` is rational and nonzero for
+    nonzero x (sqrt2 is irrational, and e > 0 unless x == 0).
+    """
+    a, b, c, d, den = x
+    e = a * a + b * b + 2 * (c * c + d * d)
+    if e == 0:
+        raise ZeroDivisionError("inverse of zero field element")
+    f = 2 * (a * c + b * d)
+    g = e * e - 2 * f * f
+    # conj_i(x) * (e - f*sqrt2), numerators only; den multiplies back in.
+    return q_normalize(
+        den * (a * e - 2 * c * f),
+        den * (-b * e + 2 * d * f),
+        den * (c * e - a * f),
+        den * (-d * e + b * f),
+        g,
+    )
+
+
+# One rational factor of a scalar literal: an integer, a decimal or p/q,
+# with an optional sign.  This is the grammar of ``Fraction`` without its
+# exponents and digit separators: ``1e1000000000`` would build an integer
+# of a billion digits before any size cap could apply.
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
 _SQRT2 = 1.4142135623730951
 
@@ -30,9 +108,7 @@ class FieldScalar:
             self.q = q_normalize(a, b, c, d, 1)
             return
         a, b, c, d = Fraction(a), Fraction(b), Fraction(c), Fraction(d)
-        den = 1
-        for part in (a, b, c, d):
-            den = den * part.denominator // _gcd(den, part.denominator)
+        den = lcm(a.denominator, b.denominator, c.denominator, d.denominator)
         self.q = q_normalize(
             int(a * den), int(b * den), int(c * den), int(d * den), den
         )
@@ -203,6 +279,8 @@ class FieldScalar:
                     value = value * cls(0, 0, 1)
                 else:
                     try:
+                        if not _RATIONAL.fullmatch(factor):
+                            raise ValueError
                         value = value * cls(Fraction(factor))
                     except (ValueError, ArithmeticError):
                         raise ValueError(
@@ -210,12 +288,6 @@ class FieldScalar:
                         ) from None
             total = total + value
         return total
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 ZERO = FieldScalar()

@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import BACKEND, __version__
 from .charts import (
     fundamental_field,
     isotropic_chart,
@@ -24,7 +24,6 @@ from .charts import (
     lemma_h_field,
     lemma_h_generator,
 )
-from .kernels import BACKEND
 from .matrices import BlockShape, SuperMatrix
 from .osp import (
     PARABOLIC_TAGS,
@@ -408,6 +407,8 @@ def suite_imP_witness(k1, l1):
 @_timed
 def suite_bwb(k1, l1):
     """Highest weights, the dominance filter, and the fiber description."""
+    if k1 < 1 or l1 < 1:
+        raise ValueError("the bwb suite needs k1 >= 1 and l1 >= 1")
     rep = SuiteReport(f"bwb(k1={k1},l1={l1})")
     weights = psi_highest_weights(k1, l1)
     rs = root_system(k1, l1)

@@ -293,11 +293,30 @@ def test_isomorphism_degenerate_sizes_are_usage_errors(capsys, k1, l1):
     assert "the isomorphism suite needs k1 >= 1 and l1 >= 1" in err
 
 
+@pytest.mark.parametrize("k1,l1", [("2", "0"), ("0", "1")])
+def test_bwb_degenerate_sizes_are_usage_errors(capsys, k1, l1):
+    code, out, err = run(capsys, "verify", "--suite", "bwb",
+                         "--k1", k1, "--l1", l1)
+    assert code == 2 and out == ""
+    assert "the bwb suite needs k1 >= 1 and l1 >= 1" in err
+
+
 def test_bad_matrix_literal_is_usage_error(capsys):
     code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
                          "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"
                                      " 0,0,0,0,0; 0,0,0,0,0")
     assert code == 2 and err.startswith("error: ") and "1/0" in err
+
+
+@pytest.mark.parametrize("entry", ["1e1000000000", "1_0"])
+def test_exponent_and_separator_literals_are_usage_errors(capsys, entry):
+    """A factor is an integer, a decimal or p/q: an exponent would build a
+    huge integer before any size cap applies, so it is rejected unread."""
+    code, out, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
+                         "--matrix", f"{entry},0,0,0,0; 0,0,0,0,0;"
+                                     " 0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and entry in err
 
 
 def test_unwritable_json_out_is_usage_error(tmp_path, capsys):
@@ -372,7 +391,7 @@ _entries = _numbers | st.sampled_from(
 _literals = st.one_of(
     st.lists(st.lists(_entries, min_size=1, max_size=7).map(",".join),
              min_size=1, max_size=7).map(";".join),
-    st.text(alphabet="0123456789-+*/,;ir2 ", max_size=40))
+    st.text(alphabet="0123456789-+*/,;ir2 e_", max_size=40))
 
 
 def _square_literals(n):

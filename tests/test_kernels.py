@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superflag
-from superflag.kernels import merge_odd, mul_even, q_mul, q_normalize
-from superflag.scalars import FieldScalar
+from superflag.ring import merge_odd, mul_even
+from superflag.scalars import FieldScalar, q_mul, q_normalize
 
 ints = st.integers(min_value=-40, max_value=40)
 dens = st.integers(min_value=1, max_value=24)

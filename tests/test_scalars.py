@@ -89,6 +89,21 @@ def test_parse_round_trip_examples():
         assert FieldScalar.parse(text).render() == text
 
 
+def test_parse_factor_grammar():
+    """A rational factor is an integer, a decimal or p/q, as ``Fraction``
+    reads them, but with no exponent, digit separator or non-ASCII digit."""
+    for text in ["12", "3/4", "0.25", ".5", "5.", "2*-3", "1/2*i", "007"]:
+        expected = FieldScalar(1)
+        for factor in text.split("*"):
+            expected = expected * (I if factor == "i"
+                                   else FieldScalar(Fraction(factor)))
+        assert FieldScalar.parse(text) == expected, text
+    for text in ["1e3", "1E3", "1.5e-2", "1_0", "1/2_0", "\u0661", "1/", "/2",
+                 ".", "1.5/2", "0x10", "inf", "nan"]:
+        with pytest.raises(ValueError):
+            FieldScalar.parse(text)
+
+
 @given(scalars, scalars, scalars)
 @settings(max_examples=200, deadline=None)
 def test_ring_axioms(a, b, c):
