@@ -97,6 +97,16 @@ def add_matrix_product(acc, a, b, negate):
             add_product(terms, u, v, negate)
 
 
+def bracket_terms(a, b):
+    """The entries of the superbracket [a, b] = ab - (-1)^{|a||b|} ba as a
+    map from slot to term dict, with no matrix built; a slot whose products
+    cancel holds an empty dict."""
+    acc = {}
+    add_matrix_product(acc, a, b, False)
+    add_matrix_product(acc, b, a, not (a.parity and b.parity))
+    return acc
+
+
 def _entry_value(ctx, value):
     if isinstance(value, SuperPoly):
         return ctx.lift(value) if value.ctx is not ctx else value
@@ -311,10 +321,10 @@ class SuperMatrix:
             if parity is not None and parity != _product_parity(a, b):
                 parity = None
             add_matrix_product(acc, a, b, negate)
-        return SuperMatrix._from_terms(rows, cols, ctx, parity, acc)
+        return SuperMatrix.from_terms(rows, cols, ctx, parity, acc)
 
     @classmethod
-    def _from_terms(cls, rows, cols, ctx, parity, acc):
+    def from_terms(cls, rows, cols, ctx, parity, acc):
         """The matrix of the nonzero term dicts in ``acc``; a parity of
         None is inferred from the entries."""
         entries = {k: SuperPoly._new(ctx, terms)
@@ -370,13 +380,10 @@ class SuperMatrix:
                 and self.rows.compatible(other.rows)):
             raise ShapeError("superbracket needs square matrices of one"
                              " shape")
-        ctx = common_context(self.ctx, other.ctx)
-        acc = {}
-        add_matrix_product(acc, self, other, False)
-        add_matrix_product(acc, other, self,
-                           not (self.parity and other.parity))
-        return SuperMatrix._from_terms(self.rows, other.cols, ctx,
-                                       self.parity ^ other.parity, acc)
+        return SuperMatrix.from_terms(self.rows, other.cols,
+                                      common_context(self.ctx, other.ctx),
+                                      self.parity ^ other.parity,
+                                      bracket_terms(self, other))
 
     def invert(self):
         """Exact inverse for matrices with invertible body.

@@ -34,6 +34,11 @@ Gram form fixes: every Gram here is a signed permutation g_x e(x, pi(x)),
 so the defining equation puts -sigma g_r g_c at (pi(c), pi(r)), where
 sigma = -1 on the even-row/odd-column slots that the supertranspose
 negates.  When that slot is (r, c) itself there is no second entry.
+
+The same permutation gives the membership residual M^ST G + G M without a
+product: entry M[r, c] adds g_x M[r, c] at (x, c), x = pi^-1(r), through
+G M, and sigma g_r M[r, c] at its partner slot (c, pi(r)) through M^ST G.
+``GramForm.partner`` holds the sigma rule for both uses.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ import functools
 from dataclasses import dataclass, field
 
 from .linalg import RankTracker, add_scaled
-from .matrices import BlockShape, SuperMatrix
-from .ring import add_product
+from .matrices import BlockShape, ParityError, SuperMatrix, bracket_terms
+from .ring import NUMERIC_CTX, SuperPoly, add_product, add_terms
 from .scalars import I_INV_SQRT2, INV_SQRT2, ONE
 
 
@@ -53,10 +58,25 @@ class NotInSpanError(ValueError):
 
 @dataclass(frozen=True)
 class GramForm:
+    """A Gram matrix g_x e(x, pi(x)): ``perm`` is pi, ``inverse`` its
+    inverse and ``sign`` the g_x as +1 or -1, one per row."""
+
     flavor: str
     sizes: tuple
     shape: BlockShape
     matrix: SuperMatrix
+    perm: tuple
+    inverse: tuple
+    sign: tuple
+
+    def partner(self, r, c):
+        """``(slot, sign)``: entry M[r, c] adds sign * M[r, c] to M^ST G at
+        slot (c, pi(r)), where sign is sigma g_r and sigma = -1 on the
+        even-row/odd-column slots that the supertranspose negates."""
+        sign = self.sign[r]
+        if r < self.shape.even <= c:
+            sign = -sign
+        return (c, self.perm[r]), sign
 
 
 @dataclass(frozen=True)
@@ -102,22 +122,29 @@ class OspBasis:
         return [g for g in self.generators if g.parity == 1]
 
     def coefficients_of(self, m):
-        """Expand ``m`` exactly in this basis, or raise NotInSpanError.
+        """Expand ``m`` exactly in this basis, or raise NotInSpanError."""
+        return self.expand_terms({slot: v.terms
+                                  for slot, v in m.entries.items()})
+
+    def expand_terms(self, entries):
+        """``coefficients_of`` for a matrix given as ``{slot: term dict}``,
+        where an empty term dict is a zero entry.
 
         Each generator owns a distinct +1 "primary" slot that no other
-        generator touches, so the candidate coefficients are the entries of
-        ``m`` on primary slots: only ``m``'s nonzero entries are visited,
-        and the coefficients come out in generator order.  The combination
-        is re-assembled into one term dict per slot and compared with
-        ``m``'s entries, which makes the read-off a sound span test.
+        generator touches, so the candidate coefficients are the entries on
+        primary slots: only the nonzero entries are visited, and the
+        coefficients come out in generator order.  The combination is
+        re-assembled into one term dict per slot and compared with the
+        entries, which makes the read-off a sound span test.
         """
-        found = sorted(self._by_primary[slot] for slot in m.entries
-                       if slot in self._by_primary)
+        found = sorted(self._by_primary[slot]
+                       for slot, terms in entries.items()
+                       if terms and slot in self._by_primary)
         coeffs = {}
         acc = {}
         for i in found:
             gen = self.generators[i]
-            entry = m.entries[gen.primary]
+            entry = SuperPoly._new(NUMERIC_CTX, entries[gen.primary])
             if not entry.is_scalar():
                 raise NotInSpanError(
                     f"slot {gen.primary} of the candidate is not scalar"
@@ -128,9 +155,8 @@ class OspBasis:
                 if terms is None:
                     terms = acc[slot] = {}
                 add_product(terms, entry, v)
-        acc = {slot: terms for slot, terms in acc.items() if terms}
-        if acc.keys() != m.entries.keys() or \
-                any(v.terms != acc[slot] for slot, v in m.entries.items()):
+        if any(terms != acc.pop(slot, {}) for slot, terms in entries.items()) \
+                or any(acc.values()):
             raise NotInSpanError("matrix is not in the span of the basis")
         return coeffs
 
@@ -173,7 +199,9 @@ def _shape(flavor, a, b):
 
 @functools.lru_cache(maxsize=4)
 def gram_form(flavor, a, b):
-    """The Gram matrix of the defining form for the given flavor and sizes.
+    """The Gram matrix of the defining form for the given flavor and sizes,
+    with its signed permutation read off once for ``membership_residual``
+    and the generators' forced entries.
 
     Parameters mean (m, n) for ``odd``, (k, l) for ``even`` and (t, l) for
     ``primed`` where t is the full even size 2k-1 or 2k.  Memoised like
@@ -186,36 +214,57 @@ def gram_form(flavor, a, b):
     p = shape.even
     if flavor == "odd":
         for i in range(a):
-            entries[(i, a + i)] = ONE
-            entries[(a + i, i)] = ONE
-        entries[(2 * a, 2 * a)] = ONE
+            entries[(i, a + i)] = 1
+            entries[(a + i, i)] = 1
+        entries[(2 * a, 2 * a)] = 1
     elif flavor == "even":
         for i in range(a):
-            entries[(i, a + i)] = ONE
-            entries[(a + i, i)] = ONE
+            entries[(i, a + i)] = 1
+            entries[(a + i, i)] = 1
     elif flavor == "primed":
         for i in range(p):
-            entries[(i, i)] = ONE
+            entries[(i, i)] = 1
     else:
         raise ValueError(f"no gram form for flavor {flavor!r}")
     for j in range(b):
-        entries[(p + j, p + b + j)] = ONE
-        entries[(p + b + j, p + j)] = -ONE
+        entries[(p + j, p + b + j)] = 1
+        entries[(p + b + j, p + j)] = -1
     mat = SuperMatrix.build(shape, shape, entries)
-    return GramForm(flavor, (a, b), shape, mat)
+    perm = tuple(y for _, y in sorted(entries))
+    inverse = tuple(x for _, x in sorted((y, x) for x, y in entries))
+    sign = tuple(entries[(x, y)] for x, y in enumerate(perm))
+    return GramForm(flavor, (a, b), shape, mat, perm, inverse, sign)
 
 
 def is_member(m, gram):
-    """Exact test of the defining equation M^ST G + G M = 0."""
-    if not (m.rows.compatible(gram.shape) and m.cols.compatible(gram.shape)):
-        raise ValueError("matrix shape does not match the gram form")
+    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M)
+    through ``membership_residual``."""
     return membership_residual(m, gram).is_zero()
 
 
 def membership_residual(m, gram):
-    g = gram.matrix
-    return SuperMatrix.sum_of_products(
-        [(m.supertranspose(), g, False), (g, m, False)])
+    """M^ST G + G M, read off the Gram's signed permutation (see the module
+    doc): each entry of M lands at two slots with a sign, so the work is
+    O(nnz M), with no supertranspose and no matrix product.
+
+    Raises ParityError, as the supertranspose would, when M is not
+    parity-homogeneous.
+    """
+    shape = gram.shape
+    if not (m.rows.compatible(shape) and m.cols.compatible(shape)):
+        raise ValueError("matrix shape does not match the gram form")
+    if m.parity not in (0, 1):
+        raise ParityError("supertranspose needs a parity-homogeneous matrix")
+    acc = {}
+    for (r, c), v in m.entries.items():
+        x = gram.inverse[r]
+        slot, sign = gram.partner(r, c)
+        for out, s in (((x, c), gram.sign[x]), (slot, sign)):
+            terms = acc.get(out)
+            if terms is None:
+                terms = acc[out] = {}
+            add_terms(terms, v.terms, s < 0)
+    return SuperMatrix.from_terms(shape, shape, m.ctx, m.parity, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +329,7 @@ def _family_specs(layout, gram):
         else ("b1", "b2", "c1", "c2")
     blocks = {name: (lo, hi - lo)
               for name, (lo, hi) in zip(names, shape.part_ranges())}
-    perm, sign = {}, {}
-    for (x, y), v in gram.matrix.entries.items():
-        perm[x], sign[x] = y, v.scalar_part()
+    perm = gram.perm
     specs = []
     for tag, row, col, kind in _FAMILIES[layout]:
         if row not in blocks or col not in blocks:
@@ -294,9 +341,10 @@ def _family_specs(layout, gram):
             entries = {(r, c): ONE}
             forced = (perm[c], perm[r])
             if forced != (r, c):
-                value = -(sign[r] * sign[c])
-                # sigma: supertranspose negates the even-row, odd-column slots
-                entries[forced] = -value if r < shape.even <= c else value
+                # (r, c) lands at (c, pi(r)) in M^ST G; the forced entry
+                # cancels it there through G M, where it is weighted g_c.
+                _, sign = gram.partner(r, c)
+                entries[forced] = -ONE if sign * gram.sign[c] > 0 else ONE
             specs.append((f"{tag}:{label}", parity, entries, (r, c)))
     return specs
 
@@ -381,6 +429,10 @@ def closure_check(bas):
     cannot fail, so it is skipped; ``pairs`` still counts all N(N+1)/2.
     The candidates of each p are walked in ascending q, so the constants
     come out in the order of the all-pairs loop.
+
+    Each bracket stays a map from slot to term dict (``bracket_terms``)
+    and is expanded by ``OspBasis.expand_terms``, so no matrix is built
+    per pair.
     """
     constants = []
     failures = []
@@ -399,9 +451,9 @@ def closure_check(bas):
             if q < p or (q == p and gp.parity == 0):
                 continue  # [X, X] = 0 identically for even X
             gq = gens[q]
-            br = gp.matrix.superbracket(gq.matrix)
             try:
-                coeffs = bas.coefficients_of(br)
+                coeffs = bas.expand_terms(bracket_terms(gp.matrix,
+                                                        gq.matrix))
             except NotInSpanError:
                 failures.append((gp.tag, gq.tag))
                 continue

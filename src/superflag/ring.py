@@ -248,6 +248,17 @@ def add_product(terms, p, q, negate=False):
                 terms[key] = acc
 
 
+def add_terms(terms, src, negate=False):
+    """Add the term dict ``src``, or its negative when ``negate``, into the
+    term dict ``terms``, dropping the keys that cancel."""
+    for key, q in src.items():
+        acc = q_add(terms.get(key, Q_ZERO), q_neg(q) if negate else q)
+        if acc == Q_ZERO:
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+
+
 class SuperPoly:
     """A supercommutative polynomial; immutable by convention."""
 
@@ -336,12 +347,7 @@ class SuperPoly:
             return NotImplemented
         a, b = _align(self, other)
         terms = dict(a.terms)
-        for key, q in b.terms.items():
-            acc = q_add(terms.get(key, Q_ZERO), q)
-            if acc == Q_ZERO:
-                terms.pop(key, None)
-            else:
-                terms[key] = acc
+        add_terms(terms, b.terms)
         return SuperPoly._new(a.ctx, terms)
 
     __radd__ = __add__

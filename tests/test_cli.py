@@ -125,6 +125,20 @@ def test_check_membership_pass_fail(capsys):
     assert code == 1 and "NOT a member" in out
 
 
+@pytest.mark.parametrize("parity", ["auto", "0"])
+def test_check_membership_non_homogeneous_is_usage_error(capsys, parity):
+    """A scalar on an even slot beside one on an odd slot has no
+    supertranspose: exit 2 with one error line, whether the declared
+    parity or the membership test rejects it."""
+    mixed = "1,0,0,0,1; 0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0"
+    code, out, err = run(capsys, "check-membership", "--flavor", "odd",
+                         "--m", "1", "--n", "1", "--parity", parity,
+                         "--matrix", mixed)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "parity-homogeneous" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_flag_validate(capsys):
     code, out, _ = run(capsys, "flag-validate", "--type", "k=3,1 l=2,1")
     assert code == 0

@@ -276,16 +276,62 @@ def test_superbracket_matches_separate_products(source):
             assert all(not v.is_zero() for v in br.entries.values())
 
 
+def _random_grassmann(rng, shape, parity):
+    """A parity-homogeneous square matrix on ``shape`` whose entries mix
+    scalars, an even variable and products of odd ones."""
+    ctx = RingContext()
+    ctx.evens("x")
+    ctx.odds("th1", "th2", "th3")
+    x, th1, th2, th3 = (ctx.var(n) for n in ("x", "th1", "th2", "th3"))
+    entries = {}
+    for i in range(shape.total):
+        for j in range(shape.total):
+            if rng.random() < 0.4:
+                continue
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            if int(shape.is_odd_index(i)) ^ int(shape.is_odd_index(j)) \
+                    ^ parity:
+                entries[(i, j)] = th1 * a + th3 * b + x * th2
+            else:
+                entries[(i, j)] = x * a + th1 * th2 * b + 1
+    return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=parity)
+
+
 def test_membership_residual_matches_separate_products():
-    gram = gram_form("odd", 2, 2)
-    cases = [g.matrix for g in basis("odd", 2, 2)] + _grassmann_matrices()
-    for m in cases:
-        g = gram.matrix.lift(m.ctx)
-        want = m.supertranspose() @ g + g @ m
-        got = membership_residual(m, gram)
-        assert got == want and got.parity == want.parity
-        assert got.ctx is m.ctx
-    assert not is_member(_grassmann_matrices()[0], gram)
+    """The residual read off the Gram's signed permutation equals
+    M^ST G + G M from matrix products, for the odd and even flavors and
+    for primed forms with odd and even t, on generators, on generators
+    times an odd variable and on Grassmann-entry matrices."""
+    rng = random.Random(53)
+    th = _grassmann_matrices()[1].ctx.var("xi1_1")
+    for flavor, a, b in (("odd", 2, 2), ("even", 2, 2), ("primed", 5, 2),
+                         ("primed", 4, 2), ("primed", 3, 1)):
+        gram = gram_form(flavor, a, b)
+        gens = [g.matrix for g in basis(flavor, a, b)]
+        noise = [_random_grassmann(rng, gram.shape, p) for p in (0, 1, 0, 1)]
+        cases = gens + [m * th for m in gens[::3]] + noise
+        if gram.shape.compatible(_grassmann_matrices()[0].rows):
+            cases += _grassmann_matrices()
+        for m in cases:
+            g = gram.matrix.lift(m.ctx)
+            want = m.supertranspose() @ g + g @ m
+            got = membership_residual(m, gram)
+            assert got == want and got.parity == want.parity, flavor
+            assert got.ctx is m.ctx
+            assert is_member(m, gram) == want.is_zero()
+        assert all(is_member(m, gram) for m in gens)
+        assert not any(is_member(m, gram) for m in noise)
+    assert not is_member(_grassmann_matrices()[0], gram_form("odd", 2, 2))
+
+
+def test_membership_residual_rejects_a_non_homogeneous_matrix():
+    gram = gram_form("odd", 1, 1)
+    mixed = SuperMatrix.build(gram.shape, gram.shape,
+                              {(0, 0): ONE, (0, 4): ONE}, parity=None)
+    with pytest.raises(ParityError, match="parity-homogeneous"):
+        membership_residual(mixed, gram)
+    with pytest.raises(ParityError, match="parity-homogeneous"):
+        is_member(mixed, gram)
 
 
 def test_cancelling_products_store_no_zero_entry():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from superflag import suites
+from superflag import osp, suites
 from superflag.linalg import RankTracker
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
@@ -112,13 +112,16 @@ def test_bases_match_pinned_digest(flavor):
 
 def _defining_system(gram):
     """Row-reduced M^ST G + G M = 0 over the unknown entries of M, one
-    unknown per slot; built from unit matrices, not from the basis."""
+    unknown per slot; built from unit matrices, not from the basis, and
+    with matrix products, not with the Gram's permutation that the basis
+    and membership_residual share."""
     shape = gram.shape
     slots = [(i, j) for i in range(shape.total) for j in range(shape.total)]
     equations = {}
     for col, slot in enumerate(slots):
         unit = SuperMatrix.build(shape, shape, {slot: ONE})
-        for out, v in membership_residual(unit, gram).entries.items():
+        residual = unit.supertranspose() @ gram.matrix + gram.matrix @ unit
+        for out, v in residual.entries.items():
             equations.setdefault(out, {})[col] = v.scalar_part()
     system = RankTracker(len(slots))
     for coeffs in equations.values():
@@ -305,16 +308,17 @@ def test_closure_check_matches_all_pairs_oracle(case):
 def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
     """A guard against quadratic pair work: at osp(9|8) most of the
     144 * 145 / 2 generator pairs share no matrix index and are never
-    bracketed."""
+    bracketed.  closure_check makes each bracket with one bracket_terms
+    call."""
     bas = basis("odd", 4, 4)
     calls = []
-    real = SuperMatrix.superbracket
+    real = osp.bracket_terms
 
-    def counting(self, other):
+    def counting(a, b):
         calls.append(1)
-        return real(self, other)
+        return real(a, b)
 
-    monkeypatch.setattr(SuperMatrix, "superbracket", counting)
+    monkeypatch.setattr(osp, "bracket_terms", counting)
     report = closure_check(bas)
     assert report["pairs"] == 10440
     assert report["failures"] == []
@@ -617,16 +621,59 @@ def test_scaled_bordered_generator_breaks_the_comparison():
 
 @pytest.mark.parametrize("k1,l1", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_isomorphism_suite_passes(k1, l1):
-    """Every check holds, the conjugation round trip S (S^-1 M S) S^-1 = M
+    """Every check holds, the conjugation's rank count and S S^-1 = E
     among them."""
     report = suites.suite_isomorphism(k1, l1)
     assert [r.check_id for r in report.records if not r.ok] == []
     assert len(report.records) == 7
 
 
+def _iso_records(k1, l1):
+    return {r.check_id: r for r in suites.suite_isomorphism(k1, l1).records}
+
+
 def _dj_record(k1, l1):
-    records = {r.check_id: r for r in suites.suite_isomorphism(k1, l1).records}
-    return records["dj-bracket"]
+    return _iso_records(k1, l1)["dj-bracket"]
+
+
+def test_isomorphism_suite_fails_on_a_scaled_entry_of_S(monkeypatch):
+    real = suites.basis_change_S
+
+    def scaled(flavor, k1, l1):
+        s = real(flavor, k1, l1)
+        entries = dict(s.entries)
+        entries[(0, 0)] = entries[(0, 0)] * 2
+        return SuperMatrix.build(s.rows, s.cols, entries)
+
+    monkeypatch.setattr(suites, "basis_change_S", scaled)
+    records = _iso_records(2, 1)
+    for flavor in ("odd", "even"):
+        assert not records[f"gram-transform-{flavor}"].ok
+        assert not records[f"conjugation-iso-{flavor}"].ok
+
+
+def test_isomorphism_suite_fails_when_two_generators_share_an_image(
+        monkeypatch):
+    """The rank argument: if a second generator conjugates onto the first
+    one's image, the images span one dimension less, and the witness names
+    the primed generator left unreached."""
+    real = suites.conjugate
+    sources = {"odd": basis("odd", 1, 1), "even": basis("even", 2, 1)}
+
+    def collapsing(m, s, s_inv=None):
+        for src in sources.values():
+            if m is src.generators[1].matrix:
+                m = src.generators[0].matrix
+        return real(m, s, s_inv)
+
+    assert all(r.ok for r in _iso_records(2, 1).values())
+    monkeypatch.setattr(suites, "conjugate", collapsing)
+    records = _iso_records(2, 1)
+    for flavor, t in (("odd", 3), ("even", 4)):
+        record = records[f"conjugation-iso-{flavor}"]
+        assert not record.ok
+        assert record.witness in basis("primed", t, 1).tags()
+    assert records["dj-bracket"].ok
 
 
 def test_isomorphism_suite_fails_dj_bracket_on_a_scaled_generator(
