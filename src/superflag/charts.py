@@ -11,6 +11,14 @@ parameter t, which ``fundamental_field`` computes in closed form.
 The isotropic chart is the special first-step chart whose column span is
 isotropic for the orthosymplectic form; its dependent coordinates are
 solved once from the isotropy relations and substituted everywhere.
+
+Every chart is assembled in one place, ``_assemble``, from a table of
+steps: the identity rows of each step and its free slots
+``(name, row, col, parity, dependent)`` in display order.  A plain chart
+reads its slots off the index sets (``_steps``); the isotropic chart
+takes its first step from the five-block table ``_first_step`` and any
+trailing steps from ``_steps``.  The ring, the coordinate order and the
+slot map are all read from the same table.
 """
 
 from __future__ import annotations
@@ -199,58 +207,60 @@ class Chart:
 
 
 def _step_slots(ft, s, fixed, step_label):
-    """Variable names and slots of one coordinate matrix, in display order."""
+    """The free slots of one coordinate matrix in display order, each a
+    ``(name, row, col, parity, dependent)`` tuple with 0-based row and
+    column; no slot of a plain chart is dependent."""
     ke, le = ft.k[s - 1], ft.l[s - 1]
     kc, lc = ft.k[s], ft.l[s]
-    evens, odds, placed = [], [], []
+    slots = []
     for i in range(ke):
         if i in fixed:
             continue
-        for j in range(kc):
-            name = f"x{step_label}_{i + 1}_{j + 1}"
-            evens.append(name)
-            placed.append((name, i, j))
-        for j in range(lc):
-            name = f"xi{step_label}_{i + 1}_{j + 1}"
-            odds.append(name)
-            placed.append((name, i, kc + j))
+        slots += [(f"x{step_label}_{i + 1}_{j + 1}", i, j, 0, False)
+                  for j in range(kc)]
+        slots += [(f"xi{step_label}_{i + 1}_{j + 1}", i, kc + j, 1, False)
+                  for j in range(lc)]
     for a in range(le):
         if ke + a in fixed:
             continue
-        for j in range(kc):
-            name = f"eta{step_label}_{a + 1}_{j + 1}"
-            odds.append(name)
-            placed.append((name, ke + a, j))
-        for j in range(lc):
-            name = f"y{step_label}_{a + 1}_{j + 1}"
-            evens.append(name)
-            placed.append((name, ke + a, kc + j))
-    return evens, odds, placed
+        slots += [(f"eta{step_label}_{a + 1}_{j + 1}", ke + a, j, 1, False)
+                  for j in range(kc)]
+        slots += [(f"y{step_label}_{a + 1}_{j + 1}", ke + a, kc + j, 0, False)
+                  for j in range(lc)]
+    return slots
 
 
-def build_chart(ft, index_sets=None, step_offset=0):
-    """Coordinate matrices with identity rows placed and fresh variables
-    elsewhere.  ``step_offset`` shifts the step number used in variable
-    names (for charts embedded as the tail of a longer flag)."""
-    if index_sets is None:
-        index_sets = default_index_sets(ft)
-    index_sets = _check_index_sets(ft, index_sets)
+def _steps(ft, index_sets, label_offset=0):
+    """``(identity rows, free slots)`` of every step of a plain chart;
+    variable names carry the step number plus ``label_offset``."""
     steps = []
-    even_names, odd_names = [], []
     for s in range(1, ft.r + 1):
         fixed = _identity_rows(ft, s, *index_sets[s - 1])
-        evens, odds, placed = _step_slots(ft, s, fixed, s + step_offset)
-        even_names.extend(evens)
-        odd_names.extend(odds)
-        steps.append((fixed, placed))
-    ctx = RingContext()
-    ctx.evens(*even_names)
-    ctx.odds(*odd_names)
+        steps.append((fixed, _step_slots(ft, s, fixed, s + label_offset)))
+    return steps
+
+
+def _ring(slots, base=None):
+    """``base`` (default: an empty ring) extended by the names of
+    ``slots``, the even names first, each parity in slot order."""
+    base = RingContext() if base is None else base
+    return base.extended(even=[name for name, _, _, p, _ in slots if not p],
+                         odd=[name for name, _, _, p, _ in slots if p])
+
+
+def _assemble(ft, index_sets, steps, ctx, solution=None):
+    """The chart over ``ctx`` whose step s has the identity rows and free
+    slots of ``steps[s - 1]``.  A free slot named in ``solution`` holds its
+    solution value demoted to ``ctx`` and is not a coordinate; every other
+    one holds its own variable."""
+    solution = solution or {}
     matrices, slots, order = [], {}, []
-    for s in range(1, ft.r + 1):
-        fixed, placed = steps[s - 1]
+    for s, (fixed, free) in enumerate(steps, 1):
         entries = {(i, j): ONE for i, j in fixed.items()}
-        for name, i, j in placed:
+        for name, i, j, _, _ in free:
+            if name in solution:
+                entries[(i, j)] = ctx.demote(solution[name])
+                continue
             entries[(i, j)] = ctx.var(name)
             slots[name] = (s, i, j)
             order.append(name)
@@ -262,6 +272,17 @@ def build_chart(ft, index_sets=None, step_offset=0):
             )
         )
     return Chart(ft, index_sets, ctx, tuple(matrices), slots, tuple(order))
+
+
+def build_chart(ft, index_sets=None):
+    """Coordinate matrices with identity rows placed and fresh variables
+    elsewhere, assembled from the free slots of every step."""
+    if index_sets is None:
+        index_sets = default_index_sets(ft)
+    index_sets = _check_index_sets(ft, index_sets)
+    steps = _steps(ft, index_sets)
+    return _assemble(ft, index_sets, steps,
+                     _ring([slot for _, free in steps for slot in free]))
 
 
 def chart_variable_count(ft):
@@ -495,12 +516,12 @@ def fundamental_bracket_sign(parity_x, parity_y):
 class IsotropicChart:
     """The five-block chart with its isotropy relations resolved.
 
-    ``formal`` carries the layout with every non-identity slot a variable;
-    its ring extends the chart's ring by the dependent names.  ``chart`` is
-    derived from ``formal``: each dependent slot takes its ``solution``
-    value and every entry is demoted to the smaller ring, so the chart is
-    the formal chart resolved by the solution by construction.  The block
-    relations are
+    ``formal`` and ``chart`` are assembled from the same slot table.  In
+    ``formal`` every non-identity slot is a variable, and its ring extends
+    the chart's ring by the dependent names; in ``chart`` each dependent
+    slot holds its ``solution`` value instead, so the chart is the formal
+    chart resolved by the solution by construction.  The block relations
+    are
 
         Z1 + Z1^T + X1^T X1 = 0
         Zeta1^T + Xi1^T X1 + Eta1 = 0
@@ -536,44 +557,42 @@ class IsotropicChart:
         ]
 
 
-def _isotropic_name_lists(k1, l1):
-    """Independent first-step names: evens, odds and the field display order."""
+def _first_step(k1, l1):
+    """The free slots of the five-block first matrix in display order, each
+    a ``(name, row, col, parity, dependent)`` tuple.
+
+    With s = k1 - 1 the rows are Z1|Zeta1 (s rows), the even identity,
+    X1|Xi1 (one row), Eta1|Y1 (l1 rows) and the odd identity; the columns
+    are s even and l1 odd.  The dependent slots are the upper-with-diagonal
+    triangle of Z1, the upper triangle of Y1 and all of Zeta1; leaving
+    them out gives the chart's coordinates in display order.
+    """
     s = k1 - 1
-    xs = [f"x1_{j}" for j in range(1, s + 1)]
-    xis = [f"xi1_{a}" for a in range(1, l1 + 1)]
-    etas = [f"eta1_{a}_{b}" for a in range(1, l1 + 1) for b in range(1, s + 1)]
-    ys = [f"y1_{i}_{j}" for i in range(1, l1 + 1) for j in range(1, i + 1)]
-    zs = [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(1, i)]
-    return xs + ys + zs, xis + etas, xs + xis + etas + ys + zs
+    slots = [(f"x1_{j}", 2 * s, j - 1, 0, False) for j in range(1, s + 1)]
+    slots += [(f"xi1_{a}", 2 * s, s + a - 1, 1, False)
+              for a in range(1, l1 + 1)]
+    slots += [(f"eta1_{a}_{b}", 2 * s + a, b - 1, 1, False)
+              for a in range(1, l1 + 1) for b in range(1, s + 1)]
+    slots += [(f"y1_{a}_{b}", 2 * s + a, s + b - 1, 0, b > a)
+              for a in range(1, l1 + 1) for b in range(1, l1 + 1)]
+    slots += [(f"z1_{i}_{j}", i - 1, j - 1, 0, j >= i)
+              for i in range(1, s + 1) for j in range(1, s + 1)]
+    slots += [(f"zeta1_{i}_{a}", i - 1, s + a - 1, 1, True)
+              for i in range(1, s + 1) for a in range(1, l1 + 1)]
+    return slots
 
 
-def _first_step_rows(k1, l1):
-    s = k1 - 1
-    return BlockShape(2 * k1 - 1, 2 * l1, (s, s, 1), (l1, l1))
-
-
-def _tail_matrices(tail, ctx):
-    """The coordinate matrices of the trailing steps, rebuilt over ``ctx``."""
-    mats = []
-    for s, m in enumerate(tail.matrices, 1):
-        fixed = _identity_rows(tail.ft, s, *tail.index_sets[s - 1])
-        entries = {(i, j): ONE for i, j in fixed.items()}
-        for name, (ps, i, j) in tail.slots.items():
-            if ps == s:
-                entries[(i, j)] = ctx.var(name)
-        mats.append(SuperMatrix.build(m.rows, m.cols, entries, ctx=ctx,
-                                      parity=0))
-    return mats
-
-
-def isotropic_chart(k1, l1, tail=None, tail_index_sets=None):
+def isotropic_chart(k1, l1, tail=None):
     """The maximal-type chart with first matrix in the five-block layout.
 
     The first flag step is (2k1-1, k1-1 | 2l1, l1); ``tail`` optionally
     appends further steps as a pair of tuples, completing the chart on the
-    total space.  The chart is the formal chart with its dependent
-    first-step coordinates replaced by their solutions from the isotropy
-    relations; see :class:`IsotropicChart`.
+    total space with plain steps at their default index sets.  The first
+    step's slots come from ``_first_step`` and the tail's from the plain
+    chart's step builder; one assembler builds the formal chart from them
+    and, with the dependent first-step coordinates replaced by their
+    solutions from the isotropy relations, the chart; see
+    :class:`IsotropicChart`.
     """
     if k1 < 1 or l1 < 1:
         raise FlagTypeError("the isotropic chart needs k1 >= 1 and l1 >= 1")
@@ -583,100 +602,23 @@ def isotropic_chart(k1, l1, tail=None, tail_index_sets=None):
         ks.extend(tail[0])
         ls.extend(tail[1])
     ft = validate_flag_type(ks, ls)
-    evens, odds, order = _isotropic_name_lists(k1, l1)
-    tail_chart = None
+    index_sets = ((tuple(range(k1, 2 * k1 - 1)),
+                   tuple(range(l1 + 1, 2 * l1 + 1))),)
+    steps = [(_identity_rows(ft, 1, *index_sets[0]), _first_step(k1, l1))]
     if ft.r > 1:
-        tail_chart = build_chart(FlagType(ft.k[1:], ft.l[1:]),
-                                 tail_index_sets, step_offset=1)
-        evens += tail_chart.ctx.even_names
-        odds += tail_chart.ctx.odd_names
-        order += tail_chart.independent
-    ctx = RingContext()
-    ctx.evens(*evens)
-    ctx.odds(*odds)
-
-    formal = _formal_isotropic_chart(k1, l1, ft, ctx, tail_chart)
-    solution = _dependent_solution(k1, l1, formal.ctx)
-    name_at = {slot: name for name, slot in formal.slots.items()}
-    matrices = []
-    for s, fm in enumerate(formal.matrices, 1):
-        entries = {}
-        for (i, j), v in fm.entries.items():
-            name = name_at.get((s, i, j))
-            entries[(i, j)] = ctx.demote(solution.get(name, v))
-        matrices.append(SuperMatrix.build(fm.rows, fm.cols, entries, ctx=ctx,
-                                          parity=0))
-    slots = {name: slot for name, slot in formal.slots.items()
-             if name not in solution}
-    chart = Chart(ft, formal.index_sets, ctx, tuple(matrices), slots,
-                  tuple(order))
-    return IsotropicChart(k1, l1, ft, chart, formal, solution,
-                          gram_form("odd", k1 - 1, l1))
-
-
-def _formal_isotropic_chart(k1, l1, ft, ctx, tail_chart):
-    """The same layout with every non-identity slot a variable.
-
-    Its ring extends ``ctx`` by the dependent names: the upper triangle of
-    Y1, the upper-with-diagonal triangle of Z1 and all of Zeta1.
-    """
-    s = k1 - 1
-    ctx = ctx.extended(
-        even=[f"y1_{i}_{j}" for i in range(1, l1 + 1)
-              for j in range(i + 1, l1 + 1)]
-        + [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(i, s + 1)],
-        odd=[f"zeta1_{i}_{a}" for i in range(1, s + 1)
-             for a in range(1, l1 + 1)],
+        tail_ft = ft.fiber_type()
+        index_sets += default_index_sets(tail_ft)
+        steps += _steps(tail_ft, index_sets[1:], label_offset=1)
+    free = [slot for _, step_free in steps for slot in step_free]
+    ctx = _ring([slot for slot in free if not slot[4]])     # independent
+    formal_ctx = _ring([slot for slot in free if slot[4]], ctx)
+    solution = _dependent_solution(k1, l1, formal_ctx)
+    return IsotropicChart(
+        k1, l1, ft,
+        _assemble(ft, index_sets, steps, ctx, solution),
+        _assemble(ft, index_sets, steps, formal_ctx),
+        solution, gram_form("odd", k1 - 1, l1),
     )
-    v = ctx.var
-    order = [f"x1_{j}" for j in range(1, s + 1)]
-    order += [f"xi1_{a}" for a in range(1, l1 + 1)]
-    order += [f"eta1_{a}_{b}" for a in range(1, l1 + 1)
-              for b in range(1, s + 1)]
-    order += [f"y1_{i}_{j}" for i in range(1, l1 + 1)
-              for j in range(1, l1 + 1)]
-    order += [f"z1_{i}_{j}" for i in range(1, s + 1) for j in range(1, s + 1)]
-    order += [f"zeta1_{i}_{a}" for i in range(1, s + 1)
-              for a in range(1, l1 + 1)]
-
-    rows = _first_step_rows(k1, l1)
-    cols = BlockShape(s, l1)
-    entries = {}
-    slots = {}
-    for i in range(1, s + 1):
-        for j in range(1, s + 1):
-            entries[(i - 1, j - 1)] = v(f"z1_{i}_{j}")
-            slots[f"z1_{i}_{j}"] = (1, i - 1, j - 1)
-        for a in range(1, l1 + 1):
-            entries[(i - 1, s + a - 1)] = v(f"zeta1_{i}_{a}")
-            slots[f"zeta1_{i}_{a}"] = (1, i - 1, s + a - 1)
-        entries[(s + i - 1, i - 1)] = ONE
-    for j in range(1, s + 1):
-        entries[(2 * s, j - 1)] = v(f"x1_{j}")
-        slots[f"x1_{j}"] = (1, 2 * s, j - 1)
-    for a in range(1, l1 + 1):
-        entries[(2 * s, s + a - 1)] = v(f"xi1_{a}")
-        slots[f"xi1_{a}"] = (1, 2 * s, s + a - 1)
-        for b in range(1, s + 1):
-            entries[(2 * s + a, b - 1)] = v(f"eta1_{a}_{b}")
-            slots[f"eta1_{a}_{b}"] = (1, 2 * s + a, b - 1)
-        for b in range(1, l1 + 1):
-            entries[(2 * s + a, s + b - 1)] = v(f"y1_{a}_{b}")
-            slots[f"y1_{a}_{b}"] = (1, 2 * s + a, s + b - 1)
-        entries[(2 * s + l1 + a, s + a - 1)] = ONE
-    first = SuperMatrix.build(rows, cols, entries, ctx=ctx, parity=0)
-    matrices = [first]
-    index_sets = [
-        (tuple(range(k1, 2 * k1 - 1)), tuple(range(l1 + 1, 2 * l1 + 1)))
-    ]
-    if tail_chart is not None:
-        matrices.extend(_tail_matrices(tail_chart, ctx))
-        index_sets.extend(tail_chart.index_sets)
-        order += tail_chart.independent
-        for name, (ps, i, j) in tail_chart.slots.items():
-            slots[name] = (ps + 1, i, j)
-    return Chart(ft, tuple(index_sets), ctx, tuple(matrices), slots,
-                 tuple(order))
 
 
 def _dependent_solution(k1, l1, ctx):

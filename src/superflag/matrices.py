@@ -76,13 +76,6 @@ class BlockShape:
         return i >= self.even
 
 
-def _product_parity(a, b):
-    """Parity of ``a @ b`` from the factors' parities; None if unknown."""
-    if a.parity in (0, 1) and b.parity in (0, 1):
-        return a.parity ^ b.parity
-    return None
-
-
 def add_matrix_product(acc, a, b, negate):
     """Add the entries of ``a @ b``, or of ``-(a @ b)`` when ``negate``,
     into ``acc``, a map from slot (i, j) to term dict."""
@@ -293,35 +286,23 @@ class SuperMatrix:
         return mat.map_entries(lambda v: s * v)
 
     def __matmul__(self, other):
+        """The product, with every term added into one term dict per entry
+        and each entry built once, so no intermediate matrix or polynomial
+        is made.  The result lives in the larger of the two contexts; its
+        parity is the sum of the factors' parities, or inferred when one
+        of them has none."""
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        return SuperMatrix.sum_of_products([(self, other, False)])
-
-    @staticmethod
-    def sum_of_products(products):
-        """The sum of ``a @ b``, or of ``-(a @ b)`` when ``negate``, over
-        ``(a, b, negate)`` triples of one result shape.
-
-        Every product adds into one term dict per entry and each entry is
-        built once, so no intermediate matrix or polynomial is made.  The
-        result lives in the largest context among the factors; its parity
-        is the products' common parity, or inferred when they disagree.
-        """
-        a, b, _ = products[0]
-        rows, cols, ctx = a.rows, b.cols, a.ctx
-        parity = _product_parity(a, b)
+        if not self.cols.compatible(other.rows):
+            raise ShapeError("inner shapes do not match")
+        parity = None
+        if self.parity in (0, 1) and other.parity in (0, 1):
+            parity = self.parity ^ other.parity
         acc = {}
-        for a, b, negate in products:
-            if not a.cols.compatible(b.rows):
-                raise ShapeError("inner shapes do not match")
-            if not (a.rows.compatible(rows) and b.cols.compatible(cols)):
-                raise ShapeError("shape mismatch")
-            if a.ctx is not ctx or b.ctx is not ctx:
-                ctx = common_context(common_context(ctx, a.ctx), b.ctx)
-            if parity is not None and parity != _product_parity(a, b):
-                parity = None
-            add_matrix_product(acc, a, b, negate)
-        return SuperMatrix.from_terms(rows, cols, ctx, parity, acc)
+        add_matrix_product(acc, self, other, False)
+        return SuperMatrix.from_terms(
+            self.rows, other.cols, common_context(self.ctx, other.ctx),
+            parity, acc)
 
     @classmethod
     def from_terms(cls, rows, cols, ctx, parity, acc):

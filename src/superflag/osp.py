@@ -619,10 +619,8 @@ def basis_change_S(flavor, k1, l1):
     return SuperMatrix.build(shape, shape, entries)
 
 
-def conjugate(m, s, s_inv=None):
+def conjugate(m, s, s_inv):
     """S^{-1} M S; maps members of osp(Gram) to members of osp(primed Gram)."""
-    if s_inv is None:
-        s_inv = s.invert()
     return s_inv @ m @ s
 
 

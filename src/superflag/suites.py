@@ -179,13 +179,15 @@ def suite_osp_defining(m, n):
 
 
 @_timed
-def suite_lemma_fields(k1, l1, tail=None, tail_index_sets=None):
+def suite_lemma_fields(k1, l1, tail=None):
     """The closed-form h_i and eta coordinate fields are fundamental."""
     rep = SuiteReport(f"lemma-fields(k1={k1},l1={l1}"
                       + (f",tail={tail}" if tail else "") + ")")
-    iso = isotropic_chart(k1, l1, tail=tail, tail_index_sets=tail_index_sets)
+    iso = isotropic_chart(k1, l1, tail=tail)
+    h_fields = []
     for i in range(1, l1 + 1):
         got = fundamental_field(lemma_h_generator(iso, i), iso.chart)
+        h_fields.append(got)
         want = lemma_h_field(iso, i)
         rep.add(f"h-field-{i}",
                 f"one-parameter family of the h_{i} generator induces the"
@@ -204,13 +206,9 @@ def suite_lemma_fields(k1, l1, tail=None, tail_index_sets=None):
                     got == want and single,
                     got.render())
     if tail:
-        clean = True
-        for i in range(1, l1 + 1):
-            v = fundamental_field(lemma_h_generator(iso, i), iso.chart)
-            for name in iso.chart.independent:
-                if iso.chart.slot_of(name)[0] > 1 and \
-                        not v.coefficient(name).is_zero():
-                    clean = False
+        clean = all(v.coefficient(name).is_zero()
+                    for v in h_fields for name in iso.chart.independent
+                    if iso.chart.slot_of(name)[0] > 1)
         rep.add("tail-invariance",
                 "the h fields do not move the trailing flag steps", clean)
     return rep
@@ -251,10 +249,13 @@ def suite_isomorphism(k1, l1):
         bijective = images.rank == len(primed) == len(src)
         inverse = s @ s_inv == SuperMatrix.identity(s.rows)
         ok = not fwd and bijective and inverse
+        # both bases use the same tag names, so each group names its basis
+        witness = "; ".join(f"{name}: {', '.join(tags)}" for name, tags
+                            in (("source", fwd), ("primed", back)) if tags)
         rep.add(f"conjugation-iso-{flavor}",
                 "conjugation by S maps the algebra onto the primed algebra"
                 " bijectively",
-                ok, ", ".join(fwd + back) or
+                ok, witness or
                 (f"{len(src)} generators both ways" if ok else
                  f"rank {images.rank} from {len(src)} generators onto"
                  f" {len(primed)}, S S^-1 {'=' if inverse else '!='} E"))

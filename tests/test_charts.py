@@ -1,5 +1,6 @@
 """Charts, the supergroup action, fundamental fields, the isotropic chart."""
 
+import hashlib
 import random
 
 import pytest
@@ -480,3 +481,68 @@ def test_isotropic_chart_size_validation():
         isotropic_chart(0, 1)
     with pytest.raises(FlagTypeError):
         isotropic_chart(1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Pinned chart internals
+# ---------------------------------------------------------------------------
+
+
+def _chart_tails(k1, l1):
+    """The last valid one-step and two-step tails of the size, where the
+    size has them."""
+    def valid(tail):
+        try:
+            validate_flag_type((2 * k1 - 1, k1 - 1) + tail[0],
+                               (2 * l1, l1) + tail[1])
+        except FlagTypeError:
+            return False
+        return True
+
+    ones = [((a,), (b,)) for a in range(k1) for b in range(l1 + 1)]
+    twos = [((a, c), (b, d)) for (a,), (b,) in ones
+            for c in range(a + 1) for d in range(b + 1)]
+    tails = []
+    for candidates in (ones, twos):
+        tails += [t for t in candidates if valid(t)][-1:]
+    return tails
+
+
+def _chart_record(label, chart):
+    ctx = chart.ctx
+    lines = [label, "|".join(ctx.even_names), "|".join(ctx.odd_names),
+             "|".join(chart.independent), repr(sorted(chart.slots.items())),
+             repr(chart.index_sets)]
+    lines += [m.render() for m in chart.matrices]
+    return "\n".join(lines) + "\n"
+
+
+#: Charts built through the multi-step path, one with its own index sets.
+DIGEST_BUILT = [
+    (((3, 2, 1), (2, 1, 0)), None),
+    (((2, 2, 1), (2, 1, 0)), None),
+    (((3, 1, 1), (2, 2, 1)), [((1,), (2, 1)), ((1,), (2,))]),
+]
+
+#: sha256 over ring names, independent coordinates, sorted slots, index sets
+#: and rendered matrices of the isotropic ``chart`` and ``formal`` at
+#: (1..4) x (1..3), with no tail and with the tails of ``_chart_tails``, and
+#: of the ``DIGEST_BUILT`` charts; taken before the chart builders were
+#: merged into one assembler.
+PINNED_CHARTS = ("a0a8a90eafddaaeff7a602d0d3436be9"
+                 "f6f0ec61cbacd92f7a80b43c73fa0702")
+
+
+def test_chart_internals_match_pinned_digest():
+    h = hashlib.sha256()
+    for k1 in range(1, 5):
+        for l1 in range(1, 4):
+            for tail in [None] + _chart_tails(k1, l1):
+                iso = isotropic_chart(k1, l1, tail=tail)
+                label = f"{k1},{l1},{tail}"
+                h.update(_chart_record(label, iso.chart).encode())
+                h.update(_chart_record(label, iso.formal).encode())
+    for (k, l), index_sets in DIGEST_BUILT:
+        chart = build_chart(validate_flag_type(k, l), index_sets)
+        h.update(_chart_record(f"{k},{l}", chart).encode())
+    assert h.hexdigest() == PINNED_CHARTS

@@ -649,7 +649,11 @@ def test_isomorphism_suite_fails_on_a_scaled_entry_of_S(monkeypatch):
     records = _iso_records(2, 1)
     for flavor in ("odd", "even"):
         assert not records[f"gram-transform-{flavor}"].ok
-        assert not records[f"conjugation-iso-{flavor}"].ok
+        record = records[f"conjugation-iso-{flavor}"]
+        assert not record.ok
+        # source and primed tags share names; each group names its basis
+        assert record.witness.startswith("source: ")
+        assert "; primed: " in record.witness
 
 
 def test_isomorphism_suite_fails_when_two_generators_share_an_image(
@@ -672,7 +676,8 @@ def test_isomorphism_suite_fails_when_two_generators_share_an_image(
     for flavor, t in (("odd", 3), ("even", 4)):
         record = records[f"conjugation-iso-{flavor}"]
         assert not record.ok
-        assert record.witness in basis("primed", t, 1).tags()
+        label, _, tag = record.witness.partition(": ")
+        assert label == "primed" and tag in basis("primed", t, 1).tags()
     assert records["dj-bracket"].ok
 
 
