@@ -376,7 +376,10 @@ class VectorField:
 
     def bracket(self, other):
         """Super-commutator [V, W] = V W - (-1)^{|V||W|} W V, again a field
-        on the same ring."""
+        on the same ring.  Both fields must be parity-homogeneous."""
+        if self.parity not in (0, 1) or other.parity not in (0, 1):
+            raise ValueError("bracket needs parity-homogeneous fields; a sum"
+                             " of an even and an odd field has no parity")
         ctx = common_context(self.ctx, other.ctx)
         negate = not (self.parity and other.parity)
         names = tuple(dict.fromkeys((*self.order, *other.order)))
@@ -422,7 +425,9 @@ class VectorField:
         return all(self.coefficient(n) == other.coefficient(n) for n in names)
 
     def __hash__(self):
-        return hash(self.parity)
+        # Equality ignores the parity, the order and the zero coefficients.
+        return hash(frozenset((n, c) for n, c in self.coefficients.items()
+                              if not c.is_zero()))
 
     def render(self):
         parts = []

@@ -155,16 +155,21 @@ class SuperMatrix:
         return int(self.rows.is_odd_index(i)) ^ int(self.cols.is_odd_index(j))
 
     def _infer_parity(self):
-        bits = set()
+        """The matrix parity read in one pass over the entries' monomials:
+        each term contributes its slot parity xor its odd degree, and every
+        contribution must agree.  None for a non-homogeneous entry or
+        matrix, 0 for the zero matrix."""
+        p, q = self.rows.even, self.cols.even
+        bit = None
         for (i, j), v in self.entries.items():
-            if not v.is_homogeneous():
-                return None
-            bits.add(v.parity() ^ self._slot_parity(i, j))
-            if len(bits) > 1:
-                return None
-        if not bits:
-            return 0
-        return bits.pop()
+            slot = (i >= p) ^ (j >= q)
+            for _, ok in v.terms:
+                b = slot ^ (len(ok) & 1)
+                if bit is None:
+                    bit = b
+                elif b != bit:
+                    return None
+        return 0 if bit is None else bit
 
     def _resolve_parity(self, parity):
         inferred = self._infer_parity()

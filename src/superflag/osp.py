@@ -38,7 +38,9 @@ negates.  When that slot is (r, c) itself there is no second entry.
 The same permutation gives the membership residual M^ST G + G M without a
 product: entry M[r, c] adds g_x M[r, c] at (x, c), x = pi^-1(r), through
 G M, and sigma g_r M[r, c] at its partner slot (c, pi(r)) through M^ST G.
-``GramForm.partner`` holds the sigma rule for both uses.
+``GramForm.partner`` holds the sigma rule for both uses.  ``is_member``
+reads that residual as term dicts and builds no matrix;
+``membership_residual`` builds it from the same dicts.
 """
 
 from __future__ import annotations
@@ -237,19 +239,29 @@ def gram_form(flavor, a, b):
 
 
 def is_member(m, gram):
-    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M)
-    through ``membership_residual``."""
-    return membership_residual(m, gram).is_zero()
+    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M):
+    the residual's term dicts (``_residual_terms``) must all be empty, and
+    no matrix is built."""
+    return not any(_residual_terms(m, gram).values())
 
 
 def membership_residual(m, gram):
-    """M^ST G + G M, read off the Gram's signed permutation (see the module
-    doc): each entry of M lands at two slots with a sign, so the work is
-    O(nnz M), with no supertranspose and no matrix product.
+    """M^ST G + G M as a matrix, from the same term dicts as
+    ``is_member``.
 
     Raises ParityError, as the supertranspose would, when M is not
     parity-homogeneous.
     """
+    return SuperMatrix.from_terms(gram.shape, gram.shape, m.ctx, m.parity,
+                                  _residual_terms(m, gram))
+
+
+def _residual_terms(m, gram):
+    """M^ST G + G M as ``{slot: term dict}``, read off the Gram's signed
+    permutation (see the module doc): each entry of M lands at two slots
+    with a sign, so the work is O(nnz M), with no supertranspose and no
+    matrix product.  A slot whose contributions cancel holds an empty
+    dict."""
     shape = gram.shape
     if not (m.rows.compatible(shape) and m.cols.compatible(shape)):
         raise ValueError("matrix shape does not match the gram form")
@@ -264,7 +276,7 @@ def membership_residual(m, gram):
             if terms is None:
                 terms = acc[out] = {}
             add_terms(terms, v.terms, s < 0)
-    return SuperMatrix.from_terms(shape, shape, m.ctx, m.parity, acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +387,8 @@ def basis(flavor, a, b):
     suite's odd, even and two primed ones); an unbounded cache would keep
     every basis a long-running process ever built.  Callers share the
     result, so its ``generators`` is a tuple and nothing mutates a matrix.
+    Each matrix is built with its spec's parity, which ``build`` checks
+    against the entries, and then asserted a member.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -387,7 +401,7 @@ def basis(flavor, a, b):
     specs.sort(key=_tag_sort_key)
     gens = []
     for tag, parity, entries, primary in specs:
-        mat = SuperMatrix.build(shape, shape, entries)
+        mat = SuperMatrix.build(shape, shape, entries, parity=parity)
         if gram is not None and not is_member(mat, gram):
             raise AssertionError(f"generator {tag} fails the defining equation")
         gens.append(Generator(tag, parity, mat, primary))
@@ -629,6 +643,10 @@ def embed_j(x):
 
     The result lies in primed osp(2k1|2l1); on the supergroup the map is
     X -> diag(1, X), on the superalgebra the new row and column are zero.
+
+    Once X passes the source membership test its entries shift by (1, 1)
+    as they are: the new index is even and comes first, so every slot
+    keeps its parity and the image keeps the parity of X.
     """
     t, q = x.rows.even, x.rows.odd
     if t % 2 == 0 or not x.is_square():
@@ -638,9 +656,9 @@ def embed_j(x):
     if not is_member(x, source):
         raise ValueError("matrix is not in the source algebra")
     target_shape = _shape("primed", t + 1, l1)
-    entries = {(i + 1, j + 1): v for (i, j), v in x.entries.items()}
-    return SuperMatrix.build(target_shape, target_shape, entries,
-                             ctx=x.ctx, parity=x.parity)
+    return SuperMatrix._new(target_shape, target_shape, x.ctx, x.parity,
+                            {(i + 1, j + 1): v
+                             for (i, j), v in x.entries.items()})
 
 
 def bordered_basis(generators):

@@ -243,6 +243,48 @@ def test_vector_field_bracket_closes_on_coordinates():
     assert br.coefficient("v") == ctx.var("v")
 
 
+def test_equal_vector_fields_hash_equal():
+    """Equality reads only the coefficients, so the hash must ignore the
+    parity, the order and the zero coefficients too."""
+    ctx = RingContext()
+    u, = ctx.evens("u")
+    th, = ctx.odds("th")
+    zero_even = VectorField(ctx, 0, {}, ())
+    zero_odd = VectorField(ctx, 1, {"u": ctx.zero}, ("u",))
+    even = VectorField(ctx, 0, {"u": u, "th": th}, ("u", "th"))
+    odd = VectorField(ctx, 1, {"th": ctx.zero, "u": th}, ("th", "u"))
+    mixed = even + odd
+    assert mixed.parity is None
+    pairs = [
+        (zero_even, zero_odd),
+        (even + zero_odd, even),
+        (mixed - odd, even),
+        (VectorField(ctx, 0, {"th": th, "u": u}, ("th", "u")), even),
+        (VectorField(ctx, 0, {"u": ctx.one}, ("u",)),
+         VectorField(ctx.extended(even=("w",)), 0,
+                     {"u": ctx.extended(even=("w",)).one}, ("u",))),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+    assert (mixed - odd).parity is None
+    assert len({zero_even, zero_odd, even, even + zero_odd, mixed - odd,
+                odd, mixed}) == 4
+
+
+def test_bracket_of_a_mixed_parity_field_is_a_value_error():
+    ctx = RingContext()
+    u, = ctx.evens("u")
+    th, = ctx.odds("th")
+    even = VectorField(ctx, 0, {"u": u}, ("u",))
+    odd = VectorField(ctx, 1, {"u": th}, ("u",))
+    mixed = even + odd
+    for a, b in ((mixed, even), (odd, mixed), (mixed, mixed)):
+        with pytest.raises(ValueError, match="parity-homogeneous"):
+            a.bracket(b)
+    assert even.bracket(odd).parity == 1
+
+
 # ---------------------------------------------------------------------------
 # The isotropic chart
 # ---------------------------------------------------------------------------

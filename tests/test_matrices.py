@@ -14,7 +14,13 @@ from superflag.matrices import (
     SuperMatrix,
     parse_numeric_matrix,
 )
-from superflag.osp import basis, gram_form, is_member, membership_residual
+from superflag.osp import (
+    basis,
+    embed_j,
+    gram_form,
+    is_member,
+    membership_residual,
+)
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
@@ -299,27 +305,41 @@ def _random_grassmann(rng, shape, parity):
 
 def test_membership_residual_matches_separate_products():
     """The residual read off the Gram's signed permutation equals
-    M^ST G + G M from matrix products, for the odd and even flavors and
-    for primed forms with odd and even t, on generators, on generators
-    times an odd variable and on Grassmann-entry matrices."""
+    M^ST G + G M from matrix products, and is_member agrees with its
+    is_zero(), for the odd and even flavors and for primed forms with odd
+    and even t: on generators, on generators times an odd variable, on
+    generators with their forced entry scaled (non-members), on bordered
+    images of primed generators and on Grassmann-entry matrices."""
     rng = random.Random(53)
     th = _grassmann_matrices()[1].ctx.var("xi1_1")
-    for flavor, a, b in (("odd", 2, 2), ("even", 2, 2), ("primed", 5, 2),
+    for flavor, a, b in (("odd", 1, 1), ("odd", 2, 2), ("even", 1, 1),
+                         ("even", 2, 2), ("primed", 2, 1), ("primed", 5, 2),
                          ("primed", 4, 2), ("primed", 3, 1)):
         gram = gram_form(flavor, a, b)
-        gens = [g.matrix for g in basis(flavor, a, b)]
+        bas = basis(flavor, a, b)
+        gens = [g.matrix for g in bas]
         noise = [_random_grassmann(rng, gram.shape, p) for p in (0, 1, 0, 1)]
-        cases = gens + [m * th for m in gens[::3]] + noise
+        scaled = [SuperMatrix.build(
+            g.matrix.rows, g.matrix.cols,
+            {s: v if s == g.primary else v * 2
+             for s, v in g.matrix.entries.items()}, parity=g.parity)
+            for g in bas if len(g.matrix.entries) > 1]
+        cases = [(m, gram) for m in
+                 gens + [m * th for m in gens[::3]] + noise + scaled]
         if gram.shape.compatible(_grassmann_matrices()[0].rows):
-            cases += _grassmann_matrices()
-        for m in cases:
-            g = gram.matrix.lift(m.ctx)
+            cases += [(m, gram) for m in _grassmann_matrices()]
+        if flavor == "primed" and a % 2:
+            target = gram_form(flavor, a + 1, b)
+            cases += [(embed_j(m), target) for m in gens]
+        for m, form in cases:
+            g = form.matrix.lift(m.ctx)
             want = m.supertranspose() @ g + g @ m
-            got = membership_residual(m, gram)
+            got = membership_residual(m, form)
             assert got == want and got.parity == want.parity, flavor
             assert got.ctx is m.ctx
-            assert is_member(m, gram) == want.is_zero()
+            assert is_member(m, form) == want.is_zero()
         assert all(is_member(m, gram) for m in gens)
+        assert scaled and not any(is_member(m, gram) for m in scaled)
         assert not any(is_member(m, gram) for m in noise)
     assert not is_member(_grassmann_matrices()[0], gram_form("odd", 2, 2))
 
@@ -351,3 +371,74 @@ def test_cancelling_products_store_no_zero_entry():
     assert theta.parity == 1
     square = theta @ theta
     assert square.entries == {} and square.parity == 0
+
+
+def _set_based_parity(mat):
+    """The entry-by-entry parity rule: every entry homogeneous, and one
+    common value of entry parity xor slot parity; 0 for no entries."""
+    bits = set()
+    for (i, j), v in mat.entries.items():
+        if not v.is_homogeneous():
+            return None
+        slot = int(mat.rows.is_odd_index(i)) ^ int(mat.cols.is_odd_index(j))
+        bits.add(v.parity() ^ slot)
+        if len(bits) > 1:
+            return None
+    return bits.pop() if bits else 0
+
+
+def test_infer_parity_matches_the_set_based_rule():
+    """The one-pass parity agrees with the set-based rule on homogeneous
+    matrices, on matrices mixing even and odd slots and on matrices with
+    non-homogeneous entries (an odd variable plus a scalar)."""
+    rng = random.Random(71)
+    ctx = RingContext()
+    x, = ctx.evens("x")
+    th1, th2, th3 = ctx.odds("th1", "th2", "th3")
+    even_pool = [ctx.one, -x, x * x + 2, th1 * th2, th1 * th2 * x + th2 * th3]
+    odd_pool = [th1, th2 * -3, th1 + th2 * x, th1 * th2 * th3]
+    mixed_pool = [th1 + 1, th1 * th2 + th3, x + th2]
+    seen = set()
+    for rows, cols in ((BlockShape(2, 2), BlockShape(2, 2)),
+                       (BlockShape(1, 2), BlockShape(3, 1)),
+                       (BlockShape(0, 2), BlockShape(2, 0))):
+        for _ in range(150):
+            entries = {}
+            for i in range(rows.total):
+                for j in range(cols.total):
+                    r = rng.random()
+                    if r < 0.45:
+                        continue
+                    pool = even_pool if r < 0.7 else odd_pool if r < 0.95 \
+                        else mixed_pool
+                    entries[(i, j)] = rng.choice(pool)
+            mat = SuperMatrix._new(rows, cols, ctx, None, entries)
+            want = _set_based_parity(mat)
+            assert mat._infer_parity() == want, mat.render()
+            seen.add(want)
+    assert seen == {0, 1, None}
+    for rows in (BlockShape(2, 1), BlockShape(0, 3)):
+        assert SuperMatrix._new(rows, rows, ctx, None, {})._infer_parity() \
+            == 0
+    for p in (0, 1):
+        m = rand_numeric(rng, BlockShape(2, 2), BlockShape(1, 2), p)
+        assert m._infer_parity() == _set_based_parity(m) == p
+
+
+def test_build_with_a_declared_parity_still_checks_the_entries():
+    sh = BlockShape(1, 1)
+    ctx = RingContext()
+    th, = ctx.odds("th")
+    with pytest.raises(ParityError, match="contradicts"):
+        SuperMatrix.build(sh, sh, {(0, 0): ONE}, parity=1)
+    with pytest.raises(ParityError, match="contradicts"):
+        SuperMatrix.build(sh, sh, {(0, 1): ONE}, parity=0)
+    with pytest.raises(ParityError, match="contradicts"):
+        SuperMatrix.build(sh, sh, {(0, 0): th}, ctx=ctx, parity=0)
+    with pytest.raises(ParityError, match="not parity-homogeneous"):
+        SuperMatrix.build(sh, sh, {(0, 0): ONE, (0, 1): ONE}, parity=0)
+    with pytest.raises(ParityError, match="not parity-homogeneous"):
+        SuperMatrix.build(sh, sh, {(0, 0): th + 1}, ctx=ctx, parity=1)
+    assert SuperMatrix.build(sh, sh, {(0, 1): th}, ctx=ctx, parity=0).parity \
+        == 0
+    assert SuperMatrix.build(sh, sh, {}, parity=1).parity == 1

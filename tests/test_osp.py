@@ -8,7 +8,7 @@ import pytest
 
 from superflag import osp, suites
 from superflag.linalg import RankTracker
-from superflag.matrices import BlockShape, SuperMatrix
+from superflag.matrices import BlockShape, ParityError, SuperMatrix
 from superflag.osp import (
     Generator,
     NotInSpanError,
@@ -783,3 +783,114 @@ def test_flavor_validation():
         basis("nosuch", 1, 1)
     with pytest.raises(ValueError):
         parabolic_basis("p2", 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the generator-building rules: bordering and basis
+# ---------------------------------------------------------------------------
+
+
+def _member_by_products(m, gram):
+    """M^ST G + G M = 0 from a supertranspose and two matrix products,
+    sharing no code with the Gram-permutation residual."""
+    g = gram.matrix.lift(m.ctx)
+    return (m.supertranspose() @ g + g @ m).is_zero()
+
+
+def _scaled_forced_entry(mat, primary, factor):
+    """``mat`` with every entry off the primary slot multiplied by
+    ``factor``, declared with the same parity."""
+    return SuperMatrix.build(
+        mat.rows, mat.cols,
+        {slot: v if slot == primary else v * factor
+         for slot, v in mat.entries.items()},
+        ctx=mat.ctx, parity=mat.parity)
+
+
+@pytest.mark.parametrize("k1,l1", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_embed_j_matches_a_built_bordered_matrix(k1, l1):
+    """embed_j(x) equals the matrix that build makes from the entries
+    shifted by (1, 1), and has the parity of x and of that matrix."""
+    src = basis("primed", 2 * k1 - 1, l1)
+    target = gram_form("primed", 2 * k1, l1).shape
+    ctx = RingContext()
+    th, = ctx.odds("th")
+    sources = [g.matrix for g in src]
+    sources += [g.matrix + h.matrix
+                for g, h in zip(src.generators, src.generators[1:])
+                if g.parity == h.parity]
+    sources += [g.matrix * th for g in src]
+    sources += [_scaled_forced_entry(g.matrix, g.primary, 2) for g in src
+                if len(g.matrix.entries) > 1]
+    rejected = 0
+    for x in sources:
+        if not _member_by_products(x, src.gram):
+            with pytest.raises(ValueError, match="not in the source"):
+                embed_j(x)
+            rejected += 1
+            continue
+        want = SuperMatrix.build(
+            target, target,
+            {(i + 1, j + 1): v for (i, j), v in x.entries.items()},
+            ctx=x.ctx)
+        got = embed_j(x)
+        assert got == want and got.ctx is x.ctx
+        assert got.parity == want.parity == x.parity
+        assert got.rows == target and got.cols == target
+    assert 0 < rejected < len(sources)
+
+
+def _mutated_specs(monkeypatch, mutate):
+    """Make basis build from ``mutate(specs)`` instead of the family specs.
+    A basis call that raises caches nothing."""
+    real = osp._family_specs
+    monkeypatch.setattr(osp, "_family_specs",
+                        lambda layout, gram: mutate(real(layout, gram)))
+
+
+@pytest.fixture()
+def fresh_basis_cache():
+    """No cached basis on the way in, none built from a mutation on the
+    way out."""
+    basis.cache_clear()
+    yield
+    basis.cache_clear()
+
+
+@pytest.mark.parametrize("flavor,a,b", [("odd", 1, 1), ("even", 2, 1),
+                                        ("primed", 3, 1), ("primed", 2, 1)])
+def test_basis_rejects_a_wrong_forced_entry_sign(monkeypatch,
+                                                 fresh_basis_cache, flavor,
+                                                 a, b):
+    """Flipping the sign of any one generator's forced entry makes basis
+    fail its membership assertion."""
+    gram = gram_form(flavor, a, b)
+    layout = "primed" if flavor == "primed" else "original"
+    forced = [i for i, spec in enumerate(osp._family_specs(layout, gram))
+              if len(spec[2]) > 1]
+    assert forced
+    for index in forced:
+        def flip(specs, index=index):
+            tag, parity, entries, primary = specs[index]
+            entries = {slot: v if slot == primary else -v
+                       for slot, v in entries.items()}
+            specs[index] = (tag, parity, entries, primary)
+            return specs
+
+        _mutated_specs(monkeypatch, flip)
+        with pytest.raises(AssertionError, match="defining equation"):
+            basis(flavor, a, b)
+
+
+def test_basis_rejects_a_spec_parity_that_contradicts_its_entries(
+        monkeypatch, fresh_basis_cache):
+    """basis hands each spec's parity to build, which checks it against
+    the entries."""
+    def flip(specs):
+        tag, parity, entries, primary = specs[0]
+        specs[0] = (tag, 1 - parity, entries, primary)
+        return specs
+
+    _mutated_specs(monkeypatch, flip)
+    with pytest.raises(ParityError, match="contradicts"):
+        basis("odd", 1, 1)
