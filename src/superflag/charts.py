@@ -30,7 +30,7 @@ from fractions import Fraction
 from .matrices import BlockShape, SuperMatrix, add_matrix_product
 from .osp import basis, gram_form
 from .ring import RingContext, SuperPoly, add_product, common_context
-from .scalars import ONE
+from .scalars import ONE, scaled, signed_sum
 
 
 class FlagTypeError(ValueError):
@@ -430,28 +430,9 @@ class VectorField:
                               if not c.is_zero()))
 
     def render(self):
-        parts = []
-        for name in self.order:
-            c = self.coefficient(name)
-            if c.is_zero():
-                continue
-            d = f"d/d{name}"
-            if c == self.ctx.one:
-                text = d
-            elif c == -self.ctx.one:
-                text = f"-{d}"
-            else:
-                body = c.render()
-                if len(list(c.monomials())) > 1 or " " in body:
-                    body = f"({body})"
-                text = f"{body}*{d}"
-            parts.append(text)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        coefficients = ((name, self.coefficient(name)) for name in self.order)
+        return signed_sum(scaled(c.render(), f"d/d{name}")
+                          for name, c in coefficients if c.terms)
 
     def __str__(self):
         return self.render()

@@ -252,6 +252,8 @@ SUITES = {
     "imp-witness": (suite_imP_witness, ("k1", "l1")),
     "bwb": (suite_bwb, ("k1", "l1")),
 }
+# verify's size flags and the value each takes when left out
+SIZE_DEFAULTS = {"m": 1, "n": 1, "k1": 2, "l1": 1}
 
 
 def cmd_verify(args):
@@ -261,15 +263,20 @@ def cmd_verify(args):
         raise UsageError(f"--max-size must be at least 1, got {args.max_size}")
     else:
         cap = args.max_size
+    fn, params = SUITES[args.suite] if args.suite else (None, ())
+    stray = [f"--{p}" for p in SIZE_DEFAULTS
+             if p not in params and getattr(args, p) is not None]
+    if stray and args.suite:
+        raise UsageError(
+            f"--suite {args.suite} does not take {', '.join(stray)};"
+            f" it takes {' and '.join(f'--{p}' for p in params)}")
+    if stray:
+        raise UsageError(f"size flags need --suite ({', '.join(stray)}"
+                         " given); verify without one runs the default set"
+                         " at fixed sizes")
     if args.suite:
-        fn, params = SUITES[args.suite]
-        values = []
-        for p in params:
-            v = getattr(args, p)
-            if v is None:
-                defaults = {"m": 1, "n": 1, "k1": 2, "l1": 1}
-                v = defaults[p]
-            values.append(v)
+        values = [SIZE_DEFAULTS[p] if getattr(args, p) is None
+                  else getattr(args, p) for p in params]
         if args.suite != "bwb":
             _check_sizes(cap, **dict(zip(params, values)))
         reports = [fn(*values)]

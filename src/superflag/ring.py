@@ -20,7 +20,9 @@ a silent union.
 
 from __future__ import annotations
 
-from .scalars import Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg
+from .scalars import (
+    Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg, scaled, signed_sum,
+)
 
 
 class ContextError(Exception):
@@ -415,36 +417,23 @@ class SuperPoly:
         d/d(eta) (xi*eta) = -xi.
         """
         parity, vid = self.ctx._byname[name]
+        # Taking one factor of the variable out is injective on the
+        # monomials that hold it, so no key repeats and nothing cancels.
         terms = {}
         if parity == 0:
             for (ek, ok), q in self.terms.items():
                 for pos, (v, e) in enumerate(ek):
                     if v == vid:
-                        if e == 1:
-                            new_ek = ek[:pos] + ek[pos + 1:]
-                        else:
-                            new_ek = ek[:pos] + ((v, e - 1),) + ek[pos + 1:]
-                        coeff = q_mul(q, (e, 0, 0, 0, 1))
-                        key = (new_ek, ok)
-                        acc = q_add(terms.get(key, Q_ZERO), coeff)
-                        if acc == Q_ZERO:
-                            terms.pop(key, None)
-                        else:
-                            terms[key] = acc
+                        rest = ((v, e - 1),) if e > 1 else ()
+                        terms[(ek[:pos] + rest + ek[pos + 1:], ok)] = \
+                            q_mul(q, (e, 0, 0, 0, 1))
                         break
         else:
             for (ek, ok), q in self.terms.items():
-                if vid not in ok:
-                    continue
-                pos = ok.index(vid)
-                new_ok = ok[:pos] + ok[pos + 1:]
-                coeff = q if pos % 2 == 0 else q_neg(q)
-                key = (ek, new_ok)
-                acc = q_add(terms.get(key, Q_ZERO), coeff)
-                if acc == Q_ZERO:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = acc
+                if vid in ok:
+                    pos = ok.index(vid)
+                    terms[(ek, ok[:pos] + ok[pos + 1:])] = \
+                        q if pos % 2 == 0 else q_neg(q)
         return SuperPoly._new(self.ctx, terms)
 
     def substitute(self, bindings):
@@ -503,8 +492,6 @@ class SuperPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        if not self.terms:
-            return "0"
         items = sorted(
             self.terms.items(),
             key=lambda kv: (
@@ -512,7 +499,7 @@ class SuperPoly:
                 kv[0],
             ),
         )
-        parts = []
+        summands = []
         for (ek, ok), q in items:
             factors = []
             for vid, e in ek:
@@ -520,35 +507,9 @@ class SuperPoly:
                 factors.append(name if e == 1 else f"{name}^{e}")
             for oid in ok:
                 factors.append(self.ctx._odd[oid])
-            coeff = FieldScalar.from_q(q)
-            text = coeff.render()
-            negative = False
-            if factors:
-                if text == "1":
-                    body = "*".join(factors)
-                elif text == "-1":
-                    body = "*".join(factors)
-                    negative = True
-                else:
-                    if " " in text:
-                        body = f"({text})*" + "*".join(factors)
-                    elif text.startswith("-"):
-                        body = f"{text[1:]}*" + "*".join(factors)
-                        negative = True
-                    else:
-                        body = f"{text}*" + "*".join(factors)
-            else:
-                if text.startswith("-"):
-                    body = text[1:]
-                    negative = True
-                else:
-                    body = text
-            parts.append(("-" if negative else "+", body))
-        sign, body = parts[0]
-        out = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+            summands.append(scaled(FieldScalar.from_q(q).render(),
+                                   "*".join(factors)))
+        return signed_sum(summands)
 
     __str__ = render
 

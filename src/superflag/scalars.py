@@ -87,6 +87,35 @@ def q_inv(x):
     )
 
 
+def signed_sum(summands):
+    """The text of a sum of ``(negative, body)`` summands: ``-body`` or
+    ``body`` first, then `` - body`` or `` + body``; ``0`` when empty.
+    Every ``render`` in the package writes its sum here."""
+    out = ""
+    for negative, body in summands:
+        if out:
+            out += (" - " if negative else " + ") + body
+        else:
+            out = "-" + body if negative else body
+    return out or "0"
+
+
+def scaled(coeff, factor):
+    """The ``(negative, body)`` summand of a coefficient, given as its text,
+    times ``factor``.  A coefficient of 1 or -1 is left out, one with a space
+    is bracketed, and a leading minus becomes the sign; with no factor the
+    coefficient stands as it is, so a constant ``1 + i`` is not bracketed."""
+    if not factor:
+        return (True, coeff[1:]) if coeff.startswith("-") else (False, coeff)
+    if coeff in ("1", "-1"):
+        return coeff == "-1", factor
+    if " " in coeff:
+        return False, f"({coeff})*{factor}"
+    if coeff.startswith("-"):
+        return True, f"{coeff[1:]}*{factor}"
+    return False, f"{coeff}*{factor}"
+
+
 # One rational factor of a scalar literal: an integer, a decimal or p/q,
 # with an optional sign.  This is the grammar of ``Fraction`` without its
 # exponents and digit separators: ``1e1000000000`` would build an integer
@@ -224,25 +253,9 @@ class FieldScalar:
     # -- text form ---------------------------------------------------------
 
     def render(self):
-        parts = []
-        for coeff, radical in zip(self.components(), ("", "i", "r2", "i*r2")):
-            if not coeff:
-                continue
-            mag = abs(coeff)
-            if not radical:
-                body = str(mag)
-            elif mag == 1:
-                body = radical
-            else:
-                body = f"{mag}*{radical}"
-            parts.append(("-" if coeff < 0 else "+", body))
-        if not parts:
-            return "0"
-        sign, body = parts[0]
-        text = body if sign == "+" else "-" + body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        radicals = ("", "i", "r2", "i*r2")
+        return signed_sum(scaled(str(coeff), radical) for coeff, radical
+                          in zip(self.components(), radicals) if coeff)
 
     __str__ = render
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .scalars import scaled, signed_sum
+
 
 @dataclass(frozen=True)
 class Weight:
@@ -69,24 +71,10 @@ class Weight:
             raise ValueError("weights live in different lattices")
 
     def render(self):
-        parts = []
-        for i, a in enumerate(self.mu, start=1):
-            if a:
-                parts.append((a, f"mu{i}"))
-        for j, a in enumerate(self.la, start=1):
-            if a:
-                parts.append((a, f"la{j}"))
-        if not parts:
-            return "0"
-        out = ""
-        for a, sym in parts:
-            mag = abs(a)
-            term = sym if mag == 1 else f"{mag}*{sym}"
-            if not out:
-                out = term if a > 0 else f"-{term}"
-            else:
-                out += f" + {term}" if a > 0 else f" - {term}"
-        return out
+        return signed_sum(
+            scaled(str(a), f"{sym}{i}")
+            for sym, entries in (("mu", self.mu), ("la", self.la))
+            for i, a in enumerate(entries, start=1) if a)
 
     def __str__(self):
         return self.render()
@@ -170,10 +158,9 @@ class RootSystem:
         return None
 
     def is_dominant(self, w):
-        """Non-negative inner product with every positive root:
-        mu_1 >= ... >= mu_s >= 0 and la_1 >= ... >= la_n >= 0."""
-        return all(a >= b for a, b in zip(w.mu, w.mu[1:] + (0,))) and all(
-            a >= b for a, b in zip(w.la, w.la[1:] + (0,)))
+        """Non-negative inner product with every positive root, that is,
+        no violating root."""
+        return self.violation(w) is None
 
 
 def _first_pair(values, key):

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -29,6 +31,7 @@ from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import basis
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar
+from superflag.weights import Weight
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +591,61 @@ def test_chart_internals_match_pinned_digest():
         chart = build_chart(validate_flag_type(k, l), index_sets)
         h.update(_chart_record(f"{k},{l}", chart).encode())
     assert h.hexdigest() == PINNED_CHARTS
+
+
+# ---------------------------------------------------------------------------
+# Rendered text
+# ---------------------------------------------------------------------------
+
+
+def _render_sweep():
+    """Rendered scalars, polynomials, vector fields and weights, one per
+    line: every sign, ±1, bracketing and constant case of the text rule."""
+    lines = []
+    grid = (Fraction(-3, 2), -1, 0, 1, 2)
+    for a, b, c, d in product(grid, repeat=4):
+        lines.append(FieldScalar(a, b, c, d).render())
+
+    ctx = RingContext()
+    x, y = ctx.evens("x", "y")
+    xi, eta = ctx.odds("xi", "eta")
+    coeffs = [FieldScalar.parse(t) for t in (
+        "1", "-1", "2", "-3/2", "i", "-i", "1 + i", "-1 + i", "1/2 + i",
+        "-r2", "1/2*i*r2", "-1 - i*r2")]
+    monos = [ctx.one, x, y ** 2, x ** 2 * y, xi, xi * eta, x * eta,
+             y * xi * eta]
+    singles = [c * m for c in coeffs for m in monos]
+    sums = []
+    for i, c1 in enumerate(coeffs):
+        for j, c2 in enumerate(coeffs):
+            p = c1 * monos[i % len(monos)] + c2 * monos[(i + j) % len(monos)]
+            sums.append(p)
+            c3 = coeffs[(i * j) % len(coeffs)]
+            sums.append(p - c3 * monos[j % len(monos)])
+    polys = [ctx.zero] + singles + sums
+    lines += [p.render() for p in polys]
+
+    names = ("x", "xi", "y", "eta")
+    lines.append(VectorField(ctx, 0, {}, ()).render())
+    for p in polys:
+        lines.append(VectorField(ctx, 0, {"y": p}, ("y",)).render())
+    for i in range(len(polys)):
+        coefficients = {names[t]: polys[(i * (t + 1) + 7 * t) % len(polys)]
+                        for t in range(4)}
+        lines.append(VectorField(ctx, 0, coefficients, names).render())
+
+    entries = (-3, -1, 0, 1, 2)
+    for m1, m2, l1, l2 in product(entries, repeat=4):
+        lines.append(Weight((m1, m2), (l1, l2)).render())
+    return lines
+
+
+#: sha256 over ``_render_sweep()``, one line per render; taken before the
+#: four renderers shared one signed-sum writer.
+PINNED_RENDERS = ("ccfa48284cc08cdd1b44072c1725cdd1"
+                  "7443e061062629ee952fd3dba78a05dd")
+
+
+def test_rendered_text_matches_pinned_digest():
+    text = "\n".join(_render_sweep()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_RENDERS

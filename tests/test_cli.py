@@ -315,6 +315,23 @@ def test_bwb_degenerate_sizes_are_usage_errors(capsys, k1, l1):
     assert "the bwb suite needs k1 >= 1 and l1 >= 1" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--suite", "osp-defining", "--k1", "4"],
+     "--suite osp-defining does not take --k1; it takes --m and --n"),
+    (["--suite", "bwb", "--m", "2"],
+     "--suite bwb does not take --m; it takes --k1 and --l1"),
+    (["--suite", "isomorphism", "--k1", "2", "--l1", "1", "--n", "1"],
+     "--suite isomorphism does not take --n; it takes --k1 and --l1"),
+    (["--k1", "9", "--l1", "9"], "size flags need --suite (--k1, --l1 given)"),
+    (["--m", "1"], "size flags need --suite (--m given)"),
+])
+def test_verify_size_flags_that_do_not_apply_are_usage_errors(
+        capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_bad_matrix_literal_is_usage_error(capsys):
     code, _, err = run(capsys, "check-membership", "--m", "1", "--n", "1",
                          "--matrix", "1/0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0;"

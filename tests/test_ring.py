@@ -99,6 +99,66 @@ def test_odd_derivatives_anticommute():
         assert d12 == -d21
 
 
+def _accumulated_left_derivative(p, name):
+    """The term dict of the left derivative, each term added into the dict
+    and dropped when its sum is zero: the loop ``left_derivative`` used
+    before it wrote each term once."""
+    from superflag.scalars import Q_ZERO, q_add, q_mul, q_neg
+
+    parity, vid = p.ctx._byname[name]
+    terms = {}
+
+    def add(key, coeff):
+        acc = q_add(terms.get(key, Q_ZERO), coeff)
+        if acc == Q_ZERO:
+            terms.pop(key, None)
+        else:
+            terms[key] = acc
+
+    for (ek, ok), q in p.terms.items():
+        if parity == 0:
+            for pos, (v, e) in enumerate(ek):
+                if v == vid:
+                    if e == 1:
+                        new_ek = ek[:pos] + ek[pos + 1:]
+                    else:
+                        new_ek = ek[:pos] + ((v, e - 1),) + ek[pos + 1:]
+                    add((new_ek, ok), q_mul(q, (e, 0, 0, 0, 1)))
+                    break
+        elif vid in ok:
+            pos = ok.index(vid)
+            add((ek, ok[:pos] + ok[pos + 1:]), q if pos % 2 == 0 else q_neg(q))
+    return terms
+
+
+def test_left_derivative_matches_the_accumulating_loop():
+    import random
+
+    rng = random.Random(20261018)
+    ctx = RingContext()
+    evens = ctx.evens("u", "v", "w")
+    odds = ctx.odds("th1", "th2", "th3", "th4")
+    positions = set()
+    for _ in range(200):
+        p = ctx.zero
+        for _ in range(rng.randint(0, 6)):
+            term = ctx.scalar(FieldScalar(rng.randint(-3, 3),
+                                          rng.randint(-2, 2)))
+            for x in evens:
+                term = term * x ** rng.randint(0, 3)
+            for t in rng.sample(odds, rng.randint(0, len(odds))):
+                term = term * t
+            p = p + term
+        for name in ctx.even_names + ctx.odd_names:
+            assert p.left_derivative(name).terms == \
+                _accumulated_left_derivative(p, name)
+        for _, ok in p.terms:
+            positions.update(enumerate(ok))
+    # every odd variable is seen at every position it can take
+    assert positions == {(pos, vid) for vid in range(4)
+                         for pos in range(vid + 1)}
+
+
 def test_even_derivative_is_ordinary(ctx):
     u, v = ctx.var("u"), ctx.var("v")
     p = u * u * v + u * 3
