@@ -1,15 +1,19 @@
 """Exact linear algebra over Q(i, sqrt2).
 
 One elimination, ``RankTracker``: an incremental reduced row echelon form
-of FieldScalar rows, stored sparse.  Inversion feeds it the rows of
-[A | I]; the center computation feeds it ad rows read off the structure
-constants and reads off the nullspace.  Everything is exact, there are no
+stored sparse, as ``{column: q}`` rows of the normalised 5-tuples of
+``scalars``.  Inversion feeds it the rows of [A | I]; the center
+computation feeds it ad rows read off the structure constants and reads
+off the nullspace.  FieldScalar appears only at the edges: ``add`` takes
+FieldScalar rows as well as tuple rows, and ``rows``, ``nullspace()`` and
+``invert`` hand out FieldScalars.  Everything is exact, there are no
 tolerance decisions anywhere.
 """
 
 import bisect
 
-from .scalars import ONE, ZERO
+from .scalars import ONE, Q_ONE, Q_ZERO, ZERO, FieldScalar, q_add, q_inv, \
+    q_mul, q_neg
 
 
 class SingularMatrixError(ValueError):
@@ -34,9 +38,10 @@ def invert(a):
 class RankTracker:
     """Incremental RREF: feed rows one by one, stop as soon as rank is full.
 
-    Rows are kept as sparse ``{column: value}`` dicts, so a reduction step
+    Rows are kept as sparse ``{column: q}`` dicts, so a reduction step
     touches only the nonzero entries: center rows and the rows of [A | I]
-    are mostly zeros.  ``rows`` and ``nullspace()`` are dense.
+    are mostly zeros.  ``rows`` and ``nullspace()`` are dense FieldScalar
+    lists.
     """
 
     def __init__(self, ncols):
@@ -52,31 +57,37 @@ class RankTracker:
     @property
     def rows(self):
         """The reduced rows, dense, ordered by pivot column."""
-        return [[row.get(c, ZERO) for c in range(self.ncols)]
-                for row in self._rows]
+        return [[FieldScalar.from_q(row.get(c, Q_ZERO))
+                 for c in range(self.ncols)] for row in self._rows]
 
     def is_full(self):
         return self.rank == self.ncols
 
     def add(self, vec):
         """Reduce and absorb one row, a dense sequence or a ``{column:
-        value}`` dict of its entries; returns True when the rank grew."""
+        value}`` dict of its entries, each a FieldScalar or a 5-tuple;
+        returns True when the rank grew."""
         items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        vec = {c: x for c, x in items if x}
+        vec = {}
+        for c, x in items:
+            if isinstance(x, FieldScalar):
+                x = x.q
+            if x != Q_ZERO:
+                vec[c] = x
         # A stored row vanishes on every pivot column but its own, so
         # clearing one pivot column of vec leaves the others as they were:
         # one pass over vec's own pivot columns reduces it.
         for col in [c for c in vec if c in self._by_pivot]:
-            add_scaled(vec, self._by_pivot[col], -vec[col])
+            add_scaled(vec, self._by_pivot[col], q_neg(vec[col]))
         if not vec:
             return False
         lead = min(vec)
-        inv_lead = vec[lead].inverse()
-        vec = {c: x * inv_lead for c, x in vec.items()}
+        inv_lead = q_inv(vec[lead])
+        vec = {c: q_mul(x, inv_lead) for c, x in vec.items()}
         for row in self._rows:
             factor = row.get(lead)
-            if factor:
-                add_scaled(row, vec, -factor)
+            if factor is not None:
+                add_scaled(row, vec, q_neg(factor))
         pos = bisect.bisect(self.pivots, lead)
         self._rows.insert(pos, vec)
         self.pivots.insert(pos, lead)
@@ -89,21 +100,24 @@ class RankTracker:
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
-            vec = [ZERO] * self.ncols
-            vec[free] = ONE
+            vec = [Q_ZERO] * self.ncols
+            vec[free] = Q_ONE
             for row, col in zip(self._rows, self.pivots):
                 if free in row:
-                    vec[col] = -row[free]
-            basis.append(vec)
+                    vec[col] = q_neg(row[free])
+            basis.append([FieldScalar.from_q(q) for q in vec])
         return basis
 
 
 def add_scaled(target, row, factor):
-    """target += factor * row for sparse ``{key: FieldScalar}`` dicts, in
+    """target += factor * row for sparse ``{key: q}`` dicts of 5-tuples, in
     place, dropping the entries that cancel."""
     for c, y in row.items():
-        s = target.get(c, ZERO) + factor * y
-        if s:
-            target[c] = s
-        else:
+        s = q_mul(factor, y)
+        prev = target.get(c)
+        if prev is not None:
+            s = q_add(prev, s)
+        if s == Q_ZERO:
             target.pop(c, None)
+        else:
+            target[c] = s

@@ -41,6 +41,14 @@ G M, and sigma g_r M[r, c] at its partner slot (c, pi(r)) through M^ST G.
 ``GramForm.partner`` holds the sigma rule for both uses.  ``is_member``
 reads that residual as term dicts and builds no matrix;
 ``membership_residual`` builds it from the same dicts.
+
+Every generator entry is a constant, so structure constants are computed
+on the normalised 5-tuples of ``scalars`` (``q``): a basis reads its
+generators as ``{slot: q}`` on first use (``OspBasis.entry_table``),
+``closure_check`` brackets on those tables, ``OspBasis.read_off`` expands
+a bracket or a candidate matrix, and the Jacobi and center checks compose
+and reduce tuple rows.  FieldScalar appears only in what they hand out:
+the structure constants, the coefficients and the center matrices.
 """
 
 from __future__ import annotations
@@ -49,9 +57,13 @@ import functools
 from dataclasses import dataclass, field
 
 from .linalg import RankTracker, add_scaled
-from .matrices import BlockShape, ParityError, SuperMatrix, bracket_terms
-from .ring import NUMERIC_CTX, SuperPoly, add_product, add_terms
-from .scalars import I_INV_SQRT2, INV_SQRT2, ONE
+from .matrices import BlockShape, ParityError, SuperMatrix
+from .ring import add_terms
+from .scalars import I_INV_SQRT2, INV_SQRT2, ONE, Q_ONE, Q_ZERO, \
+    FieldScalar, q_add, q_mul, q_neg
+
+#: The monomial key of a constant term.
+_CONSTANT = ((), ())
 
 
 class NotInSpanError(ValueError):
@@ -98,6 +110,7 @@ class OspBasis:
     name: str = "osp"
     _by_tag: dict = field(default_factory=dict, repr=False)
     _by_primary: dict = field(default_factory=dict, repr=False)
+    _table: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -123,44 +136,73 @@ class OspBasis:
     def odd_generators(self):
         return [g for g in self.generators if g.parity == 1]
 
+    def entry_table(self):
+        """Each generator's entries as ``{slot: q}``, read on first use:
+        the read-off and ``closure_check`` work on these 5-tuples, and a
+        basis that expands nothing never builds them."""
+        if self._table is None:
+            table = []
+            for g in self.generators:
+                entries, others = _constant_entries(g.matrix)
+                if others:
+                    raise ValueError(f"generator {g.tag} has non-constant"
+                                     " entries")
+                table.append(entries)
+            self._table = tuple(table)
+        return self._table
+
     def coefficients_of(self, m):
         """Expand ``m`` exactly in this basis, or raise NotInSpanError."""
-        return self.expand_terms({slot: v.terms
-                                  for slot, v in m.entries.items()})
+        entries, others = _constant_entries(m)
+        bad = sorted(self._by_primary[slot] for slot in others
+                     if slot in self._by_primary)
+        if bad:
+            raise NotInSpanError(f"slot {self.generators[bad[0]].primary}"
+                                 " of the candidate is not scalar")
+        found = None if others else self.read_off(entries)
+        if found is None:
+            raise NotInSpanError("matrix is not in the span of the basis")
+        return {self.generators[i].tag: FieldScalar.from_q(c)
+                for i, c in found}
 
-    def expand_terms(self, entries):
-        """``coefficients_of`` for a matrix given as ``{slot: term dict}``,
-        where an empty term dict is a zero entry.
+    def read_off(self, entries):
+        """The coefficients of a matrix given by its nonzero entries as
+        ``{slot: q}``: ``(generator index, q)`` pairs in generator order,
+        or None when the matrix is not in the span.
 
         Each generator owns a distinct +1 "primary" slot that no other
         generator touches, so the candidate coefficients are the entries on
-        primary slots: only the nonzero entries are visited, and the
-        coefficients come out in generator order.  The combination is
-        re-assembled into one term dict per slot and compared with the
+        primary slots: only the nonzero entries are visited.  The
+        combination is re-assembled slot by slot and compared with the
         entries, which makes the read-off a sound span test.
         """
-        found = sorted(self._by_primary[slot]
-                       for slot, terms in entries.items()
-                       if terms and slot in self._by_primary)
-        coeffs = {}
+        table = self.entry_table()
+        coeffs = [(i, entries[self.generators[i].primary])
+                  for i in sorted(self._by_primary[slot] for slot in entries
+                                  if slot in self._by_primary)]
         acc = {}
-        for i in found:
-            gen = self.generators[i]
-            entry = SuperPoly._new(NUMERIC_CTX, entries[gen.primary])
-            if not entry.is_scalar():
-                raise NotInSpanError(
-                    f"slot {gen.primary} of the candidate is not scalar"
-                )
-            coeffs[gen.tag] = entry.scalar_part()
-            for slot, v in gen.matrix.entries.items():
-                terms = acc.get(slot)
-                if terms is None:
-                    terms = acc[slot] = {}
-                add_product(terms, entry, v)
-        if any(terms != acc.pop(slot, {}) for slot, terms in entries.items()) \
-                or any(acc.values()):
-            raise NotInSpanError("matrix is not in the span of the basis")
+        for i, c in coeffs:
+            for slot, v in table[i].items():
+                v = q_mul(c, v)
+                prev = acc.get(slot)
+                acc[slot] = v if prev is None else q_add(prev, v)
+        if any(entries.get(slot, Q_ZERO) != v for slot, v in acc.items()) \
+                or not entries.keys() <= acc.keys():
+            return None
         return coeffs
+
+
+def _constant_entries(m):
+    """``(constants, others)``: the nonzero constant entries of ``m`` as
+    ``{slot: q}``, and the slots of the entries that are not constant."""
+    constants, others = {}, []
+    for slot, v in m.entries.items():
+        terms = v.terms
+        if len(terms) == 1 and _CONSTANT in terms:
+            constants[slot] = terms[_CONSTANT]
+        elif terms:
+            others.append(slot)
+    return constants, others
 
 
 def _linear_combination(terms):
@@ -444,35 +486,41 @@ def closure_check(bas):
     The candidates of each p are walked in ascending q, so the constants
     come out in the order of the all-pairs loop.
 
-    Each bracket stays a map from slot to term dict (``bracket_terms``)
-    and is expanded by ``OspBasis.expand_terms``, so no matrix is built
-    per pair.
+    Every generator entry is a constant, so the brackets never leave
+    Q(i, sqrt2): each generator is read once per call as ``{slot: q}``
+    (``OspBasis.entry_table``) with a row index, ``bracket_entries`` forms
+    each meeting pair's bracket from those tables and ``OspBasis.read_off``
+    expands it.  No matrix or polynomial is built per pair, and only the
+    reported constants become FieldScalars.
     """
     constants = []
     failures = []
     gens = bas.generators
+    tables = []
     by_row, by_col = {}, {}
-    for q, g in enumerate(gens):
-        for i, j in g.matrix.entries:
+    for q, entries in enumerate(bas.entry_table()):
+        rows = {}
+        for (i, j), v in entries.items():
+            rows.setdefault(i, []).append((j, v))
             by_row.setdefault(i, set()).add(q)
             by_col.setdefault(j, set()).add(q)
+        tables.append((entries, rows))
     for p, gp in enumerate(gens):
         meets = set()
-        for i, j in gp.matrix.entries:
+        for i, j in tables[p][0]:
             meets.update(by_row.get(j, ()))
             meets.update(by_col.get(i, ()))
         for q in sorted(meets):
             if q < p or (q == p and gp.parity == 0):
                 continue  # [X, X] = 0 identically for even X
             gq = gens[q]
-            try:
-                coeffs = bas.expand_terms(bracket_terms(gp.matrix,
-                                                        gq.matrix))
-            except NotInSpanError:
+            found = bas.read_off(bracket_entries(
+                tables[p], tables[q], gp.parity and gq.parity))
+            if found is None:
                 failures.append((gp.tag, gq.tag))
                 continue
-            for tag, c in sorted(coeffs.items()):
-                constants.append((gp.tag, gq.tag, tag, c))
+            for tag, c in sorted((gens[r].tag, c) for r, c in found):
+                constants.append((gp.tag, gq.tag, tag, FieldScalar.from_q(c)))
     return {
         "pairs": len(gens) * (len(gens) + 1) // 2,
         "structure_constants": constants,
@@ -480,13 +528,32 @@ def closure_check(bas):
     }
 
 
+def bracket_entries(x, y, both_odd):
+    """The superbracket [X, Y] = XY - (-1)^{|X||Y|} YX of two constant
+    matrices, each given as ``(entries, rows)``: its ``{slot: q}`` entries
+    and a map from row to ``(column, q)`` pairs.  Returns the nonzero
+    entries as ``{slot: q}``; YX is added when ``both_odd``, else
+    subtracted."""
+    acc = {}
+    for (left, _), (_, right), negate in ((x, y, False),
+                                          (y, x, not both_odd)):
+        for (i, k), u in left.items():
+            if negate:
+                u = q_neg(u)
+            for j, v in right.get(k, ()):
+                c = q_mul(u, v)
+                prev = acc.get((i, j))
+                acc[(i, j)] = c if prev is None else q_add(prev, c)
+    return {slot: c for slot, c in acc.items() if c != Q_ZERO}
+
+
 class _BracketTable:
     """closure_check's structure constants indexed by generator pair.
 
-    ``of(a, b)`` is [a, b] as ``{tag: coefficient}`` for any ordered pair
-    of tags, using [b, a] = -(-1)^{|a||b|} [a, b] for the pairs that
-    closure_check expanded the other way round and [x, x] = 0 for even x;
-    it raises NotInSpanError when closure could not expand the bracket.
+    ``of(a, b)`` is [a, b] as ``{tag: q}`` for any ordered pair of tags,
+    using [b, a] = -(-1)^{|a||b|} [a, b] for the pairs that closure_check
+    expanded the other way round and [x, x] = 0 for even x; it raises
+    NotInSpanError when closure could not expand the bracket.
     """
 
     def __init__(self, bas, closure):
@@ -495,14 +562,14 @@ class _BracketTable:
         self.failed = set(closure["failures"])
         self.table = {}
         for p, q, r, c in closure["structure_constants"]:
-            self.table.setdefault((p, q), {})[r] = c
+            self.table.setdefault((p, q), {})[r] = c.q
 
     def of(self, a, b):
         if self.index[a] > self.index[b]:
             coeffs = self.of(b, a)
             if self.parity[a] and self.parity[b]:
                 return coeffs
-            return {r: -c for r, c in coeffs.items()}
+            return {r: q_neg(c) for r, c in coeffs.items()}
         if (a, b) in self.failed:
             raise NotInSpanError(f"[{a}, {b}] is not in the span of the"
                                  " basis")
@@ -536,8 +603,8 @@ def jacobi_failures(bas, closure, triples):
         except NotInSpanError:
             bad.append((x, y, z))
             continue
-        add_scaled(right, tail, -ONE if br.parity[x] and br.parity[y]
-                    else ONE)
+        add_scaled(right, tail, q_neg(Q_ONE) if br.parity[x] and br.parity[y]
+                   else Q_ONE)
         if left != right:
             bad.append((x, y, z))
     return bad

@@ -130,32 +130,41 @@ class RootSystem:
         """The first positive root with a negative inner product, or None.
 
         "First" is in the order of ``positive_roots()``, which is never
-        built; only the returned root is.  O(s + n):
+        built; only the returned root is, straight from its at most two
+        nonzero entries.  O(s + n):
         <w, mu_i -+ mu_j> < 0 for some sign exactly when mu_i < |mu_j|,
         and <w, la_p - la_q> < 0 exactly when la_p < la_q.  Once no
         la_p - la_q is violated, la is non-increasing, so la_p + la_q
         (q >= p) is violated for some q exactly when la_p + la_n < 0.
         """
-        s, n = self.s, self.n
         mu, la = w.mu, w.la
-        pair = _first_pair(mu, abs)
+        pair = _first_pair(mu, signed=True)
         if pair is not None:
             i, j = pair
-            sign = -1 if mu[i] < mu[j] else 1
-            return Weight.basis_mu(s, n, i + 1) + \
-                Weight.basis_mu(s, n, j + 1).scale(sign)
-        i = next((i for i in range(s) if mu[i] < 0), None)
+            return self._root(mu=((i, 1), (j, -1 if mu[i] < mu[j] else 1)))
+        i = next((i for i, a in enumerate(mu) if a < 0), None)
         if i is not None:
-            return Weight.basis_mu(s, n, i + 1)
-        pair = _first_pair(la, lambda a: a)
+            return self._root(mu=((i, 1),))
+        pair = _first_pair(la, signed=False)
         if pair is not None:
             p, q = pair
-            return Weight.basis_la(s, n, p + 1) - Weight.basis_la(s, n, q + 1)
-        p = next((p for p in range(n) if la[p] + la[-1] < 0), None)
-        if p is not None:
-            q = next(q for q in range(p, n) if la[p] + la[q] < 0)
-            return Weight.basis_la(s, n, p + 1) + Weight.basis_la(s, n, q + 1)
+            return self._root(la=((p, 1), (q, -1)))
+        # la is non-increasing here, so some la_p + la_n < 0 exactly when
+        # la_n < 0.
+        if la and la[-1] < 0:
+            p = next(p for p, a in enumerate(la) if a + la[-1] < 0)
+            q = next(q for q in range(p, len(la)) if la[p] + la[q] < 0)
+            return self._root(la=((p, 1), (q, 1)))
         return None
+
+    def _root(self, mu=(), la=()):
+        """The weight with the given ``(index, coefficient)`` entries, which
+        add where an index repeats (la_p + la_p = 2 la_p)."""
+        vec = [0] * (self.s + self.n)
+        for offset, entries in ((0, mu), (self.s, la)):
+            for i, c in entries:
+                vec[offset + i] += c
+        return Weight(tuple(vec[:self.s]), tuple(vec[self.s:]))
 
     def is_dominant(self, w):
         """Non-negative inner product with every positive root, that is,
@@ -163,24 +172,33 @@ class RootSystem:
         return self.violation(w) is None
 
 
-def _first_pair(values, key):
+def _first_pair(values, signed):
     """The first (i, j), i < j in lexicographic order, with
-    values[i] < key(values[j]), or None.
+    values[i] < |values[j]| when ``signed``, else values[i] < values[j];
+    None when there is none.
 
-    One backward pass keeps the largest key over values[i+1:]; the last
-    i found below it is the smallest.
+    One backward pass keeps the largest |value| (or value) over
+    values[i+1:]; the last i found below it is the smallest.
     """
-    first, top = None, None
-    for i in reversed(range(len(values))):
-        if top is not None and values[i] < top:
+    if len(values) < 2:
+        return None
+    first = None
+    top = values[-1]
+    if signed and top < 0:
+        top = -top
+    for i in range(len(values) - 2, -1, -1):
+        v = values[i]
+        if v < top:
             first = i
-        k = key(values[i])
-        top = k if top is None else max(top, k)
+        if signed and v < 0:
+            v = -v
+        if v > top:
+            top = v
     if first is None:
         return None
     a = values[first]
     return first, next(j for j in range(first + 1, len(values))
-                       if key(values[j]) > a)
+                       if (abs(values[j]) if signed else values[j]) > a)
 
 
 def root_system(k1, l1):

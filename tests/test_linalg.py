@@ -153,3 +153,19 @@ def test_rank_tracker_full_rank_is_the_identity():
         assert not tracker.add([_scalar(rng) for _ in range(3)])
     assert not tracker.add([ZERO, ZERO, ZERO])
     assert tracker.rows == _identity(3)
+
+
+def test_rank_tracker_hands_out_field_scalars():
+    """Rows are stored as 5-tuples, but every value leaving the tracker is
+    a FieldScalar, and ``add`` takes FieldScalar lists and dicts alike."""
+    rng = random.Random(11)
+    tracker = RankTracker(4)
+    assert tracker.add([_scalar(rng), ZERO, _scalar(rng), ZERO])
+    assert tracker.add({1: _scalar(rng), 3: _scalar(rng)})
+    assert not tracker.add({0: ZERO})
+    values = [x for row in tracker.rows for x in row] \
+        + [x for vec in tracker.nullspace() for x in vec]
+    assert len(values) == 16
+    assert all(type(x) is FieldScalar for x in values)
+    inv = invert(_nonsingular(rng, 3))
+    assert all(type(x) is FieldScalar for row in inv for x in row)

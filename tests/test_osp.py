@@ -291,7 +291,8 @@ def _closure_oracle_basis(case):
 @pytest.mark.parametrize("case", [
     ("odd", 1, 1), ("odd", 1, 2), ("odd", 1, 3), ("odd", 2, 1),
     ("odd", 2, 2), ("odd", 2, 3), ("odd", 3, 1), ("odd", 3, 2),
-    ("odd", 3, 3), ("even", 2, 2), ("primed", 5, 2), ("primed", 6, 2),
+    ("odd", 3, 3), ("even", 2, 2), ("even", 3, 2), ("primed", 5, 2),
+    ("primed", 6, 2), ("primed", 7, 2),
     ("gl", 2, 1), ("bordered", 2, 2),
     ("parabolic", "p", 3, 2), ("parabolic", "p1", 2, 1),
 ])
@@ -308,17 +309,17 @@ def test_closure_check_matches_all_pairs_oracle(case):
 def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
     """A guard against quadratic pair work: at osp(9|8) most of the
     144 * 145 / 2 generator pairs share no matrix index and are never
-    bracketed.  closure_check makes each bracket with one bracket_terms
+    bracketed.  closure_check makes each bracket with one bracket_entries
     call."""
     bas = basis("odd", 4, 4)
     calls = []
-    real = osp.bracket_terms
+    real = osp.bracket_entries
 
-    def counting(a, b):
+    def counting(x, y, both_odd):
         calls.append(1)
-        return real(a, b)
+        return real(x, y, both_odd)
 
-    monkeypatch.setattr(osp, "bracket_terms", counting)
+    monkeypatch.setattr(osp, "bracket_entries", counting)
     report = closure_check(bas)
     assert report["pairs"] == 10440
     assert report["failures"] == []
