@@ -3,7 +3,7 @@ charts on isotropic flag supermanifolds.
 
 Everything is computed over the field Q(i, sqrt2) with no floating point;
 equality checks throughout the package are exact.  See the README for the
-layout and the ``superflag`` command-line entry point for the bundled
+modules and the ``superflag`` command-line entry point for the bundled
 verification suites.
 """
 

@@ -9,8 +9,9 @@ of X is the t-linear part of the action of ``E + t X`` for a square-zero
 parameter t, which ``fundamental_field`` computes in closed form.
 
 The isotropic chart is the special first-step chart whose column span is
-isotropic for the orthosymplectic form; its dependent coordinates are
-solved once from the isotropy relations and substituted everywhere.
+isotropic for the orthosymplectic form; each dependent slot holds its
+solution of the isotropy relations, written in the independent
+coordinates.
 
 Every chart is assembled in one place, ``_assemble``, from a table of
 steps: the identity rows of each step and its free slots
@@ -18,7 +19,9 @@ steps: the identity rows of each step and its free slots
 reads its slots off the index sets (``_steps``); the isotropic chart
 takes its first step from the five-block table ``_first_step`` and any
 trailing steps from ``_steps``.  The ring, the coordinate order and the
-slot map are all read from the same table.
+slot map are all read from the same table.  The chart with every slot a
+variable, against which the tests check the relations, is built by hand
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -240,26 +243,25 @@ def _steps(ft, index_sets, label_offset=0):
     return steps
 
 
-def _ring(slots, base=None):
-    """``base`` (default: an empty ring) extended by the names of
-    ``slots``, the even names first, each parity in slot order."""
-    base = RingContext() if base is None else base
-    return base.extended(even=[name for name, _, _, p, _ in slots if not p],
-                         odd=[name for name, _, _, p, _ in slots if p])
+def _ring(slots):
+    """The ring of the names of ``slots``, each parity in slot order."""
+    return RingContext().extended(
+        even=[name for name, _, _, p, _ in slots if not p],
+        odd=[name for name, _, _, p, _ in slots if p])
 
 
 def _assemble(ft, index_sets, steps, ctx, solution=None):
     """The chart over ``ctx`` whose step s has the identity rows and free
     slots of ``steps[s - 1]``.  A free slot named in ``solution`` holds its
-    solution value demoted to ``ctx`` and is not a coordinate; every other
-    one holds its own variable."""
+    solution value, a polynomial over ``ctx``, and is not a coordinate;
+    every other one holds its own variable."""
     solution = solution or {}
     matrices, slots, order = [], {}, []
     for s, (fixed, free) in enumerate(steps, 1):
         entries = {(i, j): ONE for i, j in fixed.items()}
         for name, i, j, _, _ in free:
             if name in solution:
-                entries[(i, j)] = ctx.demote(solution[name])
+                entries[(i, j)] = solution[name]
                 continue
             entries[(i, j)] = ctx.var(name)
             slots[name] = (s, i, j)
@@ -502,27 +504,22 @@ def fundamental_bracket_sign(parity_x, parity_y):
 class IsotropicChart:
     """The five-block chart with its isotropy relations resolved.
 
-    ``formal`` and ``chart`` are assembled from the same slot table.  In
-    ``formal`` every non-identity slot is a variable, and its ring extends
-    the chart's ring by the dependent names; in ``chart`` each dependent
-    slot holds its ``solution`` value instead, so the chart is the formal
-    chart resolved by the solution by construction.  The block relations
-    are
+    Each dependent slot of the first matrix holds its solution of the block
+    relations
 
         Z1 + Z1^T + X1^T X1 = 0
         Zeta1^T + Xi1^T X1 + Eta1 = 0
         Xi1^T Xi1 + Y1 - Y1^T = 0
 
-    with independent coordinates X1, Xi1, Eta1, the strictly-lower triangle
-    of Z1 and the lower-with-diagonal triangle of Y1.
+    in the independent coordinates X1, Xi1, Eta1, the strictly-lower
+    triangle of Z1 and the lower-with-diagonal triangle of Y1, which are
+    the chart's coordinates.
     """
 
     k1: int
     l1: int
     ft: FlagType
     chart: Chart
-    formal: Chart
-    solution: dict
     gram: object
 
     def residual(self):
@@ -530,17 +527,6 @@ class IsotropicChart:
         z = self.chart.matrix(1)
         g = self.gram.matrix.lift(z.ctx)
         return z.supertranspose() @ g @ z
-
-    def formal_residual_entries(self):
-        """Entries of Z^{ST} Gamma Z of the unconstrained first matrix."""
-        z = self.formal.matrix(1)
-        g = self.gram.matrix.lift(z.ctx)
-        res = z.supertranspose() @ g @ z
-        return [
-            res[i, j]
-            for i in range(res.rows.total)
-            for j in range(res.cols.total)
-        ]
 
 
 def _first_step(k1, l1):
@@ -569,16 +555,15 @@ def _first_step(k1, l1):
 
 
 def isotropic_chart(k1, l1, tail=None):
-    """The maximal-type chart with first matrix in the five-block layout.
+    """The maximal-type chart with first matrix in the five-block pattern.
 
     The first flag step is (2k1-1, k1-1 | 2l1, l1); ``tail`` optionally
     appends further steps as a pair of tuples, completing the chart on the
     total space with plain steps at their default index sets.  The first
     step's slots come from ``_first_step`` and the tail's from the plain
-    chart's step builder; one assembler builds the formal chart from them
-    and, with the dependent first-step coordinates replaced by their
-    solutions from the isotropy relations, the chart; see
-    :class:`IsotropicChart`.
+    chart's step builder; the ring holds the independent ones, and the
+    assembler puts each dependent first-step slot's solution from the
+    isotropy relations in its place; see :class:`IsotropicChart`.
     """
     if k1 < 1 or l1 < 1:
         raise FlagTypeError("the isotropic chart needs k1 >= 1 and l1 >= 1")
@@ -595,20 +580,16 @@ def isotropic_chart(k1, l1, tail=None):
         tail_ft = ft.fiber_type()
         index_sets += default_index_sets(tail_ft)
         steps += _steps(tail_ft, index_sets[1:], label_offset=1)
-    free = [slot for _, step_free in steps for slot in step_free]
-    ctx = _ring([slot for slot in free if not slot[4]])     # independent
-    formal_ctx = _ring([slot for slot in free if slot[4]], ctx)
-    solution = _dependent_solution(k1, l1, formal_ctx)
-    return IsotropicChart(
-        k1, l1, ft,
-        _assemble(ft, index_sets, steps, ctx, solution),
-        _assemble(ft, index_sets, steps, formal_ctx),
-        solution, gram_form("odd", k1 - 1, l1),
-    )
+    ctx = _ring([slot for _, free in steps for slot in free
+                 if not slot[4]])
+    chart = _assemble(ft, index_sets, steps, ctx,
+                      _dependent_solution(k1, l1, ctx))
+    return IsotropicChart(k1, l1, ft, chart, gram_form("odd", k1 - 1, l1))
 
 
 def _dependent_solution(k1, l1, ctx):
-    """Substitution resolving the dependent slots of the formal chart."""
+    """The value of each dependent first-step slot, over the chart's ring
+    ``ctx``: every value is written in independent coordinates only."""
     s = k1 - 1
     v = ctx.var
     half = Fraction(1, 2)

@@ -2,10 +2,12 @@
 
 Exit codes: 0 all requested checks pass; 1 a verification check fails,
 or standard output closed before everything was written; 2 usage or input
-errors.  The environment variable SUPERFLAG_MAX_SIZE
-(default 4) caps the sizes accepted by the symbolic commands, since costs
-grow quickly; the claims being checked are size-uniform, so small sizes
-are the intended witnesses.
+errors.  The environment variable SUPERFLAG_MAX_SIZE (default 4) caps the
+sizes accepted by the symbolic commands, since costs grow quickly; the
+claims being checked are size-uniform, so small sizes are the intended
+witnesses.  ``verify --max-size N`` sets the cap for one verify run, in
+place of SUPERFLAG_MAX_SIZE.  The suites in ``suites.UNCAPPED`` (bwb, whose
+cost is linear in its ranks) and the ``bwb`` command take any size.
 """
 
 from __future__ import annotations
@@ -42,15 +44,7 @@ from .osp import (
     is_member,
     membership_residual,
 )
-from .suites import (
-    REPORT_SCHEMA,
-    run_all,
-    suite_bwb,
-    suite_imP_witness,
-    suite_isomorphism,
-    suite_lemma_fields,
-    suite_osp_defining,
-)
+from .suites import REPORT_SCHEMA, SUITES, UNCAPPED, run_all
 from .weights import fiber_description, psi_highest_weights, root_system
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -245,13 +239,6 @@ def cmd_bwb(args):
     return PASS
 
 
-SUITES = {
-    "osp-defining": (suite_osp_defining, ("m", "n")),
-    "lemma-fields": (suite_lemma_fields, ("k1", "l1")),
-    "isomorphism": (suite_isomorphism, ("k1", "l1")),
-    "imp-witness": (suite_imP_witness, ("k1", "l1")),
-    "bwb": (suite_bwb, ("k1", "l1")),
-}
 # verify's size flags and the value each takes when left out
 SIZE_DEFAULTS = {"m": 1, "n": 1, "k1": 2, "l1": 1}
 
@@ -277,7 +264,7 @@ def cmd_verify(args):
     if args.suite:
         values = [SIZE_DEFAULTS[p] if getattr(args, p) is None
                   else getattr(args, p) for p in params]
-        if args.suite != "bwb":
+        if args.suite not in UNCAPPED:
             _check_sizes(cap, **dict(zip(params, values)))
         reports = [fn(*values)]
     else:

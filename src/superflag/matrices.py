@@ -374,10 +374,11 @@ class SuperMatrix:
     def invert(self):
         """Exact inverse for matrices with invertible body.
 
-        Splits M = B(E + N) with B the body and N nilpotent, then sums the
-        terminating Neumann series for (E + N)^{-1}.  Entries that are not
-        scalar-plus-nilpotent (for instance, even chart variables) make the
-        series non-terminating and raise NotNilpotentError.
+        Splits M = B(E + N) with B the body and sums the Neumann series for
+        (E + N)^{-1}.  The series ends when every monomial of every entry
+        of N has an odd factor: with k odd names in the ring, N^(k+1) = 0.
+        Any other N, for instance one holding even chart variables, raises
+        NotNilpotentError before a power of N is formed.
         """
         if not self.is_square():
             raise ShapeError("only square matrices invert")
@@ -390,19 +391,18 @@ class SuperMatrix:
         binv = SuperMatrix.build(self.rows, self.rows, body_inv, ctx=self.ctx)
         eye = SuperMatrix.identity(self.rows, self.ctx)
         n = binv @ self - eye
-        cap = len(self.ctx.odd_names) + 1
-        acc = eye
-        power = eye
-        for k in range(1, cap + 1):
-            power = power @ n
-            if power.is_zero():
-                break
-            acc = acc + (-power if k % 2 else power)
-        if not power.is_zero():
+        if any(not odd for v in n.entries.values() for _, odd in v.terms):
             raise NotNilpotentError(
                 "entries are not scalar-plus-nilpotent; no exact inverse "
                 "in this ring"
             )
+        acc = eye
+        power = eye
+        for k in range(1, len(self.ctx.odd_names) + 2):
+            power = power @ n
+            if power.is_zero():
+                break
+            acc = acc + (-power if k % 2 else power)
         return acc @ binv
 
     # -- slicing ----------------------------------------------------------------

@@ -6,15 +6,15 @@ solution space of ``M^ST @ G + G @ M = 0``:
 
 ``odd``
     osp(2m+1|2n); even Gram has E_m off-diagonal blocks plus a middle 1,
-    odd part is the standard symplectic J.  Five-block layout
+    odd part is the standard symplectic J.  Five blocks
     (m, m, 1 | n, n).
 ``even``
-    osp(2k|2l); even Gram has E_k off-diagonal blocks.  Four-block layout
+    osp(2k|2l); even Gram has E_k off-diagonal blocks.  Four blocks
     (k, k | l, l).
 ``primed``
     the same algebras after the sqrt2/i change of basis: even Gram is the
-    identity E_t with t = 2k-1 or 2k; the layout is five- or four-block
-    depending on the parity of t.
+    identity E_t with t = 2k-1 or 2k; five or four blocks depending on
+    the parity of t.
 ``gl``
     the full matrix algebra gl(p|q); no defining equation.  Used as a
     control in center computations.
@@ -48,7 +48,9 @@ generators as ``{slot: q}`` on first use (``OspBasis.entry_table``),
 ``closure_check`` brackets on those tables, ``OspBasis.read_off`` expands
 a bracket or a candidate matrix, and the Jacobi and center checks compose
 and reduce tuple rows.  FieldScalar appears only in what they hand out:
-the structure constants, the coefficients and the center matrices.
+the structure constants, the coefficients and the center matrices.  The
+matrix-bracket Jacobi identity and the odd/even stabilizer of the base
+flag, which the tests compare these with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -325,7 +327,7 @@ def _residual_terms(m, gram):
 # Basis enumeration
 # ---------------------------------------------------------------------------
 
-#: The symplectic block families, shared by both layouts.
+#: The symplectic block families, shared by both slot namings.
 _SP_FAMILIES = (
     ("B11", "c1", "c1", "full"),
     ("B12", "c1", "c2", "upper"),
@@ -375,7 +377,7 @@ def _index_range(kind, rows, cols, along_cols):
             for i in range(rows) for j in range(start(i), cols)]
 
 
-def _family_specs(layout, gram):
+def _family_specs(naming, gram):
     """(tag, parity, entries, primary slot) of every family-table entry,
     with the forced entry read off the Gram form (see the module doc)."""
     shape = gram.shape
@@ -385,7 +387,7 @@ def _family_specs(layout, gram):
               for name, (lo, hi) in zip(names, shape.part_ranges())}
     perm = gram.perm
     specs = []
-    for tag, row, col, kind in _FAMILIES[layout]:
+    for tag, row, col, kind in _FAMILIES[naming]:
         if row not in blocks or col not in blocks:
             continue
         (r0, nr), (c0, nc) = blocks[row], blocks[col]
@@ -610,20 +612,6 @@ def jacobi_failures(bas, closure, triples):
     return bad
 
 
-def super_jacobi_holds(x, y, z):
-    """Graded Leibniz form of the Jacobi identity for three homogeneous
-    matrices: [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]].
-
-    Matrix brackets throughout: the oracle for ``jacobi_failures``.
-    """
-    left = x.superbracket(y.superbracket(z))
-    right = x.superbracket(y).superbracket(z)
-    tail = y.superbracket(x.superbracket(z))
-    if x.parity and y.parity:
-        return left == right - tail
-    return left == right + tail
-
-
 def center_from_constants(bas, closure):
     """Exact basis of {Z : [Z, X] = 0 for all X}, computed per parity sector
     from closure_check's structure constants.
@@ -657,12 +645,6 @@ def center_from_constants(bas, closure):
             if acc is not None:
                 out.append(acc)
     return out
-
-
-def center(flavor, a, b):
-    """Exact basis of the center of ``basis(flavor, a, b)``."""
-    bas = basis(flavor, a, b)
-    return center_from_constants(bas, closure_check(bas))
 
 
 # ---------------------------------------------------------------------------
@@ -757,69 +739,33 @@ def j_image_contains(m):
     return is_member(m, gram_form("primed", t, q // 2))
 
 
-#: Free block families of the base-point stabilizers, per layout.
-#:
-#: "original" is the odd/even flavor where the stabilized subspace is the
-#: span of the second even block and the second odd block; the pattern is a
-#: genuine subalgebra.  "primed" is the corresponding block pattern written
-#: with the primed slot names; it is the shape that the zero-bordering
-#: embedding maps into itself (excluded families land on excluded slots),
-#: which is what makes d j(p) subset-of p1 a slot-by-slot statement.  The
-#: primed pattern is *not* bracket-closed as a literal subspace (for
-#: instance [A11, G2] = G1 there), so closure is a property of the original
-#: layout only.
+#: Free block families of the base-point stabilizer patterns p and p1 in
+#: the primed slot names: the shape that the zero-bordering embedding maps
+#: into itself (excluded families land on excluded slots), which makes
+#: d j(p) subset-of p1 a slot-by-slot statement.  The pattern is *not*
+#: bracket-closed as a literal subspace (for instance [A11, G2] = G1
+#: there); the bracket-closed stabilizer of the base flag in the odd/even
+#: flavors is the tests' reference in ``tests/oracles.py``.
 PARABOLIC_TAGS = {
-    ("p", "original"): {"A11", "A21", "G2", "C11", "C21", "C22", "G3",
-                        "B11", "B21"},
-    ("p1", "original"): {"A11", "A21", "C11", "C21", "C22", "B11", "B21"},
-    ("p", "primed"): {"A21", "A11", "G2", "C21", "C22", "C11", "G4",
-                      "B11", "B21"},
-    ("p1", "primed"): {"A21", "A11", "C21", "C22", "C11", "B11", "B21"},
+    "p": {"A21", "A11", "G2", "C21", "C22", "C11", "G4", "B11", "B21"},
+    "p1": {"A21", "A11", "C21", "C22", "C11", "B11", "B21"},
 }
 
 
-def parabolic_basis(which, k1, l1, layout="original"):
-    """Basis of the stabilizer pattern p or p1 at sizes (k1, l1).
+def parabolic_basis(which, k1, l1):
+    """Basis of the primed stabilizer pattern p or p1 at sizes (k1, l1).
 
-    ``which`` is "p" (ambient osp(2k1-1|2l1)) or "p1" (ambient
-    osp(2k1|2l1)).  With ``layout="original"`` the ambient algebra is the
-    odd/even flavor and the result is the stabilizer of the base flag, a
-    bracket-closed subalgebra whose even diagonal carries the free A11
-    block.  With ``layout="primed"`` the ambient algebra is the primed
-    flavor and the result is the matching primed slot pattern, the one
-    preserved slot-by-slot by the zero-bordering embedding; see
-    PARABOLIC_TAGS for why that pattern is not itself closed.
+    ``which`` is "p" (ambient primed osp(2k1-1|2l1)) or "p1" (ambient
+    primed osp(2k1|2l1)); the result is the slot pattern that the
+    zero-bordering embedding preserves slot by slot, see PARABOLIC_TAGS
+    for why it is not itself closed.
     """
-    key = (which, layout)
-    if key not in PARABOLIC_TAGS:
-        raise ValueError("which must be 'p' or 'p1'; layout 'original' or"
-                         " 'primed'")
+    if which not in PARABOLIC_TAGS:
+        raise ValueError("which must be 'p' or 'p1'")
     if k1 < 1 or l1 < 1:
         raise ValueError("parabolic sizes need k1 >= 1 and l1 >= 1")
-    if layout == "original":
-        if which == "p":
-            ambient = basis("odd", k1 - 1, l1)
-        else:
-            ambient = basis("even", k1, l1)
-    else:
-        t = 2 * k1 - 1 if which == "p" else 2 * k1
-        ambient = basis("primed", t, l1)
-    allowed = PARABOLIC_TAGS[key]
+    ambient = basis("primed", 2 * k1 - 1 if which == "p" else 2 * k1, l1)
+    allowed = PARABOLIC_TAGS[which]
     gens = [g for g in ambient.generators if g.tag.split(":")[0] in allowed]
     return OspBasis(ambient.flavor, ambient.sizes, ambient.gram, gens,
                     name=which)
-
-
-def stabilized_subspace_indices(flavor, shape):
-    """Row indices of the base flag: second even block plus second odd block."""
-    ev = shape.even_parts
-    if flavor == "odd":
-        lo = ev[0]
-        even_idx = range(lo, lo + ev[1])
-    elif flavor == "even":
-        even_idx = range(ev[0], ev[0] + ev[1])
-    else:
-        raise ValueError("base flag is defined for the odd/even flavors")
-    n = shape.odd_parts[1]
-    odd_lo = shape.even + shape.odd_parts[0]
-    return list(even_idx) + list(range(odd_lo, odd_lo + n))

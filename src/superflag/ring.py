@@ -130,20 +130,6 @@ class RingContext:
             raise ContextError("cannot lift: target context does not extend source")
         return SuperPoly._new(self, p.terms)
 
-    def demote(self, p):
-        """Rebuild ``p`` in this smaller context (it must not use newer vars)."""
-        if p.ctx is self:
-            return p
-        if not p.ctx.extends(self):
-            raise ContextError("demote target is not a prefix of the source context")
-        ne, no = len(self._even), len(self._odd)
-        for ek, ok in p.terms:
-            if any(vid >= ne for vid, _ in ek) or any(oid >= no for oid in ok):
-                raise ContextError(
-                    "polynomial uses variables outside the target context"
-                )
-        return SuperPoly._new(self, p.terms)
-
     def __repr__(self):
         return f"<RingContext even={len(self._even)} odd={len(self._odd)}>"
 
@@ -435,59 +421,6 @@ class SuperPoly:
                     terms[(ek, ok[:pos] + ok[pos + 1:])] = \
                         q if pos % 2 == 0 else q_neg(q)
         return SuperPoly._new(self.ctx, terms)
-
-    def substitute(self, bindings):
-        """Ring-homomorphic substitution ``{name: value}``.
-
-        Values may be polynomials (in this context or one extending it) or
-        plain scalars; each value's parity must match the variable it
-        replaces.  Unbound variables map to themselves.
-        """
-        target = self.ctx
-        resolved = {}
-        for name, value in bindings.items():
-            parity, _ = self.ctx._byname[name]
-            if not isinstance(value, SuperPoly):
-                value = NUMERIC_CTX.scalar(value)
-            target = common_context(value.ctx, target)
-            if not value.is_zero() and value.parity() != parity:
-                raise ValueError(
-                    f"substitution for {name!r} must have parity {parity}"
-                )
-            resolved[name] = value
-
-    # Lift everything to the common target context.
-        resolved = {n: target.lift(v) for n, v in resolved.items()}
-        even_map = {}
-        odd_map = {}
-        for name, value in resolved.items():
-            parity, vid = self.ctx._byname[name]
-            (odd_map if parity else even_map)[vid] = value
-
-        powers = {}
-
-        def even_power(vid, e):
-            key = (vid, e)
-            if key not in powers:
-                powers[key] = even_map[vid] ** e
-            return powers[key]
-
-        out = target.zero
-        for (ek, ok), q in self.terms.items():
-            piece = target.scalar(FieldScalar.from_q(q))
-            for vid, e in ek:
-                if vid in even_map:
-                    piece = piece * even_power(vid, e)
-                else:
-                    name = self.ctx._even[vid]
-                    piece = piece * (target.var(name) ** e)
-            for oid in ok:
-                if oid in odd_map:
-                    piece = piece * odd_map[oid]
-                else:
-                    piece = piece * target.var(self.ctx._odd[oid])
-            out = out + piece
-        return out
 
     # -- rendering ---------------------------------------------------------
 

@@ -123,8 +123,6 @@ def scaled(coeff, factor):
 _RATIONAL = re.compile(
     r"\s*[-+]?(?:[0-9]+(?:/[0-9]+|\.[0-9]*)?|\.[0-9]+)\s*")
 
-_SQRT2 = 1.4142135623730951
-
 
 class FieldScalar:
     """An element a + b*i + c*sqrt2 + d*i*sqrt2 with rational a, b, c, d."""
@@ -155,11 +153,6 @@ class FieldScalar:
         a, b, c, d, den = self.q
         return (Fraction(a, den), Fraction(b, den),
                 Fraction(c, den), Fraction(d, den))
-
-    def to_complex(self):
-        """Floating approximation (used only by test oracles)."""
-        a, b, c, d, den = self.q
-        return complex((a + c * _SQRT2) / den, (b + d * _SQRT2) / den)
 
     def is_zero(self):
         return self.q == Q_ZERO

@@ -279,9 +279,9 @@ def suite_isomorphism(k1, l1):
     rep.add("j-image-slice",
             "the image is exactly the vanishing first row/column slice",
             img_ok and not j_image_contains(spoiled))
-    p_primed = parabolic_basis("p", k1, l1, layout="primed")
+    p_primed = parabolic_basis("p", k1, l1)
     p1_primed = basis("primed", 2 * k1, l1)
-    p1_tags = PARABOLIC_TAGS[("p1", "primed")]
+    p1_tags = PARABOLIC_TAGS["p1"]
     stray = []
     for g in p_primed:
         coeffs = p1_primed.coefficients_of(embedded[g.tag])
@@ -448,24 +448,43 @@ def suite_bwb(k1, l1):
     return rep
 
 
+#: Each suite of ``verify --suite``: its function and size parameters.
+SUITES = {
+    "osp-defining": (suite_osp_defining, ("m", "n")),
+    "lemma-fields": (suite_lemma_fields, ("k1", "l1")),
+    "isomorphism": (suite_isomorphism, ("k1", "l1")),
+    "imp-witness": (suite_imP_witness, ("k1", "l1")),
+    "bwb": (suite_bwb, ("k1", "l1")),
+}
+#: The suites that no size cap applies to: their cost is linear in the
+#: ranks.
+UNCAPPED = frozenset({"bwb"})
+
+#: The runs of ``run_all`` in order, each a suite and its arguments: the
+#: size parameters, then any further ones.
+DEFAULT_RUNS = (
+    ("osp-defining", (1, 1)),
+    ("osp-defining", (2, 1)),
+    ("lemma-fields", (2, 1)),
+    ("lemma-fields", (2, 2)),
+    ("lemma-fields", (2, 1, ((1,), (0,)))),
+    ("isomorphism", (1, 1)),
+    ("isomorphism", (2, 1)),
+    ("imp-witness", (1, 1)),
+    ("imp-witness", (2, 1)),
+    ("bwb", (1, 2)),
+    ("bwb", (2, 1)),
+    ("bwb", (3, 2)),
+)
+
+
 def run_all(max_size=3):
-    """Run every suite at its default sizes, capped by ``max_size``."""
+    """Run ``DEFAULT_RUNS``, leaving out a run whose sizes exceed
+    ``max_size`` unless its suite is UNCAPPED."""
     cap = max(1, int(max_size))
     reports = []
-    for m, n in ((1, 1), (2, 1)):
-        if m <= cap and n <= cap:
-            reports.append(suite_osp_defining(m, n))
-    for k1, l1 in ((2, 1), (2, 2)):
-        if k1 <= cap and l1 <= cap:
-            reports.append(suite_lemma_fields(k1, l1))
-    if 2 <= cap:
-        reports.append(suite_lemma_fields(2, 1, tail=((1,), (0,))))
-    for k1, l1 in ((1, 1), (2, 1)):
-        if k1 <= cap and l1 <= cap:
-            reports.append(suite_isomorphism(k1, l1))
-    for k1, l1 in ((1, 1), (2, 1)):
-        if k1 <= cap and l1 <= cap:
-            reports.append(suite_imP_witness(k1, l1))
-    for k1, l1 in ((1, 2), (2, 1), (3, 2)):
-        reports.append(suite_bwb(k1, l1))
+    for suite, args in DEFAULT_RUNS:
+        fn, params = SUITES[suite]
+        if suite in UNCAPPED or all(v <= cap for v in args[:len(params)]):
+            reports.append(fn(*args))
     return reports

@@ -10,7 +10,6 @@ constant weight survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .scalars import scaled, signed_sum
 
@@ -87,31 +86,6 @@ class RootSystem:
     s: int
     n: int
 
-    def positive_even_part(self):
-        """Positive roots of the so(2s+1) factor: mu_i +- mu_j (i<j), mu_i."""
-        s, n = self.s, self.n
-        roots = []
-        for i, j in combinations(range(1, s + 1), 2):
-            roots.append(Weight.basis_mu(s, n, i) - Weight.basis_mu(s, n, j))
-            roots.append(Weight.basis_mu(s, n, i) + Weight.basis_mu(s, n, j))
-        for i in range(1, s + 1):
-            roots.append(Weight.basis_mu(s, n, i))
-        return roots
-
-    def positive_odd_part(self):
-        """Positive roots of the sp(2n) factor: la_p - la_q (p<q), la_p + la_q (p<=q)."""
-        s, n = self.s, self.n
-        roots = []
-        for p, q in combinations(range(1, n + 1), 2):
-            roots.append(Weight.basis_la(s, n, p) - Weight.basis_la(s, n, q))
-        for p in range(1, n + 1):
-            for q in range(p, n + 1):
-                roots.append(Weight.basis_la(s, n, p) + Weight.basis_la(s, n, q))
-        return roots
-
-    def positive_roots(self):
-        return self.positive_even_part() + self.positive_odd_part()
-
     def simple_roots(self):
         """mu_i - mu_{i+1}, mu_s; la_j - la_{j+1}, 2 la_n."""
         s, n = self.s, self.n
@@ -129,9 +103,10 @@ class RootSystem:
     def violation(self, w):
         """The first positive root with a negative inner product, or None.
 
-        "First" is in the order of ``positive_roots()``, which is never
-        built; only the returned root is, straight from its at most two
-        nonzero entries.  O(s + n):
+        "First" is in the order mu_i - mu_j, mu_i + mu_j (i < j, pairs in
+        lexicographic order), mu_i, la_p - la_q (p < q), la_p + la_q
+        (p <= q).  The roots are never enumerated; only the returned one
+        is built, straight from its at most two nonzero entries.  O(s + n):
         <w, mu_i -+ mu_j> < 0 for some sign exactly when mu_i < |mu_j|,
         and <w, la_p - la_q> < 0 exactly when la_p < la_q.  Once no
         la_p - la_q is violated, la is non-increasing, so la_p + la_q
@@ -219,24 +194,29 @@ def psi_highest_weights(k1, l1):
     if k1 < 1 or l1 < 0:
         raise ValueError("need k1 >= 1 and l1 >= 0")
     s, n = k1 - 1, l1
-    mu = lambda i: Weight.basis_mu(s, n, i)
-    la = lambda j: Weight.basis_la(s, n, j)
-    zero = Weight.zero(s, n)
+    # positions of mu1, mu_s, la1 and la_n in the entries (mu | la)
+    mu1, mus, la1, lan = 0, s - 1, s, s + n - 1
+
+    def diff(plus, minus):
+        """The weight ``plus - minus``, written from its two entries."""
+        vec = [0] * (s + n)
+        vec[plus] += 1
+        vec[minus] -= 1
+        return Weight(tuple(vec[:s]), tuple(vec[s:]))
+
     if l1 == 0:
-        if k1 > 2:
-            return [mu(1) - mu(s)]
-        return []
+        return [diff(mu1, mus)] if k1 > 2 else []
     if k1 == 1:
-        if l1 > 1:
-            return [la(1) - la(n)]
-        return []
+        return [diff(la1, lan)] if l1 > 1 else []
+    zero = Weight.zero(s, n)
     if k1 == 2 and l1 == 1:
-        return [mu(1) - la(1), la(1) - mu(1), zero]
+        return [diff(mu1, la1), diff(la1, mu1), zero]
     if k1 == 2:
-        return [mu(1) - la(n), la(1) - mu(1), la(1) - la(n), zero]
+        return [diff(mu1, lan), diff(la1, mu1), diff(la1, lan), zero]
     if l1 == 1:
-        return [mu(1) - mu(s), mu(1) - la(1), la(1) - mu(s), zero]
-    return [mu(1) - mu(s), mu(1) - la(n), la(1) - mu(s), la(1) - la(n), zero]
+        return [diff(mu1, mus), diff(mu1, la1), diff(la1, mus), zero]
+    return [diff(mu1, mus), diff(mu1, lan), diff(la1, mus), diff(la1, lan),
+            zero]
 
 
 def bwb_dominant_filter(weights, rs):
@@ -265,10 +245,3 @@ def fiber_description(survivors):
         "unexpected non-constant dominant weight: "
         + ", ".join(w.render() for w in survivors)
     )
-
-
-def w0_fiber_description(k1, l1):
-    """Global functions on the fiber at sizes (k1, l1): "ℂ" or "{0}"."""
-    rs = root_system(k1, l1)
-    return fiber_description(
-        bwb_dominant_filter(psi_highest_weights(k1, l1), rs))

@@ -33,6 +33,14 @@ from superflag.ring import RingContext
 from superflag.scalars import FieldScalar
 from superflag.weights import Weight
 
+from oracles import (
+    demote,
+    dependent_values,
+    formal_isotropic_chart,
+    residual_entries,
+    substitute,
+)
+
 
 # ---------------------------------------------------------------------------
 # Flag types
@@ -293,8 +301,7 @@ def test_bracket_of_a_mixed_parity_field_is_a_value_error():
 # ---------------------------------------------------------------------------
 
 
-#: (2, 1) with a one-step tail: the tail matrices are built only through
-#: the formal chart.
+#: (2, 1) with a one-step tail: the tail matrices hold no dependent slot.
 TAIL_CASE = pytest.param(2, 1, ((1,), (0,)), id="2-1-tail")
 
 
@@ -316,9 +323,14 @@ def test_isotropic_residual_vanishes(k1, l1, tail):
     TAIL_CASE,
 ])
 def test_formal_relations_resolved_by_solution(k1, l1, tail):
+    """The chart's dependent entries, substituted into the relations of
+    the chart with every slot a variable, solve them."""
     iso = isotropic_chart(k1, l1, tail=tail)
-    for entry in iso.formal_residual_entries():
-        assert entry.substitute(iso.solution).is_zero()
+    formal = formal_isotropic_chart(k1, l1, tail)
+    solution = dependent_values(iso, formal)
+    assert len(solution) == len(formal.slots) - len(iso.chart.slots)
+    for entry in residual_entries(formal, iso.gram):
+        assert substitute(entry, solution).is_zero()
 
 
 def test_isotropic_chart_blocks_layout():
@@ -377,18 +389,21 @@ def test_lemma_fields_ignore_one_step_tail():
 
 
 def test_fields_annihilate_isotropy_relations():
-    """Tangency: the closed-form fields, acting through every formal slot,
-    kill the quadric entries modulo the relations."""
+    """Tangency: the closed-form fields, acting through every slot of the
+    chart with every slot a variable, kill the quadric entries modulo the
+    relations."""
     for k1, l1 in [(2, 1), (2, 2)]:
         iso = isotropic_chart(k1, l1)
-        entries = iso.formal_residual_entries()
+        formal = formal_isotropic_chart(k1, l1)
+        solution = dependent_values(iso, formal)
+        entries = residual_entries(formal, iso.gram)
         gens = [lemma_h_generator(iso, i) for i in range(1, l1 + 1)]
         gens += [lemma_eta_generator(iso, a, b)
                  for a in range(1, l1 + 1) for b in range(1, k1)]
         for g in gens:
-            w = fundamental_field(g, iso.formal)
+            w = fundamental_field(g, formal)
             for entry in entries:
-                assert w.apply(entry).substitute(iso.solution).is_zero()
+                assert substitute(w.apply(entry), solution).is_zero()
 
 
 def _check_opposite_homomorphism(k1, l1, tail=None):
@@ -442,7 +457,7 @@ def _tau_field(X, chart):
         v = moved.matrix(s)[i, j] - ext.lift(chart.matrix(s)[i, j])
         for tau in taus:
             v = v.left_derivative(tau)
-        coeffs[name] = base.demote(v)
+        coeffs[name] = demote(base, v)
     return VectorField(base, X.parity, coeffs, chart.independent)
 
 
@@ -570,10 +585,11 @@ DIGEST_BUILT = [
 ]
 
 #: sha256 over ring names, independent coordinates, sorted slots, index sets
-#: and rendered matrices of the isotropic ``chart`` and ``formal`` at
-#: (1..4) x (1..3), with no tail and with the tails of ``_chart_tails``, and
-#: of the ``DIGEST_BUILT`` charts; taken before the chart builders were
-#: merged into one assembler.
+#: and rendered matrices of the isotropic chart and of the chart with every
+#: slot a variable (``oracles.formal_isotropic_chart``) at (1..4) x (1..3),
+#: with no tail and with the tails of ``_chart_tails``, and of the
+#: ``DIGEST_BUILT`` charts; taken before the chart builders were merged into
+#: one assembler, when the library built both isotropic charts.
 PINNED_CHARTS = ("a0a8a90eafddaaeff7a602d0d3436be9"
                  "f6f0ec61cbacd92f7a80b43c73fa0702")
 
@@ -586,7 +602,8 @@ def test_chart_internals_match_pinned_digest():
                 iso = isotropic_chart(k1, l1, tail=tail)
                 label = f"{k1},{l1},{tail}"
                 h.update(_chart_record(label, iso.chart).encode())
-                h.update(_chart_record(label, iso.formal).encode())
+                h.update(_chart_record(
+                    label, formal_isotropic_chart(k1, l1, tail)).encode())
     for (k, l), index_sets in DIGEST_BUILT:
         chart = build_chart(validate_flag_type(k, l), index_sets)
         h.update(_chart_record(f"{k},{l}", chart).encode())

@@ -359,6 +359,29 @@ def test_unwritable_json_out_is_usage_error(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("flag_type", ["k=4,2 l=4,2", "k=4,3,2,1 l=4,3,2,1"])
+def test_act_without_exact_inverse_fails_fast(flag_type):
+    """2 on the diagonal and 1 elsewhere in each parity block: the
+    designated submatrix holds even chart variables, so it has no exact
+    inverse.  The timeout fails any invert that forms powers of N before
+    it decides: at these types each power grows in degree, and summing
+    them takes tens of seconds."""
+    block = [[2 if i == j else 1 for j in range(4)] for i in range(4)]
+    rows = [r + [0] * 4 for r in block] + [[0] * 4 + r for r in block]
+    matrix = "; ".join(",".join(map(str, r)) for r in rows)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.pop("SUPERFLAG_MAX_SIZE", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "superflag.cli", "act", "--type", flag_type,
+         "--matrix", matrix],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert proc.returncode == 2
+    assert "not scalar-plus-nilpotent" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

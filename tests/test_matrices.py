@@ -24,6 +24,8 @@ from superflag.osp import (
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
+from oracles import neumann_invert
+
 
 def rand_numeric(rng, rows, cols, parity):
     """Scalar entries only in the slots a parity-homogeneous matrix allows."""
@@ -127,6 +129,82 @@ def test_inverse_rejects_non_nilpotent_tail():
                           ctx=ctx, parity=0)
     with pytest.raises(NotNilpotentError):
         m.invert()
+
+
+def _inverse_case(kind, rng, ctx):
+    """A seeded even matrix with unit or random body: numeric, scalar plus
+    odd (odd names in the odd slots, products of two in the even ones), or
+    a unipotent upper triangle whose entries hold even variables."""
+    th = [ctx.var(name) for name in ctx.odd_names]
+    u = [ctx.var(name) for name in ctx.even_names]
+    if kind == "numeric":
+        return rand_numeric(rng, BlockShape(2, 2), BlockShape(2, 2), 0)
+    if kind == "scalar-plus-odd":
+        sh = BlockShape(2, 2)
+        entries = {}
+        for i in range(4):
+            for j in range(4):
+                c = FieldScalar(rng.randint(-2, 2))
+                if sh.is_odd_index(i) != sh.is_odd_index(j):
+                    entries[(i, j)] = rng.choice(th) * c
+                else:
+                    a, b = rng.sample(th, 2)
+                    entries[(i, j)] = a * b * c + rng.randint(-3, 3)
+        return SuperMatrix.build(sh, sh, entries, ctx=ctx, parity=0)
+    size = rng.randint(2, 5)
+    sh = BlockShape(size, 0)
+    entries = {(i, i): ctx.one for i in range(size)}
+    for i in range(size):
+        for j in range(i + 1, size):
+            pure = rng.choice([u[0], u[1], u[0] * u[1], u[0] + th[0] * th[1]])
+            entries[(i, j)] = ctx.scalar(rng.randint(-1, 1)) \
+                + pure * FieldScalar(rng.choice([-2, -1, 1, 2]))
+    return SuperMatrix.build(sh, sh, entries, ctx=ctx, parity=0)
+
+
+def _inverse_outcome(invert, m):
+    try:
+        return invert(m)
+    except (SingularMatrixError, NotNilpotentError) as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("kind", ["numeric", "scalar-plus-odd",
+                                  "even-triangle"])
+def test_inverse_matches_neumann_loop_oracle(kind):
+    """invert against the Neumann loop that summed up to (odd names + 1)
+    powers before it decided.  Numeric and scalar-plus-odd input give the
+    same inverse or the same error.  A unipotent triangle in even
+    variables is the one changed verdict: the loop inverts it when N^k = 0
+    within its cap, while invert rejects any N with a monomial free of odd
+    factors before forming a power."""
+    ctx = RingContext()
+    ctx.evens("u1", "u2")
+    ctx.odds("th1", "th2", "th3")
+    rng = random.Random(f"invert {kind}")
+    seen = set()
+    for _ in range(24):
+        m = _inverse_case(kind, rng, ctx)
+        want = _inverse_outcome(neumann_invert, m)
+        got = _inverse_outcome(SuperMatrix.invert, m)
+        if kind == "even-triangle":
+            assert got is NotNilpotentError
+            if isinstance(want, SuperMatrix):
+                assert m @ want == SuperMatrix.identity(m.rows, m.ctx)
+                seen.add("loop inverts")
+            else:
+                assert want is NotNilpotentError
+                seen.add("both reject")
+            continue
+        if isinstance(want, SuperMatrix):
+            assert got == want
+            assert m @ got == SuperMatrix.identity(m.rows, m.ctx)
+            seen.add("inverse")
+        else:
+            assert got is want
+            seen.add("error")
+    assert seen == ({"loop inverts", "both reject"} if kind == "even-triangle"
+                    else {"inverse", "error"})
 
 
 def test_inverse_rejects_singular_body():
