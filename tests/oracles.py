@@ -5,8 +5,9 @@ none calls that code: matrix brackets for the Jacobi identity that
 ``osp.jacobi_failures`` composes from structure constants, the enumerated
 positive roots for the closed forms of ``RootSystem.violation``, term-by-
 term substitution for the resolved isotropic chart, a chart with every
-slot a variable built by hand for ``charts.isotropic_chart``, and the
-Neumann loop that ``SuperMatrix.invert`` replaced by an up-front test.
+slot a variable built by hand for ``charts.isotropic_chart``, and a
+Neumann loop that decides only after summing its powers for the up-front
+test of ``SuperMatrix.invert``.
 """
 
 from __future__ import annotations
