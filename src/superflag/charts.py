@@ -368,17 +368,16 @@ class VectorField:
     def _apply_into(self, terms, poly, negate=False):
         """Add this field's value on ``poly`` (subtract it when ``negate``)
         into the term dict ``terms``, differentiating only by the
-        variables that occur in ``poly``."""
-        if not poly.terms:
-            return
-        present = poly.variables()
-        for name, c in self.coefficients.items():
-            if c.terms and name in present:
+        variables that occur in ``poly``, each looked up once."""
+        for name in poly.variables():
+            c = self.coefficients.get(name)
+            if c is not None and c.terms:
                 add_product(terms, c, poly.left_derivative(name), negate)
 
     def bracket(self, other):
-        """Super-commutator [V, W] = V W - (-1)^{|V||W|} W V, again a field
-        on the same ring.  Both fields must be parity-homogeneous."""
+        """Super-commutator [V, W] = V W - (-1)^{|V||W|} W V, a field on
+        the one of the two rings that extends the other.  Both fields must
+        be parity-homogeneous."""
         if self.parity not in (0, 1) or other.parity not in (0, 1):
             raise ValueError("bracket needs parity-homogeneous fields; a sum"
                              " of an even and an odd field has no parity")
@@ -391,9 +390,8 @@ class VectorField:
             self._apply_into(terms, other.coefficient(name))
             other._apply_into(terms, self.coefficient(name), negate)
             coeffs[name] = SuperPoly._new(ctx, terms)
-        return VectorField(
-            self.ctx, (self.parity + other.parity) % 2, coeffs, names
-        )
+        return VectorField(ctx, (self.parity + other.parity) % 2, coeffs,
+                           names)
 
     def __add__(self, other):
         if not isinstance(other, VectorField):

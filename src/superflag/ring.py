@@ -21,7 +21,8 @@ a silent union.
 from __future__ import annotations
 
 from .scalars import (
-    Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg, scaled, signed_sum,
+    Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg, q_render, scaled,
+    signed_sum,
 )
 
 
@@ -214,24 +215,49 @@ def _align(p, q):
     return ctx.lift(p), ctx.lift(q)
 
 
+#: The sign of each unit coefficient: a product with one of them is a copy.
+_UNIT_SIGN = {Q_ONE: 1, q_neg(Q_ONE): -1}
+
+
 def add_product(terms, p, q, negate=False):
     """Add ``p * q``, or ``-(p * q)`` when ``negate``, into the term dict
     ``terms``.  Monomial keys agree across contexts that extend one
     another, so p and q need not be lifted first; the caller names the
-    context of the sum."""
+    context of the sum.
+
+    This is the one product of term dicts.  Most of its term pairs have an
+    empty even or odd part on one side or a coefficient of 1 or -1, and
+    land on a key not yet in ``terms``; such a pair skips the merge, the
+    multiplication or the addition that would leave its operand as it
+    is."""
     keep = -1 if negate else 1
     for (ek1, ok1), q1 in p.terms.items():
+        unit = _UNIT_SIGN.get(q1)
         for (ek2, ok2), q2 in q.terms.items():
-            sign, ok = merge_odd(ok1, ok2)
-            if sign == 0:
-                continue
-            c = q_mul(q1, q2)
+            if ok1 and ok2:
+                sign, ok = merge_odd(ok1, ok2)
+                if sign == 0:
+                    continue
+            else:
+                sign, ok = 1, ok1 or ok2
+            if unit:
+                sign *= unit
+                c = q2
+            elif q2 in _UNIT_SIGN:
+                sign *= _UNIT_SIGN[q2]
+                c = q1
+            else:
+                c = q_mul(q1, q2)
             if sign != keep:
                 c = q_neg(c)
-            key = (mul_even(ek1, ek2), ok)
-            acc = q_add(terms.get(key, Q_ZERO), c)
+            key = (mul_even(ek1, ek2) if ek1 and ek2 else ek1 or ek2, ok)
+            acc = terms.get(key)
+            if acc is None:
+                terms[key] = c
+                continue
+            acc = q_add(acc, c)
             if acc == Q_ZERO:
-                terms.pop(key, None)
+                del terms[key]
             else:
                 terms[key] = acc
 
@@ -440,8 +466,7 @@ class SuperPoly:
                 factors.append(name if e == 1 else f"{name}^{e}")
             for oid in ok:
                 factors.append(self.ctx._odd[oid])
-            summands.append(scaled(FieldScalar.from_q(q).render(),
-                                   "*".join(factors)))
+            summands.append(scaled(q_render(q), "*".join(factors)))
         return signed_sum(summands)
 
     __str__ = render

@@ -116,6 +116,24 @@ def scaled(coeff, factor):
     return False, f"{coeff}*{factor}"
 
 
+_RADICALS = ("", "i", "r2", "i*r2")
+
+
+def q_render(q):
+    """The text of the field tuple ``q``: each nonzero part ``num/den``
+    reduced by one gcd (an integer written without ``/1``), then scaled by
+    its radical and written by :func:`signed_sum`."""
+    *nums, den = q
+    summands = []
+    for num, radical in zip(nums, _RADICALS):
+        if not num:
+            continue
+        g = gcd(num, den)
+        text = str(num // g) if g == den else f"{num // g}/{den // g}"
+        summands.append(scaled(text, radical))
+    return signed_sum(summands)
+
+
 # One rational factor of a scalar literal: an integer, a decimal or p/q,
 # with an optional sign.  This is the grammar of ``Fraction`` without its
 # exponents and digit separators: ``1e1000000000`` would build an integer
@@ -145,14 +163,6 @@ class FieldScalar:
         obj = object.__new__(cls)
         obj.q = q
         return obj
-
-    # -- component access -------------------------------------------------
-
-    def components(self):
-        """The (a, b, c, d) coordinates as Fractions."""
-        a, b, c, d, den = self.q
-        return (Fraction(a, den), Fraction(b, den),
-                Fraction(c, den), Fraction(d, den))
 
     def is_zero(self):
         return self.q == Q_ZERO
@@ -246,9 +256,7 @@ class FieldScalar:
     # -- text form ---------------------------------------------------------
 
     def render(self):
-        radicals = ("", "i", "r2", "i*r2")
-        return signed_sum(scaled(str(coeff), radical) for coeff, radical
-                          in zip(self.components(), radicals) if coeff)
+        return q_render(self.q)
 
     __str__ = render
 

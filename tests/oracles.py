@@ -1,27 +1,31 @@
 """Reference implementations that the tests compare the library with.
 
 Each oracle computes its answer another way than the code it checks, and
-none calls that code: matrix brackets for the Jacobi identity that
-``osp.jacobi_failures`` composes from structure constants, the enumerated
-positive roots for the closed forms of ``RootSystem.violation``, term-by-
-term substitution for the resolved isotropic chart, a chart with every
-slot a variable built by hand for ``charts.isotropic_chart``, and a
-Neumann loop that decides only after summing its powers for the up-front
-test of ``SuperMatrix.invert``.
+none calls that code: Fractions for the text of a field tuple, the
+product loop with no fast paths for ``ring.add_product``, a bracket that
+scans every coefficient name for ``VectorField.bracket``, matrix
+brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
+from structure constants, the enumerated positive roots for the closed
+forms of ``RootSystem.violation``, term-by-term substitution for the
+resolved isotropic chart, a chart with every slot a variable built by
+hand for ``charts.isotropic_chart``, and a Neumann loop that decides
+only after summing its powers for the up-front test of
+``SuperMatrix.invert``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 from superflag import linalg
-from superflag.charts import Chart, validate_flag_type
+from superflag.charts import Chart, VectorField, validate_flag_type
 from superflag.matrices import BlockShape, NotNilpotentError, SuperMatrix
 from superflag.osp import OspBasis, basis
 from superflag.ring import NUMERIC_CTX, ContextError, RingContext, SuperPoly, \
-    common_context
-from superflag.scalars import FieldScalar
+    common_context, merge_odd, mul_even
+from superflag.scalars import Q_ZERO, FieldScalar, q_add, q_mul, q_neg
 from superflag.weights import Weight
 
 
@@ -35,6 +39,51 @@ def to_complex(x):
     a, b, c, d, den = x.q
     r2 = math.sqrt(2)
     return complex((a + c * r2) / den, (b + d * r2) / den)
+
+
+def fraction_render(q):
+    """The text of the field tuple ``q`` written from four Fractions: each
+    nonzero part, its sign taken out, then ``*i``, ``*r2`` or ``*i*r2``
+    unless it is the bare radical of a part 1 or -1; ``0`` when all vanish."""
+    *nums, den = q
+    out = ""
+    for num, radical in zip(nums, ("", "i", "r2", "i*r2")):
+        part = Fraction(num, den)
+        if not part:
+            continue
+        size = abs(part)
+        if not radical:
+            body = str(size)
+        elif size == 1:
+            body = radical
+        else:
+            body = f"{size}*{radical}"
+        if out:
+            out += (" - " if part < 0 else " + ") + body
+        else:
+            out = "-" + body if part < 0 else body
+    return out or "0"
+
+
+def add_product_loop(terms, p, q, negate=False):
+    """Add ``p * q``, or ``-(p * q)`` when ``negate``, into the term dict
+    ``terms``: every term pair merged, multiplied and summed in, with no
+    shortcut for an empty part, a unit coefficient or a new key."""
+    keep = -1 if negate else 1
+    for (ek1, ok1), q1 in p.terms.items():
+        for (ek2, ok2), q2 in q.terms.items():
+            sign, ok = merge_odd(ok1, ok2)
+            if sign == 0:
+                continue
+            c = q_mul(q1, q2)
+            if sign != keep:
+                c = q_neg(c)
+            key = (mul_even(ek1, ek2), ok)
+            acc = q_add(terms.get(key, Q_ZERO), c)
+            if acc == Q_ZERO:
+                terms.pop(key, None)
+            else:
+                terms[key] = acc
 
 
 def demote(ctx, p):
@@ -89,6 +138,36 @@ def substitute(p, bindings):
             piece = piece * image(odds[oid])
         out = out + piece
     return out
+
+
+# ---------------------------------------------------------------------------
+# Vector fields
+# ---------------------------------------------------------------------------
+
+
+def bracket_all_names(v, w):
+    """[v, w] = v w - (-1)^{|v||w|} w v, each field applied to a
+    polynomial by scanning all of its coefficients and differentiating by
+    the names that occur in the polynomial; products by
+    :func:`add_product_loop`."""
+    ctx = common_context(v.ctx, w.ctx)
+
+    def apply_into(field, terms, poly, negate=False):
+        present = poly.variables()
+        for name, c in field.coefficients.items():
+            if c.terms and name in present:
+                add_product_loop(terms, c, poly.left_derivative(name),
+                                 negate)
+
+    negate = not (v.parity and w.parity)
+    names = tuple(dict.fromkeys((*v.order, *w.order)))
+    coeffs = {}
+    for name in names:
+        terms = {}
+        apply_into(v, terms, w.coefficient(name))
+        apply_into(w, terms, v.coefficient(name), negate)
+        coeffs[name] = SuperPoly._new(ctx, terms)
+    return VectorField(ctx, (v.parity + w.parity) % 2, coeffs, names)
 
 
 # ---------------------------------------------------------------------------

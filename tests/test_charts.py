@@ -29,11 +29,12 @@ from superflag.charts import (
 )
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import basis
-from superflag.ring import RingContext
+from superflag.ring import RingContext, common_context
 from superflag.scalars import FieldScalar
 from superflag.weights import Weight
 
 from oracles import (
+    bracket_all_names,
     demote,
     dependent_values,
     formal_isotropic_chart,
@@ -432,6 +433,53 @@ def test_fundamental_field_is_opposite_homomorphism():
 def test_fundamental_field_is_opposite_homomorphism_larger(k1, l1, tail):
     """The same on osp(5|4), on the chart and on a chart with a tail."""
     _check_opposite_homomorphism(k1, l1, tail)
+
+
+def _over_extension(field, ext):
+    """``field`` moved to ``ext``, which adds the even t and the odd tau:
+    each coefficient times t, plus d/dt and d/dtau terms of the field's
+    parity whose coefficients hold t or tau."""
+    t, tau = ext.var("t"), ext.var("tau")
+    coeffs = {n: ext.lift(c) * t for n, c in field.coefficients.items()}
+    if field.parity:
+        coeffs |= {"t": tau, "tau": t}
+    else:
+        coeffs |= {"t": t * t, "tau": tau * t}
+    return VectorField(ext, field.parity, coeffs,
+                       field.order + ("t", "tau"))
+
+
+def test_bracket_matches_the_all_names_scan():
+    """The bracket differentiates by the names present in each polynomial
+    and looks each one up; the oracle scans every coefficient name.  The
+    pairs make the two see different names: a lemma field with a few
+    coefficients against a full one, and a field over a ring that adds t
+    and tau against fields over the chart's ring, whose coefficients have
+    no t or tau, and against another such field."""
+    iso = isotropic_chart(3, 2)
+    ctx = iso.chart.ctx
+    ext = ctx.extended(even=("t",), odd=("tau",))
+    full = [fundamental_field(g.matrix, iso.chart)
+            for g in basis("odd", 2, 2)]
+    sparse = [lemma_eta_field(iso, a, b) for a in (1, 2) for b in (1, 2)]
+    sparse += [lemma_h_field(iso, i) for i in (1, 2)]
+    wide = [_over_extension(f, ext) for f in full[::5] + sparse]
+    pairs = [(v, w) for v in sparse for w in full]
+    pairs += [(v, w) for v in wide for w in full[::3] + sparse + wide]
+    misses = set()
+    for v, w in pairs + [(w, v) for v, w in pairs]:
+        got, want = v.bracket(w), bracket_all_names(v, w)
+        assert got.ctx is want.ctx is common_context(v.ctx, w.ctx)
+        assert (got.parity, got.order) == (want.parity, want.order)
+        assert {n: c.terms for n, c in got.coefficients.items()} == \
+            {n: c.terms for n, c in want.coefficients.items()}
+        assert got.render() == want.render()
+        for a, b in ((v, w), (w, v)):
+            for c in b.coefficients.values():
+                misses.update(n for n in c.variables()
+                              if n not in a.coefficients)
+    # names the applying field lacks: chart coordinates and t, tau
+    assert {"t", "tau"} <= misses and len(misses) > 2
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superflag.ring import ContextError, NUMERIC_CTX, RingContext
-from superflag.scalars import FieldScalar, I, ONE, SQRT2
+from superflag.ring import ContextError, NUMERIC_CTX, RingContext, \
+    SuperPoly, add_product
+from superflag.scalars import FieldScalar, I, ONE, SQRT2, Q_ONE, q_neg, \
+    q_normalize
 
-from oracles import demote, substitute
+from oracles import add_product_loop, demote, substitute
 
 
 @pytest.fixture()
@@ -159,6 +161,67 @@ def test_left_derivative_matches_the_accumulating_loop():
     # every odd variable is seen at every position it can take
     assert positions == {(pos, vid) for vid in range(4)
                          for pos in range(vid + 1)}
+
+
+def _random_terms(rng, count):
+    """A term dict over three even and four odd ids, with about half its
+    coefficients 1 or -1 and one key in five the constant monomial."""
+    terms = {}
+    for _ in range(count):
+        if rng.random() < 0.2:
+            key = ((), ())
+        else:
+            ek = tuple((v, rng.randint(1, 3))
+                       for v in sorted(rng.sample(range(3), rng.randint(0, 2))))
+            key = (ek, tuple(sorted(rng.sample(range(4), rng.randint(0, 3)))))
+        if rng.random() < 0.5:
+            q = rng.choice((Q_ONE, q_neg(Q_ONE)))
+        else:
+            q = q_normalize(*(rng.randint(-4, 4) for _ in range(4)),
+                            rng.randint(1, 6))
+        if q[:4] != (0, 0, 0, 0):
+            terms[key] = q
+    return terms
+
+
+def test_add_product_matches_the_plain_loop():
+    """The fast paths of add_product (an empty part on one side, a unit
+    coefficient, a key not yet in the sum) give the term dict of the loop
+    that merges, multiplies and adds every pair."""
+    import random
+
+    rng = random.Random(20261019)
+    ctx = RingContext()
+    ctx.evens("u", "v", "w")
+    ctx.odds("th1", "th2", "th3", "th4")
+    seen = set()
+    for _ in range(400):
+        p = SuperPoly._new(ctx, _random_terms(rng, rng.randint(1, 4)))
+        q = SuperPoly._new(ctx, _random_terms(rng, rng.randint(1, 4)))
+        negate = rng.random() < 0.5
+        start = rng.choice(("empty", "random", "cancel"))
+        if start == "empty":
+            base = {}
+        elif start == "random":
+            base = _random_terms(rng, 6)
+        else:
+            base = {}
+            add_product_loop(base, p, q, not negate)
+        fast, slow = dict(base), dict(base)
+        add_product(fast, p, q, negate)
+        add_product_loop(slow, p, q, negate)
+        assert fast == slow
+        if start == "cancel":
+            assert fast == {}
+        for key1, q1 in p.terms.items():
+            for key2, q2 in q.terms.items():
+                seen.add(("constant", key1 == ((), ()) or key2 == ((), ())))
+                seen.add(("unit", Q_ONE in (q1, q2, q_neg(q1), q_neg(q2))))
+                seen.add(("repeat", bool(set(key1[1]) & set(key2[1]))))
+        seen.add(("negate", negate))
+    assert seen == {(kind, flag) for kind in ("constant", "unit", "repeat",
+                                              "negate")
+                    for flag in (False, True)}
 
 
 def test_even_derivative_is_ordinary(ctx):

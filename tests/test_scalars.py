@@ -14,9 +14,10 @@ from superflag.scalars import (
     ONE,
     SQRT2,
     ZERO,
+    q_normalize,
 )
 
-from oracles import to_complex
+from oracles import fraction_render, to_complex
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=5
@@ -64,6 +65,21 @@ def test_render_golden():
     assert FieldScalar(Fraction(1, 2)).render() == "1/2"
     assert FieldScalar(1, 1).render() == "1 + i"
     assert FieldScalar(0, 0, 0, Fraction(-1, 2)).render() == "-1/2*i*r2"
+
+
+# Parts of a field tuple: zero, small and up to 40 digits, of either sign.
+tuple_parts = st.one_of(st.just(0), st.integers(-60, 60),
+                        st.integers(-10**40, 10**40))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(tuple_parts, tuple_parts, tuple_parts, tuple_parts,
+       st.one_of(st.integers(1, 12), st.integers(1, 10**6)))
+def test_render_matches_fraction_text(a, b, c, d, den):
+    """The text written from the tuple's integers is the text of its four
+    parts as Fractions."""
+    q = q_normalize(a, b, c, d, den)
+    assert FieldScalar.from_q(q).render() == fraction_render(q)
 
 
 def test_hash_agrees_with_equality():
