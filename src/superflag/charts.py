@@ -303,10 +303,12 @@ def chart_variable_count(ft):
 # ---------------------------------------------------------------------------
 
 
-def _designated_rows(ft, index_sets, s):
-    """0-based rows named by the index set of step s, even rows first."""
-    i0, i1 = index_sets[s - 1]
-    return [i - 1 for i in i0] + [ft.k[s - 1] + i - 1 for i in i1]
+def _designated(prod, ft, index_sets, s):
+    """The square submatrix of ``prod`` in the rows named by the index set
+    of step s, even rows first: the rows that hold the identity in Z_s."""
+    shape = BlockShape(ft.k[s], ft.l[s])
+    return prod.submatrix(list(_identity_rows(ft, s, *index_sets[s - 1])),
+                          range(shape.total), shape, shape)
 
 
 def act(L, chart, J=None):
@@ -329,9 +331,7 @@ def act(L, chart, J=None):
     ctx = chart.ctx
     for s in range(1, ft.r + 1):
         prod = carrier @ chart.matrix(s)
-        sub_shape = BlockShape(ft.k[s], ft.l[s])
-        c_s = prod.submatrix(_designated_rows(ft, J, s),
-                             range(sub_shape.total), sub_shape, sub_shape)
+        c_s = _designated(prod, ft, J, s)
         new_mats.append(prod @ c_s.invert())
         ctx = new_mats[-1].ctx
         carrier = c_s
@@ -399,7 +399,8 @@ class VectorField:
         names = list(dict.fromkeys(list(self.order) + list(other.order)))
         coeffs = {n: self.coefficient(n) + other.coefficient(n) for n in names}
         parity = self.parity if self.parity == other.parity else None
-        return VectorField(self.ctx, parity, coeffs, tuple(names))
+        return VectorField(common_context(self.ctx, other.ctx), parity,
+                           coeffs, tuple(names))
 
     def __neg__(self):
         return VectorField(
@@ -467,9 +468,7 @@ def fundamental_field(X, chart):
     rates = []
     for s in range(1, ft.r + 1):
         prod = carrier @ chart.matrix(s)
-        shape = BlockShape(ft.k[s], ft.l[s])
-        carrier = prod.submatrix(_designated_rows(ft, chart.index_sets, s),
-                                 range(shape.total), shape, shape)
+        carrier = _designated(prod, ft, chart.index_sets, s)
         # P - Z~_s B, accumulated into P's term dicts
         acc = {slot: dict(v.terms) for slot, v in prod.entries.items()}
         add_matrix_product(acc, twisted[s - 1], carrier, negate=True)

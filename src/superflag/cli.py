@@ -268,7 +268,7 @@ def cmd_verify(args):
             _check_sizes(cap, **dict(zip(params, values)))
         reports = [fn(*values)]
     else:
-        reports = run_all(max_size=cap)
+        reports = run_all(cap)
     for r in reports:
         print(r.render())
     ok = all(r.ok for r in reports)

@@ -12,8 +12,8 @@ tolerance decisions anywhere.
 
 import bisect
 
-from .scalars import ONE, Q_ONE, Q_ZERO, ZERO, FieldScalar, q_add, q_inv, \
-    q_mul, q_neg
+from .scalars import ONE, Q_ONE, Q_ZERO, ZERO, FieldScalar, add_scaled, \
+    q_inv, q_mul, q_neg
 
 
 class SingularMatrixError(ValueError):
@@ -108,16 +108,3 @@ class RankTracker:
             basis.append([FieldScalar.from_q(q) for q in vec])
         return basis
 
-
-def add_scaled(target, row, factor):
-    """target += factor * row for sparse ``{key: q}`` dicts of 5-tuples, in
-    place, dropping the entries that cancel."""
-    for c, y in row.items():
-        s = q_mul(factor, y)
-        prev = target.get(c)
-        if prev is not None:
-            s = q_add(prev, s)
-        if s == Q_ZERO:
-            target.pop(c, None)
-        else:
-            target[c] = s

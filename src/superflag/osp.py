@@ -45,11 +45,12 @@ reads that residual as term dicts and builds no matrix;
 Every generator entry is a constant, so structure constants are computed
 on the normalised 5-tuples of ``scalars`` (``q``): a basis reads its
 generators as ``{slot: q}`` on first use (``OspBasis.entry_table``),
-``closure_check`` brackets on those tables, ``OspBasis.read_off`` expands
-a bracket or a candidate matrix, and the Jacobi and center checks compose
-and reduce tuple rows.  FieldScalar appears only in what they hand out:
-the structure constants, the coefficients and the center matrices.  The
-matrix-bracket Jacobi identity and the odd/even stabilizer of the base
+``closure_check`` brackets on those tables, ``OspBasis.read_off``, the
+one span test for constant matrices, expands a bracket or a candidate,
+and the Jacobi and center checks compose and reduce tuple rows; every
+sum of such dicts is ``scalars.add_scaled``.  FieldScalar appears only
+in what they hand out: the structure constants, the coefficients and the
+center matrices.  The matrix-bracket Jacobi identity and the odd/even stabilizer of the base
 flag, which the tests compare these with, live in ``tests/oracles.py``.
 """
 
@@ -58,11 +59,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .linalg import RankTracker, add_scaled
+from .linalg import RankTracker
 from .matrices import BlockShape, ParityError, SuperMatrix
-from .ring import add_terms
-from .scalars import I_INV_SQRT2, INV_SQRT2, ONE, Q_ONE, Q_ZERO, \
-    FieldScalar, q_add, q_mul, q_neg
+from .scalars import I_INV_SQRT2, INV_SQRT2, ONE, Q_MINUS_ONE, Q_ONE, \
+    Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg
 
 #: The monomial key of a constant term.
 _CONSTANT = ((), ())
@@ -175,8 +175,11 @@ class OspBasis:
         Each generator owns a distinct +1 "primary" slot that no other
         generator touches, so the candidate coefficients are the entries on
         primary slots: only the nonzero entries are visited.  The
-        combination is re-assembled slot by slot and compared with the
-        entries, which makes the read-off a sound span test.
+        combination is re-assembled with ``add_scaled``, which drops the
+        slots that cancel, and must equal the entries, which makes the
+        read-off a sound span test.  No entry dict holds a zero (polynomial
+        terms, ``bracket_entries`` and the witness components never store
+        one), so dict equality is the whole comparison.
         """
         table = self.entry_table()
         coeffs = [(i, entries[self.generators[i].primary])
@@ -184,14 +187,8 @@ class OspBasis:
                                   if slot in self._by_primary)]
         acc = {}
         for i, c in coeffs:
-            for slot, v in table[i].items():
-                v = q_mul(c, v)
-                prev = acc.get(slot)
-                acc[slot] = v if prev is None else q_add(prev, v)
-        if any(entries.get(slot, Q_ZERO) != v for slot, v in acc.items()) \
-                or not entries.keys() <= acc.keys():
-            return None
-        return coeffs
+            add_scaled(acc, table[i], c)
+        return coeffs if acc == entries else None
 
 
 def _constant_entries(m):
@@ -205,15 +202,6 @@ def _constant_entries(m):
         elif terms:
             others.append(slot)
     return constants, others
-
-
-def _linear_combination(terms):
-    """The sum of ``matrix * c`` over ``(c, matrix)`` pairs; None if empty."""
-    acc = None
-    for c, mat in terms:
-        scaled = mat * c
-        acc = scaled if acc is None else acc + scaled
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +307,7 @@ def _residual_terms(m, gram):
             terms = acc.get(out)
             if terms is None:
                 terms = acc[out] = {}
-            add_terms(terms, v.terms, s < 0)
+            add_scaled(terms, v.terms, Q_MINUS_ONE if s < 0 else Q_ONE)
     return acc
 
 
@@ -605,7 +593,7 @@ def jacobi_failures(bas, closure, triples):
         except NotInSpanError:
             bad.append((x, y, z))
             continue
-        add_scaled(right, tail, q_neg(Q_ONE) if br.parity[x] and br.parity[y]
+        add_scaled(right, tail, Q_MINUS_ONE if br.parity[x] and br.parity[y]
                    else Q_ONE)
         if left != right:
             bad.append((x, y, z))
@@ -619,31 +607,37 @@ def center_from_constants(bas, closure):
     In a sector with generators g_1..g_s, Z = sum c_i g_i is central when
     sum c_i [g_i, X] = 0 for every generator X, that is, coefficient by
     coefficient of each [g_i, X] in the basis: one ad row per (X, tag).
+    Each nullspace vector is read back on the generators' entry tables.
     Raises NotInSpanError when closure could not expand a bracket.
     """
     br = _BracketTable(bas, closure)
+    gens, table = bas.generators, bas.entry_table()
     out = []
     for parity in (0, 1):
-        sector = [g for g in bas.generators if g.parity == parity]
+        sector = [i for i, g in enumerate(gens) if g.parity == parity]
         if not sector:
             continue
         tracker = RankTracker(len(sector))
-        for probe in bas.generators:
+        for probe in gens:
             rows = {}
-            for i, g in enumerate(sector):
-                for tag, c in br.of(g.tag, probe.tag).items():
-                    rows.setdefault(tag, {})[i] = c
+            for pos, i in enumerate(sector):
+                for tag, c in br.of(gens[i].tag, probe.tag).items():
+                    rows.setdefault(tag, {})[pos] = c
             for tag in sorted(rows, key=br.index.__getitem__):
                 tracker.add(rows[tag])
                 if tracker.is_full():
                     break
             if tracker.is_full():
                 break
+        like = gens[sector[0]].matrix
         for vec in tracker.nullspace():
-            acc = _linear_combination(
-                (c, g.matrix) for c, g in zip(vec, sector) if c)
-            if acc is not None:
-                out.append(acc)
+            acc = {}
+            for c, i in zip(vec, sector):
+                if c:
+                    add_scaled(acc, table[i], c.q)
+            out.append(SuperMatrix.from_terms(
+                like.rows, like.cols, like.ctx, parity,
+                {slot: {_CONSTANT: q} for slot, q in acc.items()}))
     return out
 
 

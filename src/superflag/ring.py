@@ -21,8 +21,8 @@ a silent union.
 from __future__ import annotations
 
 from .scalars import (
-    Q_ONE, Q_ZERO, FieldScalar, q_add, q_mul, q_neg, q_render, scaled,
-    signed_sum,
+    Q_MINUS_ONE, Q_ONE, Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg,
+    q_render, scaled, signed_sum,
 )
 
 
@@ -216,7 +216,7 @@ def _align(p, q):
 
 
 #: The sign of each unit coefficient: a product with one of them is a copy.
-_UNIT_SIGN = {Q_ONE: 1, q_neg(Q_ONE): -1}
+_UNIT_SIGN = {Q_ONE: 1, Q_MINUS_ONE: -1}
 
 
 def add_product(terms, p, q, negate=False):
@@ -260,17 +260,6 @@ def add_product(terms, p, q, negate=False):
                 del terms[key]
             else:
                 terms[key] = acc
-
-
-def add_terms(terms, src, negate=False):
-    """Add the term dict ``src``, or its negative when ``negate``, into the
-    term dict ``terms``, dropping the keys that cancel."""
-    for key, q in src.items():
-        acc = q_add(terms.get(key, Q_ZERO), q_neg(q) if negate else q)
-        if acc == Q_ZERO:
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
 
 
 class SuperPoly:
@@ -361,7 +350,7 @@ class SuperPoly:
             return NotImplemented
         a, b = _align(self, other)
         terms = dict(a.terms)
-        add_terms(terms, b.terms)
+        add_scaled(terms, b.terms, Q_ONE)
         return SuperPoly._new(a.ctx, terms)
 
     __radd__ = __add__

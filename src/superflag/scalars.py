@@ -24,6 +24,7 @@ from math import gcd, lcm
 
 Q_ZERO = (0, 0, 0, 0, 1)
 Q_ONE = (1, 0, 0, 0, 1)
+Q_MINUS_ONE = (-1, 0, 0, 0, 1)
 
 
 def q_normalize(a, b, c, d, den):
@@ -85,6 +86,25 @@ def q_inv(x):
         den * (-d * e + b * f),
         g,
     )
+
+
+def add_scaled(target, src, factor):
+    """target += factor * src for ``{key: q}`` dicts of field tuples, in
+    place, dropping the keys that cancel.  This is the one scaled sum of
+    such dicts: polynomial term dicts, ``RankTracker`` rows and the
+    entries of constant matrices.  A factor of 1 or -1 adds or subtracts
+    without a multiplication."""
+    plus, minus = factor == Q_ONE, factor == Q_MINUS_ONE
+    for key, y in src.items():
+        if not plus:
+            y = q_neg(y) if minus else q_mul(factor, y)
+        prev = target.get(key)
+        if prev is not None:
+            y = q_add(prev, y)
+        if y == Q_ZERO:
+            target.pop(key, None)
+        else:
+            target[key] = y
 
 
 def signed_sum(summands):

@@ -8,9 +8,14 @@ brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
 from structure constants, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
-hand for ``charts.isotropic_chart``, and a Neumann loop that decides
+hand for ``charts.isotropic_chart``, a Neumann loop that decides
 only after summing its powers for the up-front test of
-``SuperMatrix.invert``.
+``SuperMatrix.invert``, and the span route the imp-witness suite took
+before it read its Grassmann components off one basis each: numeric
+matrices built even, expanded in bases of even generators only, the
+bordered one built with ``embed_j``.  That route shares
+``OspBasis.read_off`` with the suite, but not the split, the bordering or
+the parity test.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from itertools import combinations
 
 from superflag import linalg
 from superflag.charts import Chart, VectorField, validate_flag_type
-from superflag.matrices import BlockShape, NotNilpotentError, SuperMatrix
-from superflag.osp import OspBasis, basis
+from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
+    SuperMatrix
+from superflag.osp import NotInSpanError, OspBasis, basis, bordered_basis
 from superflag.ring import NUMERIC_CTX, ContextError, RingContext, SuperPoly, \
     common_context, merge_odd, mul_even
 from superflag.scalars import Q_ZERO, FieldScalar, q_add, q_mul, q_neg
@@ -209,6 +215,43 @@ def super_jacobi_holds(x, y, z):
     if x.parity and y.parity:
         return left == right - tail
     return left == right + tail
+
+
+def even_span_route(k1, l1):
+    """The verdicts of the imp-witness suite's span questions, the way it
+    once asked them: a function of a matrix ``m`` over primed
+    osp(2k1|2l1) that returns ``(in_full, in_j)``.  ``m`` is split into one
+    numeric matrix per monomial, each built even, and every one of them
+    must expand with ``coefficients_of`` in the even generators of primed
+    osp(2k1|2l1) (``in_full``) or in the zero-bordered even generators of
+    primed osp(2k1-1|2l1) (``in_j``).  A component that is not even is in
+    neither span."""
+    full = basis("primed", 2 * k1, l1)
+    full_even = OspBasis(full.flavor, full.sizes, full.gram,
+                         full.even_generators())
+    j_even = bordered_basis(basis("primed", 2 * k1 - 1, l1).even_generators())
+
+    def in_span(target, bas):
+        try:
+            bas.coefficients_of(target)
+        except NotInSpanError:
+            return False
+        return True
+
+    def verdicts(m):
+        keys = {}
+        for (i, j), p in m.entries.items():
+            for even_part, odd_part, coeff in p.monomials():
+                keys.setdefault((even_part, odd_part), {})[(i, j)] = coeff
+        try:
+            pieces = [SuperMatrix.build(m.rows, m.cols, keys[key], parity=0)
+                      for key in sorted(keys, key=repr)]
+        except ParityError:
+            return False, False
+        return (all(in_span(p, full_even) for p in pieces),
+                all(in_span(p, j_even) for p in pieces))
+
+    return verdicts
 
 
 #: Free block families of the base-flag stabilizers p (in osp(2k1-1|2l1),

@@ -245,6 +245,22 @@ def test_vector_field_apply_matches_termwise_sum():
         assert v.apply(f).render() == want.render()
 
 
+def test_sum_of_fields_over_two_rings_lives_in_the_larger():
+    """A sum or difference of fields over a ring R and over R + t is a
+    field over R + t, whichever side holds t."""
+    r = RingContext()
+    u, = r.evens("u")
+    rt = r.extended(even=("t",))
+    v = VectorField(r, 0, {"u": u}, ("u",))
+    w = VectorField(rt, 0, {"u": rt.lift(u) * rt.var("t")}, ("u",))
+    for f in (v + w, w + v, v - w):
+        assert f.ctx is rt
+        assert f.coefficient("u").ctx is rt
+    assert (v + w).apply(u).render() == (w + v).apply(u).render() \
+        == "u + u*t"
+    assert (v - w).apply(u).render() == "u - u*t"
+
+
 def test_vector_field_bracket_closes_on_coordinates():
     ctx = RingContext()
     ctx.evens("u", "v")

@@ -30,9 +30,10 @@ from superflag.osp import (
     parabolic_basis,
 )
 from superflag.ring import RingContext
-from superflag.scalars import FieldScalar, ONE, ZERO
+from superflag.scalars import FieldScalar, ONE, Q_ONE, ZERO
 
 from oracles import (
+    even_span_route,
     original_parabolic_basis,
     stabilized_subspace_indices,
     super_jacobi_holds,
@@ -386,6 +387,18 @@ def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
     assert records["center"].witness == "undetermined: closure failed"
 
 
+def test_center_reads_each_coefficient_back(monkeypatch):
+    """A nullspace vector times 3 is still one, and the central matrix read
+    back from it is 3 times the identity of gl(2|1)."""
+    class Tripled(RankTracker):
+        def nullspace(self):
+            return [[c * 3 for c in vec] for vec in super().nullspace()]
+
+    monkeypatch.setattr(osp, "RankTracker", Tripled)
+    z, = _center("gl", 2, 1)
+    assert z.parity == 0 and z == SuperMatrix.identity(z.rows) * 3
+
+
 def _center(flavor, a, b):
     """center_from_constants on the constants of ``basis(flavor, a, b)``."""
     bas = basis(flavor, a, b)
@@ -732,6 +745,87 @@ def test_j_image_characterization():
     assert not j_image_contains(spoiled)
     with pytest.raises(ValueError):
         embed_j(embed_j(src.generators[0].matrix))   # even-sized source
+
+
+def _witness_spans(k1, l1, m):
+    """The imp-witness suite's verdicts on ``m``: every Grassmann component
+    lies in the even part of primed osp(2k1|2l1), and every one is the
+    image of the even part of primed osp(2k1-1|2l1)."""
+    full = basis("primed", 2 * k1, l1)
+    source = basis("primed", 2 * k1 - 1, l1)
+    pieces = suites._pieces(m)
+    return (all(suites._in_even_span(full, p) for p in pieces),
+            all(suites._in_j_image(source, p) for p in pieces))
+
+
+def _with_extra_entry(rng, m, where):
+    """``m`` with 3 put at one of its empty slots in row 0, in column 0 or
+    on an odd slot."""
+    n, p = m.rows.total, m.rows.even
+    slots = [(i, j) for i in range(n) for j in range(n)
+             if (i, j) not in m.entries
+             and {"row": i == 0, "column": j == 0,
+                  "odd": (i < p) != (j < p)}[where]]
+    return SuperMatrix.build(m.rows, m.cols,
+                             {**m.entries, rng.choice(slots): ONE * 3})
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3])
+@pytest.mark.parametrize("l1", [1, 2, 3])
+def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
+    """The suite reads each Grassmann component off one basis and accepts
+    even generators only, shifting a j-image candidate back by (1, 1); the
+    oracle builds each component even and expands it in bases of even
+    generators, the bordered one built with embed_j.  They agree on the
+    witness components, on every generator of primed(2k1|2l1) and every
+    bordered even generator, and on each of these with an entry added in
+    row 0, in column 0 or on an odd slot; both verdicts occur for both
+    spans."""
+    real = suites._pieces
+    witness = []
+
+    def recording(m):
+        pieces = real(m)
+        witness.extend(pieces)
+        return pieces
+
+    monkeypatch.setattr(suites, "_pieces", recording)
+    assert suites.suite_imP_witness(k1, l1).ok
+    monkeypatch.undo()
+    full = basis("primed", 2 * k1, l1)
+    shape = full.gram.shape
+    cases = [SuperMatrix.build(shape, shape,
+                               {slot: FieldScalar.from_q(q)
+                                for slot, q in p.items()}, parity=0)
+             for p in witness]
+    cases += [g.matrix for g in full]
+    cases += [embed_j(g.matrix)
+              for g in basis("primed", 2 * k1 - 1, l1).even_generators()]
+    rng = random.Random(100 * k1 + l1)
+    cases += [_with_extra_entry(rng, m, where) for m in list(cases)
+              for where in ("row", "column", "odd")]
+    oracle = even_span_route(k1, l1)
+    seen = set()
+    for m in cases:
+        got = _witness_spans(k1, l1, m)
+        assert got == oracle(m), m.render()
+        seen.update(enumerate(got))
+    assert witness and seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_witness_checks_fail_on_a_spoiled_component(monkeypatch):
+    """An entry on an odd slot of the first row, put into every Grassmann
+    component, takes the bracket out of the even part and the
+    self-bracket out of the embedded subalgebra; the other checks do not
+    read the components."""
+    real = suites._pieces
+    slot = (0, 4)  # the first odd column of primed osp(4|2)
+    monkeypatch.setattr(suites, "_pieces", lambda m: [
+        {**p, slot: Q_ONE} for p in real(m)] or [{slot: Q_ONE}])
+    status = {r.check_id: r.ok for r in suites.suite_imP_witness(2, 1).records}
+    assert status == {"bracket-display": True, "witness-membership": True,
+                      "outside-j-image": False,
+                      "self-bracket-control": False}
 
 
 def _stabilizes(mat, indices):

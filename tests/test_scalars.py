@@ -12,8 +12,15 @@ from superflag.scalars import (
     I_SQRT2,
     INV_SQRT2,
     ONE,
+    Q_MINUS_ONE,
+    Q_ONE,
+    Q_ZERO,
     SQRT2,
     ZERO,
+    add_scaled,
+    q_add,
+    q_mul,
+    q_neg,
     q_normalize,
 )
 
@@ -154,3 +161,36 @@ def test_numeric_embedding_consistent(a):
     b = to_complex(a)
     c = to_complex(a * a)
     assert abs(b * b - c) < 1e-9
+
+
+def test_add_scaled_matches_the_plain_sum():
+    """add_scaled, which adds or subtracts without a multiplication for a
+    factor of 1 or -1, gives the dict of the loop that multiplies every
+    value, adds it in and then drops the zeros; a sum that cancels
+    leaves nothing behind."""
+    import random
+
+    rng = random.Random(20261020)
+
+    def random_q():
+        return q_normalize(*(rng.randint(-3, 3) for _ in range(4)),
+                           rng.choice((1, 2, 3)))
+
+    def random_dict():
+        return {k: q for k in rng.sample(range(8), rng.randint(0, 6))
+                if (q := random_q()) != Q_ZERO}
+
+    for _ in range(300):
+        target, src = random_dict(), random_dict()
+        factor = rng.choice((Q_ONE, Q_MINUS_ONE, random_q()))
+        plain = dict(target)
+        for k, y in src.items():
+            plain[k] = q_add(plain.get(k, Q_ZERO), q_mul(factor, y))
+        plain = {k: q for k, q in plain.items() if q != Q_ZERO}
+        add_scaled(target, src, factor)
+        assert target == plain
+    for factor in (Q_ONE, Q_MINUS_ONE, random_q()):
+        src = random_dict()
+        target = {k: q_neg(q_mul(factor, y)) for k, y in src.items()}
+        add_scaled(target, src, factor)
+        assert target == {}
