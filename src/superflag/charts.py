@@ -324,7 +324,7 @@ def act(L, chart, J=None):
     ft = chart.ft
     J = chart.index_sets if J is None else _check_index_sets(ft, J)
     shape = BlockShape(ft.m, ft.n)
-    if not (L.rows.compatible(shape) and L.cols.compatible(shape)):
+    if L.rows != shape or L.cols != shape:
         raise ChartError("acting matrix has the wrong shape")
     carrier = L
     new_mats = []

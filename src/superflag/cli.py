@@ -20,7 +20,6 @@ import sys
 
 from . import BACKEND, __version__
 from .charts import (
-    ChartError,
     FlagTypeError,
     act,
     build_chart,
@@ -30,14 +29,8 @@ from .charts import (
     isotropic_chart,
     validate_flag_type,
 )
-from .matrices import (
-    BlockShape,
-    ParityError,
-    ShapeError,
-    parse_numeric_matrix,
-)
+from .matrices import BlockShape, parse_numeric_matrix
 from .osp import (
-    NotInSpanError,
     basis,
     dimension_counts,
     gram_form,
@@ -110,6 +103,8 @@ def parse_index_sets(specs, ft):
             i1 = tuple(int(v) for v in odd_part.split(",") if v)
         except ValueError:
             raise UsageError(f"malformed index set {spec!r}")
+        if step in by_step:
+            raise UsageError(f"index set I{step} is given more than once")
         by_step[step] = (i0, i1)
     if sorted(by_step) != list(range(1, ft.r + 1)):
         raise UsageError(
@@ -395,11 +390,7 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return FAIL
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE
-    except (ShapeError, ParityError, FlagTypeError, ChartError,
-            NotInSpanError, ValueError) as e:
+    except (UsageError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE
 

@@ -1,8 +1,9 @@
 """Block supermatrices over a supercommutative ring.
 
 A :class:`SuperMatrix` is a sparse rectangular matrix of :class:`SuperPoly`
-entries together with row and column :class:`BlockShape`s (how many even and
-odd rows/columns, optionally refined into named parts) and a declared parity.
+entries together with row and column :class:`BlockShape`s and a declared
+parity.  A shape is just its even and odd sizes: the even rows (or
+columns) come first, then the odd ones.
 
 Parity bookkeeping follows the usual convention: in an *even* matrix the
 diagonal blocks carry even entries and the off-diagonal blocks odd entries;
@@ -34,43 +35,18 @@ class NotNilpotentError(ValueError):
 
 @dataclass(frozen=True)
 class BlockShape:
-    """even|odd sizes of one side of a supermatrix, optionally partitioned."""
+    """even|odd sizes of one side of a supermatrix."""
 
     even: int
     odd: int
-    even_parts: tuple = None
-    odd_parts: tuple = None
 
     def __post_init__(self):
         if self.even < 0 or self.odd < 0:
             raise ShapeError("negative block sizes")
-        if self.even_parts is not None and sum(self.even_parts) != self.even:
-            raise ShapeError("even partition does not sum to the even size")
-        if self.odd_parts is not None and sum(self.odd_parts) != self.odd:
-            raise ShapeError("odd partition does not sum to the odd size")
 
     @property
     def total(self):
         return self.even + self.odd
-
-    def compatible(self, other):
-        return self is other or (self.even == other.even
-                                 and self.odd == other.odd)
-
-    def part_ranges(self):
-        """Absolute (start, stop) of each part, even parts first."""
-        even_parts = self.even_parts or ((self.even,) if self.even else ())
-        odd_parts = self.odd_parts or ((self.odd,) if self.odd else ())
-        ranges = []
-        pos = 0
-        for size in even_parts:
-            ranges.append((pos, pos + size))
-            pos += size
-        pos = self.even
-        for size in odd_parts:
-            ranges.append((pos, pos + size))
-            pos += size
-        return ranges
 
     def is_odd_index(self, i):
         return i >= self.even
@@ -200,7 +176,7 @@ class SuperMatrix:
         return not self.entries
 
     def is_square(self):
-        return self.rows.compatible(self.cols)
+        return self.rows == self.cols
 
     def lift(self, ctx):
         if ctx is self.ctx:
@@ -235,7 +211,7 @@ class SuperMatrix:
     # -- arithmetic ----------------------------------------------------------
 
     def _require_same_shape(self, other):
-        if not (self.rows.compatible(other.rows) and self.cols.compatible(other.cols)):
+        if self.rows != other.rows or self.cols != other.cols:
             raise ShapeError("shape mismatch")
 
     def __add__(self, other):
@@ -298,7 +274,7 @@ class SuperMatrix:
         of them has none."""
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        if not self.cols.compatible(other.rows):
+        if self.cols != other.rows:
             raise ShapeError("inner shapes do not match")
         parity = None
         if self.parity in (0, 1) and other.parity in (0, 1):
@@ -323,7 +299,7 @@ class SuperMatrix:
     def __eq__(self, other):
         if not isinstance(other, SuperMatrix):
             return NotImplemented
-        if not (self.rows.compatible(other.rows) and self.cols.compatible(other.cols)):
+        if self.rows != other.rows or self.cols != other.cols:
             return False
         a, b = SuperMatrix._align(self, other)
         return a.entries == b.entries
@@ -363,7 +339,7 @@ class SuperMatrix:
         if self.parity not in (0, 1) or other.parity not in (0, 1):
             raise ParityError("superbracket needs parity-homogeneous matrices")
         if not (self.is_square() and other.is_square()
-                and self.rows.compatible(other.rows)):
+                and self.rows == other.rows):
             raise ShapeError("superbracket needs square matrices of one"
                              " shape")
         return SuperMatrix.from_terms(self.rows, other.cols,
@@ -419,24 +395,6 @@ class SuperMatrix:
         mat = SuperMatrix._new(rows_shape, cols_shape, self.ctx, None, entries)
         mat.parity = mat._infer_parity()
         return mat
-
-    def block(self, bi, bj):
-        """Extract part (bi, bj) of the partitioned block structure."""
-        r0, r1 = self.rows.part_ranges()[bi]
-        c0, c1 = self.cols.part_ranges()[bj]
-        rows_shape = (
-            BlockShape(r1 - r0, 0)
-            if not self.rows.is_odd_index(r0)
-            else BlockShape(0, r1 - r0)
-        )
-        cols_shape = (
-            BlockShape(c1 - c0, 0)
-            if not self.cols.is_odd_index(c0)
-            else BlockShape(0, c1 - c0)
-        )
-        return self.submatrix(
-            range(r0, r1), range(c0, c1), rows_shape, cols_shape
-        )
 
     # -- rendering ----------------------------------------------------------------
 

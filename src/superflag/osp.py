@@ -26,14 +26,15 @@ The generators come from one family table per slot naming: ``original``
 (the odd/even flavors) and ``primed``.  Each row names a tag, a row block,
 a column block and an index range over them: ``full``, ``strict`` (i < j),
 ``upper`` (i <= j) or ``vec`` (one index, along the block that is not the
-middle one).  Blocks are the parts of the Gram shape: even parts b1, b2 and
-the one-wide middle block b3 (present only when there are three even
-parts), odd parts c1, c2; the three symplectic B rows are shared by both tables.  A
-generator has +1 at its primary slot (r, c) and one forced entry that the
-Gram form fixes: every Gram here is a signed permutation g_x e(x, pi(x)),
-so the defining equation puts -sigma g_r g_c at (pi(c), pi(r)), where
-sigma = -1 on the even-row/odd-column slots that the supertranspose
-negates.  When that slot is (r, c) itself there is no second entry.
+middle one).  The blocks are read off the Gram's sizes (p|q): even halves
+b1 and b2 of size p // 2, the one-wide middle block b3 after them when p
+is odd, and odd halves c1 and c2 of size q // 2; the three symplectic B
+rows are shared by both tables.  A generator has +1 at its primary slot
+(r, c) and one forced entry that the Gram form fixes: every Gram here is
+a signed permutation g_x e(x, pi(x)), so the defining equation puts
+-sigma g_r g_c at (pi(c), pi(r)), where sigma = -1 on the
+even-row/odd-column slots that the supertranspose negates.  When that
+slot is (r, c) itself there is no second entry.
 
 The same permutation gives the membership residual M^ST G + G M without a
 product: entry M[r, c] adds g_x M[r, c] at (x, c), x = pi^-1(r), through
@@ -77,8 +78,6 @@ class GramForm:
     """A Gram matrix g_x e(x, pi(x)): ``perm`` is pi, ``inverse`` its
     inverse and ``sign`` the g_x as +1 or -1, one per row."""
 
-    flavor: str
-    sizes: tuple
     shape: BlockShape
     matrix: SuperMatrix
     perm: tuple
@@ -216,16 +215,11 @@ def _check_sizes(flavor, a, b):
 
 def _shape(flavor, a, b):
     if flavor == "odd":
-        return BlockShape(2 * a + 1, 2 * b, (a, a, 1), (b, b))
+        return BlockShape(2 * a + 1, 2 * b)
     if flavor == "even":
-        return BlockShape(2 * a, 2 * b, (a, a), (b, b))
+        return BlockShape(2 * a, 2 * b)
     if flavor == "primed":
-        t = a
-        if t % 2:
-            k = (t + 1) // 2
-            return BlockShape(t, 2 * b, (k - 1, k - 1, 1), (b, b))
-        k = t // 2
-        return BlockShape(t, 2 * b, (k, k), (b, b))
+        return BlockShape(a, 2 * b)
     if flavor == "gl":
         return BlockShape(a, b)
     raise ValueError(f"unknown flavor {flavor!r}")
@@ -267,7 +261,7 @@ def gram_form(flavor, a, b):
     perm = tuple(y for _, y in sorted(entries))
     inverse = tuple(x for _, x in sorted((y, x) for x, y in entries))
     sign = tuple(entries[(x, y)] for x, y in enumerate(perm))
-    return GramForm(flavor, (a, b), shape, mat, perm, inverse, sign)
+    return GramForm(shape, mat, perm, inverse, sign)
 
 
 def is_member(m, gram):
@@ -295,7 +289,7 @@ def _residual_terms(m, gram):
     matrix product.  A slot whose contributions cancel holds an empty
     dict."""
     shape = gram.shape
-    if not (m.rows.compatible(shape) and m.cols.compatible(shape)):
+    if m.rows != shape or m.cols != shape:
         raise ValueError("matrix shape does not match the gram form")
     if m.parity not in (0, 1):
         raise ParityError("supertranspose needs a parity-homogeneous matrix")
@@ -368,11 +362,11 @@ def _index_range(kind, rows, cols, along_cols):
 def _family_specs(naming, gram):
     """(tag, parity, entries, primary slot) of every family-table entry,
     with the forced entry read off the Gram form (see the module doc)."""
-    shape = gram.shape
-    names = ("b1", "b2", "b3", "c1", "c2") if len(shape.even_parts) == 3 \
-        else ("b1", "b2", "c1", "c2")
-    blocks = {name: (lo, hi - lo)
-              for name, (lo, hi) in zip(names, shape.part_ranges())}
+    p, q = gram.shape.even, gram.shape.odd
+    h, n = p // 2, q // 2
+    blocks = {"b1": (0, h), "b2": (h, h), "c1": (p, n), "c2": (p + n, n)}
+    if p % 2:
+        blocks["b3"] = (2 * h, 1)
     perm = gram.perm
     specs = []
     for tag, row, col, kind in _FAMILIES[naming]:

@@ -332,7 +332,7 @@ def suite_imP_witness(k1, l1):
     if k1 < 1 or l1 < 1:
         raise ValueError("the imP witness needs k1 >= 1 and l1 >= 1")
     rep = SuiteReport(f"imP-witness(k1={k1},l1={l1})")
-    shape = BlockShape(2 * k1, 2 * l1, (k1, k1), (l1, l1))
+    shape = BlockShape(2 * k1, 2 * l1)
     ctx = RingContext()
     a_names = [f"a{w}_{i}_{j}" for w in (1, 2)
                for i in range(1, k1 + 1) for j in range(1, l1 + 1)]
@@ -362,7 +362,7 @@ def suite_imP_witness(k1, l1):
         mb_entries[(e0 + l1 + j, 0)] = b(1, j + 1)
     ma = SuperMatrix.build(shape, shape, ma_entries, ctx=ctx, parity=0)
     mb = SuperMatrix.build(shape, shape, mb_entries, ctx=ctx, parity=0)
-    bracket = ma @ mb - mb @ ma
+    bracket = ma.superbracket(mb)
 
     expected = {}
     for i in range(k1):

@@ -277,13 +277,11 @@ def original_parabolic_basis(which, k1, l1):
 def stabilized_subspace_indices(flavor, shape):
     """Row indices of the base flag: second even block plus second odd
     block."""
-    ev = shape.even_parts
     if flavor not in ("odd", "even"):
         raise ValueError("base flag is defined for the odd/even flavors")
-    even_idx = range(ev[0], ev[0] + ev[1])
-    n = shape.odd_parts[1]
-    odd_lo = shape.even + shape.odd_parts[0]
-    return list(even_idx) + list(range(odd_lo, odd_lo + n))
+    h, n = shape.even // 2, shape.odd // 2
+    odd_lo = shape.even + n
+    return list(range(h, 2 * h)) + list(range(odd_lo, odd_lo + n))
 
 
 # ---------------------------------------------------------------------------

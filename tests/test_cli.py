@@ -106,6 +106,12 @@ def test_parse_index_sets():
         parse_index_sets(["I1=2;1", "bogus"], ft)
 
 
+def test_parse_index_sets_rejects_a_repeated_step():
+    ft = validate_flag_type((3, 1, 1), (2, 1, 0))
+    with pytest.raises(UsageError, match="I1"):
+        parse_index_sets(["I1=2;1", "I2=1;", "I1=3;1"], ft)
+
+
 def test_osp_basis_lists_generators(capsys):
     code, out, _ = run(capsys, "osp-basis", "--flavor", "odd",
                        "--m", "1", "--n", "1")

@@ -39,13 +39,12 @@ def rand_numeric(rng, rows, cols, parity):
 
 
 def test_block_shape_bookkeeping():
-    sh = BlockShape(3, 2, (2, 1), (1, 1))
+    sh = BlockShape(3, 2)
     assert sh.total == 5
-    assert sh.part_ranges() == [(0, 2), (2, 3), (3, 4), (4, 5)]
     assert not sh.is_odd_index(2)
     assert sh.is_odd_index(3)
     with pytest.raises(ShapeError):
-        BlockShape(3, 2, (2, 2), (1, 1))
+        BlockShape(3, -1)
 
 
 def test_build_getitem_identity():
@@ -231,13 +230,11 @@ def test_superbracket_conventions():
             assert b.superbracket(a) == br.map_entries(lambda p: p * (-sign))
 
 
-def test_submatrix_and_block():
-    sh = BlockShape(2, 1, (1, 1), (1,))
+def test_submatrix():
+    sh = BlockShape(2, 1)
     m = SuperMatrix.build(
         sh, sh, {(i, j): FieldScalar(10 * i + j) for i in range(3)
                  for j in range(3)}, parity=None)
-    blk = m.block(0, 1)
-    assert blk[0, 0].scalar_part() == FieldScalar(1)
     sub = m.submatrix([0, 2], [0, 2], BlockShape(1, 1), BlockShape(1, 1))
     assert sub[0, 0].scalar_part() == FieldScalar(0)
     assert sub[1, 1].scalar_part() == FieldScalar(22)
@@ -404,7 +401,7 @@ def test_membership_residual_matches_separate_products():
             for g in bas if len(g.matrix.entries) > 1]
         cases = [(m, gram) for m in
                  gens + [m * th for m in gens[::3]] + noise + scaled]
-        if gram.shape.compatible(_grassmann_matrices()[0].rows):
+        if gram.shape == _grassmann_matrices()[0].rows:
             cases += [(m, gram) for m in _grassmann_matrices()]
         if flavor == "primed" and a % 2:
             target = gram_form(flavor, a + 1, b)
