@@ -2,12 +2,13 @@
 
 Exit codes: 0 all requested checks pass; 1 a verification check fails,
 or standard output closed before everything was written; 2 usage or input
-errors.  The environment variable SUPERFLAG_MAX_SIZE (default 4) caps the
-sizes accepted by the symbolic commands, since costs grow quickly; the
-claims being checked are size-uniform, so small sizes are the intended
-witnesses.  ``verify --max-size N`` sets the cap for one verify run, in
-place of SUPERFLAG_MAX_SIZE.  The suites in ``suites.UNCAPPED`` (bwb, whose
-cost is linear in its ranks) and the ``bwb`` command take any size.
+errors, sizes too large to allocate among them.  The environment variable
+SUPERFLAG_MAX_SIZE (default 4) caps the sizes accepted by the symbolic
+commands, since costs grow quickly; the claims being checked are
+size-uniform, so small sizes are the intended witnesses.  ``verify
+--max-size N`` sets the cap for one verify run, in place of
+SUPERFLAG_MAX_SIZE.  The suites in ``suites.UNCAPPED`` (bwb, whose cost is
+linear in its ranks) and the ``bwb`` command take any size.
 """
 
 from __future__ import annotations
@@ -390,8 +391,10 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return FAIL
-    except (UsageError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (UsageError, ValueError, MemoryError) as e:
+        # a MemoryError carries no message: sizes too large to allocate
+        print(f"error: {str(e) or 'not enough memory for these sizes'}",
+              file=sys.stderr)
         return USAGE
 
 

@@ -26,12 +26,17 @@ The generators come from one family table per slot naming: ``original``
 (the odd/even flavors) and ``primed``.  Each row names a tag, a row block,
 a column block and an index range over them: ``full``, ``strict`` (i < j),
 ``upper`` (i <= j) or ``vec`` (one index, along the block that is not the
-middle one).  The blocks are read off the Gram's sizes (p|q): even halves
-b1 and b2 of size p // 2, the one-wide middle block b3 after them when p
-is odd, and odd halves c1 and c2 of size q // 2; the three symplectic B
-rows are shared by both tables.  A generator has +1 at its primary slot
-(r, c) and one forced entry that the Gram form fixes: every Gram here is
-a signed permutation g_x e(x, pi(x)), so the defining equation puts
+middle one).  The table order is the generator order: every even family
+comes before every odd one, and ``basis`` sorts nothing.  The blocks are
+read off the Gram's sizes (p|q): even halves b1 and b2 of size p // 2,
+the one-wide middle block b3 after them when p is odd, and odd halves c1
+and c2 of size q // 2; the three symplectic B rows are shared by both
+tables.
+
+Each Gram is written as its signed permutation g_x e(x, pi(x)):
+``gram_form`` writes pi and the signs g_x, and the matrix and pi^-1
+follow from them.  A generator has +1 at its primary slot (r, c) and one
+forced entry that the Gram form fixes: the defining equation puts
 -sigma g_r g_c at (pi(c), pi(r)), where sigma = -1 on the
 even-row/odd-column slots that the supertranspose negates.  When that
 slot is (r, c) itself there is no second entry.
@@ -44,15 +49,17 @@ reads that residual as term dicts and builds no matrix;
 ``membership_residual`` builds it from the same dicts.
 
 Every generator entry is a constant, so structure constants are computed
-on the normalised 5-tuples of ``scalars`` (``q``): a basis reads its
-generators as ``{slot: q}`` on first use (``OspBasis.entry_table``),
-``closure_check`` brackets on those tables, ``OspBasis.read_off``, the
-one span test for constant matrices, expands a bracket or a candidate,
-and the Jacobi and center checks compose and reduce tuple rows; every
-sum of such dicts is ``scalars.add_scaled``.  FieldScalar appears only
-in what they hand out: the structure constants, the coefficients and the
-center matrices.  The matrix-bracket Jacobi identity and the odd/even stabilizer of the base
-flag, which the tests compare these with, live in ``tests/oracles.py``.
+on the normalised 5-tuples of ``scalars`` (``q``): ``components`` splits
+a matrix into its Grassmann components ``{monomial key: {slot: q}}``, a
+basis reads its generators' constant components on first use
+(``OspBasis.entry_table``), ``closure_check`` brackets on those tables,
+``OspBasis.read_off``, the one span test for constant matrices, expands a
+bracket or a candidate, and the Jacobi and center checks compose and
+reduce tuple rows; every sum of such dicts is ``scalars.add_scaled``.
+FieldScalar appears only in what they hand out: the structure constants,
+the coefficients and the center matrices.  The matrix-bracket Jacobi
+identity and the odd/even stabilizer of the base flag, which the tests
+compare these with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -104,14 +111,12 @@ class Generator:
 
 @dataclass
 class OspBasis:
-    flavor: str
-    sizes: tuple
     gram: GramForm
     generators: tuple
-    name: str = "osp"
-    _by_tag: dict = field(default_factory=dict, repr=False)
-    _by_primary: dict = field(default_factory=dict, repr=False)
-    _table: tuple = field(default=None, repr=False)
+    _by_tag: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_primary: dict = field(default_factory=dict, repr=False,
+                              compare=False)
+    _table: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -144,17 +149,19 @@ class OspBasis:
         if self._table is None:
             table = []
             for g in self.generators:
-                entries, others = _constant_entries(g.matrix)
-                if others:
+                parts = components(g.matrix)
+                if parts.keys() - {_CONSTANT}:
                     raise ValueError(f"generator {g.tag} has non-constant"
                                      " entries")
-                table.append(entries)
+                table.append(parts.get(_CONSTANT, {}))
             self._table = tuple(table)
         return self._table
 
     def coefficients_of(self, m):
         """Expand ``m`` exactly in this basis, or raise NotInSpanError."""
-        entries, others = _constant_entries(m)
+        parts = components(m)
+        entries = parts.pop(_CONSTANT, {})
+        others = {slot for part in parts.values() for slot in part}
         bad = sorted(self._by_primary[slot] for slot in others
                      if slot in self._by_primary)
         if bad:
@@ -190,17 +197,16 @@ class OspBasis:
         return coeffs if acc == entries else None
 
 
-def _constant_entries(m):
-    """``(constants, others)``: the nonzero constant entries of ``m`` as
-    ``{slot: q}``, and the slots of the entries that are not constant."""
-    constants, others = {}, []
+def components(m):
+    """The Grassmann components of ``m``: one constant matrix, as its
+    nonzero entries ``{slot: q}``, per monomial key of the entries, as
+    ``{monomial key: {slot: q}}``.  A numeric matrix has at most the one
+    component ``((), ())``."""
+    parts = {}
     for slot, v in m.entries.items():
-        terms = v.terms
-        if len(terms) == 1 and _CONSTANT in terms:
-            constants[slot] = terms[_CONSTANT]
-        elif terms:
-            others.append(slot)
-    return constants, others
+        for key, q in v.terms.items():
+            parts.setdefault(key, {})[slot] = q
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +234,9 @@ def _shape(flavor, a, b):
 @functools.lru_cache(maxsize=4)
 def gram_form(flavor, a, b):
     """The Gram matrix of the defining form for the given flavor and sizes,
-    with its signed permutation read off once for ``membership_residual``
-    and the generators' forced entries.
+    written as its signed permutation: the even halves of size h swap,
+    the indices 2h..p-1 (a middle one, or all of the primed identity) stay,
+    and the odd halves swap with sign +1 then -1.
 
     Parameters mean (m, n) for ``odd``, (k, l) for ``even`` and (t, l) for
     ``primed`` where t is the full even size 2k-1 or 2k.  Memoised like
@@ -238,29 +245,16 @@ def gram_form(flavor, a, b):
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
-    entries = {}
-    p = shape.even
-    if flavor == "odd":
-        for i in range(a):
-            entries[(i, a + i)] = 1
-            entries[(a + i, i)] = 1
-        entries[(2 * a, 2 * a)] = 1
-    elif flavor == "even":
-        for i in range(a):
-            entries[(i, a + i)] = 1
-            entries[(a + i, i)] = 1
-    elif flavor == "primed":
-        for i in range(p):
-            entries[(i, i)] = 1
-    else:
+    if flavor == "gl":
         raise ValueError(f"no gram form for flavor {flavor!r}")
-    for j in range(b):
-        entries[(p + j, p + b + j)] = 1
-        entries[(p + b + j, p + j)] = -1
-    mat = SuperMatrix.build(shape, shape, entries)
-    perm = tuple(y for _, y in sorted(entries))
-    inverse = tuple(x for _, x in sorted((y, x) for x, y in entries))
-    sign = tuple(entries[(x, y)] for x, y in enumerate(perm))
+    p = shape.even
+    h = 0 if flavor == "primed" else a
+    perm = (*range(h, 2 * h), *range(h), *range(2 * h, p),
+            *range(p + b, p + 2 * b), *range(p, p + b))
+    sign = (1,) * (p + b) + (-1,) * b
+    inverse = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+    mat = SuperMatrix.build(
+        shape, shape, {(x, y): g for x, (y, g) in enumerate(zip(perm, sign))})
     return GramForm(shape, mat, perm, inverse, sign)
 
 
@@ -316,7 +310,8 @@ _SP_FAMILIES = (
     ("B21", "c2", "c1", "upper"),
 )
 
-#: One row per free block family: tag, row block, column block, index range.
+#: One row per free block family: tag, row block, column block, index
+#: range.  The rows are in generator order, every even family first.
 _FAMILIES = {
     "original": (
         ("A11", "b1", "b1", "full"),
@@ -324,26 +319,28 @@ _FAMILIES = {
         ("A21", "b2", "b1", "strict"),
         ("G1", "b1", "b3", "vec"),
         ("G2", "b2", "b3", "vec"),
+        *_SP_FAMILIES,
         ("C11", "b1", "c1", "full"),
         ("C12", "b1", "c2", "full"),
         ("C21", "b2", "c1", "full"),
         ("C22", "b2", "c2", "full"),
         ("G3", "b3", "c1", "vec"),
         ("G4", "b3", "c2", "vec"),
-    ) + _SP_FAMILIES,
+    ),
     "primed": (
-        ("A21", "b1", "b1", "strict"),
-        ("A12", "b2", "b2", "strict"),
         ("A11", "b2", "b1", "full"),
-        ("G2", "b1", "b3", "vec"),
+        ("A12", "b2", "b2", "strict"),
+        ("A21", "b1", "b1", "strict"),
         ("G1", "b2", "b3", "vec"),
-        ("C21", "b1", "c1", "full"),
+        ("G2", "b1", "b3", "vec"),
+        *_SP_FAMILIES,
         ("C11", "b2", "c1", "full"),
-        ("C22", "b1", "c2", "full"),
         ("C12", "b2", "c2", "full"),
-        ("G4", "b3", "c1", "vec"),
+        ("C21", "b1", "c1", "full"),
+        ("C22", "b1", "c2", "full"),
         ("G3", "c1", "b3", "vec"),
-    ) + _SP_FAMILIES,
+        ("G4", "b3", "c1", "vec"),
+    ),
 }
 
 
@@ -388,21 +385,11 @@ def _family_specs(naming, gram):
 
 
 def _gl_specs(shape):
-    p = shape.even
-    return [(f"E:{i + 1},{j + 1}", int(i >= p) ^ int(j >= p), {(i, j): ONE},
-             (i, j))
-            for i in range(shape.total) for j in range(shape.total)]
-
-
-_BLOCK_ORDER = ["A11", "A12", "A21", "G1", "G2", "B11", "B12", "B21",
-                "C11", "C12", "C21", "C22", "G3", "G4", "E"]
-
-
-def _tag_sort_key(item):
-    tag = item[0]
-    block, _, indices = tag.partition(":")
-    nums = tuple(int(x) for x in indices.split(",")) if indices else ()
-    return (item[1], _BLOCK_ORDER.index(block), nums)
+    """One unit matrix per slot of gl(p|q), the even slots first."""
+    p, n = shape.even, shape.total
+    return [(f"E:{i + 1},{j + 1}", parity, {(i, j): ONE}, (i, j))
+            for parity in (0, 1) for i in range(n) for j in range(n)
+            if (i >= p) ^ (j >= p) == parity]
 
 
 @functools.lru_cache(maxsize=4)
@@ -424,14 +411,13 @@ def basis(flavor, a, b):
         gram = gram_form(flavor, a, b)
         specs = _family_specs("primed" if flavor == "primed" else "original",
                               gram)
-    specs.sort(key=_tag_sort_key)
     gens = []
     for tag, parity, entries, primary in specs:
         mat = SuperMatrix.build(shape, shape, entries, parity=parity)
         if gram is not None and not is_member(mat, gram):
             raise AssertionError(f"generator {tag} fails the defining equation")
         gens.append(Generator(tag, parity, mat, primary))
-    return OspBasis(flavor, (a, b), gram, gens)
+    return OspBasis(gram, gens)
 
 
 def dimension_counts(flavor, a, b):
@@ -712,8 +698,7 @@ def bordered_basis(generators):
     if not gens:
         raise ValueError("no generators to border")
     t, l1 = gens[0].matrix.rows.even, gens[0].matrix.rows.odd // 2
-    return OspBasis("primed", (t, l1), gram_form("primed", t, l1), gens,
-                    name="j")
+    return OspBasis(gram_form("primed", t, l1), gens)
 
 
 def j_image_contains(m):
@@ -755,5 +740,4 @@ def parabolic_basis(which, k1, l1):
     ambient = basis("primed", 2 * k1 - 1 if which == "p" else 2 * k1, l1)
     allowed = PARABOLIC_TAGS[which]
     gens = [g for g in ambient.generators if g.tag.split(":")[0] in allowed]
-    return OspBasis(ambient.flavor, ambient.sizes, ambient.gram, gens,
-                    name=which)
+    return OspBasis(ambient.gram, gens)

@@ -15,9 +15,11 @@ and onto exactly when that rank is the primed dimension: one rank count
 replaces conjugating every primed generator back.  S S^-1 = E makes the
 inverse conjugation the inverse map.
 
-The imp-witness suite reads each Grassmann component of its bracket off
-the memoised primed bases with ``OspBasis.read_off``; the embedded
-subalgebra is the source basis shifted by (1, 1), so no basis is built.
+The imp-witness suite splits its bracket into Grassmann components
+(``osp.components``) and reads each one off the memoised basis of primed
+osp(2k1|2l1) with ``OspBasis.read_off``; a component lies in the embedded
+subalgebra when its first row and column vanish and it is even there, the
+rule of ``j_image_contains``, so no basis of the source is built.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .osp import (
     bordered_basis,
     center_from_constants,
     closure_check,
+    components,
     conjugate,
     dimension_counts,
     gram_form,
@@ -298,16 +301,6 @@ def suite_isomorphism(k1, l1):
     return rep
 
 
-def _pieces(m):
-    """The Grassmann components of ``m``: one constant matrix, as its
-    nonzero entries ``{slot: q}``, per monomial key of the entries."""
-    pieces = {}
-    for slot, v in m.entries.items():
-        for key, q in v.terms.items():
-            pieces.setdefault(key, {})[slot] = q
-    return list(pieces.values())
-
-
 def _in_even_span(bas, entries):
     """Whether the constant matrix ``entries`` (``{slot: q}``) is a
     combination of the even generators of ``bas``."""
@@ -316,12 +309,14 @@ def _in_even_span(bas, entries):
                                      for i, _ in found)
 
 
-def _in_j_image(source, entries):
-    """Whether the constant matrix ``entries`` is the zero-bordered image
-    of a combination of the even generators of ``source``: its first row
-    and column vanish, and shifted back by (1, 1) it lies in their span."""
-    return not any(i == 0 or j == 0 for i, j in entries) and _in_even_span(
-        source, {(i - 1, j - 1): q for (i, j), q in entries.items()})
+def _in_j_image(full, entries):
+    """Whether the constant matrix ``entries`` lies in the zero-bordered
+    image of the even part of primed osp(2k1-1|2l1), by the rule of
+    ``j_image_contains``: its first row and column vanish, and it is a
+    combination of the even generators of ``full``, primed
+    osp(2k1|2l1)."""
+    return not any(i == 0 or j == 0 for i, j in entries) \
+        and _in_even_span(full, entries)
 
 
 @_timed
@@ -409,10 +404,9 @@ def suite_imP_witness(k1, l1):
             and j_image_contains(ma_num) and not j_image_contains(mb_num))
 
     full = basis("primed", 2 * k1, l1)
-    source = basis("primed", 2 * k1 - 1, l1)
-    pieces = _pieces(bracket)
+    pieces = list(components(bracket).values())
     in_full = all(_in_even_span(full, p) for p in pieces)
-    outside = any(not _in_j_image(source, p) for p in pieces)
+    outside = any(not _in_j_image(full, p) for p in pieces)
     rep.add("outside-j-image",
             "the bracket lies in the even part but escapes the embedded"
             " subalgebra",
@@ -422,7 +416,8 @@ def suite_imP_witness(k1, l1):
     rep.add("self-bracket-control",
             "the bordered witness brackets with itself inside the embedded"
             " subalgebra",
-            all(_in_j_image(source, p) for p in _pieces(self_br)))
+            all(_in_j_image(full, p)
+                for p in components(self_br).values()))
     return rep
 
 

@@ -26,18 +26,28 @@ class Weight:
         return cls((0,) * s, (0,) * n)
 
     @classmethod
+    def from_entries(cls, s, n, entries):
+        """The weight with the given ``(position, coefficient)`` entries in
+        (mu_1..mu_s | la_1..la_n), 0-based, which add where a position
+        repeats (la_p + la_p = 2 la_p)."""
+        vec = [0] * (s + n)
+        for i, c in entries:
+            vec[i] += c
+        return cls(tuple(vec[:s]), tuple(vec[s:]))
+
+    @classmethod
     def basis_mu(cls, s, n, i):
         """mu_i (1-based)."""
         if not 1 <= i <= s:
             raise IndexError(f"mu_{i} out of range for rank {s}")
-        return cls(tuple(1 if t == i - 1 else 0 for t in range(s)), (0,) * n)
+        return cls.from_entries(s, n, ((i - 1, 1),))
 
     @classmethod
     def basis_la(cls, s, n, j):
         """la_j (1-based)."""
         if not 1 <= j <= n:
             raise IndexError(f"la_{j} out of range for rank {n}")
-        return cls((0,) * s, tuple(1 if t == j - 1 else 0 for t in range(n)))
+        return cls.from_entries(s, n, ((s + j - 1, 1),))
 
     def __add__(self, other):
         self._check(other)
@@ -112,34 +122,29 @@ class RootSystem:
         la_p - la_q is violated, la is non-increasing, so la_p + la_q
         (q >= p) is violated for some q exactly when la_p + la_n < 0.
         """
-        mu, la = w.mu, w.la
+        s, mu, la = self.s, w.mu, w.la
+
+        def root(*entries):
+            return Weight.from_entries(s, self.n, entries)
+
         pair = _first_pair(mu, signed=True)
         if pair is not None:
             i, j = pair
-            return self._root(mu=((i, 1), (j, -1 if mu[i] < mu[j] else 1)))
+            return root((i, 1), (j, -1 if mu[i] < mu[j] else 1))
         i = next((i for i, a in enumerate(mu) if a < 0), None)
         if i is not None:
-            return self._root(mu=((i, 1),))
+            return root((i, 1))
         pair = _first_pair(la, signed=False)
         if pair is not None:
             p, q = pair
-            return self._root(la=((p, 1), (q, -1)))
+            return root((s + p, 1), (s + q, -1))
         # la is non-increasing here, so some la_p + la_n < 0 exactly when
         # la_n < 0.
         if la and la[-1] < 0:
             p = next(p for p, a in enumerate(la) if a + la[-1] < 0)
             q = next(q for q in range(p, len(la)) if la[p] + la[q] < 0)
-            return self._root(la=((p, 1), (q, 1)))
+            return root((s + p, 1), (s + q, 1))
         return None
-
-    def _root(self, mu=(), la=()):
-        """The weight with the given ``(index, coefficient)`` entries, which
-        add where an index repeats (la_p + la_p = 2 la_p)."""
-        vec = [0] * (self.s + self.n)
-        for offset, entries in ((0, mu), (self.s, la)):
-            for i, c in entries:
-                vec[offset + i] += c
-        return Weight(tuple(vec[:self.s]), tuple(vec[self.s:]))
 
     def is_dominant(self, w):
         """Non-negative inner product with every positive root, that is,
@@ -198,11 +203,8 @@ def psi_highest_weights(k1, l1):
     mu1, mus, la1, lan = 0, s - 1, s, s + n - 1
 
     def diff(plus, minus):
-        """The weight ``plus - minus``, written from its two entries."""
-        vec = [0] * (s + n)
-        vec[plus] += 1
-        vec[minus] -= 1
-        return Weight(tuple(vec[:s]), tuple(vec[s:]))
+        """The weight ``plus - minus``."""
+        return Weight.from_entries(s, n, ((plus, 1), (minus, -1)))
 
     if l1 == 0:
         return [diff(mu1, mus)] if k1 > 2 else []

@@ -227,8 +227,7 @@ def even_span_route(k1, l1):
     primed osp(2k1-1|2l1) (``in_j``).  A component that is not even is in
     neither span."""
     full = basis("primed", 2 * k1, l1)
-    full_even = OspBasis(full.flavor, full.sizes, full.gram,
-                         full.even_generators())
+    full_even = OspBasis(full.gram, full.even_generators())
     j_even = bordered_basis(basis("primed", 2 * k1 - 1, l1).even_generators())
 
     def in_span(target, bas):
@@ -270,8 +269,7 @@ def original_parabolic_basis(which, k1, l1):
         else basis("even", k1, l1)
     gens = [g for g in ambient
             if g.tag.split(":")[0] in ORIGINAL_PARABOLIC_TAGS[which]]
-    return OspBasis(ambient.flavor, ambient.sizes, ambient.gram, gens,
-                    name=which)
+    return OspBasis(ambient.gram, gens)
 
 
 def stabilized_subspace_indices(flavor, shape):

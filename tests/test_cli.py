@@ -145,6 +145,18 @@ def test_check_membership_non_homogeneous_is_usage_error(capsys, parity):
     assert "Traceback" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["bwb"], ["verify", "--suite", "bwb"]])
+def test_unallocatable_bwb_rank_is_a_usage_error(capsys, command):
+    """bwb takes any rank, and a rank whose weights cannot be allocated
+    exits 2 with one error line.  The allocation of a 10^15-entry weight
+    fails at once, so the test allocates nothing."""
+    code, out, err = run(capsys, *command, "--k1", "1000000000000000",
+                         "--l1", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "memory" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
 def test_flag_validate(capsys):
     code, out, _ = run(capsys, "flag-validate", "--type", "k=3,1 l=2,1")
     assert code == 0

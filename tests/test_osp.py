@@ -30,7 +30,7 @@ from superflag.osp import (
     parabolic_basis,
 )
 from superflag.ring import RingContext
-from superflag.scalars import FieldScalar, ONE, Q_ONE, ZERO
+from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO
 
 from oracles import (
     even_span_route,
@@ -552,6 +552,44 @@ def test_cached_basis_is_immutable_and_repeatable(case):
     assert isinstance(parabolic_basis("p", 2, 1).generators, tuple)
 
 
+def test_basis_equality_ignores_its_caches():
+    """Bases with the same Gram and generators are equal whether or not
+    either has read its entry table."""
+    bas = basis("odd", 1, 1)
+    same = OspBasis(bas.gram, bas.generators)
+    assert bas == same
+    same.entry_table()
+    assert bas == same
+    bas.entry_table()
+    assert bas == same == OspBasis(bas.gram, bas.generators)
+    assert bas != OspBasis(bas.gram, bas.generators[1:])
+
+
+@pytest.mark.parametrize("flavor", ["odd", "even", "primed"])
+def test_gram_permutation_reads_back_off_its_matrix(flavor):
+    """gram_form writes pi and the signs g_x directly; reading them back
+    off the matrix's entries, one +-1 per row and column, gives the same
+    ``perm``, ``inverse`` and ``sign``."""
+    for a in range(7):
+        for b in range(6):
+            if a == b == 0:
+                continue
+            gram = gram_form(flavor, a, b)
+            entries = {}
+            for slot, v in gram.matrix.entries.items():
+                (key, q), = v.terms.items()
+                assert key == ((), ())
+                entries[slot] = {Q_ONE: 1, Q_MINUS_ONE: -1}[q]
+            assert len(entries) == gram.shape.total
+            perm = tuple(y for _, y in sorted(entries))
+            assert sorted(perm) == list(range(gram.shape.total))
+            assert gram.perm == perm, (a, b)
+            assert gram.inverse == tuple(x for _, x in sorted(
+                (y, x) for x, y in entries)), (a, b)
+            assert gram.sign == tuple(entries[(x, y)]
+                                      for x, y in enumerate(perm)), (a, b)
+
+
 @pytest.mark.parametrize("flavor,k1,l1", [
     ("odd", 1, 1), ("odd", 2, 1), ("odd", 2, 2), ("odd", 3, 2),
     ("even", 1, 1), ("even", 2, 1), ("even", 3, 3),
@@ -630,8 +668,7 @@ def test_bordered_constants_match_source_and_matrix_oracle(k1, l1):
 def _scale_one(bordered, tag, factor):
     gens = [Generator(g.tag, g.parity, g.matrix * factor, g.primary)
             if g.tag == tag else g for g in bordered.generators]
-    return OspBasis(bordered.flavor, bordered.sizes, bordered.gram, gens,
-                    name=bordered.name)
+    return OspBasis(bordered.gram, gens)
 
 
 def test_scaled_bordered_generator_breaks_the_comparison():
@@ -724,7 +761,7 @@ def test_isomorphism_suite_fails_dj_bracket_on_a_dropped_constant(
 
     def dropping(bas):
         report = real(bas)
-        if bas.name != "j":
+        if bas.gram.shape.even % 2:  # the source, not the bordered basis
             return report
         return dict(report,
                     structure_constants=report["structure_constants"][1:])
@@ -752,10 +789,9 @@ def _witness_spans(k1, l1, m):
     lies in the even part of primed osp(2k1|2l1), and every one is the
     image of the even part of primed osp(2k1-1|2l1)."""
     full = basis("primed", 2 * k1, l1)
-    source = basis("primed", 2 * k1 - 1, l1)
-    pieces = suites._pieces(m)
+    pieces = suites.components(m).values()
     return (all(suites._in_even_span(full, p) for p in pieces),
-            all(suites._in_j_image(source, p) for p in pieces))
+            all(suites._in_j_image(full, p) for p in pieces))
 
 
 def _with_extra_entry(rng, m, where):
@@ -774,22 +810,22 @@ def _with_extra_entry(rng, m, where):
 @pytest.mark.parametrize("l1", [1, 2, 3])
 def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
     """The suite reads each Grassmann component off one basis and accepts
-    even generators only, shifting a j-image candidate back by (1, 1); the
-    oracle builds each component even and expands it in bases of even
-    generators, the bordered one built with embed_j.  They agree on the
-    witness components, on every generator of primed(2k1|2l1) and every
-    bordered even generator, and on each of these with an entry added in
-    row 0, in column 0 or on an odd slot; both verdicts occur for both
-    spans."""
-    real = suites._pieces
+    even generators only, asking a j-image candidate for a zero first row
+    and column as well; the oracle builds each component even and expands
+    it in bases of even generators, the bordered one built with embed_j.
+    They agree on the witness components, on every generator of
+    primed(2k1|2l1) and every bordered even generator, and on each of
+    these with an entry added in row 0, in column 0 or on an odd slot; both
+    verdicts occur for both spans."""
+    real = suites.components
     witness = []
 
     def recording(m):
-        pieces = real(m)
-        witness.extend(pieces)
-        return pieces
+        parts = real(m)
+        witness.extend(parts.values())
+        return parts
 
-    monkeypatch.setattr(suites, "_pieces", recording)
+    monkeypatch.setattr(suites, "components", recording)
     assert suites.suite_imP_witness(k1, l1).ok
     monkeypatch.undo()
     full = basis("primed", 2 * k1, l1)
@@ -818,10 +854,11 @@ def test_witness_checks_fail_on_a_spoiled_component(monkeypatch):
     component, takes the bracket out of the even part and the
     self-bracket out of the embedded subalgebra; the other checks do not
     read the components."""
-    real = suites._pieces
+    real = suites.components
     slot = (0, 4)  # the first odd column of primed osp(4|2)
-    monkeypatch.setattr(suites, "_pieces", lambda m: [
-        {**p, slot: Q_ONE} for p in real(m)] or [{slot: Q_ONE}])
+    monkeypatch.setattr(suites, "components", lambda m: {
+        key: {**p, slot: Q_ONE} for key, p in real(m).items()}
+        or {((), ()): {slot: Q_ONE}})
     status = {r.check_id: r.ok for r in suites.suite_imP_witness(2, 1).records}
     assert status == {"bracket-display": True, "witness-membership": True,
                       "outside-j-image": False,

@@ -134,6 +134,17 @@ def test_weight_arithmetic_and_render():
         w + Weight.zero(1, 1)
 
 
+def test_weight_from_entries_adds_repeated_positions():
+    assert Weight.from_entries(2, 2, ((3, 1), (3, 1))) == W((0, 0), (0, 2))
+    assert Weight.from_entries(2, 2, ((0, 1), (2, -1))) \
+        == Weight.basis_mu(2, 2, 1) - Weight.basis_la(2, 2, 1)
+    assert Weight.basis_la(2, 2, 2) == W((0, 0), (0, 1))
+    with pytest.raises(IndexError, match="mu_3"):
+        Weight.basis_mu(2, 2, 3)
+    with pytest.raises(IndexError, match="la_0"):
+        Weight.basis_la(2, 2, 0)
+
+
 def test_highest_weight_case_split():
     s = lambda k1, l1: [w.render() for w in psi_highest_weights(k1, l1)]
     assert s(4, 3) == ["mu1 - mu3", "mu1 - la3", "-mu3 + la1",
