@@ -54,12 +54,15 @@ a matrix into its Grassmann components ``{monomial key: {slot: q}}``, a
 basis reads its generators' constant components on first use
 (``OspBasis.entry_table``), ``closure_check`` brackets on those tables,
 ``OspBasis.read_off``, the one span test for constant matrices, expands a
-bracket or a candidate, and the Jacobi and center checks compose and
-reduce tuple rows; every sum of such dicts is ``scalars.add_scaled``.
-FieldScalar appears only in what they hand out: the structure constants,
-the coefficients and the center matrices.  The matrix-bracket Jacobi
-identity and the odd/even stabilizer of the base flag, which the tests
-compare these with, live in ``tests/oracles.py``.
+bracket or a candidate, and ``conjugate_entries`` forms S^-1 M S on the
+same tables.  The Jacobi and center checks read one table of the
+constants filled in both orders of each pair (``_BracketTable``) and
+compose and reduce tuple rows; every sum of such dicts is
+``scalars.add_scaled``.  FieldScalar appears only in what they hand out:
+the structure constants, the coefficients and the center matrices.  The
+matrix-bracket Jacobi identity, the conjugation by two matrix products,
+the one-way constant table and the odd/even stabilizer of the base flag,
+which the tests compare these with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -147,14 +150,9 @@ class OspBasis:
         the read-off and ``closure_check`` work on these 5-tuples, and a
         basis that expands nothing never builds them."""
         if self._table is None:
-            table = []
-            for g in self.generators:
-                parts = components(g.matrix)
-                if parts.keys() - {_CONSTANT}:
-                    raise ValueError(f"generator {g.tag} has non-constant"
-                                     " entries")
-                table.append(parts.get(_CONSTANT, {}))
-            self._table = tuple(table)
+            self._table = tuple(
+                constant_entries(g.matrix, f"generator {g.tag}")
+                for g in self.generators)
         return self._table
 
     def coefficients_of(self, m):
@@ -187,10 +185,9 @@ class OspBasis:
         terms, ``bracket_entries`` and the witness components never store
         one), so dict equality is the whole comparison.
         """
-        table = self.entry_table()
-        coeffs = [(i, entries[self.generators[i].primary])
-                  for i in sorted(self._by_primary[slot] for slot in entries
-                                  if slot in self._by_primary)]
+        table, by_primary = self.entry_table(), self._by_primary
+        coeffs = sorted((by_primary[slot], c) for slot, c in entries.items()
+                        if slot in by_primary)
         acc = {}
         for i, c in coeffs:
             add_scaled(acc, table[i], c)
@@ -207,6 +204,26 @@ def components(m):
         for key, q in v.terms.items():
             parts.setdefault(key, {})[slot] = q
     return parts
+
+
+def constant_entries(m, what="matrix"):
+    """The entries ``{slot: q}`` of a constant matrix ``m``; raises
+    ValueError, naming ``what``, when an entry is not a constant."""
+    parts = components(m)
+    if parts.keys() - {_CONSTANT}:
+        raise ValueError(f"{what} has non-constant entries")
+    return parts.get(_CONSTANT, {})
+
+
+def entry_lines(entries, by_column=False):
+    """The entries ``{slot: q}`` of a constant matrix by row, as ``{row:
+    [(column, q)]}``, or by column, as ``{column: [(row, q)]}``."""
+    lines = {}
+    for (i, j), q in entries.items():
+        if by_column:
+            i, j = j, i
+        lines.setdefault(i, []).append((j, q))
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +486,10 @@ def closure_check(bas):
     tables = []
     by_row, by_col = {}, {}
     for q, entries in enumerate(bas.entry_table()):
-        rows = {}
-        for (i, j), v in entries.items():
-            rows.setdefault(i, []).append((j, v))
+        for i, j in entries:
             by_row.setdefault(i, set()).add(q)
             by_col.setdefault(j, set()).add(q)
-        tables.append((entries, rows))
+        tables.append((entries, entry_lines(entries)))
     for p, gp in enumerate(gens):
         meets = set()
         for i, j in tables[p][0]:
@@ -503,47 +518,63 @@ def bracket_entries(x, y, both_odd):
     matrices, each given as ``(entries, rows)``: its ``{slot: q}`` entries
     and a map from row to ``(column, q)`` pairs.  Returns the nonzero
     entries as ``{slot: q}``; YX is added when ``both_odd``, else
-    subtracted."""
+    subtracted.
+
+    An entry of the left factor whose column is no row of the right one
+    is skipped before anything is computed, and a factor of 1 or -1
+    multiplies nothing: generator entries are mostly units."""
     acc = {}
     for (left, _), (_, right), negate in ((x, y, False),
                                           (y, x, not both_odd)):
         for (i, k), u in left.items():
+            line = right.get(k)
+            if line is None:
+                continue
             if negate:
                 u = q_neg(u)
-            for j, v in right.get(k, ()):
-                c = q_mul(u, v)
+            plus, minus = u == Q_ONE, u == Q_MINUS_ONE
+            for j, v in line:
+                c = v if plus else q_neg(v) if minus else q_mul(u, v)
                 prev = acc.get((i, j))
                 acc[(i, j)] = c if prev is None else q_add(prev, c)
     return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 
 
 class _BracketTable:
-    """closure_check's structure constants indexed by generator pair.
+    """closure_check's structure constants indexed by ordered generator
+    pair.
 
-    ``of(a, b)`` is [a, b] as ``{tag: q}`` for any ordered pair of tags,
-    using [b, a] = -(-1)^{|a||b|} [a, b] for the pairs that closure_check
-    expanded the other way round and [x, x] = 0 for even x; it raises
-    NotInSpanError when closure could not expand the bracket.
+    Both orders of every pair that closure_check expanded are filled once,
+    with [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a
+    pair that closure could not expand is filled as None in both orders.
+    So ``of(a, b)``, [a, b] as ``{tag: q}`` for any ordered pair of tags,
+    is one lookup: a missing pair is a zero bracket ([x, x] = 0 for even
+    x among them), and a failed one raises NotInSpanError.
+    ``by_right[b]`` lists the ``(a, [a, b])`` with [a, b] nonzero.
     """
 
     def __init__(self, bas, closure):
         self.index = {g.tag: i for i, g in enumerate(bas.generators)}
         self.parity = {g.tag: g.parity for g in bas.generators}
-        self.failed = set(closure["failures"])
-        self.table = {}
+        table = self.table = {}
         for p, q, r, c in closure["structure_constants"]:
-            self.table.setdefault((p, q), {})[r] = c.q
+            table.setdefault((p, q), {})[r] = c.q
+            if p != q:
+                table.setdefault((q, p), {})[r] = \
+                    c.q if self.parity[p] and self.parity[q] else q_neg(c.q)
+        for a, b in closure["failures"]:
+            table[(a, b)] = table[(b, a)] = None
+        self.by_right = {}
+        for (a, b), coeffs in table.items():
+            if coeffs:
+                self.by_right.setdefault(b, []).append((a, coeffs))
 
     def of(self, a, b):
-        if self.index[a] > self.index[b]:
-            coeffs = self.of(b, a)
-            if self.parity[a] and self.parity[b]:
-                return coeffs
-            return {r: q_neg(c) for r, c in coeffs.items()}
-        if (a, b) in self.failed:
+        coeffs = self.table.get((a, b), {})
+        if coeffs is None:
             raise NotInSpanError(f"[{a}, {b}] is not in the span of the"
                                  " basis")
-        return self.table.get((a, b), {})
+        return coeffs
 
     def compose(self, coeffs, other, left):
         """[sum_r c_r e_r, other] if ``left``, else [other, sum_r c_r e_r]."""
@@ -587,22 +618,37 @@ def center_from_constants(bas, closure):
     In a sector with generators g_1..g_s, Z = sum c_i g_i is central when
     sum c_i [g_i, X] = 0 for every generator X, that is, coefficient by
     coefficient of each [g_i, X] in the basis: one ad row per (X, tag).
-    Each nullspace vector is read back on the generators' entry tables.
-    Raises NotInSpanError when closure could not expand a bracket.
+    Only the nonzero [g_i, X] are visited (``_BracketTable.by_right``),
+    and the probes X whose entry tables are diagonal come first: in the
+    odd, even and gl bases such an X brackets every generator to a
+    multiple of itself, so each of its rows has one entry, and these rows
+    fill most of the rank.  The reduced row echelon form of a row space is
+    unique, so the order of the rows changes neither the nullspace nor the
+    center.  Each nullspace vector is read back on the generators' entry
+    tables.  Raises NotInSpanError when closure could not expand some
+    bracket, whichever bracket that is.
     """
+    if closure["failures"]:
+        a, b = closure["failures"][0]
+        raise NotInSpanError(f"[{a}, {b}] is not in the span of the basis")
     br = _BracketTable(bas, closure)
     gens, table = bas.generators, bas.entry_table()
+    probes = sorted(range(len(gens)),
+                    key=lambda x: any(i != j for i, j in table[x]))
     out = []
     for parity in (0, 1):
         sector = [i for i, g in enumerate(gens) if g.parity == parity]
         if not sector:
             continue
+        pos = {gens[i].tag: k for k, i in enumerate(sector)}
         tracker = RankTracker(len(sector))
-        for probe in gens:
+        for probe in probes:
             rows = {}
-            for pos, i in enumerate(sector):
-                for tag, c in br.of(gens[i].tag, probe.tag).items():
-                    rows.setdefault(tag, {})[pos] = c
+            for a, coeffs in br.by_right.get(gens[probe].tag, ()):
+                k = pos.get(a)
+                if k is not None:
+                    for tag, c in coeffs.items():
+                        rows.setdefault(tag, {})[k] = c
             for tag in sorted(rows, key=br.index.__getitem__):
                 tracker.add(rows[tag])
                 if tracker.is_full():
@@ -656,9 +702,21 @@ def basis_change_S(flavor, k1, l1):
     return SuperMatrix.build(shape, shape, entries)
 
 
-def conjugate(m, s, s_inv):
-    """S^{-1} M S; maps members of osp(Gram) to members of osp(primed Gram)."""
-    return s_inv @ m @ s
+def conjugate_entries(entries, s_rows, s_inv_cols):
+    """S^-1 M S of a constant matrix M given as its nonzero entries
+    ``{slot: q}``, with S by row and S^-1 by column (``entry_lines``):
+    entry M[i, j] meets only column i of S^-1 and row j of S.  Returns the
+    nonzero entries as ``{slot: q}``; it maps members of osp(Gram) to
+    members of osp(primed Gram) when S is ``basis_change_S``."""
+    acc = {}
+    for (i, j), u in entries.items():
+        for a, x in s_inv_cols.get(i, ()):
+            ux = q_mul(x, u)
+            for b, y in s_rows.get(j, ()):
+                c = q_mul(ux, y)
+                prev = acc.get((a, b))
+                acc[(a, b)] = c if prev is None else q_add(prev, c)
+    return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 
 
 def embed_j(x):

@@ -7,13 +7,16 @@ and zero-bordering embedding, the image witness bracket, and the
 dominant-weight table.  Reports are deterministic given identical inputs;
 the structured form is versioned as ``superflag-report/1``.
 
-The isomorphism suite conjugates each source generator by S once and
-expands the image in the primed basis; an image outside its span fails
-the check.  The source generators are independent, so conjugation is
-injective exactly when the coefficient vectors have rank N = len(source),
-and onto exactly when that rank is the primed dimension: one rank count
-replaces conjugating every primed generator back.  S S^-1 = E makes the
-inverse conjugation the inverse map.
+The isomorphism suite conjugates each source generator by S once, on its
+entry table with S read once by row and S^-1 by column
+(``osp.conjugate_entries``), and reads the image off the primed basis
+with ``OspBasis.read_off``; an image outside its span fails the check.
+No matrix is multiplied per generator.  The source generators are
+independent, so conjugation is injective exactly when the coefficient
+vectors have rank N = len(source), and onto exactly when that rank is
+the primed dimension: one rank count replaces conjugating every primed
+generator back.  S S^-1 = E makes the inverse conjugation the inverse
+map.
 
 The imp-witness suite splits its bracket into Grassmann components
 (``osp.components``) and reads each one off the memoised basis of primed
@@ -49,8 +52,10 @@ from .osp import (
     center_from_constants,
     closure_check,
     components,
-    conjugate,
+    conjugate_entries,
+    constant_entries,
     dimension_counts,
+    entry_lines,
     gram_form,
     is_member,
     j_image_contains,
@@ -239,19 +244,21 @@ def suite_isomorphism(k1, l1):
                 "S^ST Gram S equals the primed Gram",
                 lhs == primed_gram.matrix)
         s_inv = s.invert()
+        s_rows = entry_lines(constant_entries(s, "S"))
+        s_inv_cols = entry_lines(constant_entries(s_inv, "S^-1"),
+                                 by_column=True)
         primed = basis("primed", t, l1)
-        column = {tag: i for i, tag in enumerate(primed.tags())}
         images = RankTracker(len(primed))
         fwd = []
-        for g in src:
-            try:
-                coeffs = primed.coefficients_of(conjugate(g.matrix, s, s_inv))
-            except NotInSpanError:
+        for g, entries in zip(src, src.entry_table()):
+            found = primed.read_off(
+                conjugate_entries(entries, s_rows, s_inv_cols))
+            if found is None:
                 fwd.append(g.tag)
-                continue
-            images.add({column[tag]: c for tag, c in coeffs.items()})
+            else:
+                images.add(dict(found))
         pivots = set(images.pivots)
-        back = [tag for tag, i in column.items() if i not in pivots]
+        back = [g.tag for i, g in enumerate(primed) if i not in pivots]
         bijective = images.rank == len(primed) == len(src)
         inverse = s @ s_inv == SuperMatrix.identity(s.rows)
         ok = not fwd and bijective and inverse

@@ -5,7 +5,10 @@ none calls that code: Fractions for the text of a field tuple, the
 product loop with no fast paths for ``ring.add_product``, a bracket that
 scans every coefficient name for ``VectorField.bracket``, matrix
 brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
-from structure constants, the enumerated positive roots for the closed
+from structure constants, two matrix products for the conjugation that
+``osp.conjugate_entries`` forms on entry tables, the structure constants
+kept in one order and read the other way by recursion for the two-way
+``osp._BracketTable``, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
 hand for ``charts.isotropic_chart``, a Neumann loop that decides
@@ -215,6 +218,39 @@ def super_jacobi_holds(x, y, z):
     if x.parity and y.parity:
         return left == right - tail
     return left == right + tail
+
+
+def conjugate(m, s, s_inv):
+    """S^-1 M S by two matrix products; maps members of osp(Gram) to
+    members of osp(primed Gram) when S is ``basis_change_S``."""
+    return s_inv @ m @ s
+
+
+class OneWayBracketTable:
+    """closure_check's structure constants stored in the order closure
+    expanded them, each pair (p, q) with p before q in the basis.  ``of(a,
+    b)`` reads a pair in the other order by recursion, as
+    [b, a] = -(-1)^{|a||b|} [a, b], and checks the failures in the stored
+    order only."""
+
+    def __init__(self, bas, closure):
+        self.index = {g.tag: i for i, g in enumerate(bas.generators)}
+        self.parity = {g.tag: g.parity for g in bas.generators}
+        self.failed = set(closure["failures"])
+        self.table = {}
+        for p, q, r, c in closure["structure_constants"]:
+            self.table.setdefault((p, q), {})[r] = c.q
+
+    def of(self, a, b):
+        if self.index[a] > self.index[b]:
+            coeffs = self.of(b, a)
+            if self.parity[a] and self.parity[b]:
+                return coeffs
+            return {r: q_neg(c) for r, c in coeffs.items()}
+        if (a, b) in self.failed:
+            raise NotInSpanError(f"[{a}, {b}] is not in the span of the"
+                                 " basis")
+        return self.table.get((a, b), {})
 
 
 def even_span_route(k1, l1):

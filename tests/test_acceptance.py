@@ -29,7 +29,6 @@ from superflag.osp import (
     basis_change_S,
     center_from_constants,
     closure_check,
-    conjugate,
     embed_j,
     gram_form,
     is_member,
@@ -48,6 +47,7 @@ from superflag.weights import (
 )
 
 from oracles import (
+    conjugate,
     dependent_values,
     formal_isotropic_chart,
     residual_entries,

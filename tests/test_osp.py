@@ -19,9 +19,11 @@ from superflag.osp import (
     bordered_basis,
     center_from_constants,
     closure_check,
-    conjugate,
+    conjugate_entries,
+    constant_entries,
     dimension_counts,
     embed_j,
+    entry_lines,
     gram_form,
     is_member,
     j_image_contains,
@@ -33,6 +35,8 @@ from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO
 
 from oracles import (
+    OneWayBracketTable,
+    conjugate,
     even_span_route,
     original_parabolic_basis,
     stabilized_subspace_indices,
@@ -387,6 +391,60 @@ def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
     assert records["center"].witness == "undetermined: closure failed"
 
 
+def _late_failure(closure):
+    """``closure`` with the pair of its last structure constant marked as
+    failed."""
+    p, q = closure["structure_constants"][-1][:2]
+    return dict(closure, failures=[(p, q)])
+
+
+def test_center_raises_on_a_late_closure_failure():
+    """At osp(5|4) the center's rank fills before the probes reach the
+    last constant's pair; a failure there still leaves the center
+    undetermined, whatever order the probes come in."""
+    bas = basis("odd", 2, 2)
+    with pytest.raises(NotInSpanError):
+        center_from_constants(bas, _late_failure(closure_check(bas)))
+
+
+def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
+    real = suites.closure_check
+    monkeypatch.setattr(suites, "closure_check",
+                        lambda bas: _late_failure(real(bas)))
+    records = {r.check_id: r for r in suites.suite_osp_defining(2, 2).records}
+    assert not records["closure"].ok and not records["center"].ok
+    assert records["center"].witness == "undetermined: closure failed"
+
+
+@pytest.mark.parametrize("case", [("odd", 1, 1), ("gl", 2, 1),
+                                  ("primed", 3, 1)])
+def test_two_way_bracket_table_matches_the_recursive_rule(case):
+    """The table filled in both orders reads every ordered pair as the
+    one-way table and its recursion do, with and without a failed pair,
+    and ``by_right`` lists exactly the nonzero brackets."""
+    bas = basis(*case)
+    closure = closure_check(bas)
+    tags = bas.tags()
+    middle = closure["structure_constants"][len(tags)][:2]
+    for report in (closure, dict(closure, failures=[middle])):
+        table = osp._BracketTable(bas, report)
+        oracle = OneWayBracketTable(bas, report)
+        nonzero = {}
+        for a in tags:
+            for b in tags:
+                try:
+                    want = oracle.of(a, b)
+                except NotInSpanError:
+                    with pytest.raises(NotInSpanError):
+                        table.of(a, b)
+                    continue
+                assert table.of(a, b) == want, (a, b)
+                if want:
+                    nonzero[(a, b)] = want
+        assert {(a, b): coeffs for b, pairs in table.by_right.items()
+                for a, coeffs in pairs} == nonzero
+
+
 def test_center_reads_each_coefficient_back(monkeypatch):
     """A nullspace vector times 3 is still one, and the central matrix read
     back from it is 3 times the identity of gl(2|1)."""
@@ -625,6 +683,25 @@ def test_conjugation_is_bijective_on_the_algebra(flavor, k1, l1):
         assert is_member(back, src.gram), g.tag
 
 
+@pytest.mark.parametrize("flavor,k1,l1", [(f, k1, l1)
+                                          for f in ("odd", "even")
+                                          for k1 in (1, 2, 3)
+                                          for l1 in (1, 2, 3)])
+def test_conjugation_on_entry_tables_matches_the_matrix_oracle(flavor, k1,
+                                                               l1):
+    """S^-1 M S formed on each source generator's entry table equals the
+    two matrix products, entry for entry."""
+    src = basis("odd", k1 - 1, l1) if flavor == "odd" \
+        else basis("even", k1, l1)
+    s = basis_change_S(flavor, k1, l1)
+    s_inv = s.invert()
+    s_rows = entry_lines(constant_entries(s))
+    s_inv_cols = entry_lines(constant_entries(s_inv), by_column=True)
+    for g, entries in zip(src, src.entry_table()):
+        got = conjugate_entries(entries, s_rows, s_inv_cols)
+        assert got == constant_entries(conjugate(g.matrix, s, s_inv)), g.tag
+
+
 def test_embed_j_preserves_brackets():
     src = basis("primed", 3, 1)
     gens = list(src)
@@ -721,17 +798,17 @@ def test_isomorphism_suite_fails_when_two_generators_share_an_image(
     """The rank argument: if a second generator conjugates onto the first
     one's image, the images span one dimension less, and the witness names
     the primed generator left unreached."""
-    real = suites.conjugate
+    real = suites.conjugate_entries
     sources = {"odd": basis("odd", 1, 1), "even": basis("even", 2, 1)}
 
-    def collapsing(m, s, s_inv=None):
+    def collapsing(entries, s_rows, s_inv_cols):
         for src in sources.values():
-            if m is src.generators[1].matrix:
-                m = src.generators[0].matrix
-        return real(m, s, s_inv)
+            if entries is src.entry_table()[1]:
+                entries = src.entry_table()[0]
+        return real(entries, s_rows, s_inv_cols)
 
     assert all(r.ok for r in _iso_records(2, 1).values())
-    monkeypatch.setattr(suites, "conjugate", collapsing)
+    monkeypatch.setattr(suites, "conjugate_entries", collapsing)
     records = _iso_records(2, 1)
     for flavor, t in (("odd", 3), ("even", 4)):
         record = records[f"conjugation-iso-{flavor}"]
