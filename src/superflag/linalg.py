@@ -2,37 +2,24 @@
 
 One elimination, ``RankTracker``: an incremental reduced row echelon form
 stored sparse, as ``{column: q}`` rows of the normalised 5-tuples of
-``scalars``.  Inversion feeds it the rows of [A | I]; the center
+``scalars``.  ``SuperMatrix.invert`` feeds it the sparse rows of [B | E]
+for a matrix body B and reads B^-1 off ``sparse_rows``; the center
 computation feeds it ad rows read off the structure constants and reads
 off the nullspace.  FieldScalar appears only at the edges: ``add`` takes
-FieldScalar rows as well as tuple rows, and ``rows``, ``nullspace()`` and
-``invert`` hand out FieldScalars.  Everything is exact, there are no
+FieldScalar rows as well as tuple rows, and ``rows`` and ``nullspace()``
+hand out FieldScalars.  The dense inverse over FieldScalar lists is a
+test oracle (``tests/oracles.py``).  Everything is exact, there are no
 tolerance decisions anywhere.
 """
 
 import bisect
 
-from .scalars import ONE, Q_ONE, Q_ZERO, ZERO, FieldScalar, add_scaled, \
-    q_inv, q_mul, q_neg
+from .scalars import Q_ONE, Q_ZERO, FieldScalar, add_scaled, q_inv, q_mul, \
+    q_neg
 
 
 class SingularMatrixError(ValueError):
     pass
-
-
-def invert(a):
-    """Exact inverse; raises SingularMatrixError when the rank drops.
-
-    The reduced form of [A | I] is [I | A^-1] exactly when every pivot lies
-    in the A half.
-    """
-    n = len(a)
-    tracker = RankTracker(2 * n)
-    for i, row in enumerate(a):
-        tracker.add(list(row) + [ONE if j == i else ZERO for j in range(n)])
-    if tracker.pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in tracker.rows]
 
 
 class RankTracker:
@@ -59,6 +46,12 @@ class RankTracker:
         """The reduced rows, dense, ordered by pivot column."""
         return [[FieldScalar.from_q(row.get(c, Q_ZERO))
                  for c in range(self.ncols)] for row in self._rows]
+
+    @property
+    def sparse_rows(self):
+        """The reduced rows as ``{column: q}`` dicts of their nonzero
+        entries, ordered by pivot column; the tracker's own, not copies."""
+        return self._rows
 
     def is_full(self):
         return self.rank == self.ncols

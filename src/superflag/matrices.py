@@ -17,8 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .ring import NUMERIC_CTX, SuperPoly, add_product, common_context
-from .scalars import ZERO, FieldScalar
+from .ring import CONSTANT, NUMERIC_CTX, SuperPoly, add_product, \
+    common_context
+from .scalars import Q_ONE, ZERO, FieldScalar
 
 
 class ShapeError(ValueError):
@@ -350,23 +351,38 @@ class SuperMatrix:
     def invert(self):
         """Exact inverse for matrices with invertible body.
 
-        Splits M = B(E + N) with B the body and sums the Neumann series for
-        (E + N)^{-1}.  The series ends when every monomial of every entry
-        of N has an odd factor: with k odd names in the ring, N^(k+1) = 0.
-        Any other N, for instance one holding even chart variables, raises
-        NotNilpotentError before a power of N is formed.
+        The body B holds the entries' constant terms.  Its rows, sparse, are
+        fed to a RankTracker as the rows of [B | E], whose reduced form is
+        [E | B^-1] exactly when every pivot lies in the B half; no dense
+        matrix is formed.  With N = B^-1 M - E, M = B(E + N): when N is
+        zero, as for every numeric matrix, B^-1 is the inverse.  Otherwise
+        the Neumann series for (E + N)^-1 is summed.  The series ends when
+        every monomial of every entry of N has an odd factor: with k odd
+        names in the ring, N^(k+1) = 0.  Any other N, for instance one
+        holding even chart variables, raises NotNilpotentError before a
+        power of N is formed.
         """
         if not self.is_square():
             raise ShapeError("only square matrices invert")
-        try:
-            body_inv = linalg.invert(self.body())
-        except linalg.SingularMatrixError:
-            raise linalg.SingularMatrixError(
-                "matrix body is singular"
-            ) from None
-        binv = SuperMatrix.build(self.rows, self.rows, body_inv, ctx=self.ctx)
+        size = self.rows.total
+        rows = [{size + i: Q_ONE} for i in range(size)]
+        for (i, j), v in self.entries.items():
+            q = v.terms.get(CONSTANT)
+            if q is not None:
+                rows[i][j] = q
+        tracker = linalg.RankTracker(2 * size)
+        for row in rows:
+            tracker.add(row)
+        if tracker.pivots[:size] != list(range(size)):
+            raise linalg.SingularMatrixError("matrix body is singular")
+        binv = SuperMatrix.from_terms(self.rows, self.rows, self.ctx, None, {
+            (i, j - size): {CONSTANT: q}
+            for i, row in enumerate(tracker.sparse_rows)
+            for j, q in sorted(row.items()) if j >= size})
         eye = SuperMatrix.identity(self.rows, self.ctx)
         n = binv @ self - eye
+        if n.is_zero():
+            return binv
         if any(not odd for v in n.entries.values() for _, odd in v.terms):
             raise NotNilpotentError(
                 "entries are not scalar-plus-nilpotent; no exact inverse "

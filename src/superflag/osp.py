@@ -44,25 +44,31 @@ slot is (r, c) itself there is no second entry.
 The same permutation gives the membership residual M^ST G + G M without a
 product: entry M[r, c] adds g_x M[r, c] at (x, c), x = pi^-1(r), through
 G M, and sigma g_r M[r, c] at its partner slot (c, pi(r)) through M^ST G.
-``GramForm.partner`` holds the sigma rule for both uses.  ``is_member``
-reads that residual as term dicts and builds no matrix;
-``membership_residual`` builds it from the same dicts.
+``GramForm.partner`` holds the sigma rule for both uses.  The residual
+has one implementation, ``entry_residual``, on a constant matrix given as
+``{slot: q}``.  G is numeric, so ``is_member`` applies it to each
+Grassmann component of a matrix and builds no matrix, and
+``membership_residual`` assembles its matrix from the same per-component
+residuals.
 
 Every generator entry is a constant, so structure constants are computed
 on the normalised 5-tuples of ``scalars`` (``q``): ``components`` splits
-a matrix into its Grassmann components ``{monomial key: {slot: q}}``, a
-basis reads its generators' constant components on first use
-(``OspBasis.entry_table``), ``closure_check`` brackets on those tables,
-``OspBasis.read_off``, the one span test for constant matrices, expands a
-bracket or a candidate, and ``conjugate_entries`` forms S^-1 M S on the
-same tables.  The Jacobi and center checks read one table of the
-constants filled in both orders of each pair (``_BracketTable``) and
-compose and reduce tuple rows; every sum of such dicts is
-``scalars.add_scaled``.  FieldScalar appears only in what they hand out:
-the structure constants, the coefficients and the center matrices.  The
-matrix-bracket Jacobi identity, the conjugation by two matrix products,
-the one-way constant table and the odd/even stabilizer of the base flag,
-which the tests compare these with, live in ``tests/oracles.py``.
+a matrix into its Grassmann components ``{monomial key: {slot: q}}``.
+``basis`` makes each generator as its entry table first: it checks the
+table's slot parities and residual, builds the matrix from it and keeps
+the tables as ``OspBasis.entry_table``.  ``closure_check`` brackets on
+those tables, ``OspBasis.read_off``, the one span test for constant
+matrices, expands a bracket or a candidate, and ``conjugate_entries``
+forms S^-1 M S on the same tables.  The Jacobi and center checks read one
+table of the constants filled in both orders of each pair
+(``BracketTable``), built once per closure report, and compose and reduce
+tuple rows; every sum of such dicts is ``scalars.add_scaled``.
+FieldScalar appears only in what they hand out: the structure constants,
+the coefficients and the center matrices.  The matrix-bracket Jacobi
+identity, the conjugation by two matrix products, the one-way constant
+table, the residual on whole term dicts, the matrix-first basis and the
+odd/even stabilizer of the base flag, which the tests compare these with,
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -72,11 +78,9 @@ from dataclasses import dataclass, field
 
 from .linalg import RankTracker
 from .matrices import BlockShape, ParityError, SuperMatrix
+from .ring import CONSTANT, NUMERIC_CTX
 from .scalars import I_INV_SQRT2, INV_SQRT2, ONE, Q_MINUS_ONE, Q_ONE, \
     Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg
-
-#: The monomial key of a constant term.
-_CONSTANT = ((), ())
 
 
 class NotInSpanError(ValueError):
@@ -146,9 +150,10 @@ class OspBasis:
         return [g for g in self.generators if g.parity == 1]
 
     def entry_table(self):
-        """Each generator's entries as ``{slot: q}``, read on first use:
-        the read-off and ``closure_check`` work on these 5-tuples, and a
-        basis that expands nothing never builds them."""
+        """Each generator's entries as ``{slot: q}``: the tables a
+        ``basis`` was built from, or, for a basis of other generators,
+        read off their matrices on first use.  The read-off and
+        ``closure_check`` work on these 5-tuples."""
         if self._table is None:
             self._table = tuple(
                 constant_entries(g.matrix, f"generator {g.tag}")
@@ -158,7 +163,7 @@ class OspBasis:
     def coefficients_of(self, m):
         """Expand ``m`` exactly in this basis, or raise NotInSpanError."""
         parts = components(m)
-        entries = parts.pop(_CONSTANT, {})
+        entries = parts.pop(CONSTANT, {})
         others = {slot for part in parts.values() for slot in part}
         bad = sorted(self._by_primary[slot] for slot in others
                      if slot in self._by_primary)
@@ -198,7 +203,7 @@ def components(m):
     """The Grassmann components of ``m``: one constant matrix, as its
     nonzero entries ``{slot: q}``, per monomial key of the entries, as
     ``{monomial key: {slot: q}}``.  A numeric matrix has at most the one
-    component ``((), ())``."""
+    component ``CONSTANT``, the key ``((), ())``."""
     parts = {}
     for slot, v in m.entries.items():
         for key, q in v.terms.items():
@@ -210,9 +215,9 @@ def constant_entries(m, what="matrix"):
     """The entries ``{slot: q}`` of a constant matrix ``m``; raises
     ValueError, naming ``what``, when an entry is not a constant."""
     parts = components(m)
-    if parts.keys() - {_CONSTANT}:
+    if parts.keys() - {CONSTANT}:
         raise ValueError(f"{what} has non-constant entries")
-    return parts.get(_CONSTANT, {})
+    return parts.get(CONSTANT, {})
 
 
 def entry_lines(entries, by_column=False):
@@ -276,44 +281,55 @@ def gram_form(flavor, a, b):
 
 
 def is_member(m, gram):
-    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M):
-    the residual's term dicts (``_residual_terms``) must all be empty, and
-    no matrix is built."""
-    return not any(_residual_terms(m, gram).values())
+    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M).
+
+    G is numeric, so the equation holds exactly when it holds on each
+    Grassmann component of M (``components``): each component's
+    ``entry_residual`` must be empty, and no matrix is built.  Raises
+    ParityError, as the supertranspose would, when M is not
+    parity-homogeneous, and ValueError when its shape is not the Gram's.
+    """
+    _check_residual_input(m, gram)
+    return not any(entry_residual(part, gram)
+                   for part in components(m).values())
 
 
 def membership_residual(m, gram):
-    """M^ST G + G M as a matrix, from the same term dicts as
-    ``is_member``.
-
-    Raises ParityError, as the supertranspose would, when M is not
-    parity-homogeneous.
-    """
+    """M^ST G + G M as a matrix, assembled from the ``entry_residual`` of
+    each Grassmann component of M, with the checks of ``is_member``."""
+    _check_residual_input(m, gram)
+    acc = {}
+    for key, part in components(m).items():
+        for slot, q in entry_residual(part, gram).items():
+            acc.setdefault(slot, {})[key] = q
     return SuperMatrix.from_terms(gram.shape, gram.shape, m.ctx, m.parity,
-                                  _residual_terms(m, gram))
+                                  acc)
 
 
-def _residual_terms(m, gram):
-    """M^ST G + G M as ``{slot: term dict}``, read off the Gram's signed
-    permutation (see the module doc): each entry of M lands at two slots
-    with a sign, so the work is O(nnz M), with no supertranspose and no
-    matrix product.  A slot whose contributions cancel holds an empty
-    dict."""
+def _check_residual_input(m, gram):
     shape = gram.shape
     if m.rows != shape or m.cols != shape:
         raise ValueError("matrix shape does not match the gram form")
     if m.parity not in (0, 1):
         raise ParityError("supertranspose needs a parity-homogeneous matrix")
+
+
+def entry_residual(entries, gram):
+    """M^ST G + G M of a constant matrix M given as its nonzero entries
+    ``{slot: q}``, read off the Gram's signed permutation (see the module
+    doc): each entry lands at two slots with a sign, so the work is
+    O(nnz M), with no supertranspose and no matrix product.  Returns the
+    nonzero entries as ``{slot: q}``."""
     acc = {}
-    for (r, c), v in m.entries.items():
-        x = gram.inverse[r]
+    inverse, signs = gram.inverse, gram.sign
+    for (r, c), u in entries.items():
+        x = inverse[r]
         slot, sign = gram.partner(r, c)
-        for out, s in (((x, c), gram.sign[x]), (slot, sign)):
-            terms = acc.get(out)
-            if terms is None:
-                terms = acc[out] = {}
-            add_scaled(terms, v.terms, Q_MINUS_ONE if s < 0 else Q_ONE)
-    return acc
+        for out, s in (((x, c), signs[x]), (slot, sign)):
+            v = u if s > 0 else q_neg(u)
+            prev = acc.get(out)
+            acc[out] = v if prev is None else q_add(prev, v)
+    return {slot: q for slot, q in acc.items() if q != Q_ZERO}
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +390,9 @@ def _index_range(kind, rows, cols, along_cols):
 
 
 def _family_specs(naming, gram):
-    """(tag, parity, entries, primary slot) of every family-table entry,
-    with the forced entry read off the Gram form (see the module doc)."""
+    """(tag, parity, entries ``{slot: q}``, primary slot) of every
+    family-table entry, with the forced entry read off the Gram form (see
+    the module doc)."""
     p, q = gram.shape.even, gram.shape.odd
     h, n = p // 2, q // 2
     blocks = {"b1": (0, h), "b2": (h, h), "c1": (p, n), "c2": (p + n, n)}
@@ -390,13 +407,14 @@ def _family_specs(naming, gram):
         parity = int(row[0] == "c") ^ int(col[0] == "c")
         for (i, j), label in _index_range(kind, nr, nc, row == "b3"):
             r, c = r0 + i, c0 + j
-            entries = {(r, c): ONE}
+            entries = {(r, c): Q_ONE}
             forced = (perm[c], perm[r])
             if forced != (r, c):
                 # (r, c) lands at (c, pi(r)) in M^ST G; the forced entry
                 # cancels it there through G M, where it is weighted g_c.
                 _, sign = gram.partner(r, c)
-                entries[forced] = -ONE if sign * gram.sign[c] > 0 else ONE
+                entries[forced] = Q_MINUS_ONE if sign * gram.sign[c] > 0 \
+                    else Q_ONE
             specs.append((f"{tag}:{label}", parity, entries, (r, c)))
     return specs
 
@@ -404,7 +422,7 @@ def _family_specs(naming, gram):
 def _gl_specs(shape):
     """One unit matrix per slot of gl(p|q), the even slots first."""
     p, n = shape.even, shape.total
-    return [(f"E:{i + 1},{j + 1}", parity, {(i, j): ONE}, (i, j))
+    return [(f"E:{i + 1},{j + 1}", parity, {(i, j): Q_ONE}, (i, j))
             for parity in (0, 1) for i in range(n) for j in range(n)
             if (i >= p) ^ (j >= p) == parity]
 
@@ -417,8 +435,12 @@ def basis(flavor, a, b):
     suite's odd, even and two primed ones); an unbounded cache would keep
     every basis a long-running process ever built.  Callers share the
     result, so its ``generators`` is a tuple and nothing mutates a matrix.
-    Each matrix is built with its spec's parity, which ``build`` checks
-    against the entries, and then asserted a member.
+
+    Each generator is born as its entry table ``{slot: q}``: every slot's
+    parity must be the family's (ParityError otherwise), and its
+    ``entry_residual`` must be empty (AssertionError otherwise).  Only
+    then is the matrix built, with the family's parity, and the tables
+    become the basis's ``entry_table``.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -428,13 +450,20 @@ def basis(flavor, a, b):
         gram = gram_form(flavor, a, b)
         specs = _family_specs("primed" if flavor == "primed" else "original",
                               gram)
-    gens = []
+    p = shape.even
+    gens, tables = [], []
     for tag, parity, entries, primary in specs:
-        mat = SuperMatrix.build(shape, shape, entries, parity=parity)
-        if gram is not None and not is_member(mat, gram):
+        if any((i >= p) ^ (j >= p) != parity for i, j in entries):
+            raise ParityError(f"generator {tag}: declared parity {parity}"
+                              " contradicts its slots")
+        if gram is not None and entry_residual(entries, gram):
             raise AssertionError(f"generator {tag} fails the defining equation")
+        mat = SuperMatrix.from_terms(shape, shape, NUMERIC_CTX, parity,
+                                     {slot: {CONSTANT: q}
+                                      for slot, q in entries.items()})
         gens.append(Generator(tag, parity, mat, primary))
-    return OspBasis(gram, gens)
+        tables.append(entries)
+    return OspBasis(gram, gens, _table=tuple(tables))
 
 
 def dimension_counts(flavor, a, b):
@@ -540,9 +569,10 @@ def bracket_entries(x, y, both_odd):
     return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 
 
-class _BracketTable:
+class BracketTable:
     """closure_check's structure constants indexed by ordered generator
-    pair.
+    pair, built once per closure report and read by both
+    ``jacobi_failures`` and ``center_from_constants``.
 
     Both orders of every pair that closure_check expanded are filled once,
     with [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a
@@ -550,10 +580,12 @@ class _BracketTable:
     So ``of(a, b)``, [a, b] as ``{tag: q}`` for any ordered pair of tags,
     is one lookup: a missing pair is a zero bracket ([x, x] = 0 for even
     x among them), and a failed one raises NotInSpanError.
-    ``by_right[b]`` lists the ``(a, [a, b])`` with [a, b] nonzero.
+    ``by_right[b]`` lists the ``(a, [a, b])`` with [a, b] nonzero, and
+    ``failures`` keeps closure's failed pairs.
     """
 
     def __init__(self, bas, closure):
+        self.failures = list(closure["failures"])
         self.index = {g.tag: i for i, g in enumerate(bas.generators)}
         self.parity = {g.tag: g.parity for g in bas.generators}
         table = self.table = {}
@@ -562,7 +594,7 @@ class _BracketTable:
             if p != q:
                 table.setdefault((q, p), {})[r] = \
                     c.q if self.parity[p] and self.parity[q] else q_neg(c.q)
-        for a, b in closure["failures"]:
+        for a, b in self.failures:
             table[(a, b)] = table[(b, a)] = None
         self.by_right = {}
         for (a, b), coeffs in table.items():
@@ -585,16 +617,16 @@ class _BracketTable:
         return acc
 
 
-def jacobi_failures(bas, closure, triples):
+def jacobi_failures(br, triples):
     """The tag triples (x, y, z) that break the graded Jacobi identity
-    [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]], composed from
-    closure_check's structure constants instead of matrix brackets.
+    [x,[y,z]] = [[x,y],z] + (-1)^{|x||y|} [y,[x,z]], composed from the
+    structure constants of the BracketTable ``br`` instead of matrix
+    brackets.
 
     The basis is linearly independent, so the identity holds for the
     matrices exactly when it holds for the coefficient vectors.  A triple
     that needs a bracket closure could not expand fails.
     """
-    br = _BracketTable(bas, closure)
     bad = []
     for x, y, z in triples:
         try:
@@ -611,14 +643,14 @@ def jacobi_failures(bas, closure, triples):
     return bad
 
 
-def center_from_constants(bas, closure):
+def center_from_constants(bas, br):
     """Exact basis of {Z : [Z, X] = 0 for all X}, computed per parity sector
-    from closure_check's structure constants.
+    from the structure constants of the BracketTable ``br`` of ``bas``.
 
     In a sector with generators g_1..g_s, Z = sum c_i g_i is central when
     sum c_i [g_i, X] = 0 for every generator X, that is, coefficient by
     coefficient of each [g_i, X] in the basis: one ad row per (X, tag).
-    Only the nonzero [g_i, X] are visited (``_BracketTable.by_right``),
+    Only the nonzero [g_i, X] are visited (``BracketTable.by_right``),
     and the probes X whose entry tables are diagonal come first: in the
     odd, even and gl bases such an X brackets every generator to a
     multiple of itself, so each of its rows has one entry, and these rows
@@ -628,10 +660,9 @@ def center_from_constants(bas, closure):
     tables.  Raises NotInSpanError when closure could not expand some
     bracket, whichever bracket that is.
     """
-    if closure["failures"]:
-        a, b = closure["failures"][0]
+    if br.failures:
+        a, b = br.failures[0]
         raise NotInSpanError(f"[{a}, {b}] is not in the span of the basis")
-    br = _BracketTable(bas, closure)
     gens, table = bas.generators, bas.entry_table()
     probes = sorted(range(len(gens)),
                     key=lambda x: any(i != j for i, j in table[x]))
@@ -663,7 +694,7 @@ def center_from_constants(bas, closure):
                     add_scaled(acc, table[i], c.q)
             out.append(SuperMatrix.from_terms(
                 like.rows, like.cols, like.ctx, parity,
-                {slot: {_CONSTANT: q} for slot, q in acc.items()}))
+                {slot: {CONSTANT: q} for slot, q in acc.items()}))
     return out
 
 

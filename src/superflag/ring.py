@@ -26,6 +26,10 @@ from .scalars import (
 )
 
 
+#: The monomial key of a constant term.
+CONSTANT = ((), ())
+
+
 class ContextError(Exception):
     """Raised when values from incompatible ring contexts are combined."""
 
@@ -91,7 +95,7 @@ class RingContext:
             raise TypeError(f"cannot interpret {c!r} as a scalar")
         if s.is_zero():
             return SuperPoly._new(self, {})
-        return SuperPoly._new(self, {((), ()): s.q})
+        return SuperPoly._new(self, {CONSTANT: s.q})
 
     @property
     def zero(self):
@@ -99,7 +103,7 @@ class RingContext:
 
     @property
     def one(self):
-        return SuperPoly._new(self, {((), ()): Q_ONE})
+        return SuperPoly._new(self, {CONSTANT: Q_ONE})
 
     # -- extension and lifting --------------------------------------------
 
@@ -280,11 +284,11 @@ class SuperPoly:
         return not self.terms
 
     def is_scalar(self):
-        return not self.terms or set(self.terms) == {((), ())}
+        return not self.terms or set(self.terms) == {CONSTANT}
 
     def scalar_part(self):
         """Coefficient of the empty monomial (the value at the origin)."""
-        return FieldScalar.from_q(self.terms.get(((), ()), Q_ZERO))
+        return FieldScalar.from_q(self.terms.get(CONSTANT, Q_ZERO))
 
     def body(self):
         """The monomial-free part obtained by killing every odd variable.

@@ -45,6 +45,7 @@ from .linalg import RankTracker
 from .matrices import BlockShape, SuperMatrix
 from .osp import (
     PARABOLIC_TAGS,
+    BracketTable,
     NotInSpanError,
     basis,
     basis_change_S,
@@ -177,11 +178,12 @@ def suite_osp_defining(m, n):
             (rng.choice(tags), rng.choice(tags), rng.choice(tags))
             for _ in range(300)
         ]
-    bad_j = jacobi_failures(bas, closure, triples)
+    table = BracketTable(bas, closure)
+    bad_j = jacobi_failures(table, triples)
     rep.add("jacobi", "graded Jacobi identity on generator triples",
             not bad_j, f"{len(triples)} triples" if not bad_j else str(bad_j[:3]))
     try:
-        z = center_from_constants(bas, closure)
+        z = center_from_constants(bas, table)
         witness = f"dimension {len(z)}" if z else "trivial"
     except NotInSpanError:
         z, witness = None, "undetermined: closure failed"

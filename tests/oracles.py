@@ -8,17 +8,23 @@ brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
 from structure constants, two matrix products for the conjugation that
 ``osp.conjugate_entries`` forms on entry tables, the structure constants
 kept in one order and read the other way by recursion for the two-way
-``osp._BracketTable``, the enumerated positive roots for the closed
+``osp.BracketTable``, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
-hand for ``charts.isotropic_chart``, a Neumann loop that decides
-only after summing its powers for the up-front test of
-``SuperMatrix.invert``, and the span route the imp-witness suite took
+hand for ``charts.isotropic_chart``, the dense inverse of a FieldScalar
+list and a Neumann loop on it that decides only after summing its
+powers for the sparse body inverse and up-front test of
+``SuperMatrix.invert``, the residual on whole term dicts for the
+per-component ``osp.entry_residual`` of ``is_member`` and
+``membership_residual``, and the span route the imp-witness suite took
 before it read its Grassmann components off one basis each: numeric
 matrices built even, expanded in bases of even generators only, the
 bordered one built with ``embed_j``.  That route shares
 ``OspBasis.read_off`` with the suite, but not the split, the bordering or
-the parity test.
+the parity test.  Likewise the matrix-first basis shares the family
+specs with ``osp.basis``, but not the route from a spec to a generator:
+``build``'s parity check, the residual and the table read back off the
+matrix.
 """
 
 from __future__ import annotations
@@ -27,14 +33,17 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from superflag import linalg
+from superflag import osp
 from superflag.charts import Chart, VectorField, validate_flag_type
+from superflag.linalg import RankTracker, SingularMatrixError
 from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
     SuperMatrix
-from superflag.osp import NotInSpanError, OspBasis, basis, bordered_basis
+from superflag.osp import Generator, NotInSpanError, OspBasis, basis, \
+    bordered_basis, constant_entries
 from superflag.ring import NUMERIC_CTX, ContextError, RingContext, SuperPoly, \
     common_context, merge_odd, mul_even
-from superflag.scalars import Q_ZERO, FieldScalar, q_add, q_mul, q_neg
+from superflag.scalars import ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
+    FieldScalar, add_scaled, q_add, q_mul, q_neg
 from superflag.weights import Weight
 
 
@@ -184,12 +193,33 @@ def bracket_all_names(v, w):
 # ---------------------------------------------------------------------------
 
 
+def invert(a):
+    """The exact inverse of a dense square list of FieldScalars; raises
+    SingularMatrixError when the rank drops.
+
+    The reduced form of [A | I] is [I | A^-1] exactly when every pivot lies
+    in the A half.
+    """
+    n = len(a)
+    tracker = RankTracker(2 * n)
+    for i, row in enumerate(a):
+        tracker.add(list(row) + [ONE if j == i else ZERO for j in range(n)])
+    if tracker.pivots[:n] != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in tracker.rows]
+
+
 def neumann_invert(m):
-    """The inverse by the Neumann series, deciding after the loop: sum up
-    to (odd names + 1) powers of N = B^-1 M - E and raise
-    NotNilpotentError when the last power is not zero."""
-    binv = SuperMatrix.build(m.rows, m.rows, linalg.invert(m.body()),
-                             ctx=m.ctx)
+    """The inverse by the Neumann series, deciding after the loop: the
+    body inverted dense (``invert``), then up to (odd names + 1) powers of
+    N = B^-1 M - E summed, raising NotNilpotentError when the last power
+    is not zero, and SingularMatrixError("matrix body is singular") for a
+    singular body."""
+    try:
+        body_inv = invert(m.body())
+    except SingularMatrixError:
+        raise SingularMatrixError("matrix body is singular") from None
+    binv = SuperMatrix.build(m.rows, m.rows, body_inv, ctx=m.ctx)
     eye = SuperMatrix.identity(m.rows, m.ctx)
     n = binv @ m - eye
     acc = power = eye
@@ -206,6 +236,56 @@ def neumann_invert(m):
 # ---------------------------------------------------------------------------
 # Orthosymplectic algebras
 # ---------------------------------------------------------------------------
+
+
+def residual_terms(m, gram):
+    """M^ST G + G M as ``{slot: term dict}``, read off the Gram's signed
+    permutation on the whole term dicts of M, with no split into Grassmann
+    components: each entry of M lands at two slots with a sign.  A slot
+    whose contributions cancel holds an empty dict.  ValueError for a
+    shape that is not the Gram's, ParityError for a matrix that is not
+    parity-homogeneous."""
+    shape = gram.shape
+    if m.rows != shape or m.cols != shape:
+        raise ValueError("matrix shape does not match the gram form")
+    if m.parity not in (0, 1):
+        raise ParityError("supertranspose needs a parity-homogeneous matrix")
+    acc = {}
+    for (r, c), v in m.entries.items():
+        x = gram.inverse[r]
+        slot, sign = gram.partner(r, c)
+        for out, s in (((x, c), gram.sign[x]), (slot, sign)):
+            terms = acc.setdefault(out, {})
+            add_scaled(terms, v.terms, Q_MINUS_ONE if s < 0 else Q_ONE)
+    return acc
+
+
+def matrix_built_basis(flavor, a, b):
+    """``basis(flavor, a, b)`` built matrix first: each spec's entries, as
+    FieldScalars, go through ``SuperMatrix.build`` with the family parity,
+    which checks the entries against it, the matrix must pass
+    ``residual_terms``, and the entry table is read back off the matrices
+    with ``constant_entries``.  Returns ``(basis, entry tables)``.  It
+    shares the family specs with the library, not the route from a spec
+    to a generator."""
+    shape = osp._shape(flavor, a, b)
+    if flavor == "gl":
+        gram, specs = None, osp._gl_specs(shape)
+    else:
+        gram = osp.gram_form(flavor, a, b)
+        specs = osp._family_specs(
+            "primed" if flavor == "primed" else "original", gram)
+    gens = []
+    for tag, parity, entries, primary in specs:
+        mat = SuperMatrix.build(
+            shape, shape,
+            {slot: FieldScalar.from_q(q) for slot, q in entries.items()},
+            parity=parity)
+        if gram is not None and any(residual_terms(mat, gram).values()):
+            raise AssertionError(f"generator {tag} fails the defining equation")
+        gens.append(Generator(tag, parity, mat, primary))
+    tables = tuple(constant_entries(g.matrix) for g in gens)
+    return OspBasis(gram, gens), tables
 
 
 def super_jacobi_holds(x, y, z):

@@ -25,6 +25,7 @@ from superflag.charts import (
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
     PARABOLIC_TAGS,
+    BracketTable,
     basis,
     basis_change_S,
     center_from_constants,
@@ -122,7 +123,8 @@ def test_criterion_2_center_trivial(capfd):
                    10, capture=capfd) as failures:
         for m, n in ((1, 1), (2, 1), (1, 2), (2, 2)):
             bas = basis("odd", m, n)
-            z = center_from_constants(bas, closure_check(bas))
+            z = center_from_constants(bas,
+                                      BracketTable(bas, closure_check(bas)))
             if z != []:
                 failures.append((m, n, len(z)))
 

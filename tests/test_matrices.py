@@ -24,7 +24,7 @@ from superflag.osp import (
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
-from oracles import neumann_invert
+from oracles import invert, neumann_invert, residual_terms
 
 
 def rand_numeric(rng, rows, cols, parity):
@@ -204,6 +204,76 @@ def test_inverse_matches_neumann_loop_oracle(kind):
             seen.add("error")
     assert seen == ({"loop inverts", "both reject"} if kind == "even-triangle"
                     else {"inverse", "error"})
+
+
+def _singular_body(rng, ctx, sh):
+    """An even matrix over ``ctx`` whose body has a zero row or two equal
+    rows of one parity, plus odd-name products that leave the body as it
+    is."""
+    th1, th2 = ctx.var("th1"), ctx.var("th2")
+    entries = dict(rand_numeric(rng, sh, sh, 0).entries)
+    rows = [i for i in range(sh.total)
+            if sh.is_odd_index(i) == sh.is_odd_index(sh.total - 1)]
+    src, dst = rows[0], rows[-1]
+    copy = src != dst and rng.random() < 0.5
+    for j in range(sh.total):
+        entries.pop((dst, j), None)
+        if copy and (src, j) in entries:
+            entries[(dst, j)] = entries[(src, j)]
+    for i in range(sh.total):
+        for j in range(sh.total):
+            if sh.is_odd_index(i) == sh.is_odd_index(j) and rng.random() < 0.5:
+                entries[(i, j)] = entries.get((i, j), ZERO) + th1 * th2
+    return SuperMatrix.build(sh, sh, entries, ctx=ctx, parity=0)
+
+
+def test_invert_matches_the_dense_oracle():
+    """The sparse body inverse against the dense one (``oracles.invert``):
+    on seeded numeric matrices with invertible bodies of several shapes,
+    odd ones among them, ``invert`` is the dense inverse of the body
+    with the same parity; on Grassmann matrices with invertible body it
+    equals the Neumann oracle built on the dense inverse; on singular
+    bodies both raise SingularMatrixError("matrix body is singular")."""
+    rng = random.Random(2207)
+    ctx = RingContext()
+    ctx.odds("th1", "th2", "th3")
+    seen = {"numeric": 0, "grassmann": 0, "singular": 0}
+    for sh, parity in ((BlockShape(2, 2), 0), (BlockShape(3, 1), 0),
+                       (BlockShape(0, 3), 0), (BlockShape(1, 1), 1),
+                       (BlockShape(2, 2), 1)):
+        for _ in range(8):
+            m = rand_numeric(rng, sh, sh, parity)
+            try:
+                dense = invert(m.body())
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError,
+                                   match="^matrix body is singular$"):
+                    m.invert()
+                continue
+            want = SuperMatrix.build(sh, sh, dense)
+            got = m.invert()
+            assert got == want and got.parity == want.parity
+            assert m @ got == SuperMatrix.identity(sh)
+            seen["numeric"] += 1
+    for _ in range(12):
+        m = _inverse_case("scalar-plus-odd", rng, ctx)
+        try:
+            want = neumann_invert(m)
+        except SingularMatrixError:
+            continue
+        got = m.invert()
+        assert got == want and got.parity == want.parity == 0
+        assert m @ got == SuperMatrix.identity(m.rows, ctx)
+        seen["grassmann"] += 1
+    for sh in (BlockShape(2, 2), BlockShape(3, 0), BlockShape(1, 2)):
+        for _ in range(4):
+            m = _singular_body(rng, ctx, sh)
+            for inverse in (SuperMatrix.invert, neumann_invert):
+                with pytest.raises(SingularMatrixError,
+                                   match="^matrix body is singular$"):
+                    inverse(m)
+            seen["singular"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 def test_inverse_rejects_singular_body():
@@ -417,6 +487,48 @@ def test_membership_residual_matches_separate_products():
         assert scaled and not any(is_member(m, gram) for m in scaled)
         assert not any(is_member(m, gram) for m in noise)
     assert not is_member(_grassmann_matrices()[0], gram_form("odd", 2, 2))
+
+
+def test_membership_residual_matches_the_whole_term_oracle():
+    """``is_member`` and ``membership_residual``, which apply the one
+    residual on ``{slot: q}`` to each Grassmann component, against
+    ``oracles.residual_terms``, which reads whole term dicts: seeded
+    numeric and Grassmann matrices, members and not, for odd, even and
+    primed Grams; a non-homogeneous matrix raises ParityError and a wrong
+    shape ValueError on both sides."""
+    rng = random.Random(2203)
+    members = 0
+    for flavor, a, b in (("odd", 1, 1), ("odd", 2, 1), ("even", 1, 2),
+                         ("even", 2, 1), ("primed", 3, 1), ("primed", 4, 2)):
+        gram = gram_form(flavor, a, b)
+        sh = gram.shape
+        gens = basis(flavor, a, b).generators
+        grassmann = [_random_grassmann(rng, sh, p) for p in (0, 1, 0, 1)]
+        x, th1 = grassmann[0].ctx.var("x"), grassmann[0].ctx.var("th1")
+        cases = [rand_numeric(rng, sh, sh, p) for p in (0, 1, 0, 1)]
+        cases += grassmann
+        for _ in range(4):
+            g, h = rng.sample(gens, 2)
+            same = h if h.parity == g.parity else g
+            cases.append(g.matrix * th1)
+            cases.append(g.matrix * x + same.matrix * 3)
+        for m in cases:
+            terms = residual_terms(m, gram)
+            want = SuperMatrix.from_terms(sh, sh, m.ctx, m.parity, terms)
+            got = membership_residual(m, gram)
+            assert got == want and got.parity == want.parity
+            assert got.ctx is m.ctx
+            assert is_member(m, gram) == (not any(terms.values()))
+            members += is_member(m, gram)
+        mixed = SuperMatrix.build(sh, sh, {(0, 0): ONE, (0, sh.total - 1):
+                                           ONE}, parity=None)
+        wrong = rand_numeric(rng, BlockShape(sh.even + 1, sh.odd),
+                             BlockShape(sh.even + 1, sh.odd), 0)
+        for bad, error in ((mixed, ParityError), (wrong, ValueError)):
+            for residual in (is_member, membership_residual, residual_terms):
+                with pytest.raises(error):
+                    residual(bad, gram)
+    assert members >= 24
 
 
 def test_membership_residual_rejects_a_non_homogeneous_matrix():

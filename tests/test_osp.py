@@ -10,6 +10,7 @@ from superflag import osp, suites
 from superflag.linalg import RankTracker
 from superflag.matrices import BlockShape, ParityError, SuperMatrix
 from superflag.osp import (
+    BracketTable,
     Generator,
     NotInSpanError,
     OspBasis,
@@ -32,12 +33,14 @@ from superflag.osp import (
     parabolic_basis,
 )
 from superflag.ring import RingContext
-from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO
+from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO, \
+    q_neg
 
 from oracles import (
     OneWayBracketTable,
     conjugate,
     even_span_route,
+    matrix_built_basis,
     original_parabolic_basis,
     stabilized_subspace_indices,
     super_jacobi_holds,
@@ -343,7 +346,8 @@ def _all_triples(bas):
 def test_jacobi_from_constants_matches_matrix_oracle(case):
     bas = basis(*case)
     triples = _all_triples(bas)
-    assert jacobi_failures(bas, closure_check(bas), triples) == []
+    table = BracketTable(bas, closure_check(bas))
+    assert jacobi_failures(table, triples) == []
     assert all(super_jacobi_holds(bas[x].matrix, bas[y].matrix,
                                   bas[z].matrix) for x, y, z in triples[::7])
 
@@ -358,7 +362,8 @@ def test_jacobi_detects_every_flipped_constant():
     for i, (p, q, r, c) in enumerate(constants):
         mutated = dict(closure, structure_constants=constants[:i]
                        + [(p, q, r, -c)] + constants[i + 1:])
-        assert jacobi_failures(bas, mutated, triples), (p, q, r)
+        assert jacobi_failures(BracketTable(bas, mutated), triples), \
+            (p, q, r)
     assert closure["structure_constants"] == constants
 
 
@@ -366,10 +371,10 @@ def test_jacobi_fails_every_triple_needing_a_missing_bracket():
     bas = basis("odd", 1, 1)
     closure = closure_check(bas)
     x, y = bas.tags()[0], bas.tags()[3]
-    broken = dict(closure, failures=[(x, y)])
-    failing = set(jacobi_failures(bas, broken, _all_triples(bas)))
+    broken = BracketTable(bas, dict(closure, failures=[(x, y)]))
+    failing = set(jacobi_failures(broken, _all_triples(bas)))
     assert (x, y, y) in failing and (y, x, x) in failing
-    assert jacobi_failures(bas, closure, sorted(failing)) == []
+    assert jacobi_failures(BracketTable(bas, closure), sorted(failing)) == []
     with pytest.raises(NotInSpanError):
         center_from_constants(bas, broken)
 
@@ -403,8 +408,9 @@ def test_center_raises_on_a_late_closure_failure():
     last constant's pair; a failure there still leaves the center
     undetermined, whatever order the probes come in."""
     bas = basis("odd", 2, 2)
+    table = BracketTable(bas, _late_failure(closure_check(bas)))
     with pytest.raises(NotInSpanError):
-        center_from_constants(bas, _late_failure(closure_check(bas)))
+        center_from_constants(bas, table)
 
 
 def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
@@ -427,7 +433,7 @@ def test_two_way_bracket_table_matches_the_recursive_rule(case):
     tags = bas.tags()
     middle = closure["structure_constants"][len(tags)][:2]
     for report in (closure, dict(closure, failures=[middle])):
-        table = osp._BracketTable(bas, report)
+        table = BracketTable(bas, report)
         oracle = OneWayBracketTable(bas, report)
         nonzero = {}
         for a in tags:
@@ -460,7 +466,7 @@ def test_center_reads_each_coefficient_back(monkeypatch):
 def _center(flavor, a, b):
     """center_from_constants on the constants of ``basis(flavor, a, b)``."""
     bas = basis(flavor, a, b)
-    return center_from_constants(bas, closure_check(bas))
+    return center_from_constants(bas, BracketTable(bas, closure_check(bas)))
 
 
 def _bracket_probing_center(flavor, a, b):
@@ -1090,7 +1096,7 @@ def test_basis_rejects_a_wrong_forced_entry_sign(monkeypatch,
     for index in forced:
         def flip(specs, index=index):
             tag, parity, entries, primary = specs[index]
-            entries = {slot: v if slot == primary else -v
+            entries = {slot: v if slot == primary else q_neg(v)
                        for slot, v in entries.items()}
             specs[index] = (tag, parity, entries, primary)
             return specs
@@ -1102,8 +1108,8 @@ def test_basis_rejects_a_wrong_forced_entry_sign(monkeypatch,
 
 def test_basis_rejects_a_spec_parity_that_contradicts_its_entries(
         monkeypatch, fresh_basis_cache):
-    """basis hands each spec's parity to build, which checks it against
-    the entries."""
+    """basis checks each spec's parity against the parity of every slot of
+    its entry table before it builds the matrix."""
     def flip(specs):
         tag, parity, entries, primary = specs[0]
         specs[0] = (tag, 1 - parity, entries, primary)
@@ -1112,3 +1118,73 @@ def test_basis_rejects_a_spec_parity_that_contradicts_its_entries(
     _mutated_specs(monkeypatch, flip)
     with pytest.raises(ParityError, match="contradicts"):
         basis("odd", 1, 1)
+
+
+@pytest.mark.parametrize("flavor", ["odd", "even", "primed", "gl"])
+def test_basis_born_as_entry_tables_matches_the_matrix_built_oracle(flavor):
+    """Generators born as ``{slot: q}`` tables give the basis that the
+    matrix-first route builds (``oracles.matrix_built_basis``): the same
+    tags, parities, primaries, matrices with their parities, and entry
+    tables, at every size up to 5."""
+    for a in range(6):
+        for b in range(6):
+            if a == b == 0:
+                continue
+            want, tables = matrix_built_basis(flavor, a, b)
+            got = basis(flavor, a, b)
+            assert got.tags() == want.tags()
+            for g, w in zip(got, want):
+                assert (g.parity, g.primary) == (w.parity, w.primary), g.tag
+                assert g.matrix == w.matrix, g.tag
+                assert g.matrix.parity == w.matrix.parity == g.parity
+            assert got.entry_table() == tables
+            assert got == want
+
+
+@pytest.mark.parametrize("flavor,a,b", [("even", 1, 1), ("primed", 2, 1),
+                                        ("gl", 1, 1)])
+def test_basis_rejects_a_wrong_family_parity(monkeypatch, fresh_basis_cache,
+                                             flavor, a, b):
+    """As for the odd flavor above, a spec whose parity is not its slots'
+    parity raises ParityError for the other flavors, the gl specs
+    included: the matrix is built from the table with the declared
+    parity, so this check is the one guard."""
+    specs = "_gl_specs" if flavor == "gl" else "_family_specs"
+    real = getattr(osp, specs)
+
+    def flipped(*args):
+        out = real(*args)
+        tag, parity, entries, primary = out[-1]
+        out[-1] = (tag, 1 - parity, entries, primary)
+        return out
+
+    monkeypatch.setattr(osp, specs, flipped)
+    with pytest.raises(ParityError, match="contradicts"):
+        basis(flavor, a, b)
+
+
+def test_osp_defining_builds_one_bracket_table(monkeypatch):
+    """Jacobi and center read the one BracketTable of the run."""
+    built = []
+
+    class Counted(BracketTable):
+        def __init__(self, bas, closure):
+            built.append(closure)
+            super().__init__(bas, closure)
+
+    monkeypatch.setattr(suites, "BracketTable", Counted)
+    report = suites.suite_osp_defining(2, 2)
+    assert report.ok
+    assert len(built) == 1
+
+
+def test_bracket_table_keeps_the_failures_of_its_report():
+    """A table keeps the failures its report had when it was built: a
+    later change to the report's list reaches neither ``failures`` nor
+    the center read from the table."""
+    bas = basis("odd", 1, 1)
+    closure = closure_check(bas)
+    table = BracketTable(bas, closure)
+    closure["failures"].extend(_late_failure(closure)["failures"])
+    assert table.failures == []
+    assert center_from_constants(bas, table) == []
