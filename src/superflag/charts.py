@@ -6,7 +6,10 @@ identity submatrix in the rows named by the index sets and fresh variables
 in the remaining rows.  The supergroup acts by ``Z -> L Z C^{-1}`` where C
 is the designated row submatrix.  The first-order fundamental vector field
 of X is the t-linear part of the action of ``E + t X`` for a square-zero
-parameter t, which ``fundamental_field`` computes in closed form.
+parameter t, which ``fundamental_field`` computes in closed form.  It
+reads the chart matrices through ``Chart.field_index``, built once per
+chart, so a field costs what the entries of X touch, not what the chart
+holds, and it keeps only the nonzero coefficients.
 
 The isotropic chart is the special first-step chart whose column span is
 isotropic for the orthosymplectic form; each dependent slot holds its
@@ -30,9 +33,10 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .matrices import BlockShape, SuperMatrix, add_matrix_product
+from .matrices import BlockShape, SuperMatrix
 from .osp import basis, gram_form
-from .ring import RingContext, SuperPoly, add_product, common_context
+from .ring import ContextError, RingContext, SuperPoly, add_product, \
+    common_context
 from .scalars import ONE, scaled, signed_sum
 
 
@@ -169,6 +173,36 @@ def _identity_rows(ft, s, i0, i1):
 
 
 @dataclass(frozen=True)
+class StepIndex:
+    """One chart matrix Z_s indexed for ``fundamental_field``.
+
+    ``rows`` maps each row k of Z_s to its ``(column, entry)`` pairs;
+    ``cols`` and ``twisted_cols`` map each column c to the ``(row, entry)``
+    pairs of Z_s and of its parity involution Z~_s, leaving out the
+    identity rows, where P - Z~_s B vanishes and no coordinate sits.
+    ``fixed`` is the identity-row map of ``_identity_rows`` and ``names``
+    maps each slot (row, col) of an independent coordinate to its name.
+    """
+
+    rows: dict
+    cols: dict
+    twisted_cols: dict
+    fixed: dict
+    names: dict
+
+    @classmethod
+    def of(cls, z, fixed, names):
+        rows, cols, twisted_cols = {}, {}, {}
+        twisted = z.parity_involution().entries
+        for (i, j), v in z.entries.items():
+            rows.setdefault(i, []).append((j, v))
+            if i not in fixed:
+                cols.setdefault(j, []).append((i, v))
+                twisted_cols.setdefault(j, []).append((i, twisted[(i, j)]))
+        return cls(rows, cols, twisted_cols, fixed, names)
+
+
+@dataclass(frozen=True)
 class Chart:
     ft: FlagType
     index_sets: tuple
@@ -185,10 +219,18 @@ class Chart:
         return self.slots[name]
 
     @functools.cached_property
-    def twisted(self):
-        """The coordinate matrices under the parity involution, built once
-        per chart: the Z~_s of ``fundamental_field`` for odd X."""
-        return tuple(z.parity_involution() for z in self.matrices)
+    def field_index(self):
+        """The chart matrices as ``fundamental_field`` reads them, one
+        :class:`StepIndex` per flag step, built once per chart."""
+        names = [{} for _ in self.matrices]
+        for name in self.independent:
+            s, i, j = self.slots[name]
+            names[s - 1][(i, j)] = name
+        index = []
+        for s, z in enumerate(self.matrices, 1):
+            fixed = _identity_rows(self.ft, s, *self.index_sets[s - 1])
+            index.append(StepIndex.of(z, fixed, names[s - 1]))
+        return tuple(index)
 
     def __eq__(self, other):
         if not isinstance(other, Chart):
@@ -345,7 +387,11 @@ def act(L, chart, J=None):
 
 @dataclass(frozen=True)
 class VectorField:
-    """A derivation ``sum coefficient * d/d(variable)`` on a chart's ring."""
+    """A derivation ``sum coefficient * d/d(variable)`` on a chart's ring.
+
+    ``order`` lists the coordinates in display order; a name it lists and
+    ``coefficients`` lacks has coefficient zero.
+    """
 
     ctx: RingContext
     parity: int
@@ -384,11 +430,14 @@ class VectorField:
         ctx = common_context(self.ctx, other.ctx)
         negate = not (self.parity and other.parity)
         names = tuple(dict.fromkeys((*self.order, *other.order)))
+        mine, theirs = self.coefficients, other.coefficients
         coeffs = {}
         for name in names:
             terms = {}
-            self._apply_into(terms, other.coefficient(name))
-            other._apply_into(terms, self.coefficient(name), negate)
+            if name in theirs:
+                self._apply_into(terms, theirs[name])
+            if name in mine:
+                other._apply_into(terms, mine[name], negate)
             coeffs[name] = SuperPoly._new(ctx, terms)
         return VectorField(ctx, (self.parity + other.parity) % 2, coeffs,
                            names)
@@ -422,8 +471,15 @@ class VectorField:
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        names = set(self.coefficients) | set(other.coefficients)
-        return all(self.coefficient(n) == other.coefficient(n) for n in names)
+        mine, theirs = self.coefficients, other.coefficients
+        for name in mine.keys() | theirs.keys():
+            a, b = mine.get(name), theirs.get(name)
+            if a is None or b is None:
+                if (b if a is None else a).terms:
+                    return False
+            elif a != b:
+                return False
+        return True
 
     def __hash__(self):
         # Equality ignores the parity, the order and the zero coefficients.
@@ -431,9 +487,10 @@ class VectorField:
                               if not c.is_zero()))
 
     def render(self):
-        coefficients = ((name, self.coefficient(name)) for name in self.order)
-        return signed_sum(scaled(c.render(), f"d/d{name}")
-                          for name, c in coefficients if c.terms)
+        held = self.coefficients
+        return signed_sum(scaled(held[name].render(), f"d/d{name}")
+                          for name in self.order
+                          if name in held and held[name].terms)
 
     def __str__(self):
         return self.render()
@@ -458,26 +515,41 @@ def fundamental_field(X, chart):
     with numeric entries has no odd entry, so X~ = X.  The coefficient of
     each independent coordinate is the entry of P - Z~_s B at its slot.  X
     must be declared parity-homogeneous.
+
+    The work follows the entries of A, not the size of the chart: each
+    entry of A meets the row of Z_s it names, each entry of B the column
+    of Z~_s (of Z_s for even X) it names, both read off the chart's
+    ``field_index``, and only the slots these products touch are read.
+    Z~_s B is subtracted outside the rows I_s only: on them P - Z~_s B is
+    zero and no coordinate sits, so B keeps P's term dicts there.  The
+    field keeps the nonzero coefficients; its ``order`` lists every
+    independent coordinate.
     """
     if X.parity not in (0, 1):
         raise ValueError("fundamental_field needs a parity-homogeneous matrix")
-    ft, ctx = chart.ft, chart.ctx
+    ctx = chart.ctx
+    if not ctx.extends(X.ctx):
+        raise ContextError("cannot lift: the chart's ring does not extend"
+                           " the matrix's")
     odd = X.parity == 1
-    carrier = X.lift(ctx).parity_involution() if odd else X.lift(ctx)
-    twisted = chart.twisted if odd else chart.matrices
-    rates = []
-    for s in range(1, ft.r + 1):
-        prod = carrier @ chart.matrix(s)
-        carrier = _designated(prod, ft, chart.index_sets, s)
-        # P - Z~_s B, accumulated into P's term dicts
-        acc = {slot: dict(v.terms) for slot, v in prod.entries.items()}
-        add_matrix_product(acc, twisted[s - 1], carrier, negate=True)
-        rates.append(acc)
+    carrier = (X.parity_involution() if odd else X).entries
     coeffs = {}
-    for name in chart.independent:
-        s, i, j = chart.slot_of(name)
-        terms = rates[s - 1].get((i, j))
-        coeffs[name] = SuperPoly._new(ctx, terms) if terms else ctx.zero
+    for step in chart.field_index:
+        cols = step.twisted_cols if odd else step.cols
+        rate = {}                                   # P, then P - Z~_s B
+        for (i, k), a in carrier.items():
+            for j, z in step.rows.get(k, ()):
+                add_product(rate.setdefault((i, j), {}), a, z)
+        carrier = {(step.fixed[i], j): SuperPoly._new(ctx, terms)
+                   for (i, j), terms in rate.items()
+                   if terms and i in step.fixed}
+        for (c, j), b in carrier.items():
+            for i, z in cols.get(c, ()):
+                add_product(rate.setdefault((i, j), {}), z, b, True)
+        for slot, terms in rate.items():
+            name = step.names.get(slot)
+            if name is not None and terms:
+                coeffs[name] = SuperPoly._new(ctx, terms)
     return VectorField(ctx, X.parity, coeffs, chart.independent)
 
 

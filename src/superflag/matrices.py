@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .ring import CONSTANT, NUMERIC_CTX, SuperPoly, add_product, \
     common_context
-from .scalars import Q_ONE, ZERO, FieldScalar
+from .scalars import Q_ONE, FieldScalar
 
 
 class ShapeError(ValueError):
@@ -201,13 +201,6 @@ class SuperMatrix:
         mat = SuperMatrix._new(self.rows, self.cols, self.ctx, None, entries)
         mat.parity = mat._infer_parity()
         return mat
-
-    def body(self):
-        """Dense matrix of the entries' scalar parts."""
-        out = [[ZERO] * self.cols.total for _ in range(self.rows.total)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v.scalar_part()
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -11,10 +11,10 @@ kept in one order and read the other way by recursion for the two-way
 ``osp.BracketTable``, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
-hand for ``charts.isotropic_chart``, the dense inverse of a FieldScalar
-list and a Neumann loop on it that decides only after summing its
-powers for the sparse body inverse and up-front test of
-``SuperMatrix.invert``, the residual on whole term dicts for the
+hand for ``charts.isotropic_chart``, the dense body of a matrix, the
+dense inverse of a FieldScalar list and a Neumann loop on it that decides
+only after summing its powers for the sparse body inverse and up-front
+test of ``SuperMatrix.invert``, the residual on whole term dicts for the
 per-component ``osp.entry_residual`` of ``is_member`` and
 ``membership_residual``, and the span route the imp-witness suite took
 before it read its Grassmann components off one basis each: numeric
@@ -193,6 +193,15 @@ def bracket_all_names(v, w):
 # ---------------------------------------------------------------------------
 
 
+def body(m):
+    """The dense list of the constant terms of a SuperMatrix's entries, as
+    FieldScalars."""
+    out = [[ZERO] * m.cols.total for _ in range(m.rows.total)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v.scalar_part()
+    return out
+
+
 def invert(a):
     """The exact inverse of a dense square list of FieldScalars; raises
     SingularMatrixError when the rank drops.
@@ -216,7 +225,7 @@ def neumann_invert(m):
     is not zero, and SingularMatrixError("matrix body is singular") for a
     singular body."""
     try:
-        body_inv = invert(m.body())
+        body_inv = invert(body(m))
     except SingularMatrixError:
         raise SingularMatrixError("matrix body is singular") from None
     binv = SuperMatrix.build(m.rows, m.rows, body_inv, ctx=m.ctx)

@@ -29,7 +29,7 @@ from superflag.charts import (
 )
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import basis
-from superflag.ring import RingContext, common_context
+from superflag.ring import ContextError, RingContext, common_context
 from superflag.scalars import FieldScalar
 from superflag.weights import Weight
 
@@ -598,6 +598,82 @@ def test_fundamental_field_requires_homogeneous_matrix():
                                        (0, 3): FieldScalar(1)}, parity=None)
     with pytest.raises(ValueError):
         fundamental_field(mixed, iso.chart)
+
+
+def test_fundamental_field_rejects_a_matrix_over_a_foreign_ring():
+    """An X over a ring the chart's ring does not extend, unrelated or
+    larger, raises ContextError."""
+    iso = isotropic_chart(2, 1)
+    sh = BlockShape(3, 2)
+    unrelated = RingContext()
+    unrelated.odds("th")
+    larger = iso.chart.ctx.extended(odd=("tau",))
+    for ctx in (unrelated, larger):
+        name = ctx.odd_names[-1]
+        X = SuperMatrix.build(sh, sh, {(0, 3): ctx.var(name)}, ctx=ctx,
+                              parity=0)
+        with pytest.raises(ContextError):
+            fundamental_field(X, iso.chart)
+
+
+@pytest.mark.parametrize("k1,l1,tail", [
+    pytest.param(1, 2, None, id="1-2"),
+    pytest.param(2, 1, None, id="2-1"),
+    pytest.param(2, 1, ((1,), (0,)), id="2-1-tail"),
+    pytest.param(3, 2, None, id="3-2"),
+    pytest.param(3, 2, ((1,), (1,)), id="3-2-tail"),
+    pytest.param(4, 3, ((2,), (1,)), id="4-3-tail"),
+])
+def test_fundamental_field_keeps_only_nonzero_coefficients(k1, l1, tail):
+    """On the fields of every generator and of sampled brackets of two,
+    each coefficient held is nonzero and the order is the chart's
+    independent coordinates."""
+    chart = isotropic_chart(k1, l1, tail=tail).chart
+    gens = basis("odd", k1 - 1, l1).generators
+    mats = [g.matrix for g in gens]
+    mats += [p.matrix.superbracket(q.matrix)
+             for p in gens[::3] for q in gens[1::4]]
+    held = 0
+    for X in mats:
+        v = fundamental_field(X, chart)
+        assert v.order == chart.independent
+        assert all(c.terms for c in v.coefficients.values())
+        held += len(v.coefficients)
+    assert held
+
+
+def test_explicit_zero_coefficients_change_nothing():
+    """A fundamental field and the same field with a zero coefficient
+    under every other name of its order render, compare, hash, scale and
+    bracket (against a third field, on either side) alike; both differ
+    from the field with one nonzero coefficient dropped."""
+    iso = isotropic_chart(3, 2)
+    ctx = iso.chart.ctx
+    bas = basis("odd", 2, 2)
+    third = fundamental_field(bas["G4:1"].matrix, iso.chart)
+    for g in (bas.generators[0], bas["C12:1,1"], bas.generators[-1]):
+        sparse = fundamental_field(g.matrix, iso.chart)
+        padded = VectorField(
+            ctx, sparse.parity,
+            {n: sparse.coefficients.get(n, ctx.zero) for n in sparse.order},
+            sparse.order)
+        assert len(padded.coefficients) > len(sparse.coefficients)
+        assert sparse.render() == padded.render()
+        assert sparse == padded and hash(sparse) == hash(padded)
+        dropped = VectorField(ctx, sparse.parity,
+                              dict(list(sparse.coefficients.items())[1:]),
+                              sparse.order)
+        assert sparse != dropped and dropped != sparse
+        assert padded != dropped and dropped != padded
+        factor = FieldScalar(-2)
+        assert sparse.scale(factor) == padded.scale(factor)
+        assert sparse.scale(factor).render() == padded.scale(factor).render()
+        for a, b in ((sparse.bracket(third), padded.bracket(third)),
+                     (third.bracket(sparse), third.bracket(padded))):
+            assert (a.parity, a.order) == (b.parity, b.order)
+            assert {n: c.terms for n, c in a.coefficients.items()} == \
+                {n: c.terms for n, c in b.coefficients.items()}
+            assert a.render() == b.render()
 
 
 def test_isotropic_chart_size_validation():
