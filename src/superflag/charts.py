@@ -9,7 +9,9 @@ of X is the t-linear part of the action of ``E + t X`` for a square-zero
 parameter t, which ``fundamental_field`` computes in closed form.  It
 reads the chart matrices through ``Chart.field_index``, built once per
 chart, so a field costs what the entries of X touch, not what the chart
-holds, and it keeps only the nonzero coefficients.
+holds, and it keeps only the nonzero coefficients.  ``VectorField.bracket``
+differentiates each coefficient polynomial in one pass by the variables
+the other field holds and keeps only the nonzero coefficients too.
 
 The isotropic chart is the special first-step chart whose column span is
 isotropic for the orthosymplectic form; each dependent slot holds its
@@ -35,8 +37,8 @@ from fractions import Fraction
 
 from .matrices import BlockShape, SuperMatrix
 from .osp import basis, gram_form
-from .ring import ContextError, RingContext, SuperPoly, add_product, \
-    common_context
+from .ring import ContextError, RingContext, SuperPoly, add_derivative, \
+    add_product, common_context
 from .scalars import ONE, scaled, signed_sum
 
 
@@ -390,7 +392,12 @@ class VectorField:
     """A derivation ``sum coefficient * d/d(variable)`` on a chart's ring.
 
     ``order`` lists the coordinates in display order; a name it lists and
-    ``coefficients`` lacks has coefficient zero.
+    ``coefficients`` lacks has coefficient zero.  A field may be built
+    with zero coefficients, but every field that the operations below
+    return holds only nonzero ones.  ``apply`` and ``bracket`` index a
+    field's coefficients by variable id once per call
+    (``RingContext.by_variable``) and split each polynomial they act on
+    into its partials in one pass (``ring.add_derivative``).
     """
 
     ctx: RingContext
@@ -408,53 +415,51 @@ class VectorField:
     def apply(self, poly):
         """Act on a polynomial: sum of coefficient * left derivative."""
         terms = {}
-        self._apply_into(terms, poly)
+        add_derivative(terms, self.ctx.by_variable(self.coefficients), poly)
         return SuperPoly._new(common_context(self.ctx, poly.ctx), terms)
-
-    def _apply_into(self, terms, poly, negate=False):
-        """Add this field's value on ``poly`` (subtract it when ``negate``)
-        into the term dict ``terms``, differentiating only by the
-        variables that occur in ``poly``, each looked up once."""
-        for name in poly.variables():
-            c = self.coefficients.get(name)
-            if c is not None and c.terms:
-                add_product(terms, c, poly.left_derivative(name), negate)
 
     def bracket(self, other):
         """Super-commutator [V, W] = V W - (-1)^{|V||W|} W V, a field on
         the one of the two rings that extends the other.  Both fields must
-        be parity-homogeneous."""
+        be parity-homogeneous.  Each field's coefficients are indexed by
+        variable once; the coefficient of a name is V applied to W's
+        coefficient there, minus the sign times W applied to V's, and only
+        the nonzero ones are kept."""
         if self.parity not in (0, 1) or other.parity not in (0, 1):
             raise ValueError("bracket needs parity-homogeneous fields; a sum"
                              " of an even and an odd field has no parity")
         ctx = common_context(self.ctx, other.ctx)
         negate = not (self.parity and other.parity)
-        names = tuple(dict.fromkeys((*self.order, *other.order)))
-        mine, theirs = self.coefficients, other.coefficients
-        coeffs = {}
-        for name in names:
-            terms = {}
-            if name in theirs:
-                self._apply_into(terms, theirs[name])
-            if name in mine:
-                other._apply_into(terms, mine[name], negate)
-            coeffs[name] = SuperPoly._new(ctx, terms)
-        return VectorField(ctx, (self.parity + other.parity) % 2, coeffs,
-                           names)
+        mine = self.ctx.by_variable(self.coefficients)
+        theirs = other.ctx.by_variable(other.coefficients)
+        sums = {}
+        for name, c in other.coefficients.items():
+            add_derivative(sums.setdefault(name, {}), mine, c)
+        for name, c in self.coefficients.items():
+            add_derivative(sums.setdefault(name, {}), theirs, c, negate)
+        return VectorField(
+            ctx, (self.parity + other.parity) % 2,
+            {name: SuperPoly._new(ctx, terms)
+             for name, terms in sums.items() if terms},
+            tuple(dict.fromkeys((*self.order, *other.order))))
 
     def __add__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented
-        names = list(dict.fromkeys(list(self.order) + list(other.order)))
-        coeffs = {n: self.coefficient(n) + other.coefficient(n) for n in names}
+        ctx = common_context(self.ctx, other.ctx)
+        sums = {name: ctx.lift(c) for name, c in self.coefficients.items()}
+        for name, c in other.coefficients.items():
+            sums[name] = sums[name] + c if name in sums else ctx.lift(c)
         parity = self.parity if self.parity == other.parity else None
-        return VectorField(common_context(self.ctx, other.ctx), parity,
-                           coeffs, tuple(names))
+        return VectorField(
+            ctx, parity, {n: c for n, c in sums.items() if c.terms},
+            tuple(dict.fromkeys((*self.order, *other.order))))
 
     def __neg__(self):
         return VectorField(
             self.ctx, self.parity,
-            {n: -c for n, c in self.coefficients.items()}, self.order,
+            {n: -c for n, c in self.coefficients.items() if c.terms},
+            self.order,
         )
 
     def __sub__(self, other):
@@ -463,10 +468,9 @@ class VectorField:
         return self + (-other)
 
     def scale(self, c):
-        return VectorField(
-            self.ctx, self.parity,
-            {n: v * c for n, v in self.coefficients.items()}, self.order,
-        )
+        products = ((n, v * c) for n, v in self.coefficients.items())
+        return VectorField(self.ctx, self.parity,
+                           {n: v for n, v in products if v.terms}, self.order)
 
     def __eq__(self, other):
         if not isinstance(other, VectorField):

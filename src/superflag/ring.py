@@ -11,6 +11,12 @@ id, then the ascending odd ids.  :func:`mul_even` and :func:`merge_odd`
 multiply the two parts; a term dict maps keys to the field tuples of
 :mod:`superflag.scalars`.
 
+:func:`partials` splits a polynomial into its left partial derivatives
+by a set of variables in one pass over its terms; :func:`add_derivative`
+applies a derivation, given by its coefficients per variable, through
+that pass, and ``SuperPoly.left_derivative`` is the same pass for one
+variable.
+
 Contexts can be *extended* (new variables appended; existing ids stay
 stable), and a polynomial lifts for free into any extending context.
 :func:`common_context` is the one rule for which of two contexts a result
@@ -80,6 +86,18 @@ class RingContext:
     @property
     def odd_names(self):
         return tuple(self._odd)
+
+    def by_variable(self, coefficients):
+        """The nonzero polynomials of ``coefficients``, a dict keyed by
+        names of this context, keyed by variable id instead: an ``(even,
+        odd)`` pair of dicts, the form :func:`add_derivative` reads."""
+        even, odd = {}, {}
+        byname = self._byname
+        for name, c in coefficients.items():
+            if c.terms:
+                parity, vid = byname[name]
+                (odd if parity else even)[vid] = c
+        return even, odd
 
     def var(self, name):
         parity, vid = self._byname[name]
@@ -235,9 +253,10 @@ def add_product(terms, p, q, negate=False):
     multiplication or the addition that would leave its operand as it
     is."""
     keep = -1 if negate else 1
+    q_items = q.terms.items()
     for (ek1, ok1), q1 in p.terms.items():
         unit = _UNIT_SIGN.get(q1)
-        for (ek2, ok2), q2 in q.terms.items():
+        for (ek2, ok2), q2 in q_items:
             if ok1 and ok2:
                 sign, ok = merge_odd(ok1, ok2)
                 if sign == 0:
@@ -245,15 +264,13 @@ def add_product(terms, p, q, negate=False):
             else:
                 sign, ok = 1, ok1 or ok2
             if unit:
-                sign *= unit
-                c = q2
+                c = q2 if unit == sign * keep else q_neg(q2)
             elif q2 in _UNIT_SIGN:
-                sign *= _UNIT_SIGN[q2]
-                c = q1
+                c = q1 if _UNIT_SIGN[q2] == sign * keep else q_neg(q1)
             else:
                 c = q_mul(q1, q2)
-            if sign != keep:
-                c = q_neg(c)
+                if sign != keep:
+                    c = q_neg(c)
             key = (mul_even(ek1, ek2) if ek1 and ek2 else ek1 or ek2, ok)
             acc = terms.get(key)
             if acc is None:
@@ -264,6 +281,60 @@ def add_product(terms, p, q, negate=False):
                 del terms[key]
             else:
                 terms[key] = acc
+
+
+def partials(terms, even, odd):
+    """The left partial derivatives of the term dict ``terms`` by the even
+    variable ids in ``even`` and the odd ids in ``odd``, in one pass over
+    the terms: ``(by_even, by_odd)``, each mapping a variable id to the
+    term dict of its partial, and leaving out the ids whose partial is
+    zero.
+
+    This is the one derivative in the package.  An even factor x^e leaves
+    x^(e-1) and the factor e; an odd factor is first anticommuted to the
+    front, so it leaves the sign of its position: with xi before eta,
+    d/d(xi) (xi*eta) = eta while d/d(eta) (xi*eta) = -xi.  Taking one
+    factor of a variable out is injective on the monomials that hold it,
+    so within one partial no key repeats and nothing cancels."""
+    by_even, by_odd = {}, {}
+    for (ek, ok), q in terms.items():
+        if even:
+            for pos, (v, e) in enumerate(ek):
+                if v in even:
+                    if e == 1:
+                        key, c = (ek[:pos] + ek[pos + 1:], ok), q
+                    else:
+                        key = (ek[:pos] + ((v, e - 1),) + ek[pos + 1:], ok)
+                        c = q_mul(q, (e, 0, 0, 0, 1))
+                    part = by_even.get(v)
+                    if part is None:
+                        by_even[v] = {key: c}
+                    else:
+                        part[key] = c
+        if odd:
+            for pos, v in enumerate(ok):
+                if v in odd:
+                    key = (ek, ok[:pos] + ok[pos + 1:])
+                    c = q_neg(q) if pos & 1 else q
+                    part = by_odd.get(v)
+                    if part is None:
+                        by_odd[v] = {key: c}
+                    else:
+                        part[key] = c
+    return by_even, by_odd
+
+
+def add_derivative(terms, held, poly, negate=False):
+    """Add ``D(poly)``, or ``-D(poly)`` when ``negate``, into the term dict
+    ``terms``, where D = sum c_v d/dv is the derivation whose nonzero
+    coefficients ``held = (even, odd)`` maps by variable id, as
+    :meth:`RingContext.by_variable` gives them.  ``poly`` is split into
+    its partials once, by :func:`partials`, and each partial is multiplied
+    by its coefficient with one :func:`add_product`."""
+    ctx = poly.ctx
+    for coeffs, parts in zip(held, partials(poly.terms, *held)):
+        for vid, part in parts.items():
+            add_product(terms, coeffs[vid], SuperPoly._new(ctx, part), negate)
 
 
 class SuperPoly:
@@ -415,31 +486,14 @@ class SuperPoly:
     # -- calculus ----------------------------------------------------------
 
     def left_derivative(self, name):
-        """Left partial derivative with respect to a declared variable.
-
-        For an odd variable the factor is first anticommuted to the front:
-        with xi before eta, d/d(xi) (xi*eta) = eta while
-        d/d(eta) (xi*eta) = -xi.
-        """
+        """Left partial derivative with respect to a declared variable;
+        the pass of :func:`partials` taken for that one variable."""
         parity, vid = self.ctx._byname[name]
-        # Taking one factor of the variable out is injective on the
-        # monomials that hold it, so no key repeats and nothing cancels.
-        terms = {}
-        if parity == 0:
-            for (ek, ok), q in self.terms.items():
-                for pos, (v, e) in enumerate(ek):
-                    if v == vid:
-                        rest = ((v, e - 1),) if e > 1 else ()
-                        terms[(ek[:pos] + rest + ek[pos + 1:], ok)] = \
-                            q_mul(q, (e, 0, 0, 0, 1))
-                        break
-        else:
-            for (ek, ok), q in self.terms.items():
-                if vid in ok:
-                    pos = ok.index(vid)
-                    terms[(ek, ok[:pos] + ok[pos + 1:])] = \
-                        q if pos % 2 == 0 else q_neg(q)
-        return SuperPoly._new(self.ctx, terms)
+        ids = (vid,)
+        by_even, by_odd = partials(self.terms, () if parity else ids,
+                                   ids if parity else ())
+        return SuperPoly._new(self.ctx,
+                              (by_odd if parity else by_even).get(vid, {}))
 
     # -- rendering ---------------------------------------------------------
 

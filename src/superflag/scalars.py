@@ -140,12 +140,15 @@ _RADICALS = ("", "i", "r2", "i*r2")
 
 
 def q_render(q):
-    """The text of the field tuple ``q``: each nonzero part ``num/den``
-    reduced by one gcd (an integer written without ``/1``), then scaled by
-    its radical and written by :func:`signed_sum`."""
-    *nums, den = q
+    """The text of the field tuple ``q``: an integer as ``str`` gives it;
+    otherwise each nonzero part ``num/den`` reduced by one gcd (an integer
+    written without ``/1``), then scaled by its radical and written by
+    :func:`signed_sum`."""
+    a, b, c, d, den = q
+    if den == 1 and not (b or c or d):
+        return str(a)
     summands = []
-    for num, radical in zip(nums, _RADICALS):
+    for num, radical in zip((a, b, c, d), _RADICALS):
         if not num:
             continue
         g = gcd(num, den)

@@ -29,7 +29,8 @@ from superflag.charts import (
 )
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import basis
-from superflag.ring import ContextError, RingContext, common_context
+from superflag.ring import ContextError, RingContext, SuperPoly, \
+    common_context
 from superflag.scalars import FieldScalar
 from superflag.weights import Weight
 
@@ -243,6 +244,130 @@ def test_vector_field_apply_matches_termwise_sum():
             want = want + coeff * f.left_derivative(name)
         assert v.apply(f) == want
         assert v.apply(f).render() == want.render()
+
+
+def _termwise_apply(field, poly):
+    """``field`` applied to ``poly`` name by name: the sum of coefficient
+    * left_derivative(name) over every coefficient, in the larger ring."""
+    ctx = common_context(field.ctx, poly.ctx)
+    poly = ctx.lift(poly)
+    out = ctx.zero
+    for name, coeff in field.coefficients.items():
+        out = out + coeff * poly.left_derivative(name)
+    return out
+
+
+def _random_field(rng, ctx, names, parity):
+    """A field over ``ctx`` holding a seeded subset of ``names``, with
+    polynomial coefficients of small degree, some of them zero."""
+    coeffs = {}
+    for name in names:
+        if rng.random() < 0.6:
+            coeffs[name] = _random_poly(rng, ctx, 2)
+    return VectorField(ctx, parity, coeffs, tuple(names))
+
+
+def _random_poly(rng, ctx, max_terms):
+    """A seeded polynomial over ``ctx``: each term a small integer times
+    even variables to the powers 0 to 3 and a random set of odd ones."""
+    poly = ctx.zero
+    for _ in range(rng.randint(0, max_terms)):
+        term = ctx.scalar(FieldScalar(rng.choice((-2, -1, 1, 3))))
+        for name in ctx.even_names:
+            term = term * ctx.var(name) ** rng.choice((0, 0, 1, 2, 3))
+        for name in rng.sample(ctx.odd_names, rng.randint(0, 3)):
+            term = term * ctx.var(name)
+        poly = poly + term
+    return poly
+
+
+def test_derivation_pass_matches_the_sum_of_left_derivatives():
+    """apply and bracket split each polynomial into its partials in one
+    pass; both equal the sums of coefficient * left_derivative(name),
+    name by name.  The seeded cases hold even exponents 2 and 3, odd
+    factors at even and odd positions, names the applying field lacks,
+    and fields over a ring that adds t and tau on either side of a
+    bracket."""
+    rng = random.Random(20261020)
+    ctx = RingContext()
+    ctx.evens("u", "w")
+    ctx.odds("a", "b", "c")
+    ext = ctx.extended(even=("t",), odd=("tau",))
+    seen = set()
+    for _ in range(60):
+        rings = [rng.choice((ctx, ext)), rng.choice((ctx, ext))]
+        v, w = (_random_field(rng, ring, ring.even_names + ring.odd_names,
+                              rng.randint(0, 1)) for ring in rings)
+        poly = _random_poly(rng, rings[1], 4)
+        assert v.apply(poly) == _termwise_apply(v, poly)
+        assert v.apply(poly).render() == _termwise_apply(v, poly).render()
+        got = v.bracket(w)
+        sign = -1 if v.parity and w.parity else 1
+        for name in got.order:
+            want = _termwise_apply(v, w.coefficient(name)) - \
+                _termwise_apply(w, v.coefficient(name)) * sign
+            assert got.coefficient(name) == want
+            assert (name in got.coefficients) == bool(want.terms)
+        for field, polys in ((v, [poly]), (v, w.coefficients.values()),
+                             (w, v.coefficients.values())):
+            held = {n for n, c in field.coefficients.items() if c.terms}
+            for p in polys:
+                for evens, odds, _ in p.monomials():
+                    for name, e in evens:
+                        seen.add(("held" if name in held else "lacks", e))
+                    for pos, name in enumerate(odds):
+                        if name in held:
+                            seen.add(("odd at", pos % 2))
+        seen.add(("rings", tuple(r is ext for r in rings)))
+    assert {("held", 2), ("held", 3), ("lacks", 1), ("odd at", 0),
+            ("odd at", 1), ("rings", (True, False)),
+            ("rings", (False, True))} <= seen
+
+
+def test_field_sums_and_scales_keep_only_nonzero_coefficients():
+    """Every VectorField operation drops a coefficient that vanishes:
+    v - v and v.scale(0) hold none and render 0, and a sum holds only the
+    names whose coefficients do not cancel."""
+    iso = isotropic_chart(3, 2)
+    bas = basis("odd", 2, 2)
+    fields = [fundamental_field(bas[t].matrix, iso.chart)
+              for t in ("G4:1", "C12:1,1", "B21:1,1")]
+    for v in fields:
+        assert v.coefficients
+        for zero in (v - v, v.scale(FieldScalar(0)), v + (-v)):
+            assert zero.coefficients == {}
+            assert zero.render() == "0"
+            assert zero.order == v.order
+        assert (-v).coefficients.keys() == v.coefficients.keys()
+        assert all(c.terms for c in (v + v).coefficients.values())
+    a, b = fields[0], fields[1]
+    total = a + b
+    assert (total - b).coefficients.keys() == a.coefficients.keys()
+    assert total - b == a
+    assert all(c.terms for c in total.coefficients.values())
+
+
+def test_bracket_takes_no_per_name_derivative(monkeypatch):
+    """A guard against the per-name path: the bracket indexes each
+    field's coefficients by variable once and splits each polynomial in
+    one pass, never asking a polynomial for its variables or for one
+    left derivative at a time."""
+    iso = isotropic_chart(3, 2, tail=((1,), (1,)))
+    bas = basis("odd", 2, 2)
+    fx = fundamental_field(bas["G4:1"].matrix, iso.chart)
+    fy = fundamental_field(bas["C21:1,1"].matrix, iso.chart)
+    calls = []
+    for method in ("left_derivative", "variables"):
+        real = getattr(SuperPoly, method)
+
+        def counting(self, *args, _real=real, _method=method):
+            calls.append(_method)
+            return _real(self, *args)
+
+        monkeypatch.setattr(SuperPoly, method, counting)
+    br = fx.bracket(fy)
+    assert br.coefficients
+    assert calls == []
 
 
 def test_sum_of_fields_over_two_rings_lives_in_the_larger():
@@ -471,7 +596,9 @@ def test_bracket_matches_the_all_names_scan():
     pairs make the two see different names: a lemma field with a few
     coefficients against a full one, and a field over a ring that adds t
     and tau against fields over the chart's ring, whose coefficients have
-    no t or tau, and against another such field."""
+    no t or tau, and against another such field.  The oracle gives every
+    name of the two orders an entry and the bracket keeps only the nonzero
+    ones, so the term dicts are compared on the oracle's nonzero ones."""
     iso = isotropic_chart(3, 2)
     ctx = iso.chart.ctx
     ext = ctx.extended(even=("t",), odd=("tau",))
@@ -488,8 +615,9 @@ def test_bracket_matches_the_all_names_scan():
         assert got.ctx is want.ctx is common_context(v.ctx, w.ctx)
         assert (got.parity, got.order) == (want.parity, want.order)
         assert {n: c.terms for n, c in got.coefficients.items()} == \
-            {n: c.terms for n, c in want.coefficients.items()}
+            {n: c.terms for n, c in want.coefficients.items() if c.terms}
         assert got.render() == want.render()
+        assert got == want
         for a, b in ((v, w), (w, v)):
             for c in b.coefficients.values():
                 misses.update(n for n in c.variables()

@@ -1,11 +1,13 @@
 """Supercommutative polynomial ring: algebra laws, derivatives, rendering."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superflag.ring import ContextError, NUMERIC_CTX, RingContext, \
-    SuperPoly, add_product
+    SuperPoly, add_product, merge_odd, partials
 from superflag.scalars import FieldScalar, I, ONE, SQRT2, Q_ONE, q_neg, \
     q_normalize
 
@@ -139,9 +141,11 @@ def test_left_derivative_matches_the_accumulating_loop():
     import random
 
     rng = random.Random(20261018)
+    pick = random.Random(20261021)
     ctx = RingContext()
     evens = ctx.evens("u", "v", "w")
     odds = ctx.odds("th1", "th2", "th3", "th4")
+    names = ctx.even_names + ctx.odd_names
     positions = set()
     for _ in range(200):
         p = ctx.zero
@@ -153,8 +157,19 @@ def test_left_derivative_matches_the_accumulating_loop():
             for t in rng.sample(odds, rng.randint(0, len(odds))):
                 term = term * t
             p = p + term
-        for name in ctx.even_names + ctx.odd_names:
+        for name in names:
             assert p.left_derivative(name).terms == \
+                _accumulated_left_derivative(p, name)
+        # one pass by a seeded set of variables gives each one's partial
+        # and leaves out the zero ones
+        held = pick.sample(names, pick.randint(0, len(names)))
+        even = {ctx._byname[n][1] for n in held if not ctx.parity_of(n)}
+        odd = {ctx._byname[n][1] for n in held if ctx.parity_of(n)}
+        by_even, by_odd = partials(p.terms, even, odd)
+        assert by_even.keys() <= even and by_odd.keys() <= odd
+        for name in held:
+            parity, vid = ctx._byname[name]
+            assert (by_odd if parity else by_even).get(vid, {}) == \
                 _accumulated_left_derivative(p, name)
         for _, ok in p.terms:
             positions.update(enumerate(ok))
@@ -215,13 +230,27 @@ def test_add_product_matches_the_plain_loop():
             assert fast == {}
         for key1, q1 in p.terms.items():
             for key2, q2 in q.terms.items():
+                units = (q1 in (Q_ONE, q_neg(Q_ONE)),
+                         q2 in (Q_ONE, q_neg(Q_ONE)))
                 seen.add(("constant", key1 == ((), ()) or key2 == ((), ())))
-                seen.add(("unit", Q_ONE in (q1, q2, q_neg(q1), q_neg(q2))))
+                seen.add(("unit", any(units)))
+                seen.add(("units", units))
                 seen.add(("repeat", bool(set(key1[1]) & set(key2[1]))))
+                seen.add(("long odd parts",
+                          len(key1[1]) >= 2 and len(key2[1]) >= 2))
+                seen.add(("merge sign", any(units),
+                          merge_odd(key1[1], key2[1])[0]))
         seen.add(("negate", negate))
+    # a unit on the left, the right, both or neither (the q_mul path);
+    # each merge sign with and without a unit, since one comparison folds
+    # the merge sign into a unit's; odd parts of length two or more on
+    # both sides
     assert seen == {(kind, flag) for kind in ("constant", "unit", "repeat",
-                                              "negate")
-                    for flag in (False, True)}
+                                              "negate", "long odd parts")
+                    for flag in (False, True)} | \
+        {("units", (a, b)) for a in (False, True) for b in (False, True)} | \
+        {("merge sign", unit, sign) for unit in (False, True)
+         for sign in (-1, 0, 1)}
 
 
 def test_even_derivative_is_ordinary(ctx):
@@ -287,6 +316,17 @@ def test_render_goldens(ctx):
     assert ((u + v) * 0 + ctx.one).render() == "1"
     composite = u * FieldScalar(1, 1)
     assert composite.render() == "(1 + i)*u"
+    half, i_r2 = Fraction(1, 2), FieldScalar(0, 0, 0, 1)
+    assert (u * 2).render() == "2*u"
+    assert (u * v * -2).render() == "-2*u*v"
+    assert (t1 * t2 * half).render() == "1/2*th1*th2"
+    assert (u * i_r2).render() == "i*r2*u"
+    assert ctx.scalar(2).render() == "2"
+    assert ctx.scalar(-2).render() == "-2"
+    assert ctx.scalar(i_r2).render() == "i*r2"
+    assert ctx.scalar(-half).render() == "-1/2"
+    assert (u * u * 2 - v * half + t1 * i_r2 - 2).render() == \
+        "-2 + i*r2*th1 - 1/2*v + 2*u^2"
 
 
 def test_numeric_context_scalars():
