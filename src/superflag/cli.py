@@ -279,10 +279,10 @@ def cmd_verify(args):
             "status": "pass" if ok else "fail",
             "reports": [r.to_dict() for r in reports],
         }
+        text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
         try:
             with open(args.json_out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, ensure_ascii=False)
-                fh.write("\n")
+                fh.write(text)
         except OSError as e:
             raise UsageError(f"cannot write the report to {args.json_out!r}:"
                              f" {e.strerror or e}") from None

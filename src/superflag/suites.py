@@ -18,11 +18,19 @@ the primed dimension: one rank count replaces conjugating every primed
 generator back.  S S^-1 = E makes the inverse conjugation the inverse
 map.
 
-The imp-witness suite splits its bracket into Grassmann components
-(``osp.components``) and reads each one off the memoised basis of primed
-osp(2k1|2l1) with ``OspBasis.read_off``; a component lies in the embedded
-subalgebra when its first row and column vanish and it is even there, the
-rule of ``j_image_contains``, so no basis of the source is built.
+The imp-witness suite keeps the paper's witness symbolic: the two
+Grassmann matrices, their superbracket and the closed form it must equal,
+built one term dict per slot with ``ring.add_product``.  It splits the
+bracket into Grassmann components (``osp.components``) and reads each one
+off the memoised basis of primed osp(2k1|2l1) with ``OspBasis.read_off``;
+a component lies in the embedded subalgebra when its first row and column
+vanish and it is even there, the rule of ``j_image_contains``, so no basis
+of the source is built.  The numeric witnesses are entry tables ``{slot:
+q}``, one distinct integer per Grassmann monomial, with no FieldScalar or
+matrix: each is a member when its ``osp.entry_residual`` against the
+basis's Gram is empty, and lies in the embedded subalgebra when its first
+row and column vanish as well.  The bordered one is bracketed with itself
+on its table by ``osp.bracket_entries``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from .charts import (
     lemma_h_generator,
 )
 from .linalg import RankTracker
-from .matrices import BlockShape, SuperMatrix
+from .matrices import BlockShape, ParityError, SuperMatrix
 from .osp import (
     PARABOLIC_TAGS,
     BracketTable,
@@ -50,6 +58,7 @@ from .osp import (
     basis,
     basis_change_S,
     bordered_basis,
+    bracket_entries,
     center_from_constants,
     closure_check,
     components,
@@ -57,14 +66,15 @@ from .osp import (
     constant_entries,
     dimension_counts,
     entry_lines,
+    entry_residual,
     gram_form,
     is_member,
     j_image_contains,
     jacobi_failures,
     parabolic_basis,
 )
-from .ring import RingContext
-from .scalars import FieldScalar, ONE, ZERO
+from .ring import RingContext, add_product
+from .scalars import ONE, ZERO, q_mul
 from .weights import (
     bwb_dominant_filter,
     fiber_description,
@@ -318,14 +328,47 @@ def _in_even_span(bas, entries):
                                      for i, _ in found)
 
 
+def _off_border(entries):
+    """Whether the first row and column of the matrix ``entries`` (``{slot:
+    q}``) vanish, the slot rule of ``j_image_contains``."""
+    return not any(i == 0 or j == 0 for i, j in entries)
+
+
 def _in_j_image(full, entries):
     """Whether the constant matrix ``entries`` lies in the zero-bordered
     image of the even part of primed osp(2k1-1|2l1), by the rule of
     ``j_image_contains``: its first row and column vanish, and it is a
     combination of the even generators of ``full``, primed
     osp(2k1|2l1)."""
-    return not any(i == 0 or j == 0 for i, j in entries) \
-        and _in_even_span(full, entries)
+    return _off_border(entries) and _in_even_span(full, entries)
+
+
+def _odd_table(mat):
+    """The numeric witness of ``mat``, a matrix whose entries are single
+    Grassmann monomials: its entries ``{slot: q}`` with each monomial
+    replaced by a distinct integer from 2 up, in slot order, and its sign
+    and coefficient kept.  Every slot must be odd, as the entries of an
+    odd constant matrix are; raises ParityError otherwise."""
+    p, q = mat.rows.even, mat.cols.even
+    assigned = {}
+    table = {}
+    for (i, j), poly in sorted(mat.entries.items()):
+        if (i < p) == (j < q):
+            raise ParityError(f"witness entry ({i}, {j}) is on an even slot"
+                              " of an odd matrix")
+        (key, c), = poly.terms.items()
+        n = assigned.setdefault(key, len(assigned) + 2)
+        table[(i, j)] = q_mul(c, (n, 0, 0, 0, 1))
+    return table
+
+
+def _membership(gram, table):
+    """``(member, bordered)`` for the constant matrix ``table``: whether it
+    satisfies the defining equation of ``gram`` (its ``entry_residual`` is
+    empty), and whether, as ``j_image_contains`` asks, it is a member
+    whose first row and column vanish as well."""
+    member = not entry_residual(table, gram)
+    return member, member and _off_border(table)
 
 
 @_timed
@@ -342,13 +385,13 @@ def suite_imP_witness(k1, l1):
                for i in range(1, k1 + 1) for j in range(1, l1 + 1)]
     b_names = [f"b{w}_{j}" for w in (1, 2) for j in range(1, l1 + 1)]
     ctx.odds(*(a_names + b_names))
-    v = ctx.var
+    v = {name: ctx.var(name) for name in a_names + b_names}
 
     def a(w, i, j):
-        return v(f"a{w}_{i}_{j}")
+        return v[f"a{w}_{i}_{j}"]
 
     def b(w, j):
-        return v(f"b{w}_{j}")
+        return v[f"b{w}_{j}"]
 
     e0 = 2 * k1            # first odd index
     ma_entries = {}
@@ -371,48 +414,30 @@ def suite_imP_witness(k1, l1):
     expected = {}
     for i in range(k1):
         # block (2,1): -A1 B2^T + A2 B1^T, supported in the first column
-        val = ctx.zero
+        terms = expected[(k1 + i, 0)] = {}
         for j in range(l1):
-            val = val - a(1, i + 1, j + 1) * b(2, j + 1) \
-                      + a(2, i + 1, j + 1) * b(1, j + 1)
-        if not val.is_zero():
-            expected[(k1 + i, 0)] = val
+            add_product(terms, a(1, i + 1, j + 1), b(2, j + 1), negate=True)
+            add_product(terms, a(2, i + 1, j + 1), b(1, j + 1))
         # block (1,2): -B2 A1^T + B1 A2^T, supported in the first row
-        val = ctx.zero
+        terms = expected[(0, k1 + i)] = {}
         for j in range(l1):
-            val = val - b(2, j + 1) * a(1, i + 1, j + 1) \
-                      + b(1, j + 1) * a(2, i + 1, j + 1)
-        if not val.is_zero():
-            expected[(0, k1 + i)] = val
-    want = SuperMatrix.build(shape, shape, expected, ctx=ctx, parity=0)
+            add_product(terms, b(2, j + 1), a(1, i + 1, j + 1), negate=True)
+            add_product(terms, b(1, j + 1), a(2, i + 1, j + 1))
+    shown = bracket == SuperMatrix.from_terms(shape, shape, ctx, 0, expected)
     rep.add("bracket-display",
             "the commutator equals the expected even matrix"
             " (-A1 B2^T + A2 B1^T | -B2 A1^T + B1 A2^T)",
-            bracket == want, bracket.render() if bracket != want else
-            f"{len(bracket.entries)} nonzero slots")
+            shown, f"{len(bracket.entries)} nonzero slots" if shown
+            else bracket.render())
 
-    def numeric(mat):
-        """Replace each Grassmann generator by a distinct integer, keeping
-        signs, and declare the result odd."""
-        assigned = {}
-        entries = {}
-        for (i, j), p in sorted(mat.entries.items()):
-            (_, odd_key, coeff), = list(p.monomials())
-            if odd_key not in assigned:
-                assigned[odd_key] = FieldScalar(len(assigned) + 2)
-            entries[(i, j)] = coeff * assigned[odd_key]
-        return SuperMatrix.build(shape, shape, entries, parity=1)
-
-    ma_num = numeric(ma)
-    mb_num = numeric(mb)
-    gram = gram_form("primed", 2 * k1, l1)
+    full = basis("primed", 2 * k1, l1)
+    ta, tb = _odd_table(ma), _odd_table(mb)
     rep.add("witness-membership",
             "both witness matrices satisfy the primed defining equation;"
             " only the bordered one lies in the embedded subalgebra",
-            is_member(ma_num, gram) and is_member(mb_num, gram)
-            and j_image_contains(ma_num) and not j_image_contains(mb_num))
+            _membership(full.gram, ta) == (True, True)
+            and _membership(full.gram, tb) == (True, False))
 
-    full = basis("primed", 2 * k1, l1)
     pieces = list(components(bracket).values())
     in_full = all(_in_even_span(full, p) for p in pieces)
     outside = any(not _in_j_image(full, p) for p in pieces)
@@ -421,12 +446,12 @@ def suite_imP_witness(k1, l1):
             " subalgebra",
             bool(pieces) and in_full and outside,
             f"{len(pieces)} Grassmann components")
-    self_br = ma_num.superbracket(ma_num)
+    ma_table = (ta, entry_lines(ta))
     rep.add("self-bracket-control",
             "the bordered witness brackets with itself inside the embedded"
             " subalgebra",
-            all(_in_j_image(full, p)
-                for p in components(self_br).values()))
+            _in_j_image(full, bracket_entries(ma_table, ma_table,
+                                              both_odd=True)))
     return rep
 
 

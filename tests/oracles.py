@@ -21,7 +21,10 @@ before it read its Grassmann components off one basis each: numeric
 matrices built even, expanded in bases of even generators only, the
 bordered one built with ``embed_j``.  That route shares
 ``OspBasis.read_off`` with the suite, but not the split, the bordering or
-the parity test.  Likewise the matrix-first basis shares the family
+the parity test.  The matrix route of the suite's numeric witnesses
+(odd FieldScalar matrices, ``is_member`` and ``j_image_contains``,
+``SuperMatrix.superbracket``) checks the entry tables, ``entry_residual``
+and ``bracket_entries`` that the suite uses in its place.  Likewise the matrix-first basis shares the family
 specs with ``osp.basis``, but not the route from a spec to a generator:
 ``build``'s parity check, the residual and the table read back off the
 matrix.
@@ -40,8 +43,8 @@ from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
     SuperMatrix
 from superflag.osp import Generator, NotInSpanError, OspBasis, basis, \
     bordered_basis, constant_entries
-from superflag.ring import NUMERIC_CTX, ContextError, RingContext, SuperPoly, \
-    common_context, merge_odd, mul_even
+from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
+    RingContext, SuperPoly, common_context, merge_odd, mul_even
 from superflag.scalars import ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
     FieldScalar, add_scaled, q_add, q_mul, q_neg
 from superflag.weights import Weight
@@ -385,6 +388,73 @@ ORIGINAL_PARABOLIC_TAGS = {
     "p": {"A11", "A21", "G2", "C11", "C21", "C22", "G3", "B11", "B21"},
     "p1": {"A11", "A21", "C11", "C21", "C22", "B11", "B21"},
 }
+
+
+def witness_numeric(mat):
+    """The numeric witness of ``mat``, a matrix whose entries are single
+    Grassmann monomials: each monomial, named by its odd factors, becomes
+    a distinct FieldScalar from 2 up in slot order, signs kept, and the
+    result is built odd, so ``SuperMatrix.build`` raises ParityError on an
+    even slot."""
+    assigned = {}
+    entries = {}
+    for (i, j), p in sorted(mat.entries.items()):
+        (_, odd_key, coeff), = list(p.monomials())
+        if odd_key not in assigned:
+            assigned[odd_key] = FieldScalar(len(assigned) + 2)
+        entries[(i, j)] = coeff * assigned[odd_key]
+    return SuperMatrix.build(mat.rows, mat.cols, entries, parity=1)
+
+
+def witness_membership(m):
+    """``(is_member, j_image_contains)`` of a matrix over primed
+    osp(2k1|2l1), against the Gram ``gram_form`` writes."""
+    gram = osp.gram_form("primed", m.rows.even, m.rows.odd // 2)
+    return osp.is_member(m, gram), osp.j_image_contains(m)
+
+
+def witness_numeric_route(k1, l1):
+    """The numeric half of the imp-witness suite the way it once ran, on
+    matrices: the two Grassmann witnesses built as SuperMatrices, their
+    numeric forms (``witness_numeric``), the membership verdicts of each
+    (``witness_membership``), and the bordered one bracketed with itself by
+    ``SuperMatrix.superbracket`` and split by ``osp.components``.  Returns
+    a dict with ``witnesses`` and ``numeric``, each the pair (bordered,
+    first-row), ``membership``, one verdict pair per witness, and
+    ``self_bracket``, the entries ``{slot: q}`` of the self bracket."""
+    shape = BlockShape(2 * k1, 2 * l1)
+    ctx = RingContext()
+    a_names = [f"a{w}_{i}_{j}" for w in (1, 2)
+               for i in range(1, k1 + 1) for j in range(1, l1 + 1)]
+    b_names = [f"b{w}_{j}" for w in (1, 2) for j in range(1, l1 + 1)]
+    ctx.odds(*(a_names + b_names))
+    e0 = 2 * k1
+    ma_entries = {}
+    for i in range(k1):
+        for j in range(l1):
+            a1 = ctx.var(f"a1_{i + 1}_{j + 1}")
+            a2 = ctx.var(f"a2_{i + 1}_{j + 1}")
+            ma_entries[(k1 + i, e0 + j)] = a1
+            ma_entries[(k1 + i, e0 + l1 + j)] = a2
+            ma_entries[(e0 + j, k1 + i)] = -a2
+            ma_entries[(e0 + l1 + j, k1 + i)] = a1
+    mb_entries = {}
+    for j in range(l1):
+        b1, b2 = ctx.var(f"b1_{j + 1}"), ctx.var(f"b2_{j + 1}")
+        mb_entries[(0, e0 + j)] = b1
+        mb_entries[(0, e0 + l1 + j)] = b2
+        mb_entries[(e0 + j, 0)] = -b2
+        mb_entries[(e0 + l1 + j, 0)] = b1
+    witnesses = tuple(SuperMatrix.build(shape, shape, e, ctx=ctx, parity=0)
+                      for e in (ma_entries, mb_entries))
+    numeric = tuple(witness_numeric(m) for m in witnesses)
+    self_br = numeric[0].superbracket(numeric[0])
+    return {
+        "witnesses": witnesses,
+        "numeric": numeric,
+        "membership": tuple(witness_membership(m) for m in numeric),
+        "self_bracket": osp.components(self_br).get(CONSTANT, {}),
+    }
 
 
 def original_parabolic_basis(which, k1, l1):

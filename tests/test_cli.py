@@ -267,6 +267,41 @@ def test_verify_json_out(tmp_path, capsys):
         assert set(check) == {"id", "label", "status", "witness"}
 
 
+def test_verify_json_out_is_one_write(tmp_path, capsys, monkeypatch):
+    """The report file is written with one write of its whole text, the
+    indented JSON with non-ASCII kept (bwb's fiber is ℂ) and a final
+    newline."""
+    from superflag import cli
+
+    writes = []
+
+    class Recording:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    monkeypatch.setattr(cli, "open", lambda *a, **k: Recording(open(*a, **k)),
+                        raising=False)
+    report = tmp_path / "report.json"
+    code, _, _ = run(capsys, "verify", "--suite", "bwb", "--k1", "3",
+                     "--l1", "2", "--json-out", str(report))
+    assert code == 0
+    text = report.read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert "ℂ" in text
+    assert writes == [text]
+    assert text == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
 def test_size_cap_enforced(capsys, monkeypatch):
     monkeypatch.setenv("SUPERFLAG_MAX_SIZE", "2")
     code, _, err = run(capsys, "isotropic-chart", "--k1", "3", "--l1", "1")

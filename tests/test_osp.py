@@ -44,6 +44,9 @@ from oracles import (
     original_parabolic_basis,
     stabilized_subspace_indices,
     super_jacobi_holds,
+    witness_membership,
+    witness_numeric,
+    witness_numeric_route,
 )
 
 
@@ -896,11 +899,11 @@ def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
     even generators only, asking a j-image candidate for a zero first row
     and column as well; the oracle builds each component even and expands
     it in bases of even generators, the bordered one built with embed_j.
-    They agree on the witness components, on every generator of
-    primed(2k1|2l1) and every bordered even generator, and on each of
-    these with an entry added in row 0, in column 0 or on an odd slot; both
-    verdicts occur for both spans."""
-    real = suites.components
+    They agree on the witness components and the self bracket, on every
+    generator of primed(2k1|2l1) and every bordered even generator, and on
+    each of these with an entry added in row 0, in column 0 or on an odd
+    slot; both verdicts occur for both spans."""
+    real, real_bracket = suites.components, suites.bracket_entries
     witness = []
 
     def recording(m):
@@ -908,7 +911,13 @@ def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
         witness.extend(parts.values())
         return parts
 
+    def recording_bracket(x, y, both_odd):
+        entries = real_bracket(x, y, both_odd)
+        witness.append(entries)
+        return entries
+
     monkeypatch.setattr(suites, "components", recording)
+    monkeypatch.setattr(suites, "bracket_entries", recording_bracket)
     assert suites.suite_imP_witness(k1, l1).ok
     monkeypatch.undo()
     full = basis("primed", 2 * k1, l1)
@@ -934,18 +943,91 @@ def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
 
 def test_witness_checks_fail_on_a_spoiled_component(monkeypatch):
     """An entry on an odd slot of the first row, put into every Grassmann
-    component, takes the bracket out of the even part and the
-    self-bracket out of the embedded subalgebra; the other checks do not
-    read the components."""
-    real = suites.components
+    component of the bracket and into the self bracket, takes the bracket
+    out of the even part and the self bracket out of the embedded
+    subalgebra; the other checks read neither."""
+    real, real_bracket = suites.components, suites.bracket_entries
     slot = (0, 4)  # the first odd column of primed osp(4|2)
     monkeypatch.setattr(suites, "components", lambda m: {
         key: {**p, slot: Q_ONE} for key, p in real(m).items()}
         or {((), ()): {slot: Q_ONE}})
+    monkeypatch.setattr(suites, "bracket_entries", lambda x, y, both_odd: {
+        **real_bracket(x, y, both_odd), slot: Q_ONE})
     status = {r.check_id: r.ok for r in suites.suite_imP_witness(2, 1).records}
     assert status == {"bracket-display": True, "witness-membership": True,
                       "outside-j-image": False,
                       "self-bracket-control": False}
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3, 4])
+@pytest.mark.parametrize("l1", [1, 2, 3, 4])
+def test_witness_tables_match_the_matrix_route(monkeypatch, k1, l1):
+    """The suite's numeric witnesses, their membership verdicts and the
+    self bracket of the bordered one equal the matrix route's: odd
+    FieldScalar matrices, is_member and j_image_contains, and
+    SuperMatrix.superbracket split by components.  The verdicts also agree
+    with an entry of either witness set to 1/2, in row 0, in column 0 or
+    on another odd slot, and the self bracket is nonzero, so
+    self-bracket-control does not pass on an empty matrix."""
+    real_table, real_bracket = suites._odd_table, suites.bracket_entries
+    tables, brackets = [], []
+
+    def recording_table(mat):
+        table = real_table(mat)
+        tables.append(table)
+        return table
+
+    def recording_bracket(x, y, both_odd):
+        entries = real_bracket(x, y, both_odd)
+        brackets.append(entries)
+        return entries
+
+    monkeypatch.setattr(suites, "_odd_table", recording_table)
+    monkeypatch.setattr(suites, "bracket_entries", recording_bracket)
+    assert suites.suite_imP_witness(k1, l1).ok
+    monkeypatch.undo()
+    oracle = witness_numeric_route(k1, l1)
+    assert tables == [constant_entries(m) for m in oracle["numeric"]]
+    gram = basis("primed", 2 * k1, l1).gram
+    assert [suites._membership(gram, t) for t in tables] \
+        == list(oracle["membership"])
+    assert brackets == [oracle["self_bracket"]]
+    assert 4 <= len(brackets[0]) <= 76
+
+    rng = random.Random(100 * k1 + l1)
+    half = FieldScalar.parse("1/2")
+    seen = set()
+    for table, m in zip(tables, oracle["numeric"]):
+        n, p = m.rows.total, m.rows.even
+        for where in ("row", "column", "odd"):
+            slots = [(i, j) for i in range(n) for j in range(n)
+                     if (i < p) != (j < p)
+                     and {"row": i == 0, "column": j == 0,
+                          "odd": i and j}[where]]
+            slot = rng.choice(slots)
+            got = suites._membership(gram, {**table, slot: half.q})
+            spoiled = SuperMatrix.build(m.rows, m.cols,
+                                        {**m.entries, slot: half}, parity=1)
+            assert got == witness_membership(spoiled), (where, slot)
+            seen.add(got)
+    assert seen | set(oracle["membership"]) \
+        == {(True, True), (True, False), (False, False)}
+
+
+def test_a_witness_entry_on_an_even_slot_is_a_parity_error():
+    """The numeric witness is odd: moving one Grassmann entry of either
+    witness onto an even slot raises ParityError in the suite's table, as
+    building the odd matrix does in the matrix route."""
+    for m in witness_numeric_route(2, 2)["witnesses"]:
+        slot, value = sorted(m.entries.items())[0]
+        moved = dict(m.entries)
+        del moved[slot]
+        moved[(1, 1)] = value
+        bad = SuperMatrix.build(m.rows, m.cols, moved, ctx=m.ctx)
+        with pytest.raises(ParityError):
+            suites._odd_table(bad)
+        with pytest.raises(ParityError):
+            witness_numeric(bad)
 
 
 def _stabilizes(mat, indices):
