@@ -59,16 +59,18 @@ table's slot parities and residual, builds the matrix from it and keeps
 the tables as ``OspBasis.entry_table``.  ``closure_check`` brackets on
 those tables, ``OspBasis.read_off``, the one span test for constant
 matrices, expands a bracket or a candidate, and ``conjugate_entries``
-forms S^-1 M S on the same tables.  The Jacobi and center checks read one
+forms S^-1 M S, and the zero-bordering P M P^T (``border_matrix``), on
+the same tables.  The Jacobi and center checks read one
 table of the constants filled in both orders of each pair
 (``BracketTable``), built once per closure report, and compose and reduce
 tuple rows; every sum of such dicts is ``scalars.add_scaled``.
-FieldScalar appears only in what they hand out: the structure constants,
-the coefficients and the center matrices.  The matrix-bracket Jacobi
+FieldScalar appears only in what they hand out: the structure constants
+and the center matrices.  The matrix-bracket Jacobi
 identity, the conjugation by two matrix products, the one-way constant
-table, the residual on whole term dicts, the matrix-first basis and the
-odd/even stabilizer of the base flag, which the tests compare these with,
-live in ``tests/oracles.py``.
+table, the residual on whole term dicts, the matrix-first basis, the
+matrix bordering with its span test and the odd/even stabilizer of the
+base flag, which the tests compare these with, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -160,22 +162,6 @@ class OspBasis:
                 for g in self.generators)
         return self._table
 
-    def coefficients_of(self, m):
-        """Expand ``m`` exactly in this basis, or raise NotInSpanError."""
-        parts = components(m)
-        entries = parts.pop(CONSTANT, {})
-        others = {slot for part in parts.values() for slot in part}
-        bad = sorted(self._by_primary[slot] for slot in others
-                     if slot in self._by_primary)
-        if bad:
-            raise NotInSpanError(f"slot {self.generators[bad[0]].primary}"
-                                 " of the candidate is not scalar")
-        found = None if others else self.read_off(entries)
-        if found is None:
-            raise NotInSpanError("matrix is not in the span of the basis")
-        return {self.generators[i].tag: FieldScalar.from_q(c)
-                for i, c in found}
-
     def read_off(self, entries):
         """The coefficients of a matrix given by its nonzero entries as
         ``{slot: q}``: ``(generator index, q)`` pairs in generator order,
@@ -262,8 +248,7 @@ def gram_form(flavor, a, b):
 
     Parameters mean (m, n) for ``odd``, (k, l) for ``even`` and (t, l) for
     ``primed`` where t is the full even size 2k-1 or 2k.  Memoised like
-    ``basis``, whose forms these are; ``embed_j`` and ``j_image_contains``
-    ask for them on every call.
+    ``basis``, whose forms these are.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -750,55 +735,16 @@ def conjugate_entries(entries, s_rows, s_inv_cols):
     return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 
 
-def embed_j(x):
-    """Border a primed osp(2k1-1|2l1) matrix with a zero first row/column.
+def border_matrix(k1, l1):
+    """The even (2k1|2l1) x (2k1-1|2l1) matrix P with P[i+1, i] = 1.
 
-    The result lies in primed osp(2k1|2l1); on the supergroup the map is
-    X -> diag(1, X), on the superalgebra the new row and column are zero.
-
-    Once X passes the source membership test its entries shift by (1, 1)
-    as they are: the new index is even and comes first, so every slot
-    keeps its parity and the image keeps the parity of X.
+    j(X) = P X P^T borders a primed osp(2k1-1|2l1) matrix X with a zero
+    first row and column: on the supergroup the map is X -> diag(1, X).
     """
-    t, q = x.rows.even, x.rows.odd
-    if t % 2 == 0 or not x.is_square():
-        raise ValueError("source must be square with odd even-size 2k1-1")
-    l1 = q // 2
-    source = gram_form("primed", t, l1)
-    if not is_member(x, source):
-        raise ValueError("matrix is not in the source algebra")
-    target_shape = _shape("primed", t + 1, l1)
-    return SuperMatrix._new(target_shape, target_shape, x.ctx, x.parity,
-                            {(i + 1, j + 1): v
-                             for (i, j), v in x.entries.items()})
-
-
-def bordered_basis(generators):
-    """The zero-bordered images of primed osp(2k1-1|2l1) generators, as a
-    basis of their span in primed osp(2k1|2l1).
-
-    Each generator keeps its tag and parity; its matrix is ``embed_j`` of
-    the source matrix and its primary slot shifts by (1, 1) with it, so the
-    slots stay private and ``coefficients_of`` and ``closure_check`` apply.
-    """
-    gens = [Generator(g.tag, g.parity, embed_j(g.matrix),
-                      (g.primary[0] + 1, g.primary[1] + 1))
-            for g in generators]
-    if not gens:
-        raise ValueError("no generators to border")
-    t, l1 = gens[0].matrix.rows.even, gens[0].matrix.rows.odd // 2
-    return OspBasis(gram_form("primed", t, l1), gens)
-
-
-def j_image_contains(m):
-    """Image test: vanishing first row and column plus primed membership."""
-    t, q = m.rows.even, m.rows.odd
-    if t % 2:
-        raise ValueError("j lands in an even-sized primed algebra")
-    for (i, j) in m.entries:
-        if i == 0 or j == 0:
-            return False
-    return is_member(m, gram_form("primed", t, q // 2))
+    source, target = _shape("primed", 2 * k1 - 1, l1), \
+        _shape("primed", 2 * k1, l1)
+    return SuperMatrix.build(target, source,
+                             {(i + 1, i): ONE for i in range(source.total)})
 
 
 #: Free block families of the base-point stabilizer patterns p and p1 in
@@ -812,21 +758,3 @@ PARABOLIC_TAGS = {
     "p": {"A21", "A11", "G2", "C21", "C22", "C11", "G4", "B11", "B21"},
     "p1": {"A21", "A11", "C21", "C22", "C11", "B11", "B21"},
 }
-
-
-def parabolic_basis(which, k1, l1):
-    """Basis of the primed stabilizer pattern p or p1 at sizes (k1, l1).
-
-    ``which`` is "p" (ambient primed osp(2k1-1|2l1)) or "p1" (ambient
-    primed osp(2k1|2l1)); the result is the slot pattern that the
-    zero-bordering embedding preserves slot by slot, see PARABOLIC_TAGS
-    for why it is not itself closed.
-    """
-    if which not in PARABOLIC_TAGS:
-        raise ValueError("which must be 'p' or 'p1'")
-    if k1 < 1 or l1 < 1:
-        raise ValueError("parabolic sizes need k1 >= 1 and l1 >= 1")
-    ambient = basis("primed", 2 * k1 - 1 if which == "p" else 2 * k1, l1)
-    allowed = PARABOLIC_TAGS[which]
-    gens = [g for g in ambient.generators if g.tag.split(":")[0] in allowed]
-    return OspBasis(ambient.gram, gens)

@@ -18,19 +18,33 @@ the primed dimension: one rank count replaces conjugating every primed
 generator back.  S S^-1 = E makes the inverse conjugation the inverse
 map.
 
+The zero-bordering embedding j: osp(2k1-1|2l1) -> osp(2k1|2l1) is
+conjugation by the even border matrix P (``osp.border_matrix``, P[i+1, i]
+= 1): j(X) = P X P^T, formed on each source table by
+``osp.conjugate_entries`` with P read once by column, which are also the
+rows of P^T.  The lemma: if P^ST P = E and P is even, then
+j(X) j(Y) = P X P^T P Y P^T = P XY P^T = j(XY), and j keeps parities, so
+j[X, Y] = [jX, jY] for every pair.  So ``dj-bracket`` passes exactly
+when the source closes (the run's only ``closure_check``), P^ST P = E
+with P even, and every image's ``entry_residual`` against primed
+osp(2k1|2l1) is empty.  ``j-image-slice`` and ``dj-parabolic`` read the
+same image tables: an image lies in the j-image when its first row and
+column vanish and it is a member (``_in_j_image``), and its coefficients
+are read off the primed osp(2k1|2l1) basis with ``OspBasis.read_off``.
+
 The imp-witness suite keeps the paper's witness symbolic: the two
 Grassmann matrices, their superbracket and the closed form it must equal,
 built one term dict per slot with ``ring.add_product``.  It splits the
 bracket into Grassmann components (``osp.components``) and reads each one
 off the memoised basis of primed osp(2k1|2l1) with ``OspBasis.read_off``;
-a component lies in the embedded subalgebra when its first row and column
-vanish and it is even there, the rule of ``j_image_contains``, so no basis
-of the source is built.  The numeric witnesses are entry tables ``{slot:
-q}``, one distinct integer per Grassmann monomial, with no FieldScalar or
-matrix: each is a member when its ``osp.entry_residual`` against the
-basis's Gram is empty, and lies in the embedded subalgebra when its first
-row and column vanish as well.  The bordered one is bracketed with itself
-on its table by ``osp.bracket_entries``.
+a component lies in the embedded subalgebra when, even there, it passes
+the isomorphism suite's ``_in_j_image`` as well, so no basis of the source
+is built.  The numeric witnesses are entry tables ``{slot: q}``, one
+distinct integer per Grassmann monomial, with no FieldScalar or matrix:
+each is a member when its ``osp.entry_residual`` against the basis's Gram
+is empty, and lies in the embedded subalgebra when ``_in_j_image`` holds.
+The bordered one is bracketed with itself on its table by
+``osp.bracket_entries``.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ from .osp import (
     NotInSpanError,
     basis,
     basis_change_S,
-    bordered_basis,
+    border_matrix,
     bracket_entries,
     center_from_constants,
     closure_check,
@@ -69,12 +83,10 @@ from .osp import (
     entry_residual,
     gram_form,
     is_member,
-    j_image_contains,
     jacobi_failures,
-    parabolic_basis,
 )
 from .ring import RingContext, add_product
-from .scalars import ONE, ZERO, q_mul
+from .scalars import Q_ONE, q_mul
 from .weights import (
     bwb_dominant_filter,
     fiber_description,
@@ -284,40 +296,59 @@ def suite_isomorphism(k1, l1):
                 (f"{len(src)} generators both ways" if ok else
                  f"rank {images.rank} from {len(src)} generators onto"
                  f" {len(primed)}, S S^-1 {'=' if inverse else '!='} E"))
-    # j is linear and injective and both brackets are graded-antisymmetric,
-    # so j preserves every bracket exactly when the source closes and the
-    # bordered generators have the source's structure constants.
+    # j(X) = P X P^T on the entry tables; the lemma in the module doc
+    # reduces dj-bracket to one closure, P^ST P = E and membership.
     src = basis("primed", 2 * k1 - 1, l1)
-    bordered = bordered_basis(src.generators)
-    src_closure, j_closure = closure_check(src), closure_check(bordered)
+    target = basis("primed", 2 * k1, l1)
+    p = border_matrix(k1, l1)
+    p_cols = entry_lines(constant_entries(p, "P"), by_column=True)
+    images = [conjugate_entries(entries, p_cols, p_cols)
+              for entries in src.entry_table()]
+    isometry = p.parity == 0 and \
+        p.supertranspose() @ p == SuperMatrix.identity(p.cols)
+    # an image in the j-image is a member, so the residuals run once
+    in_image = all(_in_j_image(img, target.gram) for img in images)
+    members = in_image or \
+        not any(entry_residual(img, target.gram) for img in images)
     rep.add("dj-bracket",
             "the zero-bordering embedding preserves every superbracket",
-            not src_closure["failures"] and not j_closure["failures"]
-            and src_closure["structure_constants"]
-            == j_closure["structure_constants"],
+            not closure_check(src)["failures"] and isometry and members,
             f"{len(src)}^2 pairs")
-    embedded = {g.tag: g.matrix for g in bordered}
-    img_ok = all(j_image_contains(embedded[g.tag]) for g in src)
-    probe = embedded[src.generators[0].tag]
-    spoiled = probe + SuperMatrix.build(
-        probe.rows, probe.cols, {(0, 1): ONE}, parity=probe.parity or 0)
+    spoiled = {**images[0], (0, 1): Q_ONE}
     rep.add("j-image-slice",
             "the image is exactly the vanishing first row/column slice",
-            img_ok and not j_image_contains(spoiled))
-    p_primed = parabolic_basis("p", k1, l1)
-    p1_primed = basis("primed", 2 * k1, l1)
-    p1_tags = PARABOLIC_TAGS["p1"]
-    stray = []
-    for g in p_primed:
-        coeffs = p1_primed.coefficients_of(embedded[g.tag])
-        for tag, c in coeffs.items():
-            if c != ZERO and tag.split(":")[0] not in p1_tags:
-                stray.append((g.tag, tag))
+            in_image and not _in_j_image(spoiled, target.gram))
+    try:
+        inside, stray = _parabolic_strays(src, target, images)
+        witness = str(stray[:4]) if stray else \
+            f"{inside} generators land inside"
+    except NotInSpanError as e:
+        stray, witness = None, f"undetermined: {e}"
     rep.add("dj-parabolic",
             "the embedding carries the p pattern into the p1 pattern",
-            not stray, str(stray[:4]) if stray else
-            f"{len(p_primed)} generators land inside")
+            stray == [], witness)
     return rep
+
+
+def _parabolic_strays(src, target, images):
+    """``(count, stray)`` for the generators of ``src`` in the p pattern:
+    their number, and ``(source tag, target tag)`` of each coefficient
+    outside the p1 pattern that their images (``images``, in generator
+    order) have, read off ``target``.  Raises NotInSpanError for an image
+    outside its span."""
+    count, stray = 0, []
+    for g, img in zip(src, images):
+        if g.tag.split(":")[0] not in PARABOLIC_TAGS["p"]:
+            continue
+        found = target.read_off(img)
+        if found is None:
+            raise NotInSpanError(f"j({g.tag}) is not in the span of the"
+                                 " basis")
+        count += 1
+        stray += [(g.tag, tag) for tag in (target.generators[i].tag
+                                           for i, _ in found)
+                  if tag.split(":")[0] not in PARABOLIC_TAGS["p1"]]
+    return count, stray
 
 
 def _in_even_span(bas, entries):
@@ -328,19 +359,14 @@ def _in_even_span(bas, entries):
                                      for i, _ in found)
 
 
-def _off_border(entries):
-    """Whether the first row and column of the matrix ``entries`` (``{slot:
-    q}``) vanish, the slot rule of ``j_image_contains``."""
-    return not any(i == 0 or j == 0 for i, j in entries)
-
-
-def _in_j_image(full, entries):
-    """Whether the constant matrix ``entries`` lies in the zero-bordered
-    image of the even part of primed osp(2k1-1|2l1), by the rule of
-    ``j_image_contains``: its first row and column vanish, and it is a
-    combination of the even generators of ``full``, primed
-    osp(2k1|2l1)."""
-    return _off_border(entries) and _in_even_span(full, entries)
+def _in_j_image(entries, gram):
+    """Whether the constant matrix ``entries`` (``{slot: q}``) lies in the
+    zero-bordered image of primed osp(2k1-1|2l1) in osp(``gram``), primed
+    osp(2k1|2l1): its first row and column vanish and its
+    ``entry_residual`` is empty.  The primed Gram fixes index 0, so such a
+    member is diag(0, X) with X a member of the source, which is j(X)."""
+    return not any(i == 0 or j == 0 for i, j in entries) \
+        and not entry_residual(entries, gram)
 
 
 def _odd_table(mat):
@@ -365,10 +391,10 @@ def _odd_table(mat):
 def _membership(gram, table):
     """``(member, bordered)`` for the constant matrix ``table``: whether it
     satisfies the defining equation of ``gram`` (its ``entry_residual`` is
-    empty), and whether, as ``j_image_contains`` asks, it is a member
-    whose first row and column vanish as well."""
-    member = not entry_residual(table, gram)
-    return member, member and _off_border(table)
+    empty), and whether it lies in the zero-bordered image
+    (``_in_j_image``), which makes it a member."""
+    bordered = _in_j_image(table, gram)
+    return bordered or not entry_residual(table, gram), bordered
 
 
 @_timed
@@ -440,7 +466,7 @@ def suite_imP_witness(k1, l1):
 
     pieces = list(components(bracket).values())
     in_full = all(_in_even_span(full, p) for p in pieces)
-    outside = any(not _in_j_image(full, p) for p in pieces)
+    outside = any(not _in_j_image(p, full.gram) for p in pieces)
     rep.add("outside-j-image",
             "the bracket lies in the even part but escapes the embedded"
             " subalgebra",
@@ -450,8 +476,8 @@ def suite_imP_witness(k1, l1):
     rep.add("self-bracket-control",
             "the bordered witness brackets with itself inside the embedded"
             " subalgebra",
-            _in_j_image(full, bracket_entries(ma_table, ma_table,
-                                              both_odd=True)))
+            _in_j_image(bracket_entries(ma_table, ma_table, both_odd=True),
+                        full.gram))
     return rep
 
 

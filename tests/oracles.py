@@ -24,10 +24,14 @@ bordered one built with ``embed_j``.  That route shares
 the parity test.  The matrix route of the suite's numeric witnesses
 (odd FieldScalar matrices, ``is_member`` and ``j_image_contains``,
 ``SuperMatrix.superbracket``) checks the entry tables, ``entry_residual``
-and ``bracket_entries`` that the suite uses in its place.  Likewise the matrix-first basis shares the family
-specs with ``osp.basis``, but not the route from a spec to a generator:
-``build``'s parity check, the residual and the table read back off the
-matrix.
+and ``bracket_entries`` that the suite uses in its place.  The matrix
+bordering the isomorphism suite once ran (``embed_j``, a shift of a
+member's entries by (1, 1), ``bordered_basis``, ``j_image_contains`` and
+``coefficients_of``, which converts a matrix before its read-off) checks
+the suite's P X P^T on entry tables.  Likewise the matrix-first basis
+shares the family specs with ``osp.basis``, but not the route from a spec
+to a generator: ``build``'s parity check, the residual and the table read
+back off the matrix.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from superflag.charts import Chart, VectorField, validate_flag_type
 from superflag.linalg import RankTracker, SingularMatrixError
 from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
     SuperMatrix
-from superflag.osp import Generator, NotInSpanError, OspBasis, basis, \
-    bordered_basis, constant_entries
+from superflag.osp import PARABOLIC_TAGS, Generator, NotInSpanError, \
+    OspBasis, basis, components, constant_entries
 from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
     RingContext, SuperPoly, common_context, merge_odd, mul_even
 from superflag.scalars import ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
@@ -345,6 +349,93 @@ class OneWayBracketTable:
         return self.table.get((a, b), {})
 
 
+def coefficients_of(bas, m):
+    """Expand the matrix ``m`` exactly in ``bas`` as ``{tag: FieldScalar}``
+    in generator order, or raise NotInSpanError: ``m`` is split into its
+    Grassmann components, a non-constant part is out of the span, and the
+    constant part is read off with ``OspBasis.read_off``."""
+    parts = components(m)
+    entries = parts.pop(CONSTANT, {})
+    others = {slot for part in parts.values() for slot in part}
+    bad = sorted(bas._by_primary[slot] for slot in others
+                 if slot in bas._by_primary)
+    if bad:
+        raise NotInSpanError(f"slot {bas.generators[bad[0]].primary}"
+                             " of the candidate is not scalar")
+    found = None if others else bas.read_off(entries)
+    if found is None:
+        raise NotInSpanError("matrix is not in the span of the basis")
+    return {bas.generators[i].tag: FieldScalar.from_q(c) for i, c in found}
+
+
+def embed_j(x):
+    """Border a primed osp(2k1-1|2l1) matrix with a zero first row/column.
+
+    The result lies in primed osp(2k1|2l1).  Once X passes the source
+    membership test its entries shift by (1, 1) as they are: the new index
+    is even and comes first, so every slot keeps its parity and the image
+    keeps the parity of X.
+    """
+    t, q = x.rows.even, x.rows.odd
+    if t % 2 == 0 or not x.is_square():
+        raise ValueError("source must be square with odd even-size 2k1-1")
+    l1 = q // 2
+    if not osp.is_member(x, osp.gram_form("primed", t, l1)):
+        raise ValueError("matrix is not in the source algebra")
+    target = osp._shape("primed", t + 1, l1)
+    return SuperMatrix._new(target, target, x.ctx, x.parity,
+                            {(i + 1, j + 1): v
+                             for (i, j), v in x.entries.items()})
+
+
+def bordered_basis(generators):
+    """The zero-bordered images (``embed_j``) of primed osp(2k1-1|2l1)
+    generators, as a basis of their span in primed osp(2k1|2l1): each
+    keeps its tag and parity, and its primary slot shifts by (1, 1)."""
+    gens = [Generator(g.tag, g.parity, embed_j(g.matrix),
+                      (g.primary[0] + 1, g.primary[1] + 1))
+            for g in generators]
+    if not gens:
+        raise ValueError("no generators to border")
+    t, l1 = gens[0].matrix.rows.even, gens[0].matrix.rows.odd // 2
+    return OspBasis(osp.gram_form("primed", t, l1), gens)
+
+
+def j_image_contains(m):
+    """Image test: vanishing first row and column plus primed membership."""
+    t, q = m.rows.even, m.rows.odd
+    if t % 2:
+        raise ValueError("j lands in an even-sized primed algebra")
+    if any(i == 0 or j == 0 for i, j in m.entries):
+        return False
+    return osp.is_member(m, osp.gram_form("primed", t, q // 2))
+
+
+def parabolic_basis(which, k1, l1):
+    """Basis of the primed stabilizer pattern p (in primed osp(2k1-1|2l1))
+    or p1 (in primed osp(2k1|2l1)): the generators whose family is in
+    ``osp.PARABOLIC_TAGS[which]``, a slot pattern, not a subalgebra."""
+    if which not in PARABOLIC_TAGS:
+        raise ValueError("which must be 'p' or 'p1'")
+    if k1 < 1 or l1 < 1:
+        raise ValueError("parabolic sizes need k1 >= 1 and l1 >= 1")
+    ambient = basis("primed", 2 * k1 - 1 if which == "p" else 2 * k1, l1)
+    gens = [g for g in ambient.generators
+            if g.tag.split(":")[0] in PARABOLIC_TAGS[which]]
+    return OspBasis(ambient.gram, gens)
+
+
+def parabolic_strays(k1, l1):
+    """The ``dj-parabolic`` stray list by matrices: ``(source tag, target
+    tag)`` for each nonzero coefficient outside the p1 pattern of
+    ``embed_j`` of a p-pattern generator, expanded with ``coefficients_of``
+    in primed osp(2k1|2l1)."""
+    ambient = basis("primed", 2 * k1, l1)
+    return [(g.tag, tag) for g in parabolic_basis("p", k1, l1)
+            for tag, c in coefficients_of(ambient, embed_j(g.matrix)).items()
+            if c != ZERO and tag.split(":")[0] not in PARABOLIC_TAGS["p1"]]
+
+
 def even_span_route(k1, l1):
     """The verdicts of the imp-witness suite's span questions, the way it
     once asked them: a function of a matrix ``m`` over primed
@@ -360,7 +451,7 @@ def even_span_route(k1, l1):
 
     def in_span(target, bas):
         try:
-            bas.coefficients_of(target)
+            coefficients_of(bas, target)
         except NotInSpanError:
             return False
         return True
@@ -410,7 +501,7 @@ def witness_membership(m):
     """``(is_member, j_image_contains)`` of a matrix over primed
     osp(2k1|2l1), against the Gram ``gram_form`` writes."""
     gram = osp.gram_form("primed", m.rows.even, m.rows.odd // 2)
-    return osp.is_member(m, gram), osp.j_image_contains(m)
+    return osp.is_member(m, gram), j_image_contains(m)
 
 
 def witness_numeric_route(k1, l1):

@@ -30,10 +30,8 @@ from superflag.osp import (
     basis_change_S,
     center_from_constants,
     closure_check,
-    embed_j,
     gram_form,
     is_member,
-    parabolic_basis,
 )
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar
@@ -48,9 +46,12 @@ from superflag.weights import (
 )
 
 from oracles import (
+    coefficients_of,
     conjugate,
     dependent_values,
+    embed_j,
     formal_isotropic_chart,
+    parabolic_basis,
     residual_entries,
     substitute,
     super_jacobi_holds,
@@ -244,7 +245,7 @@ def test_criterion_6_basis_change_and_embedding(capfd):
                 ambient = basis("primed", 2 * k1, l1)
                 allowed = PARABOLIC_TAGS["p1"]
                 for g in p:
-                    coeffs = ambient.coefficients_of(embed_j(g.matrix))
+                    coeffs = coefficients_of(ambient, embed_j(g.matrix))
                     stray = [t for t, c in coeffs.items()
                              if not c.is_zero()
                              and t.split(":")[0] not in allowed]

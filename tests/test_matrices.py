@@ -16,7 +16,6 @@ from superflag.matrices import (
 )
 from superflag.osp import (
     basis,
-    embed_j,
     gram_form,
     is_member,
     membership_residual,
@@ -24,7 +23,8 @@ from superflag.osp import (
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
-from oracles import body, invert, neumann_invert, residual_terms
+from oracles import body, embed_j, invert, neumann_invert, \
+    residual_terms
 
 
 def rand_numeric(rng, rows, cols, parity):

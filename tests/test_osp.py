@@ -17,20 +17,16 @@ from superflag.osp import (
     PARABOLIC_TAGS,
     basis,
     basis_change_S,
-    bordered_basis,
     center_from_constants,
     closure_check,
     conjugate_entries,
     constant_entries,
     dimension_counts,
-    embed_j,
     entry_lines,
     gram_form,
     is_member,
-    j_image_contains,
     jacobi_failures,
     membership_residual,
-    parabolic_basis,
 )
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO, \
@@ -38,10 +34,16 @@ from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO, \
 
 from oracles import (
     OneWayBracketTable,
+    bordered_basis,
+    coefficients_of,
     conjugate,
+    embed_j,
     even_span_route,
+    j_image_contains,
     matrix_built_basis,
     original_parabolic_basis,
+    parabolic_basis,
+    parabolic_strays,
     stabilized_subspace_indices,
     super_jacobi_holds,
     witness_membership,
@@ -282,7 +284,7 @@ def _all_pairs_closure(bas):
                 continue
             br = gp.matrix.superbracket(gq.matrix)
             try:
-                coeffs = bas.coefficients_of(br)
+                coeffs = coefficients_of(bas, br)
             except NotInSpanError:
                 failures.append((gp.tag, gq.tag))
                 continue
@@ -539,7 +541,7 @@ def test_coefficients_of_round_trip():
             want[g.tag] = c
         term = g.matrix * c
         combo = term if combo is None else combo + term
-    got = bas.coefficients_of(combo)
+    got = coefficients_of(bas, combo)
     assert {t: c for t, c in got.items() if not c.is_zero()} == want
     # read in generator order, whatever order the entries were built in
     reverse = None
@@ -547,7 +549,7 @@ def test_coefficients_of_round_trip():
         if g.tag in want:
             term = g.matrix * want[g.tag]
             reverse = term if reverse is None else reverse + term
-    assert list(bas.coefficients_of(reverse).items()) == list(want.items())
+    assert list(coefficients_of(bas, reverse).items()) == list(want.items())
 
 
 def test_coefficients_of_rejects_non_member():
@@ -555,7 +557,7 @@ def test_coefficients_of_rejects_non_member():
     sh = bas.gram.matrix.rows
     outside = SuperMatrix.build(sh, sh, {(0, 0): ONE}, parity=0)
     with pytest.raises(NotInSpanError):
-        bas.coefficients_of(outside)
+        coefficients_of(bas, outside)
 
 
 def test_coefficients_of_rejects_support_off_the_primary_slots():
@@ -570,7 +572,7 @@ def test_coefficients_of_rejects_support_off_the_primary_slots():
     for slot in forced:
         outside = SuperMatrix.build(sh, sh, {slot: ONE})
         with pytest.raises(NotInSpanError):
-            bas.coefficients_of(outside)
+            coefficients_of(bas, outside)
 
 
 def test_coefficients_of_rejects_non_scalar_primary_entry():
@@ -581,7 +583,7 @@ def test_coefficients_of_rejects_non_scalar_primary_entry():
     candidate = gen.matrix.lift(ctx) * ctx.var("theta")
     assert not candidate[gen.primary].is_scalar()
     with pytest.raises(NotInSpanError, match="not scalar"):
-        bas.coefficients_of(candidate)
+        coefficients_of(bas, candidate)
 
 
 def test_coefficients_of_rejects_non_scalar_forced_entry():
@@ -597,7 +599,7 @@ def test_coefficients_of_rejects_non_scalar_forced_entry():
         {forced: ctx.var("theta")}, ctx=ctx, parity=None)
     assert candidate[gen.primary] == ctx.one
     with pytest.raises(NotInSpanError, match="not in the span"):
-        bas.coefficients_of(candidate)
+        coefficients_of(bas, candidate)
 
 
 @pytest.mark.parametrize("case", [("odd", 2, 1), ("even", 1, 2),
@@ -827,33 +829,101 @@ def test_isomorphism_suite_fails_when_two_generators_share_an_image(
     assert records["dj-bracket"].ok
 
 
-def test_isomorphism_suite_fails_dj_bracket_on_a_scaled_generator(
-        monkeypatch):
-    real = suites.bordered_basis
+@pytest.mark.parametrize("every", [False, True])
+def test_isomorphism_suite_fails_dj_bracket_on_a_scaled_entry_of_P(
+        monkeypatch, every):
+    """A scaled entry of P breaks P^ST P = E.  The images stay members with
+    a zero border (with every entry doubled they are 4 X), so j-image-slice
+    passes and only the P^ST P = E test is left to catch that j stops
+    being multiplicative (4 j(XY) = j(X) j(Y) in the second case)."""
+    real = suites.border_matrix
 
-    def scaled(generators):
-        bordered = real(generators)
-        return _scale_one(bordered, bordered.tags()[-1], 2)
+    def scaled(k1, l1):
+        p = real(k1, l1)
+        return SuperMatrix.build(p.rows, p.cols, {
+            slot: v * 2 if every or slot == (1, 0) else v
+            for slot, v in p.entries.items()})
 
     assert _dj_record(2, 1).ok
-    monkeypatch.setattr(suites, "bordered_basis", scaled)
-    record = _dj_record(2, 1)
+    monkeypatch.setattr(suites, "border_matrix", scaled)
+    records = _iso_records(2, 1)
+    record = records["dj-bracket"]
     assert not record.ok and record.witness == "12^2 pairs"
+    assert records["j-image-slice"].ok
 
 
-def test_isomorphism_suite_fails_dj_bracket_on_a_dropped_constant(
+def test_isomorphism_suite_fails_dj_bracket_on_swapped_odd_slots(
         monkeypatch):
+    """A P that sends the first two odd source indices to each other's
+    target slots keeps P^ST P = E, but its images leave primed osp(4|2):
+    dj-bracket and j-image-slice fail, and dj-parabolic reports the image
+    it cannot read off as undetermined."""
+    real = suites.border_matrix
+
+    def swapped(k1, l1):
+        p = real(k1, l1)
+        a, b = p.cols.even, p.cols.even + 1
+        entries = dict(p.entries)
+        del entries[(a + 1, a)], entries[(b + 1, b)]
+        entries[(b + 1, a)] = entries[(a + 1, b)] = ONE
+        return SuperMatrix.build(p.rows, p.cols, entries)
+
+    p = swapped(2, 1)
+    assert p.parity == 0
+    assert p.supertranspose() @ p == SuperMatrix.identity(p.cols)
+    monkeypatch.setattr(suites, "border_matrix", swapped)
+    records = _iso_records(2, 1)
+    assert not records["dj-bracket"].ok
+    assert not records["j-image-slice"].ok
+    assert not records["dj-parabolic"].ok
+    assert records["dj-parabolic"].witness.startswith("undetermined: j(")
+
+
+def test_isomorphism_suite_fails_dj_bracket_when_the_source_does_not_close(
+        monkeypatch):
+    """closure_check reporting a failed pair on the source fails dj-bracket
+    and nothing else: the suite's only closure is the source's."""
     real = suites.closure_check
 
-    def dropping(bas):
+    def failing(bas):
         report = real(bas)
-        if bas.gram.shape.even % 2:  # the source, not the bordered basis
-            return report
-        return dict(report,
-                    structure_constants=report["structure_constants"][1:])
+        return dict(report, failures=[*report["failures"],
+                                      tuple(bas.tags()[:2])])
 
-    monkeypatch.setattr(suites, "closure_check", dropping)
-    assert not _dj_record(2, 1).ok
+    monkeypatch.setattr(suites, "closure_check", failing)
+    records = _iso_records(2, 1)
+    assert [r.check_id for r in records.values() if not r.ok] \
+        == ["dj-bracket"]
+
+
+@pytest.mark.parametrize("k1", [1, 2, 3, 4])
+@pytest.mark.parametrize("l1", [1, 2, 3, 4])
+def test_j_images_match_the_matrix_bordering(monkeypatch, k1, l1):
+    """Each image table P X P^T of the suite equals the constant entries of
+    embed_j(X), and the dj-parabolic stray list equals the matrix route's
+    (embed_j, then coefficients_of), as it stands and with the p1 pattern
+    narrowed so that strays occur."""
+    real = suites.conjugate_entries
+    made = []
+
+    def recording(entries, s_rows, s_inv_cols):
+        out = real(entries, s_rows, s_inv_cols)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(suites, "conjugate_entries", recording)
+    assert suites.suite_isomorphism(k1, l1).ok
+    monkeypatch.undo()
+    src, target = basis("primed", 2 * k1 - 1, l1), basis("primed", 2 * k1, l1)
+    images = made[-len(src):]
+    assert images == [constant_entries(embed_j(g.matrix)) for g in src]
+    assert suites._parabolic_strays(src, target, images) \
+        == (len(parabolic_basis("p", k1, l1)), [])
+    assert parabolic_strays(k1, l1) == []
+    monkeypatch.setitem(PARABOLIC_TAGS, "p1",
+                        PARABOLIC_TAGS["p1"] - {"A11", "B11"})
+    _, stray = suites._parabolic_strays(src, target, images)
+    assert stray and stray == parabolic_strays(k1, l1)
 
 
 def test_j_image_characterization():
@@ -876,8 +946,9 @@ def _witness_spans(k1, l1, m):
     image of the even part of primed osp(2k1-1|2l1)."""
     full = basis("primed", 2 * k1, l1)
     pieces = suites.components(m).values()
-    return (all(suites._in_even_span(full, p) for p in pieces),
-            all(suites._in_j_image(full, p) for p in pieces))
+    in_full = all(suites._in_even_span(full, p) for p in pieces)
+    return (in_full,
+            in_full and all(suites._in_j_image(p, full.gram) for p in pieces))
 
 
 def _with_extra_entry(rng, m, where):
@@ -1076,7 +1147,7 @@ def test_embed_j_carries_p_pattern_into_p1_pattern(k1, l1):
     ambient = basis("primed", 2 * k1, l1)
     allowed = PARABOLIC_TAGS["p1"]
     for g in p:
-        coeffs = ambient.coefficients_of(embed_j(g.matrix))
+        coeffs = coefficients_of(ambient, embed_j(g.matrix))
         for tag, c in coeffs.items():
             if not c.is_zero():
                 assert tag.split(":")[0] in allowed, (g.tag, tag)
