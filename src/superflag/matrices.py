@@ -408,12 +408,14 @@ class SuperMatrix:
     # -- rendering ----------------------------------------------------------------
 
     def render(self):
-        """Rows separated by ';', entries by ',' (spaces after separators)."""
+        """Rows separated by ';', entries by ',' (spaces after separators);
+        an absent entry is written "0" without building a zero."""
+        get, cols = self.entries.get, range(self.cols.total)
         rows = []
         for i in range(self.rows.total):
-            rows.append(
-                ", ".join(self[i, j].render() for j in range(self.cols.total))
-            )
+            rows.append(", ".join(
+                "0" if (v := get((i, j))) is None else v.render()
+                for j in cols))
         return "; ".join(rows)
 
     def __str__(self):

@@ -54,23 +54,26 @@ residuals.
 Every generator entry is a constant, so structure constants are computed
 on the normalised 5-tuples of ``scalars`` (``q``): ``components`` splits
 a matrix into its Grassmann components ``{monomial key: {slot: q}}``.
-``basis`` makes each generator as its entry table first: it checks the
-table's slot parities and residual, builds the matrix from it and keeps
-the tables as ``OspBasis.entry_table``.  ``closure_check`` brackets on
-those tables, ``OspBasis.read_off``, the one span test for constant
-matrices, expands a bracket or a candidate, and ``conjugate_entries``
-forms S^-1 M S, and the zero-bordering P M P^T (``border_matrix``), on
-the same tables.  The Jacobi and center checks read one
-table of the constants filled in both orders of each pair
+``basis`` makes each generator as its entry table, the one form a
+``Generator`` stores: it checks the table's slot parities and residual,
+and ``Generator.matrix`` is built from the table on first read, by the
+``osp-basis`` command, the charts and the tests; the osp-defining,
+isomorphism and imp-witness suites never read it.  ``basis`` and
+``gram_form`` keep ``CACHE_SIZE`` results, enough for every basis one
+run asks for.  ``closure_check`` brackets on the tables
+(``OspBasis.entry_table``), ``OspBasis.read_off``, the one span test for
+constant matrices, expands a bracket or a candidate, and
+``conjugate_entries`` forms S^-1 M S, and the zero-bordering P M P^T
+(``border_matrix``), on the same tables.  The Jacobi and center checks
+read one table of the constants filled in both orders of each pair
 (``BracketTable``), built once per closure report, and compose and reduce
 tuple rows; every sum of such dicts is ``scalars.add_scaled``.
 FieldScalar appears only in what they hand out: the structure constants
-and the center matrices.  The matrix-bracket Jacobi
-identity, the conjugation by two matrix products, the one-way constant
-table, the residual on whole term dicts, the matrix-first basis, the
-matrix bordering with its span test and the odd/even stabilizer of the
-base flag, which the tests compare these with, live in
-``tests/oracles.py``.
+and the center matrices.  The matrix-bracket Jacobi identity, the
+conjugation by two matrix products, the one-way constant table, the
+residual on whole term dicts, the matrix-first basis, the matrix
+bordering with its span test and the odd/even stabilizer of the base
+flag, which the tests compare these with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -112,10 +115,22 @@ class GramForm:
 
 @dataclass(frozen=True)
 class Generator:
+    """A basis generator stored as its nonzero entries ``{slot: q}``, with
+    its +1 primary slot and the square shape of its algebra.  ``matrix``
+    is built from the table on first access and then kept."""
+
     tag: str
     parity: int
-    matrix: SuperMatrix
+    entries: dict
     primary: tuple
+    shape: BlockShape
+
+    @functools.cached_property
+    def matrix(self):
+        return SuperMatrix.from_terms(self.shape, self.shape, NUMERIC_CTX,
+                                      self.parity,
+                                      {slot: {CONSTANT: q}
+                                       for slot, q in self.entries.items()})
 
 
 @dataclass
@@ -125,7 +140,6 @@ class OspBasis:
     _by_tag: dict = field(default_factory=dict, repr=False, compare=False)
     _by_primary: dict = field(default_factory=dict, repr=False,
                               compare=False)
-    _table: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -152,15 +166,9 @@ class OspBasis:
         return [g for g in self.generators if g.parity == 1]
 
     def entry_table(self):
-        """Each generator's entries as ``{slot: q}``: the tables a
-        ``basis`` was built from, or, for a basis of other generators,
-        read off their matrices on first use.  The read-off and
-        ``closure_check`` work on these 5-tuples."""
-        if self._table is None:
-            self._table = tuple(
-                constant_entries(g.matrix, f"generator {g.tag}")
-                for g in self.generators)
-        return self._table
+        """Each generator's entries as ``{slot: q}``, in generator order.
+        The read-off and ``closure_check`` work on these 5-tuples."""
+        return tuple(g.entries for g in self.generators)
 
     def read_off(self, entries):
         """The coefficients of a matrix given by its nonzero entries as
@@ -176,12 +184,12 @@ class OspBasis:
         terms, ``bracket_entries`` and the witness components never store
         one), so dict equality is the whole comparison.
         """
-        table, by_primary = self.entry_table(), self._by_primary
+        gens, by_primary = self.generators, self._by_primary
         coeffs = sorted((by_primary[slot], c) for slot, c in entries.items()
                         if slot in by_primary)
         acc = {}
         for i, c in coeffs:
-            add_scaled(acc, table[i], c)
+            add_scaled(acc, gens[i].entries, c)
         return coeffs if acc == entries else None
 
 
@@ -222,6 +230,14 @@ def entry_lines(entries, by_column=False):
 # ---------------------------------------------------------------------------
 
 
+#: The slots of the ``basis`` and ``gram_form`` caches, enough to hold
+#: every basis of a run: the ``structure`` benchmark deck asks for 32
+#: distinct bases, ``fields`` for 6, ``witness-weights`` for 5 and the
+#: default ``verify`` for 10.  All 32 ``structure`` bases take 0.92 MB
+#: as entry tables (tracemalloc), against 1.97 MB with their matrices.
+CACHE_SIZE = 64
+
+
 def _check_sizes(flavor, a, b):
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError(f"invalid sizes ({a}, {b}) for flavor {flavor!r}")
@@ -239,7 +255,7 @@ def _shape(flavor, a, b):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def gram_form(flavor, a, b):
     """The Gram matrix of the defining form for the given flavor and sizes,
     written as its signed permutation: the even halves of size h swap,
@@ -247,8 +263,8 @@ def gram_form(flavor, a, b):
     and the odd halves swap with sign +1 then -1.
 
     Parameters mean (m, n) for ``odd``, (k, l) for ``even`` and (t, l) for
-    ``primed`` where t is the full even size 2k-1 or 2k.  Memoised like
-    ``basis``, whose forms these are.
+    ``primed`` where t is the full even size 2k-1 or 2k.  Memoised in
+    CACHE_SIZE slots like ``basis``, whose forms these are.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -412,20 +428,19 @@ def _gl_specs(shape):
             if (i >= p) ^ (j >= p) == parity]
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def basis(flavor, a, b):
     """Canonical generators, one per free block entry, all verified members.
 
-    Memoised for the four bases one suite run asks for (the isomorphism
-    suite's odd, even and two primed ones); an unbounded cache would keep
-    every basis a long-running process ever built.  Callers share the
-    result, so its ``generators`` is a tuple and nothing mutates a matrix.
+    Memoised, with ``gram_form``, in CACHE_SIZE slots, enough for every
+    basis one run asks for (see ``CACHE_SIZE``).  Callers share the
+    result, so its ``generators`` is a tuple and nothing mutates a table.
 
-    Each generator is born as its entry table ``{slot: q}``: every slot's
-    parity must be the family's (ParityError otherwise), and its
-    ``entry_residual`` must be empty (AssertionError otherwise).  Only
-    then is the matrix built, with the family's parity, and the tables
-    become the basis's ``entry_table``.
+    Each generator is born as its entry table ``{slot: q}``, which is the
+    only form it stores: every slot's parity must be the family's
+    (ParityError otherwise), and its ``entry_residual`` must be empty
+    (AssertionError otherwise).  Its matrix is built from the table, with
+    the family's parity, only when something reads ``Generator.matrix``.
     """
     _check_sizes(flavor, a, b)
     shape = _shape(flavor, a, b)
@@ -436,19 +451,15 @@ def basis(flavor, a, b):
         specs = _family_specs("primed" if flavor == "primed" else "original",
                               gram)
     p = shape.even
-    gens, tables = [], []
+    gens = []
     for tag, parity, entries, primary in specs:
         if any((i >= p) ^ (j >= p) != parity for i, j in entries):
             raise ParityError(f"generator {tag}: declared parity {parity}"
                               " contradicts its slots")
         if gram is not None and entry_residual(entries, gram):
             raise AssertionError(f"generator {tag} fails the defining equation")
-        mat = SuperMatrix.from_terms(shape, shape, NUMERIC_CTX, parity,
-                                     {slot: {CONSTANT: q}
-                                      for slot, q in entries.items()})
-        gens.append(Generator(tag, parity, mat, primary))
-        tables.append(entries)
-    return OspBasis(gram, gens, _table=tuple(tables))
+        gens.append(Generator(tag, parity, entries, primary, shape))
+    return OspBasis(gram, gens)
 
 
 def dimension_counts(flavor, a, b):
@@ -671,14 +682,14 @@ def center_from_constants(bas, br):
                     break
             if tracker.is_full():
                 break
-        like = gens[sector[0]].matrix
+        shape = gens[sector[0]].shape
         for vec in tracker.nullspace():
             acc = {}
             for c, i in zip(vec, sector):
                 if c:
                     add_scaled(acc, table[i], c.q)
             out.append(SuperMatrix.from_terms(
-                like.rows, like.cols, like.ctx, parity,
+                shape, shape, NUMERIC_CTX, parity,
                 {slot: {CONSTANT: q} for slot, q in acc.items()}))
     return out
 

@@ -26,6 +26,8 @@ a silent union.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .scalars import (
     Q_MINUS_ONE, Q_ONE, Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg,
     q_render, scaled, signed_sum,
@@ -34,6 +36,9 @@ from .scalars import (
 
 #: The monomial key of a constant term.
 CONSTANT = ((), ())
+
+#: The exponent of a ``(var id, exponent)`` pair of a key's even part.
+_exponent = itemgetter(1)
 
 
 class ContextError(Exception):
@@ -498,21 +503,20 @@ class SuperPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        items = sorted(
-            self.terms.items(),
-            key=lambda kv: (
-                sum(e for _, e in kv[0][0]) + len(kv[0][1]),
-                kv[0],
-            ),
-        )
+        """The terms by ascending total degree, then by monomial key."""
+        even, odd = self.ctx._even, self.ctx._odd
+        items = [(sum(map(_exponent, ek)) + len(ok), ek, ok, q)
+                 for (ek, ok), q in self.terms.items()]
+        if len(items) > 1:
+            items.sort()
         summands = []
-        for (ek, ok), q in items:
+        for _, ek, ok, q in items:
             factors = []
             for vid, e in ek:
-                name = self.ctx._even[vid]
+                name = even[vid]
                 factors.append(name if e == 1 else f"{name}^{e}")
             for oid in ok:
-                factors.append(self.ctx._odd[oid])
+                factors.append(odd[oid])
             summands.append(scaled(q_render(q), "*".join(factors)))
         return signed_sum(summands)
 

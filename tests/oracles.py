@@ -280,10 +280,10 @@ def matrix_built_basis(flavor, a, b):
     """``basis(flavor, a, b)`` built matrix first: each spec's entries, as
     FieldScalars, go through ``SuperMatrix.build`` with the family parity,
     which checks the entries against it, the matrix must pass
-    ``residual_terms``, and the entry table is read back off the matrices
-    with ``constant_entries``.  Returns ``(basis, entry tables)``.  It
-    shares the family specs with the library, not the route from a spec
-    to a generator."""
+    ``residual_terms``, and each generator's entry table is read back off
+    its matrix with ``constant_entries``.  Returns ``(basis, matrices)``,
+    the matrices in generator order.  It shares the family specs with the
+    library, not the route from a spec to a generator."""
     shape = osp._shape(flavor, a, b)
     if flavor == "gl":
         gram, specs = None, osp._gl_specs(shape)
@@ -291,7 +291,7 @@ def matrix_built_basis(flavor, a, b):
         gram = osp.gram_form(flavor, a, b)
         specs = osp._family_specs(
             "primed" if flavor == "primed" else "original", gram)
-    gens = []
+    gens, mats = [], []
     for tag, parity, entries, primary in specs:
         mat = SuperMatrix.build(
             shape, shape,
@@ -299,9 +299,10 @@ def matrix_built_basis(flavor, a, b):
             parity=parity)
         if gram is not None and any(residual_terms(mat, gram).values()):
             raise AssertionError(f"generator {tag} fails the defining equation")
-        gens.append(Generator(tag, parity, mat, primary))
-    tables = tuple(constant_entries(g.matrix) for g in gens)
-    return OspBasis(gram, gens), tables
+        gens.append(Generator(tag, parity, constant_entries(mat), primary,
+                              shape))
+        mats.append(mat)
+    return OspBasis(gram, gens), mats
 
 
 def super_jacobi_holds(x, y, z):
@@ -392,13 +393,15 @@ def bordered_basis(generators):
     """The zero-bordered images (``embed_j``) of primed osp(2k1-1|2l1)
     generators, as a basis of their span in primed osp(2k1|2l1): each
     keeps its tag and parity, and its primary slot shifts by (1, 1)."""
-    gens = [Generator(g.tag, g.parity, embed_j(g.matrix),
-                      (g.primary[0] + 1, g.primary[1] + 1))
-            for g in generators]
-    if not gens:
+    images = [embed_j(g.matrix) for g in generators]
+    if not images:
         raise ValueError("no generators to border")
-    t, l1 = gens[0].matrix.rows.even, gens[0].matrix.rows.odd // 2
-    return OspBasis(osp.gram_form("primed", t, l1), gens)
+    shape = images[0].rows
+    gens = [Generator(g.tag, g.parity, constant_entries(img),
+                      (g.primary[0] + 1, g.primary[1] + 1), shape)
+            for g, img in zip(generators, images)]
+    return OspBasis(osp.gram_form("primed", shape.even, shape.odd // 2),
+                    gens)
 
 
 def j_image_contains(m):

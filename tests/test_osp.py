@@ -606,13 +606,18 @@ def test_coefficients_of_rejects_non_scalar_forced_entry():
                                   ("primed", 3, 1), ("gl", 2, 1)])
 def test_cached_basis_is_immutable_and_repeatable(case):
     def rendered(bas):
-        return [(g.tag, g.parity, g.primary, g.matrix.render()) for g in bas]
+        return [(g.tag, g.parity, g.primary, g.entries, g.matrix.render())
+                for g in bas]
 
     first = basis(*case)
     assert isinstance(first.generators, tuple)
     with pytest.raises(AttributeError):
         first.generators.append(first.generators[0])
+    with pytest.raises(AttributeError):
+        first.generators[0].entries = {}
     again = basis(*case)
+    assert again is first
+    assert all(g.matrix is g.matrix for g in again)   # built once, kept
     assert rendered(again) == rendered(first)
     basis.cache_clear()
     gram_form.cache_clear()
@@ -754,7 +759,8 @@ def test_bordered_constants_match_source_and_matrix_oracle(k1, l1):
 
 
 def _scale_one(bordered, tag, factor):
-    gens = [Generator(g.tag, g.parity, g.matrix * factor, g.primary)
+    gens = [Generator(g.tag, g.parity, constant_entries(g.matrix * factor),
+                      g.primary, g.shape)
             if g.tag == tag else g for g in bordered.generators]
     return OspBasis(bordered.gram, gens)
 
@@ -1277,20 +1283,22 @@ def test_basis_rejects_a_spec_parity_that_contradicts_its_entries(
 def test_basis_born_as_entry_tables_matches_the_matrix_built_oracle(flavor):
     """Generators born as ``{slot: q}`` tables give the basis that the
     matrix-first route builds (``oracles.matrix_built_basis``): the same
-    tags, parities, primaries, matrices with their parities, and entry
-    tables, at every size up to 5."""
+    tags, parities, primaries, shapes and entry tables, and a
+    ``Generator.matrix`` equal to the oracle's matrix with its parity, at
+    every size up to 5."""
     for a in range(6):
         for b in range(6):
             if a == b == 0:
                 continue
-            want, tables = matrix_built_basis(flavor, a, b)
+            want, mats = matrix_built_basis(flavor, a, b)
             got = basis(flavor, a, b)
             assert got.tags() == want.tags()
-            for g, w in zip(got, want):
+            for g, w, mat in zip(got, want, mats):
                 assert (g.parity, g.primary) == (w.parity, w.primary), g.tag
-                assert g.matrix == w.matrix, g.tag
-                assert g.matrix.parity == w.matrix.parity == g.parity
-            assert got.entry_table() == tables
+                assert g.shape == mat.rows == mat.cols, g.tag
+                assert g.matrix == mat, g.tag
+                assert g.matrix.parity == mat.parity == g.parity
+            assert got.entry_table() == want.entry_table()
             assert got == want
 
 
@@ -1341,3 +1349,32 @@ def test_bracket_table_keeps_the_failures_of_its_report():
     closure["failures"].extend(_late_failure(closure)["failures"])
     assert table.failures == []
     assert center_from_constants(bas, table) == []
+
+
+def test_table_suites_build_no_generator_matrix(monkeypatch):
+    """osp-defining, isomorphism and imp-witness read only the
+    generators' entry tables: no suite reads ``Generator.matrix``, even
+    of a basis whose matrices another caller already built."""
+    built = []
+    real = osp.Generator.matrix.func
+
+    def counted(g):
+        built.append(g.tag)
+        return real(g)
+
+    basis("odd", 3, 3).generators[0].matrix
+    monkeypatch.setattr(osp.Generator, "matrix", property(counted))
+    for report in (suites.suite_osp_defining(3, 3),
+                   suites.suite_isomorphism(3, 3),
+                   suites.suite_imP_witness(3, 2)):
+        assert report.ok, report.suite
+    assert built == []
+
+
+def test_second_default_run_rebuilds_no_basis():
+    """The basis cache holds every basis of ``run_all``: a second pass in
+    the same process misses it not once."""
+    suites.run_all(4)
+    misses = basis.cache_info().misses
+    suites.run_all(4)
+    assert basis.cache_info().misses == misses
