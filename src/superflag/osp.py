@@ -61,8 +61,11 @@ and ``Generator.matrix`` is built from the table on first read, by the
 isomorphism and imp-witness suites never read it.  ``basis`` and
 ``gram_form`` keep ``CACHE_SIZE`` results, enough for every basis one
 run asks for.  ``closure_check`` brackets on the tables
-(``OspBasis.entry_table``), ``OspBasis.read_off``, the one span test for
-constant matrices, expands a bracket or a candidate, and
+(``OspBasis.entry_table``): it indexes them by row and by column once per
+call and sweeps each generator once against that index, forming its
+bracket with every later generator that meets it; ``bracket_entries`` forms one
+bracket with the same sweep.  ``OspBasis.read_off``, the one span test
+for constant matrices, expands a bracket or a candidate, and
 ``conjugate_entries`` forms S^-1 M S, and the zero-bordering P M P^T
 (``border_matrix``), on the same tables.  The Jacobi and center checks
 read one table of the constants filled in both orders of each pair
@@ -181,12 +184,15 @@ class OspBasis:
         combination is re-assembled with ``add_scaled``, which drops the
         slots that cancel, and must equal the entries, which makes the
         read-off a sound span test.  No entry dict holds a zero (polynomial
-        terms, ``bracket_entries`` and the witness components never store
-        one), so dict equality is the whole comparison.
+        terms, the brackets of ``closure_check`` and ``bracket_entries``
+        and the witness components never store one), so dict equality is
+        the whole comparison.
         """
         gens, by_primary = self.generators, self._by_primary
-        coeffs = sorted((by_primary[slot], c) for slot, c in entries.items()
-                        if slot in by_primary)
+        coeffs = [(i, c) for slot, c in entries.items()
+                  if (i := by_primary.get(slot)) is not None]
+        if len(coeffs) > 1:
+            coeffs.sort()
         acc = {}
         for i, c in coeffs:
             add_scaled(acc, gens[i].entries, c)
@@ -491,46 +497,42 @@ def closure_check(bas):
     basis (a parabolic) a bracket landing outside the subset is a failure,
     which is exactly the subalgebra test.
 
-    Only the pairs whose matrices meet are bracketed: XY = 0 unless a
-    column of X is a row of Y, and YX = 0 unless a row of X is a column of
-    Y.  Every other pair brackets to zero, which expands to no constant and
-    cannot fail, so it is skipped; ``pairs`` still counts all N(N+1)/2.
-    The candidates of each p are walked in ascending q, so the constants
-    come out in the order of the all-pairs loop.
-
     Every generator entry is a constant, so the brackets never leave
-    Q(i, sqrt2): each generator is read once per call as ``{slot: q}``
-    (``OspBasis.entry_table``) with a row index, ``bracket_entries`` forms
-    each meeting pair's bracket from those tables and ``OspBasis.read_off``
-    expands it.  No matrix or polynomial is built per pair, and only the
-    reported constants become FieldScalars.
+    Q(i, sqrt2).  The tables (``OspBasis.entry_table``) are indexed by row
+    and by column once per call and per parity of a left factor
+    (``_index``), and each generator e_p is swept once against its
+    parity's index (``_sweep``), which forms [e_p, e_q] for every q >= p
+    whose matrix meets e_p's.  Every other pair brackets to
+    zero, which expands to no constant and cannot fail, so it is never
+    formed; ``pairs`` still counts all N(N+1)/2.  The partners are expanded
+    with ``OspBasis.read_off`` in ascending q, so the constants come out in
+    the order of the all-pairs loop.  No matrix or polynomial is built per
+    pair, and only the reported constants become FieldScalars.
     """
     constants = []
     failures = []
     gens = bas.generators
-    tables = []
-    by_row, by_col = {}, {}
-    for q, entries in enumerate(bas.entry_table()):
-        for i, j in entries:
-            by_row.setdefault(i, set()).add(q)
-            by_col.setdefault(j, set()).add(q)
-        tables.append((entries, entry_lines(entries)))
+    tags = bas.tags()
+    tables, parities = bas.entry_table(), [g.parity for g in gens]
+    indexes = [_index(tables, parities, odd) for odd in (0, 1)]
     for p, gp in enumerate(gens):
-        meets = set()
-        for i, j in tables[p][0]:
-            meets.update(by_row.get(j, ()))
-            meets.update(by_col.get(i, ()))
-        for q in sorted(meets):
-            if q < p or (q == p and gp.parity == 0):
-                continue  # [X, X] = 0 identically for even X
-            gq = gens[q]
-            found = bas.read_off(bracket_entries(
-                tables[p], tables[q], gp.parity and gq.parity))
+        # [X, X] = 0 identically for even X
+        brackets = _sweep(gp.entries, *indexes[gp.parity],
+                          p if gp.parity else p + 1)
+        for q in sorted(brackets):
+            entries = brackets[q]
+            if Q_ZERO in entries.values():
+                entries = {slot: c for slot, c in entries.items()
+                           if c != Q_ZERO}
+            found = bas.read_off(entries)
             if found is None:
-                failures.append((gp.tag, gq.tag))
+                failures.append((tags[p], tags[q]))
                 continue
-            for tag, c in sorted((gens[r].tag, c) for r, c in found):
-                constants.append((gp.tag, gq.tag, tag, FieldScalar.from_q(c)))
+            if len(found) > 1:
+                found.sort(key=lambda rc: tags[rc[0]])
+            for r, c in found:
+                constants.append((tags[p], tags[q], tags[r],
+                                  FieldScalar.from_q(c)))
     return {
         "pairs": len(gens) * (len(gens) + 1) // 2,
         "structure_constants": constants,
@@ -540,29 +542,52 @@ def closure_check(bas):
 
 def bracket_entries(x, y, both_odd):
     """The superbracket [X, Y] = XY - (-1)^{|X||Y|} YX of two constant
-    matrices, each given as ``(entries, rows)``: its ``{slot: q}`` entries
-    and a map from row to ``(column, q)`` pairs.  Returns the nonzero
-    entries as ``{slot: q}``; YX is added when ``both_odd``, else
-    subtracted.
+    matrices given as their nonzero entries ``{slot: q}``, by
+    ``closure_check``'s sweep with Y the one indexed table.  Returns the
+    nonzero entries; YX is added when ``both_odd``, else subtracted."""
+    acc = _sweep(x, *_index((y,), (both_odd,), both_odd), 0).get(0, {})
+    return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 
-    An entry of the left factor whose column is no row of the right one
-    is skipped before anything is computed, and a factor of 1 or -1
-    multiplies nothing: generator entries are mostly units."""
-    acc = {}
-    for (left, _), (_, right), negate in ((x, y, False),
-                                          (y, x, not both_odd)):
-        for (i, k), u in left.items():
-            line = right.get(k)
+
+def _index(tables, parities, odd):
+    """The ``{slot: q}`` tables of Y_0, Y_1, ... for a left factor X of
+    parity ``odd``: by row, ``{row: [(q, column, v)]}``, and by column,
+    ``{column: [(q, row, w)]}`` with w the entry signed as YX is in [X,
+    Y_q] = X Y_q - (-1)^{|X||Y_q|} Y_q X: v when X and Y_q are both odd,
+    else -v.  Lines list q in ascending order."""
+    rows, cols = {}, {}
+    for q, (entries, parity) in enumerate(zip(tables, parities)):
+        for (i, j), v in entries.items():
+            rows.setdefault(i, []).append((q, j, v))
+            cols.setdefault(j, []).append(
+                (q, i, v if odd and parity else q_neg(v)))
+    return rows, cols
+
+
+def _sweep(entries, rows, cols, lo):
+    """[X, Y_q] as ``{q: {slot: c}}`` for X given by its ``entries`` and
+    each Y_q, q >= lo, of the ``_index`` lines ``rows`` and ``cols`` built
+    for X's parity that meets X; a slot that cancels is kept as 0.
+    Entry X[i, k] meets row k of Y_q in X Y_q and column i in Y_q X, so
+    each entry of X is read once.  A factor of 1 or -1 multiplies
+    nothing: generator entries are mostly units."""
+    out = {}
+    for (i, k), u in entries.items():
+        plus, minus = u == Q_ONE, u == Q_MINUS_ONE
+        for line, left in ((rows.get(k), True), (cols.get(i), False)):
             if line is None:
                 continue
-            if negate:
-                u = q_neg(u)
-            plus, minus = u == Q_ONE, u == Q_MINUS_ONE
-            for j, v in line:
+            for q, t, v in reversed(line):
+                if q < lo:
+                    break
                 c = v if plus else q_neg(v) if minus else q_mul(u, v)
-                prev = acc.get((i, j))
-                acc[(i, j)] = c if prev is None else q_add(prev, c)
-    return {slot: c for slot, c in acc.items() if c != Q_ZERO}
+                acc = out.get(q)
+                if acc is None:
+                    acc = out[q] = {}
+                slot = (i, t) if left else (t, k)
+                prev = acc.get(slot)
+                acc[slot] = c if prev is None else q_add(prev, c)
+    return out
 
 
 class BracketTable:
@@ -604,14 +629,6 @@ class BracketTable:
                                  " basis")
         return coeffs
 
-    def compose(self, coeffs, other, left):
-        """[sum_r c_r e_r, other] if ``left``, else [other, sum_r c_r e_r]."""
-        acc = {}
-        for r, c in coeffs.items():
-            add_scaled(acc, self.of(r, other) if left else self.of(other, r),
-                       c)
-        return acc
-
 
 def jacobi_failures(br, triples):
     """The tag triples (x, y, z) that break the graded Jacobi identity
@@ -621,20 +638,31 @@ def jacobi_failures(br, triples):
 
     The basis is linearly independent, so the identity holds for the
     matrices exactly when it holds for the coefficient vectors.  A triple
-    that needs a bracket closure could not expand fails.
+    that needs a bracket closure could not expand (None in ``br.table``)
+    fails.
     """
     bad = []
+    get, parity = br.table.get, br.parity
+
+    def compose(acc, coeffs, other, left, negate=False):
+        # acc += sum_r c_r [other, e_r] ([e_r, other] if not left), with
+        # -c_r if negate; False when a bracket it needs is None
+        if coeffs is None:
+            return False
+        for r, c in coeffs.items():
+            part = get((other, r) if left else (r, other), {})
+            if part is None:
+                return False
+            add_scaled(acc, part, q_neg(c) if negate else c)
+        return True
+
     for x, y, z in triples:
-        try:
-            left = br.compose(br.of(y, z), x, left=False)
-            right = br.compose(br.of(x, y), z, left=True)
-            tail = br.compose(br.of(x, z), y, left=False)
-        except NotInSpanError:
-            bad.append((x, y, z))
-            continue
-        add_scaled(right, tail, Q_MINUS_ONE if br.parity[x] and br.parity[y]
-                   else Q_ONE)
-        if left != right:
+        left, right = {}, {}
+        if not (compose(left, get((y, z), {}), x, True)
+                and compose(right, get((x, y), {}), z, False)
+                and compose(right, get((x, z), {}), y, True,
+                            parity[x] and parity[y])
+                and left == right):
             bad.append((x, y, z))
     return bad
 

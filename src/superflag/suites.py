@@ -471,11 +471,10 @@ def suite_imP_witness(k1, l1):
             " subalgebra",
             bool(pieces) and in_full and outside,
             f"{len(pieces)} Grassmann components")
-    ma_table = (ta, entry_lines(ta))
     rep.add("self-bracket-control",
             "the bordered witness brackets with itself inside the embedded"
             " subalgebra",
-            _in_j_image(bracket_entries(ma_table, ma_table, both_odd=True),
+            _in_j_image(bracket_entries(ta, ta, both_odd=True),
                         full.gram))
     return rep
 

@@ -301,6 +301,9 @@ def _closure_oracle_basis(case):
                                     case[2]).generators)
     if kind == "parabolic":
         return parabolic_basis(case[1], case[2], case[3])
+    if kind == "scaled":
+        return _scale_one(basis(*case[1]), case[2],
+                          FieldScalar.parse(case[3]))
     return basis(*case)
 
 
@@ -309,10 +312,18 @@ def _closure_oracle_basis(case):
     ("odd", 2, 2), ("odd", 2, 3), ("odd", 3, 1), ("odd", 3, 2),
     ("odd", 3, 3), ("even", 2, 2), ("even", 3, 2), ("primed", 5, 2),
     ("primed", 6, 2), ("primed", 7, 2),
-    ("gl", 2, 1), ("bordered", 2, 2),
+    ("gl", 2, 1), ("gl", 3, 2), ("odd", 1, 0), ("odd", 0, 1),
+    ("bordered", 2, 2),
     ("parabolic", "p", 3, 2), ("parabolic", "p1", 2, 1),
+    ("scaled", ("odd", 2, 1), "A12:1,2", "2"),
+    ("scaled", ("odd", 2, 1), "B12:1,1", "i*r2"),
+    ("scaled", ("odd", 1, 2), "C12:1,2", "i*r2"),
 ])
 def test_closure_check_matches_all_pairs_oracle(case):
+    """The scaled bases, one generator times 2 or i*sqrt2, put entries
+    other than 1 and -1 into the brackets, which no library basis does;
+    their primary slot no longer holds 1, so the brackets landing on it
+    fail on both sides."""
     bas = _closure_oracle_basis(case)
     got, want = closure_check(bas), _all_pairs_closure(bas)
     assert got["pairs"] == want["pairs"]
@@ -320,22 +331,51 @@ def test_closure_check_matches_all_pairs_oracle(case):
     assert got["structure_constants"] == want["structure_constants"]
     if case[0] == "parabolic":
         assert got["failures"]
+    if case[0] == "scaled":
+        assert {c for _, _, _, c in got["structure_constants"]} \
+            - {ONE, -ONE}
+
+
+def test_bracket_entries_matches_the_matrix_superbracket():
+    """bracket_entries on seeded tables with entries other than 1 and -1,
+    for every parity of the two factors, equals the matrix superbracket."""
+    rng = random.Random(28)
+    shape = BlockShape(3, 4)
+    pool = [FieldScalar.parse(t) for t in
+            ("1", "-1", "2", "-1/3", "i", "r2", "1/2 - i*r2", "3*i + r2")]
+    slots = {parity: [(i, j) for i in range(7) for j in range(7)
+                      if (i >= 3) ^ (j >= 3) == parity] for parity in (0, 1)}
+    seen = set()
+    for _ in range(40):
+        px, py = rng.randrange(2), rng.randrange(2)
+        x, y = ({slot: rng.choice(pool) for slot in
+                 rng.sample(slots[parity], rng.randint(1, 8))}
+                for parity in (px, py))
+        want = SuperMatrix.build(shape, shape, x, parity=px).superbracket(
+            SuperMatrix.build(shape, shape, y, parity=py))
+        got = osp.bracket_entries({s: c.q for s, c in x.items()},
+                                  {s: c.q for s, c in y.items()},
+                                  px and py)
+        assert got == constant_entries(want), (x, y)
+        seen.add((px, py, bool(got)))
+    assert {(px, py) for px, py, nonzero in seen if nonzero} \
+        == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
     """A guard against quadratic pair work: at osp(9|8) most of the
     144 * 145 / 2 generator pairs share no matrix index and are never
-    bracketed.  closure_check makes each bracket with one bracket_entries
-    call."""
+    bracketed.  closure_check's sweep expands each bracket it forms with
+    one OspBasis.read_off call."""
     bas = basis("odd", 4, 4)
     calls = []
-    real = osp.bracket_entries
+    real = OspBasis.read_off
 
-    def counting(x, y, both_odd):
+    def counting(self, entries):
         calls.append(1)
-        return real(x, y, both_odd)
+        return real(self, entries)
 
-    monkeypatch.setattr(osp, "bracket_entries", counting)
+    monkeypatch.setattr(OspBasis, "read_off", counting)
     report = closure_check(bas)
     assert report["pairs"] == 10440
     assert report["failures"] == []
@@ -382,6 +422,31 @@ def test_jacobi_fails_every_triple_needing_a_missing_bracket():
     assert jacobi_failures(BracketTable(bas, closure), sorted(failing)) == []
     with pytest.raises(NotInSpanError):
         center_from_constants(bas, broken)
+
+
+@pytest.mark.parametrize("pair", [(0, 3), (3, 7), (5, 9)])
+def test_jacobi_fails_exactly_the_triples_needing_a_missing_bracket(pair):
+    """With one pair of osp(3|2) marked as failed, the failing triples are
+    those whose three sides read that pair in either order, as an outer
+    bracket or as one composed from an outer bracket's terms."""
+    bas = basis("odd", 1, 1)
+    closure = closure_check(bas)
+    tags = bas.tags()
+    x0, y0 = tags[pair[0]], tags[pair[1]]
+    missing = {(x0, y0), (y0, x0)}
+    whole = BracketTable(bas, closure)
+
+    def needs(x, y, z):
+        read = {(y, z), (x, y), (x, z)}
+        read |= {(x, r) for r in whole.of(y, z)}
+        read |= {(r, z) for r in whole.of(x, y)}
+        read |= {(y, r) for r in whole.of(x, z)}
+        return bool(read & missing)
+
+    triples = _all_triples(bas)
+    broken = BracketTable(bas, dict(closure, failures=[(x0, y0)]))
+    assert jacobi_failures(broken, triples) == [t for t in triples
+                                                if needs(*t)]
 
 
 def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
