@@ -65,9 +65,13 @@ run asks for.  ``closure_check`` brackets on the tables
 call and sweeps each generator once against that index, forming its
 bracket with every later generator that meets it; ``bracket_entries`` forms one
 bracket with the same sweep.  ``OspBasis.read_off``, the one span test
-for constant matrices, expands a bracket or a candidate, and
-``conjugate_entries`` forms S^-1 M S, and the zero-bordering P M P^T
-(``border_matrix``), on the same tables.  The Jacobi and center checks
+for constant matrices, expands a bracket or a candidate in one pass over
+its entries: the generators' supports are pairwise disjoint (``OspBasis``
+refuses a basis where two share a slot), so each entry is checked
+against the one generator that owns its slot (``OspBasis.owners``) and no
+combination is re-assembled.  ``conjugate_entries`` forms S^-1 M S, and
+the zero-bordering P M P^T (``border_matrix``), on the same tables.  The
+Jacobi and center checks
 read one table of the constants filled in both orders of each pair
 (``BracketTable``), built once per closure report, and compose and reduce
 tuple rows; every sum of such dicts is ``scalars.add_scaled``.
@@ -75,8 +79,9 @@ FieldScalar appears only in what they hand out: the structure constants
 and the center matrices.  The matrix-bracket Jacobi identity, the
 conjugation by two matrix products, the one-way constant table, the
 residual on whole term dicts, the matrix-first basis, the matrix
-bordering with its span test and the odd/even stabilizer of the base
-flag, which the tests compare these with, live in ``tests/oracles.py``.
+bordering with its span test, the read-off by re-assembly and the
+odd/even stabilizer of the base flag, which the tests compare these
+with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -138,17 +143,30 @@ class Generator:
 
 @dataclass
 class OspBasis:
+    """Generators with pairwise disjoint supports: ``owners`` maps each
+    slot some generator touches to ``(generator index, entry)``, and
+    ``__post_init__`` raises ValueError when two generators share a slot
+    or a generator's primary slot is not one of its entries."""
+
     gram: GramForm
     generators: tuple
     _by_tag: dict = field(default_factory=dict, repr=False, compare=False)
-    _by_primary: dict = field(default_factory=dict, repr=False,
-                              compare=False)
+    owners: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
         self._by_tag = {g.tag: g for g in self.generators}
-        self._by_primary = {g.primary: i
-                            for i, g in enumerate(self.generators)}
+        self.owners = {}
+        for i, g in enumerate(self.generators):
+            if g.primary not in g.entries:
+                raise ValueError(f"generator {g.tag}: primary slot"
+                                 f" {g.primary} is not one of its entries")
+            for slot, v in g.entries.items():
+                prev = self.owners.setdefault(slot, (i, v))
+                if prev[0] != i:
+                    raise ValueError(
+                        f"slot {slot} is shared by generators"
+                        f" {self.generators[prev[0]].tag} and {g.tag}")
 
     def __len__(self):
         return len(self.generators)
@@ -178,25 +196,42 @@ class OspBasis:
         ``{slot: q}``: ``(generator index, q)`` pairs in generator order,
         or None when the matrix is not in the span.
 
-        Each generator owns a distinct +1 "primary" slot that no other
-        generator touches, so the candidate coefficients are the entries on
-        primary slots: only the nonzero entries are visited.  The
-        combination is re-assembled with ``add_scaled``, which drops the
-        slots that cancel, and must equal the entries, which makes the
-        read-off a sound span test.  No entry dict holds a zero (polynomial
-        terms, the brackets of ``closure_check`` and ``bracket_entries``
-        and the witness components never store one), so dict equality is
-        the whole comparison.
+        The supports are disjoint, so (sum_i c_i g_i)[s] is c_o g_o[s] for
+        the one owner o of slot s, and each entry is checked once against
+        its owner: an unowned slot fails; an entry on the owner's primary
+        slot, which must hold 1 there, is the owner's coefficient c_o; any
+        other entry must be c_o g_o[s], with c_o read at the owner's
+        primary slot.  The owners' supports must then cover the entries
+        exactly, which their summed sizes decide, so the read-off is a
+        sound span test and builds no combination.  No entry dict holds a
+        zero (polynomial terms, the brackets of ``closure_check`` and
+        ``bracket_entries``, the generator tables and the witness
+        components never store one).
         """
-        gens, by_primary = self.generators, self._by_primary
-        coeffs = [(i, c) for slot, c in entries.items()
-                  if (i := by_primary.get(slot)) is not None]
+        owners, gens = self.owners, self.generators
+        coeffs, covered = [], 0
+        for slot, c in entries.items():
+            owner = owners.get(slot)
+            if owner is None:
+                return None
+            i, v = owner
+            g = gens[i]
+            if slot == g.primary:
+                if v != Q_ONE:
+                    return None
+                coeffs.append((i, c))
+                covered += len(g.entries)
+                continue
+            lead = entries.get(g.primary)
+            if lead is None or c != (lead if v == Q_ONE else
+                                     q_neg(lead) if v == Q_MINUS_ONE else
+                                     q_mul(lead, v)):
+                return None
+        if covered != len(entries):
+            return None
         if len(coeffs) > 1:
             coeffs.sort()
-        acc = {}
-        for i, c in coeffs:
-            add_scaled(acc, gens[i].entries, c)
-        return coeffs if acc == entries else None
+        return coeffs
 
 
 def components(m):

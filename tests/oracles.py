@@ -31,7 +31,9 @@ member's entries by (1, 1), ``bordered_basis``, ``j_image_contains`` and
 the suite's P X P^T on entry tables.  Likewise the matrix-first basis
 shares the family specs with ``osp.basis``, but not the route from a spec
 to a generator: ``build``'s parity check, the residual and the table read
-back off the matrix.
+back off the matrix.  ``reassembled_read_off`` sums the combination that
+the primary slots name and compares it with the entries, where
+``OspBasis.read_off`` checks each entry against its slot's owner.
 """
 
 from __future__ import annotations
@@ -358,8 +360,8 @@ def coefficients_of(bas, m):
     parts = components(m)
     entries = parts.pop(CONSTANT, {})
     others = {slot for part in parts.values() for slot in part}
-    bad = sorted(bas._by_primary[slot] for slot in others
-                 if slot in bas._by_primary)
+    owned = (bas.owners[slot][0] for slot in others if slot in bas.owners)
+    bad = sorted(i for i in owned if bas.generators[i].primary in others)
     if bad:
         raise NotInSpanError(f"slot {bas.generators[bad[0]].primary}"
                              " of the candidate is not scalar")
@@ -367,6 +369,21 @@ def coefficients_of(bas, m):
     if found is None:
         raise NotInSpanError("matrix is not in the span of the basis")
     return {bas.generators[i].tag: FieldScalar.from_q(c) for i, c in found}
+
+
+def reassembled_read_off(bas, entries):
+    """``OspBasis.read_off`` by re-assembly: the entries on primary slots
+    are the candidate coefficients, and the combination they give, summed
+    with ``add_scaled`` (which drops the slots that cancel), must equal
+    the entries.  ``(generator index, q)`` pairs in generator order, or
+    None; it reads no owner map and assumes no disjoint supports."""
+    by_primary = {g.primary: i for i, g in enumerate(bas.generators)}
+    coeffs = sorted((by_primary[slot], c) for slot, c in entries.items()
+                    if slot in by_primary)
+    acc = {}
+    for i, c in coeffs:
+        add_scaled(acc, bas.generators[i].entries, c)
+    return coeffs if acc == entries else None
 
 
 def embed_j(x):

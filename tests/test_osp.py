@@ -30,7 +30,7 @@ from superflag.osp import (
 )
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, ZERO, \
-    q_neg
+    add_scaled, q_neg
 
 from oracles import (
     OneWayBracketTable,
@@ -44,6 +44,7 @@ from oracles import (
     original_parabolic_basis,
     parabolic_basis,
     parabolic_strays,
+    reassembled_read_off,
     stabilized_subspace_indices,
     super_jacobi_holds,
     witness_membership,
@@ -194,17 +195,93 @@ def _bordered_even_basis(k1, l1):
                          + [("bordered", k1, l1) for k1 in (1, 2, 3)
                             for l1 in (1, 2, 3)])
 def test_primary_slots_are_private(case):
-    """coefficients_of reads each coefficient off its generator's primary
-    slot: +1 there, and zero there in every other generator."""
+    """OspBasis.read_off reads each coefficient off its generator's primary
+    slot, +1 there, and checks every other entry against the one generator
+    whose support holds it: the supports, primaries included, are
+    pairwise disjoint."""
     flavor, a, b = case
     gens = _bordered_even_basis(a, b) if flavor == "bordered" \
         else basis(flavor, a, b).generators
-    owner = {g.primary: g.tag for g in gens}
-    assert len(owner) == len(gens)
+    owner = {}
     for g in gens:
         assert g.matrix[g.primary] == ONE, g.tag
         for slot in g.matrix.entries:
-            assert owner.get(slot, g.tag) == g.tag, (g.tag, owner[slot])
+            assert owner.setdefault(slot, g.tag) == g.tag, (g.tag,
+                                                            owner[slot])
+
+
+def test_basis_refuses_generators_that_share_a_slot():
+    """A generator table holding another generator's entry, or missing its
+    own primary slot, is refused with the slot and the tags."""
+    bas = basis("odd", 1, 1)
+    gens = list(bas.generators)
+    first = gens[0]
+    other = next(g for g in gens[1:] if len(g.entries) == 2)
+    slot = next(s for s in other.entries if s != other.primary)
+    gens[0] = Generator(first.tag, first.parity,
+                        {**first.entries, slot: Q_ONE}, first.primary,
+                        first.shape)
+    with pytest.raises(ValueError) as err:
+        OspBasis(bas.gram, gens)
+    assert str(err.value) == (f"slot {slot} is shared by generators"
+                              f" {first.tag} and {other.tag}")
+    gens[0] = Generator(first.tag, first.parity, dict(first.entries),
+                        other.primary, first.shape)
+    with pytest.raises(ValueError, match=first.tag):
+        OspBasis(bas.gram, gens)
+
+
+def _read_off_inputs(bas, rng):
+    """Entry tables to read off ``bas``: seeded in-span combinations with
+    unit and non-unit coefficients, and each spoiled by a slot no
+    generator owns, a missing or sign-flipped partner entry or a missing
+    primary; the empty table."""
+    gens = bas.generators
+    n = gens[0].shape.total
+    pool = [FieldScalar.parse(t).q for t in
+            ("1", "-1", "2", "-1/3", "i", "r2", "1/2 - i*r2")]
+    unowned = [(i, j) for i in range(n) for j in range(n)
+               if (i, j) not in bas.owners] + [(n, n)]
+    inputs = [{}]
+    for _ in range(12):
+        chosen = rng.sample(range(len(gens)),
+                            rng.randint(1, min(4, len(gens))))
+        combo = {}
+        for i in chosen:
+            add_scaled(combo, gens[i].entries, rng.choice(pool))
+        inputs += [combo, {**combo, rng.choice(unowned): Q_ONE}]
+        pairs = [gens[i] for i in chosen if len(gens[i].entries) == 2]
+        if pairs:
+            g = rng.choice(pairs)
+            partner = next(s for s in g.entries if s != g.primary)
+            inputs += [{s: c for s, c in combo.items() if s != partner},
+                       {**combo, partner: q_neg(combo[partner])},
+                       {s: c for s, c in combo.items() if s != g.primary}]
+    return inputs
+
+
+@pytest.mark.parametrize("case", [(f, a, b) for f in ("odd", "even", "gl")
+                                  for a in (1, 2, 3) for b in (1, 2, 3)]
+                         + [("primed", 5, 2), ("primed", 6, 1),
+                            ("bordered", 2, 2),
+                            ("scaled", ("odd", 2, 1), "A12:1,2", "2"),
+                            ("scaled", ("odd", 1, 2), "C12:1,2", "i*r2"),
+                            ("scaled", ("gl", 2, 1), "E:1,1", "2"),
+                            ("forced", ("odd", 2, 1), "A12:1,2", "2")])
+def test_read_off_matches_the_reassembly_oracle(case):
+    """OspBasis.read_off, one pass against each slot's owner, returns what
+    the re-assembled combination returns, None included, on in-span and
+    spoiled tables.  A scaled generator, its primary not 1, reads as out
+    of the span on both sides; a forced one, 1 at its primary and 2 at its
+    other entry, reads as in it."""
+    bas = _closure_oracle_basis(case)
+    rng = random.Random(29)
+    outcomes = set()
+    for entries in _read_off_inputs(bas, rng):
+        got = bas.read_off(entries)
+        assert got == reassembled_read_off(bas, entries), entries
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_closure_osp_3_2():
@@ -301,9 +378,9 @@ def _closure_oracle_basis(case):
                                     case[2]).generators)
     if kind == "parabolic":
         return parabolic_basis(case[1], case[2], case[3])
-    if kind == "scaled":
+    if kind in ("scaled", "forced"):
         return _scale_one(basis(*case[1]), case[2],
-                          FieldScalar.parse(case[3]))
+                          FieldScalar.parse(case[3]), kind == "forced")
     return basis(*case)
 
 
@@ -318,12 +395,15 @@ def _closure_oracle_basis(case):
     ("scaled", ("odd", 2, 1), "A12:1,2", "2"),
     ("scaled", ("odd", 2, 1), "B12:1,1", "i*r2"),
     ("scaled", ("odd", 1, 2), "C12:1,2", "i*r2"),
+    ("scaled", ("gl", 2, 1), "E:1,1", "2"),
+    ("forced", ("odd", 2, 1), "A12:1,2", "2"),
 ])
 def test_closure_check_matches_all_pairs_oracle(case):
     """The scaled bases, one generator times 2 or i*sqrt2, put entries
     other than 1 and -1 into the brackets, which no library basis does;
     their primary slot no longer holds 1, so the brackets landing on it
-    fail on both sides."""
+    fail on both sides.  The forced one keeps 1 there and has 2 at its
+    other entry."""
     bas = _closure_oracle_basis(case)
     got, want = closure_check(bas), _all_pairs_closure(bas)
     assert got["pairs"] == want["pairs"]
@@ -823,11 +903,17 @@ def test_bordered_constants_match_source_and_matrix_oracle(k1, l1):
     assert _matrix_loop_preserves_brackets(src)
 
 
-def _scale_one(bordered, tag, factor):
-    gens = [Generator(g.tag, g.parity, constant_entries(g.matrix * factor),
-                      g.primary, g.shape)
-            if g.tag == tag else g for g in bordered.generators]
-    return OspBasis(bordered.gram, gens)
+def _scale_one(bordered, tag, factor, forced_only=False):
+    """``bordered`` with generator ``tag`` times ``factor``, or with only
+    its entries off the primary slot times ``factor``."""
+    def scaled(g):
+        m = _scaled_forced_entry(g.matrix, g.primary, factor) \
+            if forced_only else g.matrix * factor
+        return Generator(g.tag, g.parity, constant_entries(m), g.primary,
+                         g.shape)
+
+    return OspBasis(bordered.gram, [scaled(g) if g.tag == tag else g
+                                    for g in bordered.generators])
 
 
 def test_scaled_bordered_generator_breaks_the_comparison():
