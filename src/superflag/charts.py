@@ -10,8 +10,10 @@ parameter t, which ``fundamental_field`` computes in closed form.  It
 reads the chart matrices through ``Chart.field_index``, built once per
 chart, so a field costs what the entries of X touch, not what the chart
 holds, and it keeps only the nonzero coefficients.  ``VectorField.bracket``
-differentiates each coefficient polynomial in one pass by the variables
-the other field holds and keeps only the nonzero coefficients too.
+passes once over the terms of each coefficient polynomial, differentiating
+each term by the variables the other field holds and multiplying it by
+their coefficients in the same step, and keeps only the nonzero
+coefficients too.
 
 The isotropic chart is the special first-step chart whose column span is
 isotropic for the orthosymplectic form; each dependent slot holds its
@@ -396,8 +398,9 @@ class VectorField:
     with zero coefficients, but every field that the operations below
     return holds only nonzero ones.  ``apply`` and ``bracket`` index a
     field's coefficients by variable id once per call
-    (``RingContext.by_variable``) and split each polynomial they act on
-    into its partials in one pass (``ring.add_derivative``).
+    (``RingContext.by_variable``) and pass once over the terms of each
+    polynomial they act on, adding each coefficient times the term's
+    partial by its variable into the result (``ring.add_derivative``).
     """
 
     ctx: RingContext

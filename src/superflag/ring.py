@@ -11,11 +11,13 @@ id, then the ascending odd ids.  :func:`mul_even` and :func:`merge_odd`
 multiply the two parts; a term dict maps keys to the field tuples of
 :mod:`superflag.scalars`.
 
-:func:`partials` splits a polynomial into its left partial derivatives
-by a set of variables in one pass over its terms; :func:`add_derivative`
-applies a derivation, given by its coefficients per variable, through
-that pass, and ``SuperPoly.left_derivative`` is the same pass for one
-variable.
+:func:`add_monomial_product` adds a polynomial times one monomial into a
+term dict; it is the one product kernel.  :func:`add_product` runs it
+once per term of its right factor, and :func:`add_derivative` applies a
+derivation, given by its coefficients per variable, in one pass over a
+polynomial's terms: each coefficient times the term's partial goes
+through the same kernel, with no partial built on its own.
+``SuperPoly.left_derivative`` is that pass for the derivation 1 * d/dv.
 
 Contexts can be *extended* (new variables appended; existing ids stay
 stable), and a polynomial lifts for free into any extending context.
@@ -93,15 +95,16 @@ class RingContext:
         return tuple(self._odd)
 
     def by_variable(self, coefficients):
-        """The nonzero polynomials of ``coefficients``, a dict keyed by
-        names of this context, keyed by variable id instead: an ``(even,
-        odd)`` pair of dicts, the form :func:`add_derivative` reads."""
+        """The term dicts of the nonzero polynomials of ``coefficients``, a
+        dict keyed by names of this context, keyed by variable id instead:
+        an ``(even, odd)`` pair of dicts, the form :func:`add_derivative`
+        reads."""
         even, odd = {}, {}
         byname = self._byname
         for name, c in coefficients.items():
             if c.terms:
                 parity, vid = byname[name]
-                (odd if parity else even)[vid] = c
+                (odd if parity else even)[vid] = c.terms
         return even, odd
 
     def var(self, name):
@@ -246,100 +249,88 @@ def _align(p, q):
 _UNIT_SIGN = {Q_ONE: 1, Q_MINUS_ONE: -1}
 
 
+def add_monomial_product(terms, c, ek2, ok2, q2, keep):
+    """Add ``keep * c * m`` into the term dict ``terms``, where ``c`` is a
+    term dict, ``m`` the monomial with coefficient ``q2``, even part
+    ``ek2`` and odd part ``ok2``, and ``keep`` is 1 or -1.  Monomial keys
+    agree across contexts that extend one another, so the caller names
+    the context of the sum.
+
+    This is the one product kernel of term dicts.  Most of its term pairs
+    have an empty even or odd part on one side or a coefficient of 1 or
+    -1, and land on a key not yet in ``terms``; such a pair skips the
+    merge, the multiplication or the addition that would leave its
+    operand as it is."""
+    unit = _UNIT_SIGN.get(q2)
+    for (ek1, ok1), q1 in c.items():
+        if ok1 and ok2:
+            sign, ok = merge_odd(ok1, ok2)
+            if sign == 0:
+                continue
+        else:
+            sign, ok = 1, ok1 or ok2
+        if unit:
+            x = q1 if unit == sign * keep else q_neg(q1)
+        elif q1 in _UNIT_SIGN:
+            x = q2 if _UNIT_SIGN[q1] == sign * keep else q_neg(q2)
+        else:
+            x = q_mul(q1, q2)
+            if sign != keep:
+                x = q_neg(x)
+        key = (mul_even(ek1, ek2) if ek1 and ek2 else ek1 or ek2, ok)
+        acc = terms.get(key)
+        if acc is None:
+            terms[key] = x
+            continue
+        acc = q_add(acc, x)
+        if acc == Q_ZERO:
+            del terms[key]
+        else:
+            terms[key] = acc
+
+
 def add_product(terms, p, q, negate=False):
     """Add ``p * q``, or ``-(p * q)`` when ``negate``, into the term dict
-    ``terms``.  Monomial keys agree across contexts that extend one
-    another, so p and q need not be lifted first; the caller names the
-    context of the sum.
-
-    This is the one product of term dicts.  Most of its term pairs have an
-    empty even or odd part on one side or a coefficient of 1 or -1, and
-    land on a key not yet in ``terms``; such a pair skips the merge, the
-    multiplication or the addition that would leave its operand as it
-    is."""
+    ``terms``: :func:`add_monomial_product` once per term of ``q``.  p and
+    q need not be lifted first."""
     keep = -1 if negate else 1
-    q_items = q.terms.items()
-    for (ek1, ok1), q1 in p.terms.items():
-        unit = _UNIT_SIGN.get(q1)
-        for (ek2, ok2), q2 in q_items:
-            if ok1 and ok2:
-                sign, ok = merge_odd(ok1, ok2)
-                if sign == 0:
-                    continue
-            else:
-                sign, ok = 1, ok1 or ok2
-            if unit:
-                c = q2 if unit == sign * keep else q_neg(q2)
-            elif q2 in _UNIT_SIGN:
-                c = q1 if _UNIT_SIGN[q2] == sign * keep else q_neg(q1)
-            else:
-                c = q_mul(q1, q2)
-                if sign != keep:
-                    c = q_neg(c)
-            key = (mul_even(ek1, ek2) if ek1 and ek2 else ek1 or ek2, ok)
-            acc = terms.get(key)
-            if acc is None:
-                terms[key] = c
-                continue
-            acc = q_add(acc, c)
-            if acc == Q_ZERO:
-                del terms[key]
-            else:
-                terms[key] = acc
-
-
-def partials(terms, even, odd):
-    """The left partial derivatives of the term dict ``terms`` by the even
-    variable ids in ``even`` and the odd ids in ``odd``, in one pass over
-    the terms: ``(by_even, by_odd)``, each mapping a variable id to the
-    term dict of its partial, and leaving out the ids whose partial is
-    zero.
-
-    This is the one derivative in the package.  An even factor x^e leaves
-    x^(e-1) and the factor e; an odd factor is first anticommuted to the
-    front, so it leaves the sign of its position: with xi before eta,
-    d/d(xi) (xi*eta) = eta while d/d(eta) (xi*eta) = -xi.  Taking one
-    factor of a variable out is injective on the monomials that hold it,
-    so within one partial no key repeats and nothing cancels."""
-    by_even, by_odd = {}, {}
-    for (ek, ok), q in terms.items():
-        if even:
-            for pos, (v, e) in enumerate(ek):
-                if v in even:
-                    if e == 1:
-                        key, c = (ek[:pos] + ek[pos + 1:], ok), q
-                    else:
-                        key = (ek[:pos] + ((v, e - 1),) + ek[pos + 1:], ok)
-                        c = q_mul(q, (e, 0, 0, 0, 1))
-                    part = by_even.get(v)
-                    if part is None:
-                        by_even[v] = {key: c}
-                    else:
-                        part[key] = c
-        if odd:
-            for pos, v in enumerate(ok):
-                if v in odd:
-                    key = (ek, ok[:pos] + ok[pos + 1:])
-                    c = q_neg(q) if pos & 1 else q
-                    part = by_odd.get(v)
-                    if part is None:
-                        by_odd[v] = {key: c}
-                    else:
-                        part[key] = c
-    return by_even, by_odd
+    c = p.terms
+    for (ek, ok), q2 in q.terms.items():
+        add_monomial_product(terms, c, ek, ok, q2, keep)
 
 
 def add_derivative(terms, held, poly, negate=False):
     """Add ``D(poly)``, or ``-D(poly)`` when ``negate``, into the term dict
     ``terms``, where D = sum c_v d/dv is the derivation whose nonzero
-    coefficients ``held = (even, odd)`` maps by variable id, as
-    :meth:`RingContext.by_variable` gives them.  ``poly`` is split into
-    its partials once, by :func:`partials`, and each partial is multiplied
-    by its coefficient with one :func:`add_product`."""
-    ctx = poly.ctx
-    for coeffs, parts in zip(held, partials(poly.terms, *held)):
-        for vid, part in parts.items():
-            add_product(terms, coeffs[vid], SuperPoly._new(ctx, part), negate)
+    coefficients ``held = (even, odd)`` maps by variable id to term dicts,
+    as :meth:`RingContext.by_variable` gives them.
+
+    This is the one derivative in the package: one pass over the terms of
+    ``poly``, and for each variable of a term that D holds, c_v times the
+    term's partial by v, added with :func:`add_monomial_product`.  An even
+    factor x^e leaves x^(e-1) and the factor e; an odd factor is first
+    anticommuted to the front, so it leaves the sign of its position: with
+    xi before eta, d/d(xi) (xi*eta) = eta while d/d(eta) (xi*eta) = -xi."""
+    even, odd = held
+    keep = -1 if negate else 1
+    for (ek, ok), q in poly.terms.items():
+        if even:
+            for pos, (v, e) in enumerate(ek):
+                c = even.get(v)
+                if c is not None:
+                    if e == 1:
+                        add_monomial_product(terms, c, ek[:pos] + ek[pos + 1:],
+                                             ok, q, keep)
+                    else:
+                        add_monomial_product(
+                            terms, c, ek[:pos] + ((v, e - 1),) + ek[pos + 1:],
+                            ok, q_mul(q, (e, 0, 0, 0, 1)), keep)
+        if odd:
+            for pos, v in enumerate(ok):
+                c = odd.get(v)
+                if c is not None:
+                    add_monomial_product(terms, c, ek, ok[:pos] + ok[pos + 1:],
+                                         q, -keep if pos & 1 else keep)
 
 
 class SuperPoly:
@@ -491,14 +482,13 @@ class SuperPoly:
     # -- calculus ----------------------------------------------------------
 
     def left_derivative(self, name):
-        """Left partial derivative with respect to a declared variable;
-        the pass of :func:`partials` taken for that one variable."""
+        """Left partial derivative with respect to a declared variable:
+        :func:`add_derivative` with the derivation 1 * d/d(name)."""
         parity, vid = self.ctx._byname[name]
-        ids = (vid,)
-        by_even, by_odd = partials(self.terms, () if parity else ids,
-                                   ids if parity else ())
-        return SuperPoly._new(self.ctx,
-                              (by_odd if parity else by_even).get(vid, {}))
+        held = {vid: {CONSTANT: Q_ONE}}
+        terms = {}
+        add_derivative(terms, ({}, held) if parity else (held, {}), self)
+        return SuperPoly._new(self.ctx, terms)
 
     # -- rendering ---------------------------------------------------------
 

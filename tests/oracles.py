@@ -2,8 +2,11 @@
 
 Each oracle computes its answer another way than the code it checks, and
 none calls that code: Fractions for the text of a field tuple, the
-product loop with no fast paths for ``ring.add_product``, a bracket that
-scans every coefficient name for ``VectorField.bracket``, matrix
+product loop with no fast paths for ``ring.add_product``, which merges
+odd parts by counting inversions and even parts through a dict, the
+partials of a polynomial built one dict each for the one-pass
+``ring.add_derivative``, a bracket that scans every coefficient name and
+multiplies those partials for ``VectorField.bracket``, matrix
 brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
 from structure constants, two matrix products for the conjugation that
 ``osp.conjugate_entries`` forms on entry tables, the structure constants
@@ -50,7 +53,7 @@ from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
 from superflag.osp import PARABOLIC_TAGS, Generator, NotInSpanError, \
     OspBasis, basis, components, constant_entries
 from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
-    RingContext, SuperPoly, common_context, merge_odd, mul_even
+    RingContext, SuperPoly, common_context
 from superflag.scalars import ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
     FieldScalar, add_scaled, q_add, q_mul, q_neg
 from superflag.weights import Weight
@@ -92,6 +95,25 @@ def fraction_render(q):
     return out or "0"
 
 
+def merge_odd_ids(u, v):
+    """``(sign, merged)`` for the odd parts ``u`` and ``v``: sign 0 when an
+    id repeats, else (-1) to the number of inversions of ``u + v``."""
+    ids = u + v
+    if len(set(ids)) < len(ids):
+        return 0, ()
+    inversions = sum(a > b for i, a in enumerate(ids) for b in ids[i + 1:])
+    return (-1) ** inversions, tuple(sorted(ids))
+
+
+def merge_even_exponents(p, q):
+    """The even part of the product of even parts ``p`` and ``q``: the
+    exponents of each id summed in a dict, then sorted by id."""
+    exponents = dict(p)
+    for v, e in q:
+        exponents[v] = exponents.get(v, 0) + e
+    return tuple(sorted(exponents.items()))
+
+
 def add_product_loop(terms, p, q, negate=False):
     """Add ``p * q``, or ``-(p * q)`` when ``negate``, into the term dict
     ``terms``: every term pair merged, multiplied and summed in, with no
@@ -99,18 +121,55 @@ def add_product_loop(terms, p, q, negate=False):
     keep = -1 if negate else 1
     for (ek1, ok1), q1 in p.terms.items():
         for (ek2, ok2), q2 in q.terms.items():
-            sign, ok = merge_odd(ok1, ok2)
+            sign, ok = merge_odd_ids(ok1, ok2)
             if sign == 0:
                 continue
             c = q_mul(q1, q2)
             if sign != keep:
                 c = q_neg(c)
-            key = (mul_even(ek1, ek2), ok)
+            key = (merge_even_exponents(ek1, ek2), ok)
             acc = q_add(terms.get(key, Q_ZERO), c)
             if acc == Q_ZERO:
                 terms.pop(key, None)
             else:
                 terms[key] = acc
+
+
+def partials(terms, even, odd):
+    """The left partial derivatives of the term dict ``terms`` by the even
+    variable ids in ``even`` and the odd ids in ``odd``: ``(by_even,
+    by_odd)``, each mapping a variable id to the term dict of its partial,
+    and leaving out the ids whose partial is zero.
+
+    An even factor x^e leaves x^(e-1) and the factor e; an odd factor is
+    first anticommuted to the front, so it leaves the sign of its
+    position.  Taking one factor of a variable out is injective on the
+    monomials that hold it, so within one partial no key repeats."""
+    by_even, by_odd = {}, {}
+    for (ek, ok), q in terms.items():
+        for pos, (v, e) in enumerate(ek):
+            if v in even:
+                if e == 1:
+                    key, c = (ek[:pos] + ek[pos + 1:], ok), q
+                else:
+                    key = (ek[:pos] + ((v, e - 1),) + ek[pos + 1:], ok)
+                    c = q_mul(q, (e, 0, 0, 0, 1))
+                by_even.setdefault(v, {})[key] = c
+        for pos, v in enumerate(ok):
+            if v in odd:
+                key = (ek, ok[:pos] + ok[pos + 1:])
+                by_odd.setdefault(v, {})[key] = q_neg(q) if pos & 1 else q
+    return by_even, by_odd
+
+
+def partial(poly, name):
+    """The left partial derivative of ``poly`` by the variable ``name`` of
+    its ring, from :func:`partials`."""
+    parity, vid = poly.ctx._byname[name]
+    ids = {vid}
+    parts = partials(poly.terms, set() if parity else ids,
+                     ids if parity else set())
+    return SuperPoly._new(poly.ctx, parts[parity].get(vid, {}))
 
 
 def demote(ctx, p):
@@ -175,16 +234,15 @@ def substitute(p, bindings):
 def bracket_all_names(v, w):
     """[v, w] = v w - (-1)^{|v||w|} w v, each field applied to a
     polynomial by scanning all of its coefficients and differentiating by
-    the names that occur in the polynomial; products by
-    :func:`add_product_loop`."""
+    the names that occur in the polynomial by :func:`partial`; products
+    by :func:`add_product_loop`."""
     ctx = common_context(v.ctx, w.ctx)
 
     def apply_into(field, terms, poly, negate=False):
         present = poly.variables()
         for name, c in field.coefficients.items():
             if c.terms and name in present:
-                add_product_loop(terms, c, poly.left_derivative(name),
-                                 negate)
+                add_product_loop(terms, c, partial(poly, name), negate)
 
     negate = not (v.parity and w.parity)
     names = tuple(dict.fromkeys((*v.order, *w.order)))

@@ -282,8 +282,8 @@ def _random_poly(rng, ctx, max_terms):
 
 
 def test_derivation_pass_matches_the_sum_of_left_derivatives():
-    """apply and bracket split each polynomial into its partials in one
-    pass; both equal the sums of coefficient * left_derivative(name),
+    """apply and bracket differentiate and multiply each polynomial in
+    one pass; both equal the sums of coefficient * left_derivative(name),
     name by name.  The seeded cases hold even exponents 2 and 3, odd
     factors at even and odd positions, names the applying field lacks,
     and fields over a ring that adds t and tau on either side of a

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superflag.ring import ContextError, NUMERIC_CTX, RingContext, \
-    SuperPoly, add_product, merge_odd, partials
+    SuperPoly, add_derivative, add_product, merge_odd
 from superflag.scalars import FieldScalar, I, ONE, SQRT2, Q_ONE, q_neg, \
     q_normalize
 
-from oracles import add_product_loop, demote, substitute
+from oracles import add_product_loop, demote, partial, partials, \
+    substitute
 
 
 @pytest.fixture()
@@ -251,6 +252,105 @@ def test_add_product_matches_the_plain_loop():
         {("units", (a, b)) for a in (False, True) for b in (False, True)} | \
         {("merge sign", unit, sign) for unit in (False, True)
          for sign in (-1, 0, 1)}
+
+
+def _random_ring_terms(rng, ring, count, max_exponent):
+    """A term dict of up to ``count`` terms over all of ``ring``'s
+    variables: even exponents up to ``max_exponent``, any set of odd ids,
+    and coefficients 1, -1 or a small field tuple."""
+    n_even, n_odd = len(ring.even_names), len(ring.odd_names)
+    terms = {}
+    for _ in range(count):
+        ek = tuple((v, rng.randint(1, max_exponent))
+                   for v in sorted(rng.sample(range(n_even),
+                                              rng.randint(0, 2))))
+        ok = tuple(sorted(rng.sample(range(n_odd), rng.randint(0, n_odd))))
+        q = rng.choice((Q_ONE, q_neg(Q_ONE),
+                        q_normalize(rng.randint(-3, 3), rng.randint(-2, 2),
+                                    0, rng.randint(-1, 1), rng.randint(1, 3))))
+        if q[:4] != (0, 0, 0, 0):
+            terms[(ek, ok)] = q
+    return terms
+
+
+def _derivative_by_partials(terms, coefficients, poly, negate):
+    """Add sum_v c_v * partial_v(poly), or its negative, into ``terms``,
+    each partial built on its own by ``oracles.partial`` and multiplied
+    in by ``add_product_loop``; the names of ``coefficients`` that
+    ``poly``'s ring lacks contribute nothing."""
+    for name, c in coefficients.items():
+        if poly.ctx.has(name):
+            add_product_loop(terms, c, partial(poly, name), negate)
+
+
+def test_add_derivative_matches_the_sum_of_oracle_partials():
+    """The one pass of add_derivative gives the term dict of sum_v c_v *
+    partial_v, with each partial built on its own and multiplied by the
+    plain loop.  The seeded cases hold even exponents 2 and 3, held odd
+    factors at every position, sums that cancel, variables the derivation
+    does not hold, and a derivation and a polynomial over a ring that
+    adds t and tau on either side."""
+    import random
+
+    rng = random.Random(20261022)
+    ctx = RingContext()
+    ctx.evens("u", "v", "w")
+    ctx.odds("th1", "th2", "th3", "th4")
+    ext = ctx.extended(even=("t",), odd=("tau",))
+    seen = set()
+    for _ in range(400):
+        field_ring, poly_ring = rng.choice(((ctx, ctx), (ctx, ext),
+                                            (ext, ctx), (ext, ext)))
+        poly = SuperPoly._new(poly_ring, _random_ring_terms(
+            rng, poly_ring, rng.randint(0, 5), 3))
+        names = field_ring.even_names + field_ring.odd_names
+        coefficients = {
+            name: SuperPoly._new(field_ring, _random_ring_terms(
+                rng, field_ring, rng.randint(1, 3), 2))
+            for name in rng.sample(names, rng.randint(0, len(names)))}
+        held = field_ring.by_variable(coefficients)
+        negate = rng.random() < 0.5
+        start = rng.choice(("empty", "random", "cancel"))
+        base = {}
+        if start == "random":
+            base = _random_ring_terms(rng, ext, 6, 3)
+        elif start == "cancel":
+            _derivative_by_partials(base, coefficients, poly, not negate)
+        fast, slow = dict(base), dict(base)
+        add_derivative(fast, held, poly, negate)
+        _derivative_by_partials(slow, coefficients, poly, negate)
+        assert fast == slow
+        if start == "cancel":
+            assert fast == {}
+        even_ids, odd_ids = held
+        for ek, ok in poly.terms:
+            for vid, e in ek:
+                seen.add(("exponent", e, vid in even_ids))
+            for pos, vid in enumerate(ok):
+                seen.add(("odd position", pos, vid in odd_ids))
+        seen.add(("rings", field_ring is ext, poly_ring is ext))
+        seen.add(("negate", negate))
+    assert seen >= {("exponent", e, h) for e in (1, 2, 3)
+                    for h in (False, True)}
+    assert seen >= {("odd position", pos, h) for pos in range(5)
+                    for h in (False, True)}
+    assert seen >= {("rings", a, b) for a in (False, True)
+                    for b in (False, True)}
+    assert seen >= {("negate", False), ("negate", True)}
+
+    # one pass whose contributions cancel to zero: u d/du - v d/dv on uv,
+    # th1 d/dth1 - th2 d/dth2 on th1*th2 (th2 d/dth2 gives +th1*th2 from
+    # the odd position), u d/du - th1 d/dth1 on u*v*th1
+    u, v = ctx.var("u"), ctx.var("v")
+    t1, t2 = ctx.var("th1"), ctx.var("th2")
+    for coefficients, poly in (({"u": u, "v": -v}, u * v),
+                               ({"th1": t1, "th2": -t2}, t1 * t2),
+                               ({"u": u, "th1": -t1}, u * v * t1)):
+        terms = {}
+        add_derivative(terms, ctx.by_variable(coefficients), poly)
+        assert terms == {}
+        _derivative_by_partials(terms, coefficients, poly, False)
+        assert terms == {}
 
 
 def test_even_derivative_is_ordinary(ctx):
