@@ -3,7 +3,7 @@
 Exit codes: 0 all requested checks pass; 1 a verification check fails,
 or standard output closed before everything was written; 2 usage or input
 errors, sizes too large to allocate among them.  The environment variable
-SUPERFLAG_MAX_SIZE (default 4) caps the sizes accepted by the symbolic
+SUPERFLAG_MAX_SIZE (default 6) caps the sizes accepted by the symbolic
 commands, since costs grow quickly; the claims being checked are
 size-uniform, so small sizes are the intended witnesses.  ``verify
 --max-size N`` sets the cap for one verify run, in place of
@@ -49,7 +49,7 @@ class UsageError(Exception):
 
 
 def max_size():
-    raw = os.environ.get("SUPERFLAG_MAX_SIZE", "4")
+    raw = os.environ.get("SUPERFLAG_MAX_SIZE", "6")
     try:
         cap = int(raw)
     except ValueError:
@@ -370,7 +370,7 @@ def build_parser():
     p.add_argument("--l1", type=int)
     p.add_argument("--max-size", type=int,
                    help="size cap, at least 1 (default SUPERFLAG_MAX_SIZE"
-                        " or 4); --suite bwb is exempt, since its cost is"
+                        " or 6); --suite bwb is exempt, since its cost is"
                         " linear in the ranks")
     p.add_argument("--json-out", metavar="FILE",
                    help="write the structured report here")

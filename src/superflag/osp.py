@@ -63,13 +63,15 @@ isomorphism and imp-witness suites never read it.  ``basis`` and
 run asks for.  ``closure_check`` brackets on the tables
 (``OspBasis.entry_table``): it indexes them by row and by column once per
 call and sweeps each generator once against that index, forming its
-bracket with every later generator that meets it; ``bracket_entries`` forms one
-bracket with the same sweep.  ``OspBasis.read_off``, the one span test
-for constant matrices, expands a bracket or a candidate in one pass over
-its entries: the generators' supports are pairwise disjoint (``OspBasis``
-refuses a basis where two share a slot), so each entry is checked
-against the one generator that owns its slot (``OspBasis.owners``) and no
-combination is re-assembled.  ``conjugate_entries`` forms S^-1 M S, and
+bracket with every later generator that meets it; ``bracket_entries``
+forms one bracket with the same sweep, and an odd table bracketed with
+itself as 2 X^2, sweeping it against its own row index alone.
+``OspBasis.read_off``, the one span test for constant matrices, expands
+a bracket or a candidate in one pass over its entries: the generators'
+supports are pairwise disjoint (``OspBasis`` refuses a basis where two
+share a slot), so each entry is checked against the one generator that
+owns its slot (``OspBasis.owners``) and no combination is re-assembled.
+``conjugate_entries`` forms S^-1 M S, and
 the zero-bordering P M P^T (``border_matrix``), on the same tables.  The
 Jacobi and center checks
 read one table of the constants filled in both orders of each pair
@@ -579,7 +581,15 @@ def bracket_entries(x, y, both_odd):
     """The superbracket [X, Y] = XY - (-1)^{|X||Y|} YX of two constant
     matrices given as their nonzero entries ``{slot: q}``, by
     ``closure_check``'s sweep with Y the one indexed table.  Returns the
-    nonzero entries; YX is added when ``both_odd``, else subtracted."""
+    nonzero entries; YX is added when ``both_odd``, else subtracted.
+
+    An odd table bracketed with itself (``y is x``) is [X, X] = 2 X^2:
+    the sweep runs with X indexed by row only, so it forms XX alone, and
+    each entry is doubled."""
+    if y is x and both_odd:
+        rows, _ = _index((x,), (1,), 1)
+        acc = _sweep(x, rows, {}, 0).get(0, {})
+        return {slot: q_add(c, c) for slot, c in acc.items() if c != Q_ZERO}
     acc = _sweep(x, *_index((y,), (both_odd,), both_odd), 0).get(0, {})
     return {slot: c for slot, c in acc.items() if c != Q_ZERO}
 

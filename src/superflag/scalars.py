@@ -54,8 +54,15 @@ def q_neg(x):
 
 
 def q_mul(x, y):
+    """The product of two field tuples.  Two rationals multiply on their
+    first parts alone: integers give the tuple directly, other rationals
+    reduce one product fraction, and the radical parts are never formed."""
     a1, b1, c1, d1, n1 = x
     a2, b2, c2, d2, n2 = y
+    if not (b1 or c1 or d1 or b2 or c2 or d2):
+        if n1 == n2 == 1:
+            return (a1 * a2, 0, 0, 0, 1)
+        return q_normalize(a1 * a2, 0, 0, 0, n1 * n2)
     return q_normalize(
         a1 * a2 - b1 * b2 + 2 * (c1 * c2 - d1 * d2),
         a1 * b2 + b1 * a2 + 2 * (c1 * d2 + d1 * c2),

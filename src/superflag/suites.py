@@ -44,7 +44,7 @@ distinct integer per Grassmann monomial, with no FieldScalar or matrix:
 each is a member when its ``osp.entry_residual`` against the basis's Gram
 is empty, and lies in the embedded subalgebra when ``_in_j_image`` holds.
 The bordered one is bracketed with itself on its table by
-``osp.bracket_entries``.
+``osp.bracket_entries``, as 2 X^2.
 """
 
 from __future__ import annotations

@@ -309,14 +309,14 @@ def test_size_cap_enforced(capsys, monkeypatch):
     assert "size cap" in err
 
 
-def test_default_size_cap_is_4(capsys, monkeypatch):
+def test_default_size_cap_is_6(capsys, monkeypatch):
     monkeypatch.delenv("SUPERFLAG_MAX_SIZE", raising=False)
     code, out, _ = run(capsys, "verify", "--suite", "isomorphism",
-                       "--k1", "4", "--l1", "4")
+                       "--k1", "6", "--l1", "6")
     assert code == 0 and "verify: PASS" in out
     code, out, err = run(capsys, "verify", "--suite", "isomorphism",
-                         "--k1", "5", "--l1", "4")
-    assert code == 2 and out == "" and "size cap 4" in err
+                         "--k1", "7", "--l1", "6")
+    assert code == 2 and out == "" and "size cap 6" in err
 
 
 def test_verify_max_size_caps_single_suite(capsys):

@@ -418,28 +418,67 @@ def test_closure_check_matches_all_pairs_oracle(case):
 
 def test_bracket_entries_matches_the_matrix_superbracket():
     """bracket_entries on seeded tables with entries other than 1 and -1,
-    for every parity of the two factors, equals the matrix superbracket."""
+    for every parity of the two factors, equals the matrix superbracket.
+    So does each left table passed as both factors, an odd one by the
+    2 X^2 path, and that equals the general route on a copy of the
+    table."""
     rng = random.Random(28)
     shape = BlockShape(3, 4)
     pool = [FieldScalar.parse(t) for t in
             ("1", "-1", "2", "-1/3", "i", "r2", "1/2 - i*r2", "3*i + r2")]
     slots = {parity: [(i, j) for i in range(7) for j in range(7)
                       if (i >= 3) ^ (j >= 3) == parity] for parity in (0, 1)}
-    seen = set()
+    seen, seen_self = set(), set()
     for _ in range(40):
         px, py = rng.randrange(2), rng.randrange(2)
         x, y = ({slot: rng.choice(pool) for slot in
                  rng.sample(slots[parity], rng.randint(1, 8))}
                 for parity in (px, py))
-        want = SuperMatrix.build(shape, shape, x, parity=px).superbracket(
-            SuperMatrix.build(shape, shape, y, parity=py))
-        got = osp.bracket_entries({s: c.q for s, c in x.items()},
-                                  {s: c.q for s, c in y.items()},
+        mx = SuperMatrix.build(shape, shape, x, parity=px)
+        want = mx.superbracket(SuperMatrix.build(shape, shape, y, parity=py))
+        table = {s: c.q for s, c in x.items()}
+        got = osp.bracket_entries(table, {s: c.q for s, c in y.items()},
                                   px and py)
         assert got == constant_entries(want), (x, y)
         seen.add((px, py, bool(got)))
+        own = osp.bracket_entries(table, table, px)
+        assert own == constant_entries(mx.superbracket(mx)) \
+            == osp.bracket_entries(table, dict(table), px), x
+        seen_self.add((px, bool(own)))
     assert {(px, py) for px, py, nonzero in seen if nonzero} \
         == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert (1, True) in seen_self and (0, False) in seen_self
+
+
+def test_self_bracket_makes_half_the_products(monkeypatch):
+    """On the bordered (4,4) witness, whose entries are integers other than
+    1 and -1, the self bracket multiplies half as often as the general
+    route on a copy of the table and gives the same entries."""
+    real_table = suites._odd_table
+    tables = []
+
+    def recording_table(mat):
+        tables.append(real_table(mat))
+        return tables[-1]
+
+    monkeypatch.setattr(suites, "_odd_table", recording_table)
+    assert suites.suite_imP_witness(4, 4).ok
+    monkeypatch.undo()
+    table = tables[0]
+    calls = []
+    real_mul = osp.q_mul
+
+    def counting_mul(x, y):
+        calls.append(None)
+        return real_mul(x, y)
+
+    monkeypatch.setattr(osp, "q_mul", counting_mul)
+    own = osp.bracket_entries(table, table, both_odd=True)
+    self_products = len(calls)
+    calls.clear()
+    general = osp.bracket_entries(table, dict(table), both_odd=True)
+    assert own == general and own
+    assert self_products > 0 and 2 * self_products == len(calls)
 
 
 def test_closure_check_brackets_only_meeting_pairs(monkeypatch):

@@ -1,5 +1,7 @@
 """Exact arithmetic in Q(i, sqrt2)."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -168,8 +170,6 @@ def test_add_scaled_matches_the_plain_sum():
     factor of 1 or -1, gives the dict of the loop that multiplies every
     value, adds it in and then drops the zeros; a sum that cancels
     leaves nothing behind."""
-    import random
-
     rng = random.Random(20261020)
 
     def random_q():
@@ -194,3 +194,64 @@ def test_add_scaled_matches_the_plain_sum():
         target = {k: q_neg(q_mul(factor, y)) for k, y in src.items()}
         add_scaled(target, src, factor)
         assert target == {}
+
+
+# The basis 1, i, r2, i*r2 of Q(i, sqrt2) as exponent pairs (of i, of r2).
+_BASIS = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _fraction_product(x, y):
+    """x*y for elements given as four Fraction components on ``_BASIS``,
+    multiplied basis element by basis element with i^2 = -1 and r2^2 = 2.
+    Shares no code with ``superflag.scalars``."""
+    out = [Fraction(0)] * 4
+    for (p1, s1), u in zip(_BASIS, x):
+        for (p2, s2), v in zip(_BASIS, y):
+            p, s = p1 + p2, s1 + s2
+            scale = (-1) ** (p // 2) * 2 ** (s // 2)
+            out[_BASIS.index((p % 2, s % 2))] += scale * u * v
+    return out
+
+
+def _fraction_tuple(parts):
+    """The normal 5-tuple of four Fraction components: the least common
+    denominator and the numerators over it."""
+    den = math.lcm(*(f.denominator for f in parts))
+    return tuple(int(f * den) for f in parts) + (den,)
+
+
+def test_q_mul_matches_a_fraction_oracle():
+    """q_mul, with its fast path for two rationals, equals the product
+    formed on Fraction components for every pairing of zeros, integers
+    (negatives among them), rationals with other denominators and
+    elements with radical parts, and reduces a rational product to
+    lowest terms."""
+    rng = random.Random(20261020)
+
+    def draw(kind):
+        if kind == "zero":
+            return [Fraction(0)] * 4
+        if kind == "int":
+            return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))] \
+                + [Fraction(0)] * 3
+        if kind == "rational":
+            return [Fraction(rng.randint(-9, 9), rng.randint(2, 12))] \
+                + [Fraction(0)] * 3
+        parts = [Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+                 for _ in range(4)]
+        parts[rng.randint(1, 3)] = Fraction(rng.choice((-3, -1, 1, 2)),
+                                            rng.choice((1, 2)))
+        return parts
+
+    kinds = ("zero", "int", "rational", "algebraic")
+    reduced = 0
+    for kx in kinds:
+        for ky in kinds:
+            for _ in range(40):
+                fx, fy = draw(kx), draw(ky)
+                x, y = _fraction_tuple(fx), _fraction_tuple(fy)
+                got = q_mul(x, y)
+                assert got == _fraction_tuple(_fraction_product(fx, fy)), \
+                    (x, y)
+                reduced += got[4] < x[4] * y[4]
+    assert reduced
