@@ -72,13 +72,13 @@ supports are pairwise disjoint (``OspBasis`` refuses a basis where two
 share a slot), so each entry is checked against the one generator that
 owns its slot (``OspBasis.owners``) and no combination is re-assembled.
 ``conjugate_entries`` forms S^-1 M S, and
-the zero-bordering P M P^T (``border_matrix``), on the same tables.  The
-Jacobi and center checks
-read one table of the constants filled in both orders of each pair
-(``BracketTable``), built once per closure report, and compose and reduce
-tuple rows; every sum of such dicts is ``scalars.add_scaled``.
-FieldScalar appears only in what they hand out: the structure constants
-and the center matrices.  The matrix-bracket Jacobi identity, the
+the zero-bordering P M P^T (``border_matrix``), on the same tables.
+``closure_check`` returns the constants as one table, filled in both
+orders of each pair (``BracketTable``); the Jacobi and center checks
+read it and compose and reduce tuple rows; every sum of such dicts is
+``scalars.add_scaled``.  The constants stay 5-tuples end to end: in
+these checks FieldScalar appears only in the center's nullspace and the
+matrices read back from it.  The matrix-bracket Jacobi identity, the
 conjugation by two matrix products, the one-way constant table, the
 residual on whole term dicts, the matrix-first basis, the matrix
 bordering with its span test, the read-off by re-assembly and the
@@ -95,7 +95,7 @@ from .linalg import RankTracker
 from .matrices import BlockShape, ParityError, SuperMatrix
 from .ring import CONSTANT, NUMERIC_CTX
 from .scalars import I_INV_SQRT2, INV_SQRT2, ONE, Q_MINUS_ONE, Q_ONE, \
-    Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg
+    Q_ZERO, add_scaled, q_add, q_mul, q_neg
 
 
 class NotInSpanError(ValueError):
@@ -529,8 +529,8 @@ def dimension_counts(flavor, a, b):
 def closure_check(bas):
     """Superbracket every generator pair and re-expand in the basis.
 
-    Returns a report dict with the sparse structure constants
-    ``(tag_p, tag_q, tag_r, coefficient)`` and any failures.  For a filtered
+    Returns the ``BracketTable`` of the structure constants
+    ``(tag_p, tag_q, tag_r, q)`` and the failed pairs.  For a filtered
     basis (a parabolic) a bracket landing outside the subset is a failure,
     which is exactly the subalgebra test.
 
@@ -539,12 +539,11 @@ def closure_check(bas):
     and by column once per call and per parity of a left factor
     (``_index``), and each generator e_p is swept once against its
     parity's index (``_sweep``), which forms [e_p, e_q] for every q >= p
-    whose matrix meets e_p's.  Every other pair brackets to
-    zero, which expands to no constant and cannot fail, so it is never
-    formed; ``pairs`` still counts all N(N+1)/2.  The partners are expanded
-    with ``OspBasis.read_off`` in ascending q, so the constants come out in
-    the order of the all-pairs loop.  No matrix or polynomial is built per
-    pair, and only the reported constants become FieldScalars.
+    whose matrix meets e_p's.  Every other pair of the N(N+1)/2 brackets
+    to zero, which expands to no constant and cannot fail, so it is never
+    formed.  The partners are expanded with ``OspBasis.read_off`` in
+    ascending q, so the constants come out in the order of the all-pairs
+    loop.  No matrix, polynomial or FieldScalar is built per pair.
     """
     constants = []
     failures = []
@@ -568,13 +567,8 @@ def closure_check(bas):
             if len(found) > 1:
                 found.sort(key=lambda rc: tags[rc[0]])
             for r, c in found:
-                constants.append((tags[p], tags[q], tags[r],
-                                  FieldScalar.from_q(c)))
-    return {
-        "pairs": len(gens) * (len(gens) + 1) // 2,
-        "structure_constants": constants,
-        "failures": failures,
-    }
+                constants.append((tags[p], tags[q], tags[r], c))
+    return BracketTable(bas, constants, failures)
 
 
 def bracket_entries(x, y, both_odd):
@@ -636,30 +630,29 @@ def _sweep(entries, rows, cols, lo):
 
 
 class BracketTable:
-    """closure_check's structure constants indexed by ordered generator
-    pair, built once per closure report and read by both
-    ``jacobi_failures`` and ``center_from_constants``.
+    """The structure constants of a basis, as ``closure_check`` returns
+    them, indexed by ordered generator pair for ``jacobi_failures`` and
+    ``center_from_constants``.
 
-    Both orders of every pair that closure_check expanded are filled once,
-    with [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a
-    pair that closure could not expand is filled as None in both orders.
-    So ``of(a, b)``, [a, b] as ``{tag: q}`` for any ordered pair of tags,
-    is one lookup: a missing pair is a zero bracket ([x, x] = 0 for even
-    x among them), and a failed one raises NotInSpanError.
-    ``by_right[b]`` lists the ``(a, [a, b])`` with [a, b] nonzero, and
-    ``failures`` keeps closure's failed pairs.
+    ``constants`` lists closure's ``(tag_p, tag_q, tag_r, q)``, p before q
+    in the basis, and ``failures`` its pairs that did not expand.  Both
+    orders of every expanded pair are filled once, with
+    [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a failed
+    pair is filled as None in both orders.  ``by_right[b]`` lists the
+    ``(a, [a, b])`` with [a, b] nonzero.
     """
 
-    def __init__(self, bas, closure):
-        self.failures = list(closure["failures"])
+    def __init__(self, bas, constants, failures):
+        self.constants = constants
+        self.failures = list(failures)
         self.index = {g.tag: i for i, g in enumerate(bas.generators)}
         self.parity = {g.tag: g.parity for g in bas.generators}
         table = self.table = {}
-        for p, q, r, c in closure["structure_constants"]:
-            table.setdefault((p, q), {})[r] = c.q
+        for p, q, r, c in constants:
+            table.setdefault((p, q), {})[r] = c
             if p != q:
                 table.setdefault((q, p), {})[r] = \
-                    c.q if self.parity[p] and self.parity[q] else q_neg(c.q)
+                    c if self.parity[p] and self.parity[q] else q_neg(c)
         for a, b in self.failures:
             table[(a, b)] = table[(b, a)] = None
         self.by_right = {}
@@ -668,6 +661,10 @@ class BracketTable:
                 self.by_right.setdefault(b, []).append((a, coeffs))
 
     def of(self, a, b):
+        """[a, b] as ``{tag: q}`` for any ordered pair of tags, by one
+        lookup: a pair with no constant brackets to zero ({}; [x, x] = 0
+        for even x among them), and a failed pair raises
+        NotInSpanError."""
         coeffs = self.table.get((a, b), {})
         if coeffs is None:
             raise NotInSpanError(f"[{a}, {b}] is not in the span of the"

@@ -67,7 +67,6 @@ from .linalg import RankTracker
 from .matrices import BlockShape, ParityError, SuperMatrix
 from .osp import (
     PARABOLIC_TAGS,
-    BracketTable,
     NotInSpanError,
     basis,
     basis_change_S,
@@ -184,12 +183,12 @@ def suite_osp_defining(m, n):
     rep.add("defining-equation",
             "every generator satisfies M^ST G + G M = 0",
             not bad, ", ".join(bad) or f"{len(bas)} generators")
-    closure = closure_check(bas)
+    table = closure_check(bas)
     rep.add("closure",
             "every superbracket of generators re-expands in the basis",
-            not closure["failures"],
-            f"{len(closure['structure_constants'])} structure constants"
-            if not closure["failures"] else str(closure["failures"][:4]))
+            not table.failures,
+            f"{len(table.constants)} structure constants"
+            if not table.failures else str(table.failures[:4]))
     tags = bas.tags()
     rng = random.Random(20240811)
     if len(tags) <= 12:
@@ -199,7 +198,6 @@ def suite_osp_defining(m, n):
             (rng.choice(tags), rng.choice(tags), rng.choice(tags))
             for _ in range(300)
         ]
-    table = BracketTable(bas, closure)
     bad_j = jacobi_failures(table, triples)
     rep.add("jacobi", "graded Jacobi identity on generator triples",
             not bad_j, f"{len(triples)} triples" if not bad_j else str(bad_j[:3]))
@@ -311,7 +309,7 @@ def suite_isomorphism(k1, l1):
         not any(entry_residual(img, target.gram) for img in images)
     rep.add("dj-bracket",
             "the zero-bordering embedding preserves every superbracket",
-            not closure_check(src)["failures"] and isometry and members,
+            not closure_check(src).failures and isometry and members,
             f"{len(src)}^2 pairs")
     spoiled = {**images[0], (0, 1): Q_ONE}
     rep.add("j-image-slice",

@@ -10,8 +10,9 @@ multiplies those partials for ``VectorField.bracket``, matrix
 brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
 from structure constants, two matrix products for the conjugation that
 ``osp.conjugate_entries`` forms on entry tables, the structure constants
-kept in one order and read the other way by recursion for the two-way
-``osp.BracketTable``, the enumerated positive roots for the closed
+of the all-pairs matrix closure kept in one order and read the other way
+by recursion for the two-way ``osp.BracketTable`` that
+``osp.closure_check`` returns, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
 hand for ``charts.isotropic_chart``, the dense body of a matrix, the
@@ -384,19 +385,19 @@ def conjugate(m, s, s_inv):
 
 
 class OneWayBracketTable:
-    """closure_check's structure constants stored in the order closure
-    expanded them, each pair (p, q) with p before q in the basis.  ``of(a,
-    b)`` reads a pair in the other order by recursion, as
-    [b, a] = -(-1)^{|a||b|} [a, b], and checks the failures in the stored
-    order only."""
+    """Structure constants ``(tag_p, tag_q, tag_r, q)`` stored in the order
+    they were expanded, each pair (p, q) with p before q in the basis, and
+    the failed pairs.  ``of(a, b)`` reads a pair in the other order by
+    recursion, as [b, a] = -(-1)^{|a||b|} [a, b], and checks the failures
+    in the stored order only."""
 
-    def __init__(self, bas, closure):
+    def __init__(self, bas, constants, failures):
         self.index = {g.tag: i for i, g in enumerate(bas.generators)}
         self.parity = {g.tag: g.parity for g in bas.generators}
-        self.failed = set(closure["failures"])
+        self.failed = set(failures)
         self.table = {}
-        for p, q, r, c in closure["structure_constants"]:
-            self.table.setdefault((p, q), {})[r] = c.q
+        for p, q, r, c in constants:
+            self.table.setdefault((p, q), {})[r] = c
 
     def of(self, a, b):
         if self.index[a] > self.index[b]:

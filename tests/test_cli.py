@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report files."""
 
+import hashlib
 import json
 import os
 import re
@@ -638,3 +639,111 @@ def test_fuzzed_argv_exits_0_1_or_2_without_traceback(argv, junk, env_cap):
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert elapsed < CASE_BUDGET_S, (argv, elapsed)
+
+
+# ---------------------------------------------------------------------------
+# Pinned `superflag verify` output
+# ---------------------------------------------------------------------------
+
+#: sha256 of the text and of the --json-out JSON of each `superflag verify`
+#: run, with the suite durations masked (``_masked_verify``), and its exit
+#: code.  A change that promises to keep every output the same keeps these.
+VERIFY_PINS = {
+    (): (
+        0, '4795ca0e1041e60eb4646e154c9458e6a5cff8639287bc7775d616ad2741b821',
+        'df0e151c89cf71c2421a1f2f1e90439cdc37427db084fd2fb75cd9d02755700f'),
+    ('--suite', 'osp-defining', '--m', '0', '--n', '1'): (
+        0, '4d64e1b5b4c87615edfd6cab274019d01f7295aac7afe5d0ef13114fa32f0f3d',
+        'aec9cd4c8a186a44a2fd87eccba6b4ed5889384c8c1f048a1a8a63b22ecfb9c8'),
+    ('--suite', 'osp-defining', '--m', '0', '--n', '2'): (
+        0, 'd2624aeb52b106da9e7f0af7c60629b95b1f8a94f7dbe8abe473e114d087a7f4',
+        '4021a6c43e64bd6234977ee1b78c5417b503484cc29d70036e7eafa2be43fa74'),
+    ('--suite', 'osp-defining', '--m', '0', '--n', '3'): (
+        0, 'eb086082cf0e48abded6918929b7524e0eca7a89d27a649ce923e6f9b3286fe2',
+        'ce4a8115468e5f62061ac4dc4001a89ce0b97439c6c3f11bcf64162be092bd9d'),
+    ('--suite', 'osp-defining', '--m', '1', '--n', '1'): (
+        0, '7eb6b25df8b6e2d331c54d018141867835853519ec7ceafce2a21604a773790f',
+        '5ec7c55ec8986bd0f48a62dfb9bb4027a33681d863e7335e2376fa084f53722c'),
+    ('--suite', 'osp-defining', '--m', '1', '--n', '2'): (
+        0, 'cb4dde2d28f1b71ae0b1504d60d24eb71dba89e2c21e4f3a14d4ac3020f96c64',
+        'eff36232637b397cecfad68e7072a765246cfba33b8d561dbe476ec5649d47c7'),
+    ('--suite', 'osp-defining', '--m', '1', '--n', '3'): (
+        0, '93996c8dbdf90640982259fef8c9da6bce1d5317cc34ed8e6c480fd48faa13af',
+        '4c096071aee7ae665af990a228c2c4e5a0122010e3a84153800aca692cb4bd9a'),
+    ('--suite', 'osp-defining', '--m', '2', '--n', '1'): (
+        0, '6ff335be442e557247324fbcdb52ad2a3e9a2ae8dbb89d1f5b79d0e936f70a08',
+        '27679e91a432d9b2b124e3af5354db6ac3bc35ad1cdae31327357b1c1d5b8252'),
+    ('--suite', 'osp-defining', '--m', '2', '--n', '2'): (
+        0, '8beba0a7c8e1bce8d6f02d557b2e545eaa556b1219b8d749ed083a4716200dc4',
+        '1e89c383b741b082c0610550071d1149750e618f4238db7eca49c58a5aa71e95'),
+    ('--suite', 'osp-defining', '--m', '2', '--n', '3'): (
+        0, 'd986661e1349c39b78df678b4d55356bc316da153906a90e4dcc521f343b15de',
+        'd33ad239042475febda5f053ff5856b1f5cc1bfe60c2947fbdfe9cbda5bda796'),
+    ('--suite', 'osp-defining', '--m', '3', '--n', '1'): (
+        0, 'ef875e826b8f08fe773ab66b0a3dc9fb2bededb7c4df79ac9768ca4681071cd1',
+        '09f2ed2d9fd81d129c3e0e020fad9ce43d91a918e8178e9518029a53f2b3ff2e'),
+    ('--suite', 'osp-defining', '--m', '3', '--n', '2'): (
+        0, 'a16c17233588828f2a524c975f7487beefe6f187d213ac7d5af2f3bb623f913c',
+        'bb6a2e6668d6ec21af24759aa5bfa693865ff7e3ad48a608abc1f5373722e457'),
+    ('--suite', 'osp-defining', '--m', '3', '--n', '3'): (
+        0, 'd0b6817f490101f4713cf8caa7ad69cc122a3b4d6f1f7868a19636b1d35dd52c',
+        '0eea87e6f0bc10f169d4da3ce5e7fa8792e72266544b532e7b99ec6fbbab7c8f'),
+    ('--suite', 'isomorphism', '--k1', '1', '--l1', '1'): (
+        0, '163ac9ee2c37a78fc6a93729acd8fb4dbda486d2fab03ba21d6d277b15f17888',
+        'fd6171050c6a5d7e77925b419fec6b5381cb3042af66b78a3ad50686d974d448'),
+    ('--suite', 'isomorphism', '--k1', '1', '--l1', '2'): (
+        0, '24f47483ffd55242bd94e24043af6bf7ff7e7ae05292e9bb058d3be37a42179c',
+        'a1ed7e9933e7d860248bb600d6f02a4d436c8edb0796ee05925557b8d7329ebc'),
+    ('--suite', 'isomorphism', '--k1', '1', '--l1', '3'): (
+        0, '7e004c6f271e4cd2dda564b1a6488266cd1ff51ce71adc6b5b6962c30522c251',
+        '42506fcb9b8053d65b9f4cd8e5f05e437f94444787f9ebb7ef84546d656622c4'),
+    ('--suite', 'isomorphism', '--k1', '2', '--l1', '1'): (
+        0, '115aa720fdaf2470f90b57ff7228949258e6219e4e1b15be6ffa841bde924c84',
+        '6d2fea579680a387e005e2d8efd46ff1b35f8fbc0d3b9163c749b0a959e3a295'),
+    ('--suite', 'isomorphism', '--k1', '2', '--l1', '2'): (
+        0, '615c22407ff0540680f59c12d64fa8c936949a47f893e2427d5df560275690b4',
+        '0f9ce7aa2eaca3f5c0e5b20b201bd25ac5e6a8f04eb606ca9f35f756e75cd533'),
+    ('--suite', 'isomorphism', '--k1', '2', '--l1', '3'): (
+        0, '02eb3686ab151241beb18833b1af58b5d4756393ed5e19a2e01795a2351f5325',
+        '5ddbb9949cb0cafc1c2ca2431277f20b4c65c8668bbded1ac21dbba6636bc351'),
+    ('--suite', 'isomorphism', '--k1', '3', '--l1', '1'): (
+        0, 'b82a885635a2bdcd484530946cb0a4e7c8065e3d2fd73c2cd74ee9093eb60426',
+        '24aba70d297505b45c0c378e5e85cd06f4746104ad2c49e7622da736e38f5d2b'),
+    ('--suite', 'isomorphism', '--k1', '3', '--l1', '2'): (
+        0, 'a8b485c69976b3bc9d20821ce8ac097c219be267ddb36efdb68f6eec0250ccbc',
+        'a7c8422324221ae4f4b199c5d6cb6599359e7633d816b319621f62ba234bcbcf'),
+    ('--suite', 'isomorphism', '--k1', '3', '--l1', '3'): (
+        0, '7c87909db86cfeadbc61d0635fe6d6635ce62c3b15405a7f553c0171f6642643',
+        '9d19b6c397ad2b6bee9fb944a4fd1c719e83a6738c9f7d13379825941ea5fa8c'),
+}
+
+
+def _verify_runs():
+    yield ()
+    for m in range(4):
+        for n in range(1, 4):
+            yield ("--suite", "osp-defining", "--m", str(m), "--n", str(n))
+    for k1 in range(1, 4):
+        for l1 in range(1, 4):
+            yield ("--suite", "isomorphism", "--k1", str(k1), "--l1", str(l1))
+
+
+def _masked_verify(capsys, tmp_path, argv):
+    """``superflag verify argv --json-out FILE`` through cli.main: the exit
+    code, then the sha256 of its text and of its JSON, each with every
+    duration masked and the text's report path named FILE."""
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", *argv, "--json-out", str(report))
+    text = re.sub(r", \d+\.\d\ds, backend=", ", N.NNs, backend=",
+                  out.replace(str(report), "FILE") + err)
+    payload = re.sub(r'"duration_seconds": [^,\n]+', '"duration_seconds": 0',
+                     report.read_text(encoding="utf-8"))
+    return (code,) + tuple(hashlib.sha256(s.encode()).hexdigest()
+                           for s in (text, payload))
+
+
+@pytest.mark.parametrize("argv", list(_verify_runs()),
+                         ids=lambda argv: " ".join(argv[1::2]) or "default")
+def test_verify_output_matches_pins(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.delenv("SUPERFLAG_MAX_SIZE", raising=False)
+    assert _masked_verify(capsys, tmp_path, argv) == VERIFY_PINS[argv]

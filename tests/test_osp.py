@@ -286,17 +286,16 @@ def test_read_off_matches_the_reassembly_oracle(case):
 
 def test_closure_osp_3_2():
     bas = basis("odd", 1, 1)
-    report = closure_check(bas)
-    assert report["failures"] == []
-    assert len(report["structure_constants"]) == 43
-    tags = {t for t, _, _, _ in
-            [(p, q, r, c) for (p, q, r, c) in report["structure_constants"]]}
+    table = closure_check(bas)
+    assert table.failures == []
+    assert len(table.constants) == 43
+    tags = {t for t, _, _, _ in table.constants}
     assert tags <= set(bas.tags())
 
 
 @pytest.mark.parametrize("m,n", [(2, 1), (1, 2)])
 def test_closure_larger(m, n):
-    assert closure_check(basis("odd", m, n))["failures"] == []
+    assert closure_check(basis("odd", m, n)).failures == []
 
 
 def test_jacobi_exhaustive_smallest():
@@ -341,17 +340,19 @@ PINNED_CONSTANTS = {
 
 @pytest.mark.parametrize("case", sorted(PINNED_CONSTANTS))
 def test_structure_constants_match_pinned_digest(case):
-    report = closure_check(basis(*case))
-    assert report["failures"] == []
+    table = closure_check(basis(*case))
+    assert table.failures == []
     h = hashlib.sha256()
-    for p, q, r, c in report["structure_constants"]:
-        h.update(f"{p}|{q}|{r}|{c.render()}\n".encode())
+    for p, q, r, c in table.constants:
+        h.update(f"{p}|{q}|{r}|{FieldScalar.from_q(c).render()}\n".encode())
     assert h.hexdigest() == PINNED_CONSTANTS[case]
 
 
 def _all_pairs_closure(bas):
     """closure_check's all-pairs form: superbracket every generator pair,
-    whether or not the matrices meet, and re-expand in the basis."""
+    whether or not the matrices meet, and re-expand in the basis.  Returns
+    the structure constants, each coefficient as its 5-tuple, and the
+    failed pairs."""
     constants, failures = [], []
     gens = bas.generators
     for p in range(len(gens)):
@@ -366,9 +367,8 @@ def _all_pairs_closure(bas):
                 failures.append((gp.tag, gq.tag))
                 continue
             for tag, c in sorted(coeffs.items()):
-                constants.append((gp.tag, gq.tag, tag, c))
-    return {"pairs": len(gens) * (len(gens) + 1) // 2,
-            "structure_constants": constants, "failures": failures}
+                constants.append((gp.tag, gq.tag, tag, c.q))
+    return constants, failures
 
 
 def _closure_oracle_basis(case):
@@ -405,15 +405,14 @@ def test_closure_check_matches_all_pairs_oracle(case):
     fail on both sides.  The forced one keeps 1 there and has 2 at its
     other entry."""
     bas = _closure_oracle_basis(case)
-    got, want = closure_check(bas), _all_pairs_closure(bas)
-    assert got["pairs"] == want["pairs"]
-    assert got["failures"] == want["failures"]
-    assert got["structure_constants"] == want["structure_constants"]
+    table = closure_check(bas)
+    constants, failures = _all_pairs_closure(bas)
+    assert table.failures == failures
+    assert table.constants == constants
     if case[0] == "parabolic":
-        assert got["failures"]
+        assert table.failures
     if case[0] == "scaled":
-        assert {c for _, _, _, c in got["structure_constants"]} \
-            - {ONE, -ONE}
+        assert {c for _, _, _, c in table.constants} - {Q_ONE, Q_MINUS_ONE}
 
 
 def test_bracket_entries_matches_the_matrix_superbracket():
@@ -495,10 +494,10 @@ def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
         return real(self, entries)
 
     monkeypatch.setattr(OspBasis, "read_off", counting)
-    report = closure_check(bas)
-    assert report["pairs"] == 10440
-    assert report["failures"] == []
-    assert 0 < len(calls) <= 0.3 * report["pairs"]
+    pairs = len(bas) * (len(bas) + 1) // 2
+    assert pairs == 10440
+    assert closure_check(bas).failures == []
+    assert 0 < len(calls) <= 0.3 * pairs
 
 
 def _all_triples(bas):
@@ -510,7 +509,7 @@ def _all_triples(bas):
 def test_jacobi_from_constants_matches_matrix_oracle(case):
     bas = basis(*case)
     triples = _all_triples(bas)
-    table = BracketTable(bas, closure_check(bas))
+    table = closure_check(bas)
     assert jacobi_failures(table, triples) == []
     assert all(super_jacobi_holds(bas[x].matrix, bas[y].matrix,
                                   bas[z].matrix) for x, y, z in triples[::7])
@@ -522,23 +521,22 @@ def test_jacobi_detects_every_flipped_constant():
     bas = basis("odd", 1, 1)
     closure = closure_check(bas)
     triples = _all_triples(bas)
-    constants = closure["structure_constants"]
+    constants = list(closure.constants)
     for i, (p, q, r, c) in enumerate(constants):
-        mutated = dict(closure, structure_constants=constants[:i]
-                       + [(p, q, r, -c)] + constants[i + 1:])
-        assert jacobi_failures(BracketTable(bas, mutated), triples), \
-            (p, q, r)
-    assert closure["structure_constants"] == constants
+        mutated = constants[:i] + [(p, q, r, q_neg(c))] + constants[i + 1:]
+        assert jacobi_failures(BracketTable(bas, mutated, closure.failures),
+                               triples), (p, q, r)
+    assert closure.constants == constants
 
 
 def test_jacobi_fails_every_triple_needing_a_missing_bracket():
     bas = basis("odd", 1, 1)
     closure = closure_check(bas)
     x, y = bas.tags()[0], bas.tags()[3]
-    broken = BracketTable(bas, dict(closure, failures=[(x, y)]))
+    broken = BracketTable(bas, closure.constants, [(x, y)])
     failing = set(jacobi_failures(broken, _all_triples(bas)))
     assert (x, y, y) in failing and (y, x, x) in failing
-    assert jacobi_failures(BracketTable(bas, closure), sorted(failing)) == []
+    assert jacobi_failures(closure, sorted(failing)) == []
     with pytest.raises(NotInSpanError):
         center_from_constants(bas, broken)
 
@@ -549,11 +547,10 @@ def test_jacobi_fails_exactly_the_triples_needing_a_missing_bracket(pair):
     those whose three sides read that pair in either order, as an outer
     bracket or as one composed from an outer bracket's terms."""
     bas = basis("odd", 1, 1)
-    closure = closure_check(bas)
+    whole = closure_check(bas)
     tags = bas.tags()
     x0, y0 = tags[pair[0]], tags[pair[1]]
     missing = {(x0, y0), (y0, x0)}
-    whole = BracketTable(bas, closure)
 
     def needs(x, y, z):
         read = {(y, z), (x, y), (x, z)}
@@ -563,7 +560,7 @@ def test_jacobi_fails_exactly_the_triples_needing_a_missing_bracket(pair):
         return bool(read & missing)
 
     triples = _all_triples(bas)
-    broken = BracketTable(bas, dict(closure, failures=[(x0, y0)]))
+    broken = BracketTable(bas, whole.constants, [(x0, y0)])
     assert jacobi_failures(broken, triples) == [t for t in triples
                                                 if needs(*t)]
 
@@ -574,9 +571,9 @@ def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
     real = suites.closure_check
 
     def broken(bas):
-        report = real(bas)
-        p, q = report["structure_constants"][0][:2]
-        return dict(report, failures=[(p, q)])
+        table = real(bas)
+        p, q = table.constants[0][:2]
+        return BracketTable(bas, table.constants, [(p, q)])
 
     monkeypatch.setattr(suites, "closure_check", broken)
     records = {r.check_id: r for r in suites.suite_osp_defining(1, 1).records}
@@ -585,11 +582,11 @@ def test_osp_defining_suite_reports_a_missing_bracket(monkeypatch):
     assert records["center"].witness == "undetermined: closure failed"
 
 
-def _late_failure(closure):
-    """``closure`` with the pair of its last structure constant marked as
-    failed."""
-    p, q = closure["structure_constants"][-1][:2]
-    return dict(closure, failures=[(p, q)])
+def _late_failure(bas, table):
+    """``table`` of ``bas`` with the pair of its last structure constant
+    marked as failed."""
+    p, q = table.constants[-1][:2]
+    return BracketTable(bas, table.constants, [(p, q)])
 
 
 def test_center_raises_on_a_late_closure_failure():
@@ -597,7 +594,7 @@ def test_center_raises_on_a_late_closure_failure():
     last constant's pair; a failure there still leaves the center
     undetermined, whatever order the probes come in."""
     bas = basis("odd", 2, 2)
-    table = BracketTable(bas, _late_failure(closure_check(bas)))
+    table = _late_failure(bas, closure_check(bas))
     with pytest.raises(NotInSpanError):
         center_from_constants(bas, table)
 
@@ -605,7 +602,7 @@ def test_center_raises_on_a_late_closure_failure():
 def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
     real = suites.closure_check
     monkeypatch.setattr(suites, "closure_check",
-                        lambda bas: _late_failure(real(bas)))
+                        lambda bas: _late_failure(bas, real(bas)))
     records = {r.check_id: r for r in suites.suite_osp_defining(2, 2).records}
     assert not records["closure"].ok and not records["center"].ok
     assert records["center"].witness == "undetermined: closure failed"
@@ -615,15 +612,18 @@ def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
                                   ("primed", 3, 1)])
 def test_two_way_bracket_table_matches_the_recursive_rule(case):
     """The table filled in both orders reads every ordered pair as the
-    one-way table and its recursion do, with and without a failed pair,
-    and ``by_right`` lists exactly the nonzero brackets."""
+    one-way table of the all-pairs matrix oracle and its recursion do,
+    with and without a failed pair, and ``by_right`` lists exactly the
+    nonzero brackets."""
     bas = basis(*case)
     closure = closure_check(bas)
+    constants, failures = _all_pairs_closure(bas)
     tags = bas.tags()
-    middle = closure["structure_constants"][len(tags)][:2]
-    for report in (closure, dict(closure, failures=[middle])):
-        table = BracketTable(bas, report)
-        oracle = OneWayBracketTable(bas, report)
+    middle = constants[len(tags)][:2]
+    for table, failed in ((closure, failures),
+                          (BracketTable(bas, closure.constants, [middle]),
+                           [middle])):
+        oracle = OneWayBracketTable(bas, constants, failed)
         nonzero = {}
         for a in tags:
             for b in tags:
@@ -655,7 +655,7 @@ def test_center_reads_each_coefficient_back(monkeypatch):
 def _center(flavor, a, b):
     """center_from_constants on the constants of ``basis(flavor, a, b)``."""
     bas = basis(flavor, a, b)
-    return center_from_constants(bas, BracketTable(bas, closure_check(bas)))
+    return center_from_constants(bas, closure_check(bas))
 
 
 def _bracket_probing_center(flavor, a, b):
@@ -922,8 +922,7 @@ def _matrix_loop_preserves_brackets(src):
 def _same_structure(src, bordered):
     """The dj-bracket verdict: both closures succeed with equal constants."""
     a, b = closure_check(src), closure_check(bordered)
-    return not a["failures"] and not b["failures"] \
-        and a["structure_constants"] == b["structure_constants"]
+    return not a.failures and not b.failures and a.constants == b.constants
 
 
 @pytest.mark.parametrize("k1,l1", [(k1, l1) for k1 in (1, 2, 3)
@@ -937,7 +936,8 @@ def test_bordered_constants_match_source_and_matrix_oracle(k1, l1):
         assert h.parity == g.parity
         assert h.primary == (g.primary[0] + 1, g.primary[1] + 1)
         assert h.matrix == embed_j(g.matrix) and j_image_contains(h.matrix)
-    assert closure_check(bordered) == closure_check(src)
+    a, b = closure_check(bordered), closure_check(src)
+    assert (a.constants, a.failures) == (b.constants, b.failures)
     assert _same_structure(src, bordered)
     assert _matrix_loop_preserves_brackets(src)
 
@@ -1082,9 +1082,9 @@ def test_isomorphism_suite_fails_dj_bracket_when_the_source_does_not_close(
     real = suites.closure_check
 
     def failing(bas):
-        report = real(bas)
-        return dict(report, failures=[*report["failures"],
-                                      tuple(bas.tags()[:2])])
+        table = real(bas)
+        return BracketTable(bas, table.constants,
+                            [*table.failures, tuple(bas.tags()[:2])])
 
     monkeypatch.setattr(suites, "closure_check", failing)
     records = _iso_records(2, 1)
@@ -1317,7 +1317,7 @@ def test_parabolic_original_is_the_stabilizer(which, flavor, k1, l1):
     idx = stabilized_subspace_indices(flavor, ambient.gram.matrix.rows)
     expected = {g.tag for g in ambient if _stabilizes(g.matrix, idx)}
     assert {g.tag for g in sub} == expected
-    assert closure_check(sub)["failures"] == []
+    assert closure_check(sub).failures == []
 
 
 def test_parabolic_original_contains_full_diagonal_block():
@@ -1332,7 +1332,7 @@ def test_parabolic_primed_pattern_is_not_closed():
     """The primed block pattern is a slot pattern, not a
     subalgebra: A11' brackets G2' into the excluded G1' family."""
     sub = parabolic_basis("p", 2, 1)
-    failures = closure_check(sub)["failures"]
+    failures = closure_check(sub).failures
     assert failures != []
     assert ("A11:1,1", "G2:1") in failures or ("G2:1", "A11:1,1") in failures
 
@@ -1515,28 +1515,30 @@ def test_basis_rejects_a_wrong_family_parity(monkeypatch, fresh_basis_cache,
 
 
 def test_osp_defining_builds_one_bracket_table(monkeypatch):
-    """Jacobi and center read the one BracketTable of the run."""
+    """Jacobi and center read the one BracketTable of the run, the one
+    closure_check returns."""
     built = []
 
     class Counted(BracketTable):
-        def __init__(self, bas, closure):
-            built.append(closure)
-            super().__init__(bas, closure)
+        def __init__(self, bas, constants, failures):
+            built.append(constants)
+            super().__init__(bas, constants, failures)
 
-    monkeypatch.setattr(suites, "BracketTable", Counted)
+    monkeypatch.setattr(osp, "BracketTable", Counted)
     report = suites.suite_osp_defining(2, 2)
     assert report.ok
     assert len(built) == 1
 
 
 def test_bracket_table_keeps_the_failures_of_its_report():
-    """A table keeps the failures its report had when it was built: a
-    later change to the report's list reaches neither ``failures`` nor
-    the center read from the table."""
+    """A table keeps the failures it was given when it was built: a later
+    change to the list passed reaches neither ``failures`` nor the center
+    read from the table."""
     bas = basis("odd", 1, 1)
     closure = closure_check(bas)
-    table = BracketTable(bas, closure)
-    closure["failures"].extend(_late_failure(closure)["failures"])
+    failures = list(closure.failures)
+    table = BracketTable(bas, closure.constants, failures)
+    failures.extend(_late_failure(bas, closure).failures)
     assert table.failures == []
     assert center_from_constants(bas, table) == []
 
