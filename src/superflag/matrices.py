@@ -370,7 +370,7 @@ class SuperMatrix:
             raise linalg.SingularMatrixError("matrix body is singular")
         binv = SuperMatrix.from_terms(self.rows, self.rows, self.ctx, None, {
             (i, j - size): {CONSTANT: q}
-            for i, row in enumerate(tracker.sparse_rows)
+            for i, row in enumerate(tracker.rows)
             for j, q in sorted(row.items()) if j >= size})
         eye = SuperMatrix.identity(self.rows, self.ctx)
         n = binv @ self - eye

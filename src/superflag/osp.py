@@ -76,13 +76,14 @@ the zero-bordering P M P^T (``border_matrix``), on the same tables.
 ``closure_check`` returns the constants as one table, filled in both
 orders of each pair (``BracketTable``); the Jacobi and center checks
 read it and compose and reduce tuple rows; every sum of such dicts is
-``scalars.add_scaled``.  The constants stay 5-tuples end to end: in
-these checks FieldScalar appears only in the center's nullspace and the
-matrices read back from it.  The matrix-bracket Jacobi identity, the
-conjugation by two matrix products, the one-way constant table, the
-residual on whole term dicts, the matrix-first basis, the matrix
-bordering with its span test, the read-off by re-assembly and the
-odd/even stabilizer of the base flag, which the tests compare these
+``scalars.add_scaled``.  The constants stay 5-tuples end to end: the
+center feeds them to ``RankTracker`` as ``{column: q}`` rows and scales
+the generators' entry tables by its ``{column: q}`` nullspace vectors,
+so no FieldScalar is built in these checks.  The matrix-bracket Jacobi
+identity, the conjugation by two matrix products, the one-way constant
+table, the residual on whole term dicts, the matrix-first basis, the
+matrix bordering with its span test, the read-off by re-assembly and
+the odd/even stabilizer of the base flag, which the tests compare these
 with, live in ``tests/oracles.py``.
 """
 
@@ -636,10 +637,11 @@ class BracketTable:
 
     ``constants`` lists closure's ``(tag_p, tag_q, tag_r, q)``, p before q
     in the basis, and ``failures`` its pairs that did not expand.  Both
-    orders of every expanded pair are filled once, with
+    orders of every expanded pair are filled once in ``table``, with
     [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a failed
-    pair is filled as None in both orders.  ``by_right[b]`` lists the
-    ``(a, [a, b])`` with [a, b] nonzero.
+    pair is filled as None in both orders; a pair that brackets to zero
+    has no entry.  ``index`` and ``parity`` map each tag to its position
+    in the basis and its parity.
     """
 
     def __init__(self, bas, constants, failures):
@@ -655,10 +657,6 @@ class BracketTable:
                     c if self.parity[p] and self.parity[q] else q_neg(c)
         for a, b in self.failures:
             table[(a, b)] = table[(b, a)] = None
-        self.by_right = {}
-        for (a, b), coeffs in table.items():
-            if coeffs:
-                self.by_right.setdefault(b, []).append((a, coeffs))
 
     def of(self, a, b):
         """[a, b] as ``{tag: q}`` for any ordered pair of tags, by one
@@ -716,15 +714,15 @@ def center_from_constants(bas, br):
     In a sector with generators g_1..g_s, Z = sum c_i g_i is central when
     sum c_i [g_i, X] = 0 for every generator X, that is, coefficient by
     coefficient of each [g_i, X] in the basis: one ad row per (X, tag).
-    Only the nonzero [g_i, X] are visited (``BracketTable.by_right``),
-    and the probes X whose entry tables are diagonal come first: in the
-    odd, even and gl bases such an X brackets every generator to a
-    multiple of itself, so each of its rows has one entry, and these rows
-    fill most of the rank.  The reduced row echelon form of a row space is
-    unique, so the order of the rows changes neither the nullspace nor the
-    center.  Each nullspace vector is read back on the generators' entry
-    tables.  Raises NotInSpanError when closure could not expand some
-    bracket, whichever bracket that is.
+    Each [g_i, X] is one lookup in ``br.table``, which holds only the
+    nonzero brackets, and the probes X whose entry tables are diagonal
+    come first: in the odd, even and gl bases such an X brackets every
+    generator to a multiple of itself, so each of its rows has one entry,
+    and these rows fill most of the rank.  The reduced row echelon form of
+    a row space is unique, so the order of the rows changes neither the
+    nullspace nor the center.  Each nullspace vector scales the
+    generators' entry tables.  Raises NotInSpanError when closure could
+    not expand some bracket, whichever bracket that is.
     """
     if br.failures:
         a, b = br.failures[0]
@@ -737,13 +735,13 @@ def center_from_constants(bas, br):
         sector = [i for i, g in enumerate(gens) if g.parity == parity]
         if not sector:
             continue
-        pos = {gens[i].tag: k for k, i in enumerate(sector)}
+        tags = [gens[i].tag for i in sector]
         tracker = RankTracker(len(sector))
         for probe in probes:
-            rows = {}
-            for a, coeffs in br.by_right.get(gens[probe].tag, ()):
-                k = pos.get(a)
-                if k is not None:
+            x, rows = gens[probe].tag, {}
+            for k, a in enumerate(tags):
+                coeffs = br.table.get((a, x))
+                if coeffs:
                     for tag, c in coeffs.items():
                         rows.setdefault(tag, {})[k] = c
             for tag in sorted(rows, key=br.index.__getitem__):
@@ -755,9 +753,8 @@ def center_from_constants(bas, br):
         shape = gens[sector[0]].shape
         for vec in tracker.nullspace():
             acc = {}
-            for c, i in zip(vec, sector):
-                if c:
-                    add_scaled(acc, table[i], c.q)
+            for k, q in vec.items():
+                add_scaled(acc, table[sector[k]], q)
             out.append(SuperMatrix.from_terms(
                 shape, shape, NUMERIC_CTX, parity,
                 {slot: {CONSTANT: q} for slot, q in acc.items()}))

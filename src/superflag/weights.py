@@ -191,34 +191,25 @@ def root_system(k1, l1):
 def psi_highest_weights(k1, l1):
     """Highest weights of the pulled-back function sheaf on the fiber.
 
-    The generic list is {mu1 - mu_s, mu1 - la_n, la1 - mu_s, la1 - la_n, 0};
-    small ranks collapse coincident functionals, dropping the summands that
-    degenerate (for s = 1 the difference mu1 - mu_s vanishes from the even
-    block, for n = 1 the odd block contributes la1 - mu_s only, and so on).
+    The list is first - last for each present first functional (mu1, then
+    la1) and each present last functional (mu_s, then la_n), skipping the
+    pairs where the two are the same functional, then 0 when both blocks
+    are present.  At generic ranks that is
+    {mu1 - mu_s, mu1 - la_n, la1 - mu_s, la1 - la_n, 0}; small ranks drop
+    the summands that degenerate (for s = 1 mu1 - mu_s vanishes, for
+    s = 0 only la1 - la_n is left, and so on).
     """
     if k1 < 1 or l1 < 0:
         raise ValueError("need k1 >= 1 and l1 >= 0")
     s, n = k1 - 1, l1
     # positions of mu1, mu_s, la1 and la_n in the entries (mu | la)
-    mu1, mus, la1, lan = 0, s - 1, s, s + n - 1
-
-    def diff(plus, minus):
-        """The weight ``plus - minus``."""
-        return Weight.from_entries(s, n, ((plus, 1), (minus, -1)))
-
-    if l1 == 0:
-        return [diff(mu1, mus)] if k1 > 2 else []
-    if k1 == 1:
-        return [diff(la1, lan)] if l1 > 1 else []
-    zero = Weight.zero(s, n)
-    if k1 == 2 and l1 == 1:
-        return [diff(mu1, la1), diff(la1, mu1), zero]
-    if k1 == 2:
-        return [diff(mu1, lan), diff(la1, mu1), diff(la1, lan), zero]
-    if l1 == 1:
-        return [diff(mu1, mus), diff(mu1, la1), diff(la1, mus), zero]
-    return [diff(mu1, mus), diff(mu1, lan), diff(la1, mus), diff(la1, lan),
-            zero]
+    firsts = ([0] if s else []) + ([s] if n else [])
+    lasts = ([s - 1] if s else []) + ([s + n - 1] if n else [])
+    out = [Weight.from_entries(s, n, ((first, 1), (last, -1)))
+           for first in firsts for last in lasts if first != last]
+    if s and n:
+        out.append(Weight.zero(s, n))
+    return out
 
 
 def bwb_dominant_filter(weights, rs):

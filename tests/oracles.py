@@ -55,7 +55,7 @@ from superflag.osp import PARABOLIC_TAGS, Generator, NotInSpanError, \
     OspBasis, basis, components, constant_entries
 from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
     RingContext, SuperPoly, common_context
-from superflag.scalars import ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
+from superflag.scalars import Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
     FieldScalar, add_scaled, q_add, q_mul, q_neg
 from superflag.weights import Weight
 
@@ -280,10 +280,13 @@ def invert(a):
     n = len(a)
     tracker = RankTracker(2 * n)
     for i, row in enumerate(a):
-        tracker.add(list(row) + [ONE if j == i else ZERO for j in range(n)])
+        entries = {j: x.q for j, x in enumerate(row)}
+        entries[n + i] = Q_ONE
+        tracker.add(entries)
     if tracker.pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [row[n:] for row in tracker.rows]
+    return [[FieldScalar.from_q(row.get(n + j, Q_ZERO)) for j in range(n)]
+            for row in tracker.rows]
 
 
 def neumann_invert(m):

@@ -1,18 +1,31 @@
 """Exact linear algebra: the sparse row reduction, and the dense inverse
-through it that the tests use as an oracle."""
+through it that the tests use as an oracle.  The tracker takes and gives
+``{column: q}`` dicts; the tests that compare it with dense FieldScalar
+elimination convert between the two forms here."""
 
 import random
 
 import pytest
 
 from superflag.linalg import RankTracker, SingularMatrixError
-from superflag.scalars import FieldScalar, ONE, ZERO
+from superflag.scalars import FieldScalar, ONE, Q_ZERO, ZERO, q_add, \
+    q_mul, q_normalize
 
 from oracles import invert
 
 
 def _scalar(rng):
     return FieldScalar(*(rng.randint(-3, 3) for _ in range(4)))
+
+
+def _sparse(row):
+    """A dense FieldScalar row as the tracker's ``{column: q}`` dict."""
+    return {c: x.q for c, x in enumerate(row) if x}
+
+
+def _dense(vec, ncols):
+    """A ``{column: q}`` dict as a dense FieldScalar row."""
+    return [FieldScalar.from_q(vec.get(c, Q_ZERO)) for c in range(ncols)]
 
 
 def _mat_mul(a, b):
@@ -132,15 +145,17 @@ def test_rank_tracker_matches_dense_elimination(ncols):
         sparse, dense = RankTracker(ncols), _DenseTracker(ncols)
         for k, row in enumerate(_stream(rng, ncols)):
             was_full = sparse.is_full()
-            # every other row goes in as a {column: value} dict
-            grew = sparse.add(dict(enumerate(row)) if k % 2 else row)
+            # every other row keeps its zero entries, which add drops
+            grew = sparse.add({c: x.q for c, x in enumerate(row)} if k % 2
+                              else _sparse(row))
             assert grew == dense.add(row)
             seen.add((was_full, grew))
             assert sparse.rank == len(dense.rows)
             assert sparse.pivots == dense.pivots
-            assert sparse.rows == dense.rows
+            assert [_dense(r, ncols) for r in sparse.rows] == dense.rows
             assert sparse.is_full() == (len(dense.rows) == ncols)
-            assert sparse.nullspace() == dense.nullspace()
+            assert [_dense(v, ncols) for v in sparse.nullspace()] \
+                == dense.nullspace()
     # rows that reduced to zero below full rank, and rows fed after it
     assert {(False, False), (True, False)} <= seen
 
@@ -149,26 +164,81 @@ def test_rank_tracker_full_rank_is_the_identity():
     rng = random.Random(7)
     tracker = RankTracker(3)
     while not tracker.is_full():
-        tracker.add([_scalar(rng) for _ in range(3)])
-    assert tracker.rows == _identity(3) and tracker.pivots == [0, 1, 2]
+        tracker.add(_sparse([_scalar(rng) for _ in range(3)]))
+    assert [_dense(r, 3) for r in tracker.rows] == _identity(3) \
+        and tracker.pivots == [0, 1, 2]
     assert tracker.nullspace() == []
     for _ in range(5):
-        assert not tracker.add([_scalar(rng) for _ in range(3)])
-    assert not tracker.add([ZERO, ZERO, ZERO])
-    assert tracker.rows == _identity(3)
+        assert not tracker.add(_sparse([_scalar(rng) for _ in range(3)]))
+    assert not tracker.add({c: Q_ZERO for c in range(3)})
+    assert [_dense(r, 3) for r in tracker.rows] == _identity(3)
 
 
-def test_rank_tracker_hands_out_field_scalars():
-    """Rows are stored as 5-tuples, but every value leaving the tracker is
-    a FieldScalar, and ``add`` takes FieldScalar lists and dicts alike."""
+def test_rank_tracker_hands_out_q_tuples():
+    """Rows go in and come out as ``{column: q}`` dicts of nonzero
+    5-tuples, and the dense inverse of the oracle hands out FieldScalars."""
     rng = random.Random(11)
     tracker = RankTracker(4)
-    assert tracker.add([_scalar(rng), ZERO, _scalar(rng), ZERO])
-    assert tracker.add({1: _scalar(rng), 3: _scalar(rng)})
-    assert not tracker.add({0: ZERO})
-    values = [x for row in tracker.rows for x in row] \
-        + [x for vec in tracker.nullspace() for x in vec]
-    assert len(values) == 16
-    assert all(type(x) is FieldScalar for x in values)
+    assert tracker.add(_sparse([_scalar(rng), ZERO, _scalar(rng), ZERO]))
+    assert tracker.add({1: _scalar(rng).q, 3: _scalar(rng).q})
+    assert not tracker.add({0: Q_ZERO})
+    values = [x for row in tracker.rows for x in row.values()] \
+        + [x for vec in tracker.nullspace() for x in vec.values()]
+    assert len(values) == 8
+    assert all(type(x) is tuple and len(x) == 5 and x != Q_ZERO
+               for x in values)
     inv = invert(_nonsingular(rng, 3))
     assert all(type(x) is FieldScalar for row in inv for x in row)
+
+
+def _random_q(rng):
+    """A field tuple with small numerators and denominators, zero one time
+    in four."""
+    if rng.random() < 0.25:
+        return Q_ZERO
+    return q_normalize(*(rng.randint(-4, 4) for _ in range(4)),
+                       rng.randint(1, 3))
+
+
+def _sparse_stream(rng, ncols):
+    """Sparse ``{column: q}`` rows: random ones with some zero entries
+    kept, and combinations of two earlier rows, whose cancelled entries
+    stay in the dict as Q_ZERO."""
+    rows = []
+    for _ in range(ncols + 6):
+        if len(rows) > 1 and rng.random() < 0.4:
+            a, b = rng.sample(rows, 2)
+            wa, wb = _random_q(rng), _random_q(rng)
+            rows.append({c: q_add(q_mul(wa, a.get(c, Q_ZERO)),
+                                  q_mul(wb, b.get(c, Q_ZERO)))
+                         for c in sorted(a.keys() | b.keys())})
+        else:
+            rows.append({c: _random_q(rng) for c in range(ncols)
+                         if rng.random() < 0.35})
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rank_tracker_contract_on_sparse_rows(seed):
+    """With no dense oracle: every nullspace vector is annihilated by every
+    row fed, rank + nullity = ncols, nothing the tracker stores or hands
+    out holds a zero, and ``add`` leaves the caller's dict as it was."""
+    rng = random.Random(f"contract {seed}")
+    ncols = rng.randint(1, 14)
+    rows = _sparse_stream(rng, ncols)
+    tracker = RankTracker(ncols)
+    for row in rows:
+        before = list(row.items())
+        tracker.add(row)
+        assert list(row.items()) == before
+    null = tracker.nullspace()
+    assert tracker.rank + len(null) == ncols
+    for vec in null:
+        for row in rows:
+            dot = Q_ZERO
+            for c, x in row.items():
+                if c in vec:
+                    dot = q_add(dot, q_mul(x, vec[c]))
+            assert dot == Q_ZERO
+    assert all(x != Q_ZERO for part in (tracker.rows, null)
+               for entries in part for x in entries.values())

@@ -1,5 +1,7 @@
 """Root systems, dominance, and the dominant-weight case table."""
 
+import hashlib
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -156,6 +158,21 @@ def test_highest_weight_case_split():
     assert s(1, 1) == []
     assert s(4, 0) == ["mu1 - mu3"]
     assert s(2, 0) == []
+
+
+#: sha256 of the rendered psi lists for 1 <= k1 <= 30 and 0 <= l1 <= 30,
+#: taken from the five-branch case split that the generic rule replaced.
+PINNED_PSI = "6c745e8c1d95613bb7c71e76e8f479b674617155546ee3c3df5d12022c2e683f"
+
+
+def test_highest_weights_match_pinned_digest():
+    h = hashlib.sha256()
+    for k1 in range(1, 31):
+        for l1 in range(31):
+            rendered = "; ".join(w.render()
+                                 for w in psi_highest_weights(k1, l1))
+            h.update(f"{k1},{l1}|{rendered}\n".encode())
+    assert h.hexdigest() == PINNED_PSI
 
 
 @pytest.mark.parametrize("k1", range(1, 7))
