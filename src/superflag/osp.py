@@ -63,9 +63,9 @@ isomorphism and imp-witness suites never read it.  ``basis`` and
 run asks for.  ``closure_check`` brackets on the tables
 (``OspBasis.entry_table``): it indexes them by row and by column once per
 call and sweeps each generator once against that index, forming its
-bracket with every later generator that meets it; ``bracket_entries``
-forms one bracket with the same sweep, and an odd table bracketed with
-itself as 2 X^2, sweeping it against its own row index alone.
+bracket with every later generator that meets it; ``odd_self_bracket``
+forms [X, X] = 2 X^2 of an odd table with the same sweep, against the
+table's own row index alone.
 ``OspBasis.read_off``, the one span test for constant matrices, expands
 a bracket or a candidate in one pass over its entries: the generators'
 supports are pairwise disjoint (``OspBasis`` refuses a basis where two
@@ -73,18 +73,18 @@ share a slot), so each entry is checked against the one generator that
 owns its slot (``OspBasis.owners``) and no combination is re-assembled.
 ``conjugate_entries`` forms S^-1 M S, and
 the zero-bordering P M P^T (``border_matrix``), on the same tables.
-``closure_check`` returns the constants as one table, filled in both
-orders of each pair (``BracketTable``); the Jacobi and center checks
-read it and compose and reduce tuple rows; every sum of such dicts is
-``scalars.add_scaled``.  The constants stay 5-tuples end to end: the
-center feeds them to ``RankTracker`` as ``{column: q}`` rows and scales
-the generators' entry tables by its ``{column: q}`` nullspace vectors,
-so no FieldScalar is built in these checks.  The matrix-bracket Jacobi
-identity, the conjugation by two matrix products, the one-way constant
-table, the residual on whole term dicts, the matrix-first basis, the
-matrix bordering with its span test, the read-off by re-assembly and
-the odd/even stabilizer of the base flag, which the tests compare these
-with, live in ``tests/oracles.py``.
+``closure_check`` returns the constants as a ``BracketTable``, whose
+view in both orders of each pair is filled on first read; the Jacobi and
+center checks read it and compose and reduce tuple rows; every sum of
+such dicts is ``scalars.add_scaled``.  The constants stay 5-tuples end
+to end: the center feeds them to ``RankTracker`` as ``{column: q}`` rows
+and scales the generators' entry tables by its ``{column: q}`` nullspace
+vectors, so no FieldScalar is built in these checks.  The
+matrix-bracket Jacobi identity, the conjugation by two matrix products,
+the one-way constant table, the residual on whole term dicts, the
+matrix-first basis, the matrix bordering with its span test, the
+read-off by re-assembly and the odd/even stabilizer of the base flag,
+which the tests compare these with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class OspBasis:
 
     gram: GramForm
     generators: tuple
-    _by_tag: dict = field(default_factory=dict, repr=False, compare=False)
+    _by_tag: dict = field(init=False, repr=False, compare=False)
     owners: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -208,7 +208,7 @@ class OspBasis:
         exactly, which their summed sizes decide, so the read-off is a
         sound span test and builds no combination.  No entry dict holds a
         zero (polynomial terms, the brackets of ``closure_check`` and
-        ``bracket_entries``, the generator tables and the witness
+        ``odd_self_bracket``, the generator tables and the witness
         components never store one).
         """
         owners, gens = self.owners, self.generators
@@ -531,7 +531,8 @@ def closure_check(bas):
     """Superbracket every generator pair and re-expand in the basis.
 
     Returns the ``BracketTable`` of the structure constants
-    ``(tag_p, tag_q, tag_r, q)`` and the failed pairs.  For a filtered
+    ``(tag_p, tag_q, tag_r, q)`` and the failed pairs; its two-way view is
+    built only when a caller reads ``table``.  For a filtered
     basis (a parabolic) a bracket landing outside the subset is a failure,
     which is exactly the subalgebra test.
 
@@ -572,21 +573,14 @@ def closure_check(bas):
     return BracketTable(bas, constants, failures)
 
 
-def bracket_entries(x, y, both_odd):
-    """The superbracket [X, Y] = XY - (-1)^{|X||Y|} YX of two constant
-    matrices given as their nonzero entries ``{slot: q}``, by
-    ``closure_check``'s sweep with Y the one indexed table.  Returns the
-    nonzero entries; YX is added when ``both_odd``, else subtracted.
-
-    An odd table bracketed with itself (``y is x``) is [X, X] = 2 X^2:
-    the sweep runs with X indexed by row only, so it forms XX alone, and
-    each entry is doubled."""
-    if y is x and both_odd:
-        rows, _ = _index((x,), (1,), 1)
-        acc = _sweep(x, rows, {}, 0).get(0, {})
-        return {slot: q_add(c, c) for slot, c in acc.items() if c != Q_ZERO}
-    acc = _sweep(x, *_index((y,), (both_odd,), both_odd), 0).get(0, {})
-    return {slot: c for slot, c in acc.items() if c != Q_ZERO}
+def odd_self_bracket(x):
+    """[X, X] = 2 X^2 for an odd constant matrix X given as its nonzero
+    entries ``{slot: q}``, by ``closure_check``'s sweep with X indexed by
+    row only, so it forms XX alone and doubles each entry.  Returns the
+    nonzero entries."""
+    rows, _ = _index((x,), (1,), 1)
+    acc = _sweep(x, rows, {}, 0).get(0, {})
+    return {slot: q_add(c, c) for slot, c in acc.items() if c != Q_ZERO}
 
 
 def _index(tables, parities, odd):
@@ -636,12 +630,13 @@ class BracketTable:
     ``center_from_constants``.
 
     ``constants`` lists closure's ``(tag_p, tag_q, tag_r, q)``, p before q
-    in the basis, and ``failures`` its pairs that did not expand.  Both
-    orders of every expanded pair are filled once in ``table``, with
-    [b, a] = -(-1)^{|a||b|} [a, b] applied once per constant, and a failed
-    pair is filled as None in both orders; a pair that brackets to zero
-    has no entry.  ``index`` and ``parity`` map each tag to its position
-    in the basis and its parity.
+    in the basis, and ``failures`` its pairs that did not expand.
+    ``index`` and ``parity`` map each tag to its position in the basis and
+    its parity.  ``table`` is built on first read, so a caller that reads
+    only ``failures`` builds none: both orders of every expanded pair are
+    filled once, with [b, a] = -(-1)^{|a||b|} [a, b] applied once per
+    constant, and a failed pair is filled as None in both orders; a pair
+    that brackets to zero has no entry.
     """
 
     def __init__(self, bas, constants, failures):
@@ -649,14 +644,18 @@ class BracketTable:
         self.failures = list(failures)
         self.index = {g.tag: i for i, g in enumerate(bas.generators)}
         self.parity = {g.tag: g.parity for g in bas.generators}
-        table = self.table = {}
-        for p, q, r, c in constants:
+
+    @functools.cached_property
+    def table(self):
+        table, parity = {}, self.parity
+        for p, q, r, c in self.constants:
             table.setdefault((p, q), {})[r] = c
             if p != q:
                 table.setdefault((q, p), {})[r] = \
-                    c if self.parity[p] and self.parity[q] else q_neg(c)
+                    c if parity[p] and parity[q] else q_neg(c)
         for a, b in self.failures:
             table[(a, b)] = table[(b, a)] = None
+        return table
 
     def of(self, a, b):
         """[a, b] as ``{tag: q}`` for any ordered pair of tags, by one

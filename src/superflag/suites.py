@@ -44,7 +44,7 @@ distinct integer per Grassmann monomial, with no FieldScalar or matrix:
 each is a member when its ``osp.entry_residual`` against the basis's Gram
 is empty, and lies in the embedded subalgebra when ``_in_j_image`` holds.
 The bordered one is bracketed with itself on its table by
-``osp.bracket_entries``, as 2 X^2.
+``osp.odd_self_bracket``, as 2 X^2.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .osp import (
     basis,
     basis_change_S,
     border_matrix,
-    bracket_entries,
     center_from_constants,
     closure_check,
     components,
@@ -82,6 +81,7 @@ from .osp import (
     entry_residual,
     gram_form,
     jacobi_failures,
+    odd_self_bracket,
 )
 from .ring import RingContext, add_product
 from .scalars import Q_ONE, q_mul
@@ -112,8 +112,6 @@ class SuiteReport:
     suite: str
     records: list = field(default_factory=list)
     duration: float = 0.0
-    version: str = __version__
-    backend: str = BACKEND
 
     @property
     def ok(self):
@@ -128,8 +126,8 @@ class SuiteReport:
         return {
             "schema": REPORT_SCHEMA,
             "suite": self.suite,
-            "version": self.version,
-            "backend": self.backend,
+            "version": __version__,
+            "backend": BACKEND,
             "duration_seconds": round(self.duration, 3),
             "status": "pass" if self.ok else "fail",
             "checks": [
@@ -146,7 +144,7 @@ class SuiteReport:
     def render(self):
         lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"
                  f" ({len(self.records)} checks, {self.duration:.2f}s,"
-                 f" backend={self.backend})"]
+                 f" backend={BACKEND})"]
         for r in self.records:
             mark = "ok " if r.ok else "FAIL"
             line = f"  [{mark}] {r.check_id}: {r.label}"
@@ -472,8 +470,7 @@ def suite_imP_witness(k1, l1):
     rep.add("self-bracket-control",
             "the bordered witness brackets with itself inside the embedded"
             " subalgebra",
-            _in_j_image(bracket_entries(ta, ta, both_odd=True),
-                        full.gram))
+            _in_j_image(odd_self_bracket(ta), full.gram))
     return rep
 
 

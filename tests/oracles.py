@@ -11,7 +11,7 @@ brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
 from structure constants, two matrix products for the conjugation that
 ``osp.conjugate_entries`` forms on entry tables, the structure constants
 of the all-pairs matrix closure kept in one order and read the other way
-by recursion for the two-way ``osp.BracketTable`` that
+by recursion for the two-way view of the ``osp.BracketTable`` that
 ``osp.closure_check`` returns, the enumerated positive roots for the closed
 forms of ``RootSystem.violation``, term-by-term substitution for the
 resolved isotropic chart, a chart with every slot a variable built by
@@ -28,7 +28,7 @@ bordered one built with ``embed_j``.  That route shares
 the parity test.  The matrix route of the suite's numeric witnesses
 (odd FieldScalar matrices, ``is_member`` and ``j_image_contains``,
 ``SuperMatrix.superbracket``) checks the entry tables, ``entry_residual``
-and ``bracket_entries`` that the suite uses in its place.  The matrix
+and ``odd_self_bracket`` that the suite uses in its place.  The matrix
 bordering the isomorphism suite once ran (``embed_j``, a shift of a
 member's entries by (1, 1), ``bordered_basis``, ``j_image_contains`` and
 ``coefficients_of``, which converts a matrix before its read-off) checks

@@ -427,44 +427,31 @@ def test_closure_check_matches_all_pairs_oracle(case):
         assert {c for _, _, _, c in table.constants} - {Q_ONE, Q_MINUS_ONE}
 
 
-def test_bracket_entries_matches_the_matrix_superbracket():
-    """bracket_entries on seeded tables with entries other than 1 and -1,
-    for every parity of the two factors, equals the matrix superbracket.
-    So does each left table passed as both factors, an odd one by the
-    2 X^2 path, and that equals the general route on a copy of the
-    table."""
+def test_odd_self_bracket_matches_the_matrix_superbracket():
+    """odd_self_bracket on seeded odd tables with entries other than 1 and
+    -1 equals the matrix superbracket [X, X], and is nonzero on some."""
     rng = random.Random(28)
     shape = BlockShape(3, 4)
     pool = [FieldScalar.parse(t) for t in
             ("1", "-1", "2", "-1/3", "i", "r2", "1/2 - i*r2", "3*i + r2")]
-    slots = {parity: [(i, j) for i in range(7) for j in range(7)
-                      if (i >= 3) ^ (j >= 3) == parity] for parity in (0, 1)}
-    seen, seen_self = set(), set()
+    slots = [(i, j) for i in range(7) for j in range(7)
+             if (i >= 3) ^ (j >= 3)]
+    nonzero = 0
     for _ in range(40):
-        px, py = rng.randrange(2), rng.randrange(2)
-        x, y = ({slot: rng.choice(pool) for slot in
-                 rng.sample(slots[parity], rng.randint(1, 8))}
-                for parity in (px, py))
-        mx = SuperMatrix.build(shape, shape, x, parity=px)
-        want = mx.superbracket(SuperMatrix.build(shape, shape, y, parity=py))
-        table = {s: c.q for s, c in x.items()}
-        got = osp.bracket_entries(table, {s: c.q for s, c in y.items()},
-                                  px and py)
-        assert got == constant_entries(want), (x, y)
-        seen.add((px, py, bool(got)))
-        own = osp.bracket_entries(table, table, px)
-        assert own == constant_entries(mx.superbracket(mx)) \
-            == osp.bracket_entries(table, dict(table), px), x
-        seen_self.add((px, bool(own)))
-    assert {(px, py) for px, py, nonzero in seen if nonzero} \
-        == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert (1, True) in seen_self and (0, False) in seen_self
+        x = {slot: rng.choice(pool)
+             for slot in rng.sample(slots, rng.randint(1, 8))}
+        mx = SuperMatrix.build(shape, shape, x, parity=1)
+        got = osp.odd_self_bracket({s: c.q for s, c in x.items()})
+        assert got == constant_entries(mx.superbracket(mx)), x
+        nonzero += bool(got)
+    assert nonzero
 
 
 def test_self_bracket_makes_half_the_products(monkeypatch):
     """On the bordered (4,4) witness, whose entries are integers other than
-    1 and -1, the self bracket multiplies half as often as the general
-    route on a copy of the table and gives the same entries."""
+    1 and -1, the self bracket multiplies once per product X[i,k] X[k,j]
+    with a non-unit left factor: it forms XX alone and doubles it, where a
+    route forming XX and XX again would make twice as many products."""
     real_table = suites._odd_table
     tables = []
 
@@ -476,6 +463,11 @@ def test_self_bracket_makes_half_the_products(monkeypatch):
     assert suites.suite_imP_witness(4, 4).ok
     monkeypatch.undo()
     table = tables[0]
+    row_sizes = {}
+    for i, _ in table:
+        row_sizes[i] = row_sizes.get(i, 0) + 1
+    products = sum(row_sizes.get(k, 0) for (_, k), u in table.items()
+                   if u not in (Q_ONE, Q_MINUS_ONE))
     calls = []
     real_mul = osp.q_mul
 
@@ -484,12 +476,8 @@ def test_self_bracket_makes_half_the_products(monkeypatch):
         return real_mul(x, y)
 
     monkeypatch.setattr(osp, "q_mul", counting_mul)
-    own = osp.bracket_entries(table, table, both_odd=True)
-    self_products = len(calls)
-    calls.clear()
-    general = osp.bracket_entries(table, dict(table), both_odd=True)
-    assert own == general and own
-    assert self_products > 0 and 2 * self_products == len(calls)
+    assert osp.odd_self_bracket(table)
+    assert products > 0 and len(calls) == products
 
 
 def test_closure_check_brackets_only_meeting_pairs(monkeypatch):
@@ -1217,7 +1205,7 @@ def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
     generator of primed(2k1|2l1) and every bordered even generator, and on
     each of these with an entry added in row 0, in column 0 or on an odd
     slot; both verdicts occur for both spans."""
-    real, real_bracket = suites.components, suites.bracket_entries
+    real, real_bracket = suites.components, suites.odd_self_bracket
     witness = []
 
     def recording(m):
@@ -1225,13 +1213,13 @@ def test_witness_spans_match_the_old_route(monkeypatch, k1, l1):
         witness.extend(parts.values())
         return parts
 
-    def recording_bracket(x, y, both_odd):
-        entries = real_bracket(x, y, both_odd)
+    def recording_bracket(x):
+        entries = real_bracket(x)
         witness.append(entries)
         return entries
 
     monkeypatch.setattr(suites, "components", recording)
-    monkeypatch.setattr(suites, "bracket_entries", recording_bracket)
+    monkeypatch.setattr(suites, "odd_self_bracket", recording_bracket)
     assert suites.suite_imP_witness(k1, l1).ok
     monkeypatch.undo()
     full = basis("primed", 2 * k1, l1)
@@ -1260,13 +1248,13 @@ def test_witness_checks_fail_on_a_spoiled_component(monkeypatch):
     component of the bracket and into the self bracket, takes the bracket
     out of the even part and the self bracket out of the embedded
     subalgebra; the other checks read neither."""
-    real, real_bracket = suites.components, suites.bracket_entries
+    real, real_bracket = suites.components, suites.odd_self_bracket
     slot = (0, 4)  # the first odd column of primed osp(4|2)
     monkeypatch.setattr(suites, "components", lambda m: {
         key: {**p, slot: Q_ONE} for key, p in real(m).items()}
         or {((), ()): {slot: Q_ONE}})
-    monkeypatch.setattr(suites, "bracket_entries", lambda x, y, both_odd: {
-        **real_bracket(x, y, both_odd), slot: Q_ONE})
+    monkeypatch.setattr(suites, "odd_self_bracket", lambda x: {
+        **real_bracket(x), slot: Q_ONE})
     status = {r.check_id: r.ok for r in suites.suite_imP_witness(2, 1).records}
     assert status == {"bracket-display": True, "witness-membership": True,
                       "outside-j-image": False,
@@ -1283,7 +1271,7 @@ def test_witness_tables_match_the_matrix_route(monkeypatch, k1, l1):
     with an entry of either witness set to 1/2, in row 0, in column 0 or
     on another odd slot, and the self bracket is nonzero, so
     self-bracket-control does not pass on an empty matrix."""
-    real_table, real_bracket = suites._odd_table, suites.bracket_entries
+    real_table, real_bracket = suites._odd_table, suites.odd_self_bracket
     tables, brackets = [], []
 
     def recording_table(mat):
@@ -1291,13 +1279,13 @@ def test_witness_tables_match_the_matrix_route(monkeypatch, k1, l1):
         tables.append(table)
         return table
 
-    def recording_bracket(x, y, both_odd):
-        entries = real_bracket(x, y, both_odd)
+    def recording_bracket(x):
+        entries = real_bracket(x)
         brackets.append(entries)
         return entries
 
     monkeypatch.setattr(suites, "_odd_table", recording_table)
-    monkeypatch.setattr(suites, "bracket_entries", recording_bracket)
+    monkeypatch.setattr(suites, "odd_self_bracket", recording_bracket)
     assert suites.suite_imP_witness(k1, l1).ok
     monkeypatch.undo()
     oracle = witness_numeric_route(k1, l1)
@@ -1575,6 +1563,25 @@ def test_osp_defining_builds_one_bracket_table(monkeypatch):
     report = suites.suite_osp_defining(2, 2)
     assert report.ok
     assert len(built) == 1
+
+
+def test_only_readers_of_the_table_build_the_two_way_view(monkeypatch):
+    """The two-way view of a BracketTable is built on first read: the
+    isomorphism suite's dj-bracket reads only the failures of its closure
+    and builds none, while osp-defining reads the view for Jacobi and the
+    center."""
+    returned = []
+
+    def recording(bas):
+        returned.append(closure_check(bas))
+        return returned[-1]
+
+    monkeypatch.setattr(suites, "closure_check", recording)
+    assert suites.suite_isomorphism(3, 2).ok
+    assert len(returned) == 1 and "table" not in vars(returned[0])
+    returned.clear()
+    assert suites.suite_osp_defining(2, 2).ok
+    assert len(returned) == 1 and "table" in vars(returned[0])
 
 
 def test_bracket_table_keeps_the_failures_of_its_report():
