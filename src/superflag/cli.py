@@ -35,7 +35,6 @@ from .osp import (
     basis,
     dimension_counts,
     gram_form,
-    is_member,
     membership_residual,
 )
 from .suites import REPORT_SCHEMA, SUITES, UNCAPPED, run_all
@@ -134,14 +133,15 @@ def cmd_osp_basis(args):
 def cmd_check_membership(args):
     flavor, a, b = _flavor_sizes(args)
     gram = gram_form(flavor, a, b)
-    shape = gram.matrix.rows
+    shape = gram.shape
     parity = {"0": 0, "1": 1, "auto": "auto"}[args.parity]
     m = parse_numeric_matrix(args.matrix, shape, shape, parity=parity)
-    if is_member(m, gram):
+    residual = membership_residual(m, gram)
+    if residual.is_zero():
         print("member: defining equation M^ST G + G M = 0 holds")
         return PASS
     print("NOT a member; residual M^ST G + G M =")
-    print(f"  {membership_residual(m, gram).render()}")
+    print(f"  {residual.render()}")
     return FAIL
 
 

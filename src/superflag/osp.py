@@ -46,10 +46,10 @@ product: entry M[r, c] adds g_x M[r, c] at (x, c), x = pi^-1(r), through
 G M, and sigma g_r M[r, c] at its partner slot (c, pi(r)) through M^ST G.
 ``GramForm.partner`` holds the sigma rule for both uses.  The residual
 has one implementation, ``entry_residual``, on a constant matrix given as
-``{slot: q}``.  G is numeric, so ``is_member`` applies it to each
-Grassmann component of a matrix and builds no matrix, and
-``membership_residual`` assembles its matrix from the same per-component
-residuals.
+``{slot: q}``.  G is numeric, so ``membership_residual``, the one
+membership test for a matrix, assembles its residual matrix from the
+residuals of the matrix's Grassmann components: M is a member exactly
+when that matrix has no entries.
 
 Every generator entry is a constant, so structure constants are computed
 on the normalised 5-tuples of ``scalars`` (``q``): ``components`` splits
@@ -81,10 +81,11 @@ to end: the center feeds them to ``RankTracker`` as ``{column: q}`` rows
 and scales the generators' entry tables by its ``{column: q}`` nullspace
 vectors, so no FieldScalar is built in these checks.  The
 matrix-bracket Jacobi identity, the conjugation by two matrix products,
-the one-way constant table, the residual on whole term dicts, the
-matrix-first basis, the matrix bordering with its span test, the
-read-off by re-assembly and the odd/even stabilizer of the base flag,
-which the tests compare these with, live in ``tests/oracles.py``.
+the one-way constant table, the residual on whole term dicts and by
+matrix products, the matrix-first basis, the matrix bordering with its
+span test, the read-off by re-assembly and the odd/even stabilizer of
+the base flag, which the tests compare these with, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -325,38 +326,23 @@ def gram_form(flavor, a, b):
     return GramForm(shape, mat, perm, inverse, sign)
 
 
-def is_member(m, gram):
-    """Exact test of the defining equation M^ST G + G M = 0, in O(nnz M).
-
-    G is numeric, so the equation holds exactly when it holds on each
-    Grassmann component of M (``components``): each component's
-    ``entry_residual`` must be empty, and no matrix is built.  Raises
-    ParityError, as the supertranspose would, when M is not
-    parity-homogeneous, and ValueError when its shape is not the Gram's.
-    """
-    _check_residual_input(m, gram)
-    return not any(entry_residual(part, gram)
-                   for part in components(m).values())
-
-
 def membership_residual(m, gram):
-    """M^ST G + G M as a matrix, assembled from the ``entry_residual`` of
-    each Grassmann component of M, with the checks of ``is_member``."""
-    _check_residual_input(m, gram)
-    acc = {}
-    for key, part in components(m).items():
-        for slot, q in entry_residual(part, gram).items():
-            acc.setdefault(slot, {})[key] = q
-    return SuperMatrix.from_terms(gram.shape, gram.shape, m.ctx, m.parity,
-                                  acc)
-
-
-def _check_residual_input(m, gram):
+    """M^ST G + G M as a matrix, in O(nnz M): M is a member exactly when
+    the result has no entries.  G is numeric, so the residual is
+    assembled from the ``entry_residual`` of each Grassmann component of
+    M (``components``), with no supertranspose and no product.  Raises
+    ValueError when the shape of M is not the Gram's, and ParityError, as
+    the supertranspose would, when M is not parity-homogeneous."""
     shape = gram.shape
     if m.rows != shape or m.cols != shape:
         raise ValueError("matrix shape does not match the gram form")
     if m.parity not in (0, 1):
         raise ParityError("supertranspose needs a parity-homogeneous matrix")
+    acc = {}
+    for key, part in components(m).items():
+        for slot, q in entry_residual(part, gram).items():
+            acc.setdefault(slot, {})[key] = q
+    return SuperMatrix.from_terms(shape, shape, m.ctx, m.parity, acc)
 
 
 def entry_residual(entries, gram):

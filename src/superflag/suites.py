@@ -176,7 +176,8 @@ def suite_osp_defining(m, n):
     rep.add("dimension-count",
             "generator count matches the block-parameter formula",
             got == want, f"even/odd = {got}, expected {want}")
-    # is_member's residual, on each generator's one constant component
+    # the per-component residual of membership_residual, on each
+    # generator's one constant component, its entry table
     bad = [g.tag for g in bas if entry_residual(g.entries, bas.gram)]
     rep.add("defining-equation",
             "every generator satisfies M^ST G + G M = 0",

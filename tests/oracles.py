@@ -18,26 +18,32 @@ resolved isotropic chart, a chart with every slot a variable built by
 hand for ``charts.isotropic_chart``, the dense body of a matrix, the
 dense inverse of a FieldScalar list and a Neumann loop on it that decides
 only after summing its powers for the sparse body inverse and up-front
-test of ``SuperMatrix.invert``, the residual on whole term dicts for the
-per-component ``osp.entry_residual`` of ``is_member`` and
-``membership_residual``, and the span route the imp-witness suite took
-before it read its Grassmann components off one basis each: numeric
-matrices built even, expanded in bases of even generators only, the
-bordered one built with ``embed_j``.  That route shares
-``OspBasis.read_off`` with the suite, but not the split, the bordering or
-the parity test.  The matrix route of the suite's numeric witnesses
-(odd FieldScalar matrices, ``is_member`` and ``j_image_contains``,
-``SuperMatrix.superbracket``) checks the entry tables, ``entry_residual``
-and ``odd_self_bracket`` that the suite uses in its place.  The matrix
-bordering the isomorphism suite once ran (``embed_j``, a shift of a
-member's entries by (1, 1), ``bordered_basis``, ``j_image_contains`` and
-``coefficients_of``, which converts a matrix before its read-off) checks
-the suite's P X P^T on entry tables.  Likewise the matrix-first basis
-shares the family specs with ``osp.basis``, but not the route from a spec
-to a generator: ``build``'s parity check, the residual and the table read
-back off the matrix.  ``reassembled_read_off`` sums the combination that
-the primary slots name and compares it with the entries, where
-``OspBasis.read_off`` checks each entry against its slot's owner.
+test of ``SuperMatrix.invert``, the residual on whole term dicts
+(``residual_terms``) and the defining equation as written, by two matrix
+products (``defining_residual``), for the per-component
+``osp.entry_residual`` of ``membership_residual``, and the span route
+the imp-witness suite took before it read its Grassmann components off
+one basis each: numeric matrices built even, expanded in bases of even
+generators only, the bordered one built with ``embed_j``.  That route
+shares neither the split, the bordering, the parity test nor the
+read-off with the suite.  The matrix route of the suite's numeric
+witnesses (odd FieldScalar matrices, ``defining_residual`` and
+``j_image_contains``, ``SuperMatrix.superbracket``) checks the entry
+tables, ``entry_residual`` and ``odd_self_bracket`` that the suite uses
+in its place.  The matrix bordering the isomorphism suite once ran
+(``embed_j``, a shift of a member's entries by (1, 1), ``bordered_basis``,
+``j_image_contains`` and ``coefficients_of``, which converts a matrix
+before its read-off) checks the suite's P X P^T on entry tables.
+Likewise the matrix-first basis shares the family specs with
+``osp.basis``, but not the route from a spec to a generator: ``build``'s
+parity check, the residual and the table read back off the matrix.
+``reassembled_read_off`` sums the combination that the primary slots
+name and compares it with the entries, where ``OspBasis.read_off``
+checks each entry against its slot's owner.  Every membership verdict
+here comes from ``defining_residual`` and every span verdict from
+``reassembled_read_off``: no oracle names the library's residual, its
+membership test, its read-off or its owner map, which a test checks by
+parsing this file.
 """
 
 from __future__ import annotations
@@ -318,6 +324,15 @@ def neumann_invert(m):
 # ---------------------------------------------------------------------------
 
 
+def defining_residual(m, gram):
+    """M^ST G + G M as the defining equation writes it: the supertranspose
+    of M times the Gram matrix, plus the Gram matrix times M, with G
+    lifted to the ring of M.  M is a member of osp(G) exactly when the
+    result is zero.  No signed permutation and no Grassmann split."""
+    g = gram.matrix.lift(m.ctx)
+    return m.supertranspose() @ g + g @ m
+
+
 def residual_terms(m, gram):
     """M^ST G + G M as ``{slot: term dict}``, read off the Gram's signed
     permutation on the whole term dicts of M, with no split into Grassmann
@@ -418,16 +433,14 @@ def coefficients_of(bas, m):
     """Expand the matrix ``m`` exactly in ``bas`` as ``{tag: FieldScalar}``
     in generator order, or raise NotInSpanError: ``m`` is split into its
     Grassmann components, a non-constant part is out of the span, and the
-    constant part is read off with ``OspBasis.read_off``."""
+    constant part is read off with ``reassembled_read_off``."""
     parts = components(m)
     entries = parts.pop(CONSTANT, {})
     others = {slot for part in parts.values() for slot in part}
-    owned = (bas.owners[slot][0] for slot in others if slot in bas.owners)
-    bad = sorted(i for i in owned if bas.generators[i].primary in others)
+    bad = [g.primary for g in bas.generators if g.primary in others]
     if bad:
-        raise NotInSpanError(f"slot {bas.generators[bad[0]].primary}"
-                             " of the candidate is not scalar")
-    found = None if others else bas.read_off(entries)
+        raise NotInSpanError(f"slot {bad[0]} of the candidate is not scalar")
+    found = None if others else reassembled_read_off(bas, entries)
     if found is None:
         raise NotInSpanError("matrix is not in the span of the basis")
     return {bas.generators[i].tag: FieldScalar.from_q(c) for i, c in found}
@@ -460,7 +473,7 @@ def embed_j(x):
     if t % 2 == 0 or not x.is_square():
         raise ValueError("source must be square with odd even-size 2k1-1")
     l1 = q // 2
-    if not osp.is_member(x, osp.gram_form("primed", t, l1)):
+    if not defining_residual(x, osp.gram_form("primed", t, l1)).is_zero():
         raise ValueError("matrix is not in the source algebra")
     target = osp._shape("primed", t + 1, l1)
     return SuperMatrix._new(target, target, x.ctx, x.parity,
@@ -490,7 +503,7 @@ def j_image_contains(m):
         raise ValueError("j lands in an even-sized primed algebra")
     if any(i == 0 or j == 0 for i, j in m.entries):
         return False
-    return osp.is_member(m, osp.gram_form("primed", t, q // 2))
+    return defining_residual(m, osp.gram_form("primed", t, q // 2)).is_zero()
 
 
 def parabolic_basis(which, k1, l1):
@@ -526,7 +539,8 @@ def even_span_route(k1, l1):
     must expand with ``coefficients_of`` in the even generators of primed
     osp(2k1|2l1) (``in_full``) or in the zero-bordered even generators of
     primed osp(2k1-1|2l1) (``in_j``).  A component that is not even is in
-    neither span."""
+    neither span.  The read-off is ``reassembled_read_off``, so the route
+    shares no span test with the suite."""
     full = basis("primed", 2 * k1, l1)
     full_even = OspBasis(full.gram, full.even_generators())
     j_even = bordered_basis(basis("primed", 2 * k1 - 1, l1).even_generators())
@@ -580,10 +594,11 @@ def witness_numeric(mat):
 
 
 def witness_membership(m):
-    """``(is_member, j_image_contains)`` of a matrix over primed
-    osp(2k1|2l1), against the Gram ``gram_form`` writes."""
+    """``(member, j_image_contains)`` of a matrix over primed
+    osp(2k1|2l1), the first by ``defining_residual`` against the Gram
+    ``gram_form`` writes."""
     gram = osp.gram_form("primed", m.rows.even, m.rows.odd // 2)
-    return osp.is_member(m, gram), j_image_contains(m)
+    return defining_residual(m, gram).is_zero(), j_image_contains(m)
 
 
 def witness_numeric_route(k1, l1):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from superflag import osp
 from superflag.cli import (
     UsageError, build_parser, main, parse_flag_type, parse_index_sets)
 from superflag.charts import validate_flag_type
@@ -130,6 +131,33 @@ def test_check_membership_pass_fail(capsys):
     code, out, _ = run(capsys, "check-membership", "--flavor", "odd",
                        "--m", "1", "--n", "1", "--matrix", non_member)
     assert code == 1 and "NOT a member" in out
+
+
+@pytest.mark.parametrize("matrix,want_code,want_out", [
+    ("0,0,1,0,0; 0,0,0,0,0; 0,-1,0,0,0; 0,0,0,0,0; 0,0,0,0,0", 0,
+     "member: defining equation M^ST G + G M = 0 holds\n"),
+    ("1,0,0,0,0; 0,1,0,0,0; 0,0,0,0,0; 0,0,0,0,0; 0,0,0,0,0", 1,
+     "NOT a member; residual M^ST G + G M =\n"
+     "  0, 2, 0, 0, 0; 2, 0, 0, 0, 0; 0, 0, 0, 0, 0; 0, 0, 0, 0, 0;"
+     " 0, 0, 0, 0, 0\n"),
+], ids=["member", "non-member"])
+def test_check_membership_runs_the_residual_once(capsys, monkeypatch, matrix,
+                                                 want_code, want_out):
+    """check-membership decides and prints from one residual: README's
+    (1,1) member and a non-member each make one ``osp.entry_residual``
+    call, with the exit code and output unchanged."""
+    calls = []
+    real = osp.entry_residual
+
+    def counted(entries, gram):
+        calls.append(entries)
+        return real(entries, gram)
+
+    monkeypatch.setattr(osp, "entry_residual", counted)
+    code, out, err = run(capsys, "check-membership", "--flavor", "odd",
+                         "--m", "1", "--n", "1", "--matrix", matrix)
+    assert (code, out, err) == (want_code, want_out, "")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("parity", ["auto", "0"])

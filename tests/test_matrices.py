@@ -17,14 +17,13 @@ from superflag.matrices import (
 from superflag.osp import (
     basis,
     gram_form,
-    is_member,
     membership_residual,
 )
 from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
-from oracles import body, embed_j, invert, neumann_invert, \
-    residual_terms
+from oracles import body, defining_residual, embed_j, invert, \
+    neumann_invert, residual_terms
 
 
 def rand_numeric(rng, rows, cols, parity):
@@ -450,11 +449,12 @@ def _random_grassmann(rng, shape, parity):
 
 def test_membership_residual_matches_separate_products():
     """The residual read off the Gram's signed permutation equals
-    M^ST G + G M from matrix products, and is_member agrees with its
-    is_zero(), for the odd and even flavors and for primed forms with odd
-    and even t: on generators, on generators times an odd variable, on
-    generators with their forced entry scaled (non-members), on bordered
-    images of primed generators and on Grassmann-entry matrices."""
+    M^ST G + G M from matrix products (``oracles.defining_residual``), and
+    is zero on the members alone, for the odd and even flavors and for
+    primed forms with odd and even t: on generators, on generators times
+    an odd variable, on generators with their forced entry scaled
+    (non-members), on bordered images of primed generators and on
+    Grassmann-entry matrices."""
     rng = random.Random(53)
     th = _grassmann_matrices()[1].ctx.var("xi1_1")
     for flavor, a, b in (("odd", 1, 1), ("odd", 2, 2), ("even", 1, 1),
@@ -477,21 +477,22 @@ def test_membership_residual_matches_separate_products():
             target = gram_form(flavor, a + 1, b)
             cases += [(embed_j(m), target) for m in gens]
         for m, form in cases:
-            g = form.matrix.lift(m.ctx)
-            want = m.supertranspose() @ g + g @ m
+            want = defining_residual(m, form)
             got = membership_residual(m, form)
             assert got == want and got.parity == want.parity, flavor
             assert got.ctx is m.ctx
-            assert is_member(m, form) == want.is_zero()
-        assert all(is_member(m, gram) for m in gens)
-        assert scaled and not any(is_member(m, gram) for m in scaled)
-        assert not any(is_member(m, gram) for m in noise)
-    assert not is_member(_grassmann_matrices()[0], gram_form("odd", 2, 2))
+            assert got.is_zero() == want.is_zero()
+        assert all(membership_residual(m, gram).is_zero() for m in gens)
+        assert scaled and not any(membership_residual(m, gram).is_zero()
+                                  for m in scaled)
+        assert not any(membership_residual(m, gram).is_zero() for m in noise)
+    assert not membership_residual(_grassmann_matrices()[0],
+                                   gram_form("odd", 2, 2)).is_zero()
 
 
 def test_membership_residual_matches_the_whole_term_oracle():
-    """``is_member`` and ``membership_residual``, which apply the one
-    residual on ``{slot: q}`` to each Grassmann component, against
+    """``membership_residual``, which applies the one residual on
+    ``{slot: q}`` to each Grassmann component, against
     ``oracles.residual_terms``, which reads whole term dicts: seeded
     numeric and Grassmann matrices, members and not, for odd, even and
     primed Grams; a non-homogeneous matrix raises ParityError and a wrong
@@ -518,14 +519,14 @@ def test_membership_residual_matches_the_whole_term_oracle():
             got = membership_residual(m, gram)
             assert got == want and got.parity == want.parity
             assert got.ctx is m.ctx
-            assert is_member(m, gram) == (not any(terms.values()))
-            members += is_member(m, gram)
+            assert got.is_zero() == (not any(terms.values()))
+            members += got.is_zero()
         mixed = SuperMatrix.build(sh, sh, {(0, 0): ONE, (0, sh.total - 1):
                                            ONE}, parity=None)
         wrong = rand_numeric(rng, BlockShape(sh.even + 1, sh.odd),
                              BlockShape(sh.even + 1, sh.odd), 0)
         for bad, error in ((mixed, ParityError), (wrong, ValueError)):
-            for residual in (is_member, membership_residual, residual_terms):
+            for residual in (membership_residual, residual_terms):
                 with pytest.raises(error):
                     residual(bad, gram)
     assert members >= 24
@@ -537,8 +538,6 @@ def test_membership_residual_rejects_a_non_homogeneous_matrix():
                               {(0, 0): ONE, (0, 4): ONE}, parity=None)
     with pytest.raises(ParityError, match="parity-homogeneous"):
         membership_residual(mixed, gram)
-    with pytest.raises(ParityError, match="parity-homogeneous"):
-        is_member(mixed, gram)
 
 
 def test_cancelling_products_store_no_zero_entry():

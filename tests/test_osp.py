@@ -1,8 +1,10 @@
 """Orthosymplectic algebras: bases, brackets, center, isomorphisms,
 parabolic patterns."""
 
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,6 @@ from superflag.osp import (
     dimension_counts,
     entry_lines,
     gram_form,
-    is_member,
     jacobi_failures,
     membership_residual,
 )
@@ -37,6 +38,7 @@ from oracles import (
     bordered_basis,
     coefficients_of,
     conjugate,
+    defining_residual,
     embed_j,
     even_span_route,
     j_image_contains,
@@ -84,12 +86,12 @@ def test_other_flavor_counts(flavor, a, b):
 def test_defining_equation_all_generators(flavor, a, b):
     bas = basis(flavor, a, b)
     for g in bas:
-        assert is_member(g.matrix, bas.gram), g.tag
+        assert defining_residual(g.matrix, bas.gram).is_zero(), g.tag
     # a perturbed generator violates the equation
     probe = bas.generators[0].matrix
     spoiled = probe + SuperMatrix.build(
         probe.rows, probe.cols, {(0, 0): ONE}, parity=0)
-    assert not is_member(spoiled, bas.gram)
+    assert not defining_residual(spoiled, bas.gram).is_zero()
     assert membership_residual(spoiled, bas.gram) != \
         membership_residual(probe, bas.gram)
 
@@ -911,11 +913,11 @@ def test_conjugation_is_bijective_on_the_algebra(flavor, k1, l1):
     primed = basis("primed", t, l1)
     for g in src:
         img = conjugate(g.matrix, s, s_inv)
-        assert is_member(img, primed_gram), g.tag
+        assert defining_residual(img, primed_gram).is_zero(), g.tag
         assert conjugate(img, s_inv, s) == g.matrix, g.tag
     for g in primed:
         back = conjugate(g.matrix, s_inv, s)
-        assert is_member(back, src.gram), g.tag
+        assert defining_residual(back, src.gram).is_zero(), g.tag
 
 
 @pytest.mark.parametrize("flavor,k1,l1", [(f, k1, l1)
@@ -1266,7 +1268,7 @@ def test_witness_checks_fail_on_a_spoiled_component(monkeypatch):
 def test_witness_tables_match_the_matrix_route(monkeypatch, k1, l1):
     """The suite's numeric witnesses, their membership verdicts and the
     self bracket of the bordered one equal the matrix route's: odd
-    FieldScalar matrices, is_member and j_image_contains, and
+    FieldScalar matrices, defining_residual and j_image_contains, and
     SuperMatrix.superbracket split by components.  The verdicts also agree
     with an entry of either witness set to 1/2, in row 0, in column 0 or
     on another odd slot, and the self bracket is nonzero, so
@@ -1624,3 +1626,26 @@ def test_second_default_run_rebuilds_no_basis():
     misses = basis.cache_info().misses
     suites.run_all(4)
     assert basis.cache_info().misses == misses
+
+
+def test_oracles_name_no_checked_route():
+    """The oracles decide membership and span on routes of their own: no
+    name, attribute or imported name in ``oracles.py`` is the library's
+    residual, its membership test, its read-off or its owner map.
+    Docstrings are text, not names, and are not read."""
+    checked = {"entry_residual", "membership_residual", "is_member",
+               "read_off", "owners"}
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [part for alias in node.names
+                     for part in (*alias.name.split("."), alias.asname)]
+        else:
+            continue
+        hits += [(node.lineno, name) for name in names if name in checked]
+    assert hits == []
