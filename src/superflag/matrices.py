@@ -141,7 +141,7 @@ class SuperMatrix:
         for (i, j), v in self.entries.items():
             slot = (i >= p) ^ (j >= q)
             for _, ok in v.terms:
-                b = slot ^ (len(ok) & 1)
+                b = slot ^ (ok.bit_count() & 1)
                 if bit is None:
                     bit = b
                 elif b != bit:

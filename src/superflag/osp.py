@@ -241,8 +241,9 @@ class OspBasis:
 def components(m):
     """The Grassmann components of ``m``: one constant matrix, as its
     nonzero entries ``{slot: q}``, per monomial key of the entries, as
-    ``{monomial key: {slot: q}}``.  A numeric matrix has at most the one
-    component ``CONSTANT``, the key ``((), ())``."""
+    ``{monomial key: {slot: q}}``, in the order the entries first show
+    each key.  A numeric matrix has at most the one component
+    ``CONSTANT``, the key ``(0, 0)``."""
     parts = {}
     for slot, v in m.entries.items():
         for key, q in v.terms.items():

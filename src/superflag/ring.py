@@ -3,24 +3,38 @@
 A :class:`RingContext` owns an ordered list of even and odd variables; a
 :class:`SuperPoly` is a finite scalar combination of monomials in them.  Odd
 variables anticommute and square to zero -- that is enforced structurally by
-storing each monomial's odd part as a strictly ascending tuple of variable
-ids and tracking the interleaving sign on multiplication.
+storing each monomial's odd part as a set of variable ids and tracking the
+interleaving sign on multiplication.
 
-A monomial key is ``(even, odd)``: ``(var id, exponent)`` pairs sorted by
-id, then the ascending odd ids.  :func:`mul_even` and :func:`merge_odd`
-multiply the two parts; a term dict maps keys to the field tuples of
-:mod:`superflag.scalars`.
+A monomial key is a pair of non-negative ints ``(even, odd)``, and a term
+dict maps keys to the field tuples of :mod:`superflag.scalars`:
+
+* ``odd`` is the sum of ``1 << id`` over the monomial's odd variables;
+* ``even`` is the sum of ``e << (W * id)`` over its even factors x_id^e,
+  one field of :data:`W` bits per even variable.  The top bit of each
+  field is a guard that no key sets, so an exponent is at most
+  :data:`MAX_EXPONENT`, and the even part of a product is the sum of the
+  even parts of its factors;
+* the constant monomial is :data:`CONSTANT`, ``(0, 0)``.
+
+:func:`decode` gives a key's tuple form ``(((id, exponent), ...), (odd
+ids, ...))``, both by ascending id; monomials are displayed in the order
+of those tuples.
 
 :func:`add_monomial_product` adds a polynomial times one monomial into a
-term dict; it is the one product kernel.  :func:`add_product` runs it
-once per term of its right factor, and :func:`add_derivative` applies a
-derivation, given by its coefficients per variable, in one pass over a
-polynomial's terms: each coefficient times the term's partial goes
-through the same kernel, with no partial built on its own.
-``SuperPoly.left_derivative`` is that pass for the derivation 1 * d/dv.
+term dict; it is the one product kernel.  Per term pair it tests ``o1 &
+o2`` (a repeated odd variable gives zero), adds the even parts, ors the
+odd parts, and takes the sign from one popcount.  A product that sets a
+guard bit raises ValueError.  :func:`add_product` runs it once per term
+of its right factor, and :func:`add_derivative` applies a derivation,
+given by its coefficients per variable, in one pass over a polynomial's
+terms: each coefficient times the term's partial goes through the same
+kernel, with no partial built on its own.  ``SuperPoly.left_derivative``
+is that pass for the derivation 1 * d/dv.
 
 Contexts can be *extended* (new variables appended; existing ids stay
-stable), and a polynomial lifts for free into any extending context.
+stable), so keys agree across contexts that extend one another, and a
+polynomial lifts for free into any extending context.
 :func:`common_context` is the one rule for which of two contexts a result
 lives in.  Combining polynomials from unrelated contexts is an error, never
 a silent union.
@@ -28,19 +42,39 @@ a silent union.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .scalars import (
     Q_MINUS_ONE, Q_ONE, Q_ZERO, FieldScalar, add_scaled, q_add, q_mul, q_neg,
     q_render, scaled, signed_sum,
 )
 
 
-#: The monomial key of a constant term.
-CONSTANT = ((), ())
+#: Bits per even variable in a key's even part, the guard bit included.
+W = 16
 
-#: The exponent of a ``(var id, exponent)`` pair of a key's even part.
-_exponent = itemgetter(1)
+#: The largest exponent of an even variable: a field below its guard bit.
+MAX_EXPONENT = (1 << (W - 1)) - 1
+
+#: The monomial key of a constant term.
+CONSTANT = (0, 0)
+
+
+def decode(key):
+    """The tuple form of a monomial key: ``((var id, exponent), ...)`` and
+    the odd ids, both by ascending id."""
+    even, odd = key
+    ek = []
+    while even:
+        shift = (even & -even).bit_length() - 1
+        shift -= shift % W
+        e = (even >> shift) & MAX_EXPONENT
+        ek.append((shift // W, e))
+        even -= e << shift
+    ok = []
+    while odd:
+        low = odd & -odd
+        ok.append(low.bit_length() - 1)
+        odd ^= low
+    return tuple(ek), tuple(ok)
 
 
 class ContextError(Exception):
@@ -48,12 +82,18 @@ class ContextError(Exception):
 
 
 class RingContext:
-    __slots__ = ("_even", "_odd", "_byname")
+    """The variables of a ring.  ``_guard`` holds the guard bit of each
+    even variable's field.  ``_evens`` caches the even parts of the keys
+    that ``render`` has shown, decoded, one entry per distinct part."""
+
+    __slots__ = ("_even", "_odd", "_byname", "_guard", "_evens")
 
     def __init__(self):
         self._even = []
         self._odd = []
         self._byname = {}
+        self._guard = 0
+        self._evens = {}
 
     # -- variable declaration ---------------------------------------------
 
@@ -76,6 +116,8 @@ class RingContext:
             raise ContextError(f"variable {name!r} already declared")
         pool = self._odd if parity else self._even
         self._byname[name] = (parity, len(pool))
+        if not parity:
+            self._guard |= 1 << (W * len(pool) + W - 1)
         pool.append(name)
 
     # -- lookup -----------------------------------------------------------
@@ -109,10 +151,7 @@ class RingContext:
 
     def var(self, name):
         parity, vid = self._byname[name]
-        if parity:
-            key = ((), (vid,))
-        else:
-            key = (((vid, 1),), ())
+        key = (0, 1 << vid) if parity else (1 << (W * vid), 0)
         return SuperPoly._new(self, {key: Q_ONE})
 
     def scalar(self, c):
@@ -131,6 +170,14 @@ class RingContext:
     def one(self):
         return SuperPoly._new(self, {CONSTANT: Q_ONE})
 
+    def _even_part(self, even):
+        """``(degree, (id, exponent, ...))`` of an even part, the ids
+        ascending, added to ``_evens``.  The flat tuple sorts as the tuple
+        of ``(id, exponent)`` pairs does."""
+        flat = sum(decode((even, 0))[0], ())
+        out = self._evens[even] = (sum(flat[1::2]), flat)
+        return out
+
     # -- extension and lifting --------------------------------------------
 
     def extended(self, even=(), odd=()):
@@ -139,6 +186,7 @@ class RingContext:
         ctx._even = list(self._even)
         ctx._odd = list(self._odd)
         ctx._byname = dict(self._byname)
+        ctx._guard = self._guard
         for name in even:
             ctx._declare(name, 0)
         for name in odd:
@@ -179,64 +227,6 @@ def common_context(a, b):
     raise ContextError("values live in unrelated ring contexts")
 
 
-def merge_odd(u, v):
-    """Merge two ascending odd-index tuples, counting anticommutation swaps.
-
-    Returns ``(sign, merged)``; sign is 0 when an index repeats (a squared
-    odd generator), otherwise +1/-1 by parity of the inversions needed to
-    interleave ``v`` into ``u``.
-    """
-    if not u:
-        return 1, v
-    if not v:
-        return 1, u
-    out = []
-    i, j = 0, 0
-    nu, nv = len(u), len(v)
-    swaps = 0
-    while i < nu and j < nv:
-        a, b = u[i], v[j]
-        if a == b:
-            return 0, ()
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-            swaps += nu - i
-    out.extend(u[i:])
-    out.extend(v[j:])
-    return (1 if swaps % 2 == 0 else -1), tuple(out)
-
-
-def mul_even(p, q):
-    """Merge two sorted ((var, exp), ...) tuples, adding exponents."""
-    if not p:
-        return q
-    if not q:
-        return p
-    out = []
-    i, j = 0, 0
-    np_, nq = len(p), len(q)
-    while i < np_ and j < nq:
-        vi, ei = p[i]
-        vj, ej = q[j]
-        if vi == vj:
-            out.append((vi, ei + ej))
-            i += 1
-            j += 1
-        elif vi < vj:
-            out.append(p[i])
-            i += 1
-        else:
-            out.append(q[j])
-            j += 1
-    out.extend(p[i:])
-    out.extend(q[j:])
-    return tuple(out)
-
-
 def _align(p, q):
     """Bring two polynomials into a common context, or fail loudly."""
     if p.ctx is q.ctx:
@@ -249,35 +239,56 @@ def _align(p, q):
 _UNIT_SIGN = {Q_ONE: 1, Q_MINUS_ONE: -1}
 
 
-def add_monomial_product(terms, c, ek2, ok2, q2, keep):
+def add_monomial_product(terms, c, ek2, ok2, q2, keep, guard):
     """Add ``keep * c * m`` into the term dict ``terms``, where ``c`` is a
     term dict, ``m`` the monomial with coefficient ``q2``, even part
-    ``ek2`` and odd part ``ok2``, and ``keep`` is 1 or -1.  Monomial keys
-    agree across contexts that extend one another, so the caller names
-    the context of the sum.
+    ``ek2`` and odd part ``ok2``, and ``keep`` is 1 or -1.  ``guard`` has
+    the guard bit set of at least every field that ``ek2`` uses; the
+    ``_guard`` of a context that holds ``m`` does.  Monomial keys agree
+    across contexts that extend one another, so the caller names the
+    context of the sum.
 
-    This is the one product kernel of term dicts.  Most of its term pairs
-    have an empty even or odd part on one side or a coefficient of 1 or
-    -1, and land on a key not yet in ``terms``; such a pair skips the
-    merge, the multiplication or the addition that would leave its
-    operand as it is."""
+    This is the one product kernel of term dicts.  A pair whose odd parts
+    meet is zero.  Otherwise its sign is (-1) to the number of pairs of
+    an odd id of the left term above one of ``m``: the parity of ``o1 &
+    below``, where ``below`` has bit x set when an odd number of ``m``'s
+    odd ids lie below x.  Raises ValueError when an exponent of the
+    product exceeds :data:`MAX_EXPONENT`.  Most pairs have an empty even
+    or odd part on the side of ``m`` or a coefficient of 1 or -1 on one
+    side, and land on a key not yet in ``terms``; such a pair skips the
+    sign, the sum of even parts, the multiplication or the addition that
+    would leave its operand as it is."""
     unit = _UNIT_SIGN.get(q2)
+    below = 0
+    o = ok2
+    while o:
+        low = o & -o
+        below ^= -(low << 1)
+        o ^= low
     for (ek1, ok1), q1 in c.items():
-        if ok1 and ok2:
-            sign, ok = merge_odd(ok1, ok2)
-            if sign == 0:
+        if ok2:
+            if ok1 & ok2:
                 continue
+            ok = ok1 | ok2
+            sign = -keep if (ok1 & below).bit_count() & 1 else keep
         else:
-            sign, ok = 1, ok1 or ok2
+            ok, sign = ok1, keep
         if unit:
-            x = q1 if unit == sign * keep else q_neg(q1)
+            x = q1 if unit == sign else q_neg(q1)
         elif q1 in _UNIT_SIGN:
-            x = q2 if _UNIT_SIGN[q1] == sign * keep else q_neg(q2)
+            x = q2 if _UNIT_SIGN[q1] == sign else q_neg(q2)
         else:
             x = q_mul(q1, q2)
-            if sign != keep:
+            if sign < 0:
                 x = q_neg(x)
-        key = (mul_even(ek1, ek2) if ek1 and ek2 else ek1 or ek2, ok)
+        if ek2:
+            ek = ek1 + ek2
+            if ek & guard:
+                raise ValueError("a product has an exponent above"
+                                 f" {MAX_EXPONENT}")
+            key = (ek, ok)
+        else:
+            key = (ek1, ok)
         acc = terms.get(key)
         if acc is None:
             terms[key] = x
@@ -295,8 +306,9 @@ def add_product(terms, p, q, negate=False):
     q need not be lifted first."""
     keep = -1 if negate else 1
     c = p.terms
+    guard = q.ctx._guard
     for (ek, ok), q2 in q.terms.items():
-        add_monomial_product(terms, c, ek, ok, q2, keep)
+        add_monomial_product(terms, c, ek, ok, q2, keep, guard)
 
 
 def add_derivative(terms, held, poly, negate=False):
@@ -313,24 +325,31 @@ def add_derivative(terms, held, poly, negate=False):
     xi before eta, d/d(xi) (xi*eta) = eta while d/d(eta) (xi*eta) = -xi."""
     even, odd = held
     keep = -1 if negate else 1
+    guard = poly.ctx._guard
     for (ek, ok), q in poly.terms.items():
         if even:
-            for pos, (v, e) in enumerate(ek):
-                c = even.get(v)
+            rest = ek
+            while rest:
+                shift = (rest & -rest).bit_length() - 1
+                shift -= shift % W
+                e = (rest >> shift) & MAX_EXPONENT
+                rest -= e << shift
+                c = even.get(shift // W)
                 if c is not None:
-                    if e == 1:
-                        add_monomial_product(terms, c, ek[:pos] + ek[pos + 1:],
-                                             ok, q, keep)
-                    else:
-                        add_monomial_product(
-                            terms, c, ek[:pos] + ((v, e - 1),) + ek[pos + 1:],
-                            ok, q_mul(q, (e, 0, 0, 0, 1)), keep)
+                    add_monomial_product(
+                        terms, c, ek - (1 << shift), ok,
+                        q if e == 1 else q_mul(q, (e, 0, 0, 0, 1)), keep,
+                        guard)
         if odd:
-            for pos, v in enumerate(ok):
-                c = odd.get(v)
+            rest, sign = ok, keep
+            while rest:
+                low = rest & -rest
+                c = odd.get(low.bit_length() - 1)
                 if c is not None:
-                    add_monomial_product(terms, c, ek, ok[:pos] + ok[pos + 1:],
-                                         q, -keep if pos & 1 else keep)
+                    add_monomial_product(terms, c, ek, ok ^ low, q, sign,
+                                         guard)
+                rest ^= low
+                sign = -sign
 
 
 class SuperPoly:
@@ -368,7 +387,7 @@ class SuperPoly:
 
     def parity(self):
         """0 or 1 for homogeneous polynomials, None for zero."""
-        parities = {len(ok) % 2 for _, ok in self.terms}
+        parities = {ok.bit_count() & 1 for _, ok in self.terms}
         if not parities:
             return None
         if len(parities) > 1:
@@ -376,22 +395,21 @@ class SuperPoly:
         return parities.pop()
 
     def is_even(self):
-        return all(len(ok) % 2 == 0 for _, ok in self.terms)
+        return all(not ok.bit_count() & 1 for _, ok in self.terms)
 
     def is_odd(self):
-        return all(len(ok) % 2 == 1 for _, ok in self.terms)
+        return all(ok.bit_count() & 1 for _, ok in self.terms)
 
     def is_homogeneous(self):
-        return len({len(ok) % 2 for _, ok in self.terms}) <= 1
+        return len({ok.bit_count() & 1 for _, ok in self.terms}) <= 1
 
     def variables(self):
         """Names of the variables actually appearing."""
         seen = set()
-        for ek, ok in self.terms:
-            for vid, _ in ek:
-                seen.add(self.ctx._even[vid])
-            for oid in ok:
-                seen.add(self.ctx._odd[oid])
+        for key in self.terms:
+            ek, ok = decode(key)
+            seen.update(self.ctx._even[vid] for vid, _ in ek)
+            seen.update(self.ctx._odd[oid] for oid in ok)
         return seen
 
     def monomials(self):
@@ -400,11 +418,12 @@ class SuperPoly:
         ``even_factors`` is a tuple of (name, exponent); ``odd_factors`` a
         tuple of names in canonical order.
         """
-        for ek, ok in sorted(self.terms):
+        even, odd = self.ctx._even, self.ctx._odd
+        for (ek, ok), key in sorted((decode(key), key) for key in self.terms):
             yield (
-                tuple((self.ctx._even[vid], e) for vid, e in ek),
-                tuple(self.ctx._odd[oid] for oid in ok),
-                FieldScalar.from_q(self.terms[(ek, ok)]),
+                tuple((even[vid], e) for vid, e in ek),
+                tuple(odd[oid] for oid in ok),
+                FieldScalar.from_q(self.terms[key]),
             )
 
     # -- arithmetic --------------------------------------------------------
@@ -493,20 +512,32 @@ class SuperPoly:
     # -- rendering ---------------------------------------------------------
 
     def render(self):
-        """The terms by ascending total degree, then by monomial key."""
-        even, odd = self.ctx._even, self.ctx._odd
-        items = [(sum(map(_exponent, ek)) + len(ok), ek, ok, q)
-                 for (ek, ok), q in self.terms.items()]
+        """The terms by ascending total degree, then by the tuple form of
+        their monomial keys."""
+        ctx = self.ctx
+        evens = ctx._evens
+        items = []
+        for (ek, ok), q in self.terms.items():
+            e = evens.get(ek)
+            if e is None:
+                e = ctx._even_part(ek)
+            ids = []
+            while ok:
+                low = ok & -ok
+                ids.append(low.bit_length() - 1)
+                ok ^= low
+            items.append((e[0] + len(ids), e[1], ids, q))
         if len(items) > 1:
             items.sort()
+        even, odd = ctx._even, ctx._odd
         summands = []
         for _, ek, ok, q in items:
             factors = []
-            for vid, e in ek:
-                name = even[vid]
+            for i in range(0, len(ek), 2):
+                name, e = even[ek[i]], ek[i + 1]
                 factors.append(name if e == 1 else f"{name}^{e}")
-            for oid in ok:
-                factors.append(odd[oid])
+            for v in ok:
+                factors.append(odd[v])
             summands.append(scaled(q_render(q), "*".join(factors)))
         return signed_sum(summands)
 

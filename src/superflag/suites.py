@@ -165,6 +165,25 @@ def _timed(fn):
     return wrapper
 
 
+def jacobi_triples(tags):
+    """The triples of ``tags`` that ``suite_osp_defining`` checks Jacobi
+    on: all of them for at most 12 tags, else 300 drawn from a Random
+    seeded 20240811, the tags in each triple left to right.  Each tag is
+    drawn as ``Random.choice`` draws it, without its calls: getrandbits of
+    the tag count's bit length, drawn again until it is below the count."""
+    if len(tags) <= 12:
+        return [(x, y, z) for x in tags for y in tags for z in tags]
+    draw, n = random.Random(20240811).getrandbits, len(tags)
+    k = n.bit_length()
+    picks = []
+    while len(picks) < 900:
+        r = draw(k)
+        if r < n:
+            picks.append(tags[r])
+    it = iter(picks)
+    return list(zip(it, it, it))
+
+
 @_timed
 def suite_osp_defining(m, n):
     """Basis size, defining equation, closure, Jacobi, and center for
@@ -188,15 +207,7 @@ def suite_osp_defining(m, n):
             not table.failures,
             f"{len(table.constants)} structure constants"
             if not table.failures else str(table.failures[:4]))
-    tags = bas.tags()
-    rng = random.Random(20240811)
-    if len(tags) <= 12:
-        triples = [(x, y, z) for x in tags for y in tags for z in tags]
-    else:
-        triples = [
-            (rng.choice(tags), rng.choice(tags), rng.choice(tags))
-            for _ in range(300)
-        ]
+    triples = jacobi_triples(bas.tags())
     bad_j = jacobi_failures(table, triples)
     rep.add("jacobi", "graded Jacobi identity on generator triples",
             not bad_j, f"{len(triples)} triples" if not bad_j else str(bad_j[:3]))

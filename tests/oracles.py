@@ -3,7 +3,8 @@
 Each oracle computes its answer another way than the code it checks, and
 none calls that code: Fractions for the text of a field tuple, the
 product loop with no fast paths for ``ring.add_product``, which merges
-odd parts by counting inversions and even parts through a dict, the
+odd parts by counting inversions and even parts through a dict on keys
+unpacked to tuples by a reader of its own (``unpack``), the
 partials of a polynomial built one dict each for the one-pass
 ``ring.add_derivative``, a bracket that scans every coefficient name and
 multiplies those partials for ``VectorField.bracket``, matrix
@@ -48,6 +49,7 @@ parsing this file.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -60,7 +62,7 @@ from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
 from superflag.osp import PARABOLIC_TAGS, Generator, NotInSpanError, \
     OspBasis, basis, components, constant_entries
 from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
-    RingContext, SuperPoly, common_context
+    RingContext, SuperPoly, W, common_context
 from superflag.scalars import Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
     FieldScalar, add_scaled, q_add, q_mul, q_neg
 from superflag.weights import Weight
@@ -102,6 +104,29 @@ def fraction_render(q):
     return out or "0"
 
 
+@functools.cache
+def unpack(key):
+    """The tuple form ``(((id, exponent), ...), (odd ids, ...))`` of a
+    monomial key, read from the format that ``superflag.ring`` documents:
+    the odd part has bit i set for each odd id i, and the even part holds
+    the exponent e of even id v as e * 2**(W*v)."""
+    even, odd = key
+    ek, v = [], 0
+    while even:
+        even, e = divmod(even, 2 ** W)
+        if e:
+            ek.append((v, e))
+        v += 1
+    ok = tuple(i for i in range(odd.bit_length()) if odd >> i & 1)
+    return tuple(ek), ok
+
+
+def pack(ek, ok):
+    """The monomial key of the tuple form ``(ek, ok)``: :func:`unpack`
+    undone."""
+    return sum(e * 2 ** (W * v) for v, e in ek), sum(2 ** i for i in ok)
+
+
 def merge_odd_ids(u, v):
     """``(sign, merged)`` for the odd parts ``u`` and ``v``: sign 0 when an
     id repeats, else (-1) to the number of inversions of ``u + v``."""
@@ -126,15 +151,17 @@ def add_product_loop(terms, p, q, negate=False):
     ``terms``: every term pair merged, multiplied and summed in, with no
     shortcut for an empty part, a unit coefficient or a new key."""
     keep = -1 if negate else 1
-    for (ek1, ok1), q1 in p.terms.items():
-        for (ek2, ok2), q2 in q.terms.items():
+    right = [(unpack(key), q2) for key, q2 in q.terms.items()]
+    for key1, q1 in p.terms.items():
+        ek1, ok1 = unpack(key1)
+        for (ek2, ok2), q2 in right:
             sign, ok = merge_odd_ids(ok1, ok2)
             if sign == 0:
                 continue
             c = q_mul(q1, q2)
             if sign != keep:
                 c = q_neg(c)
-            key = (merge_even_exponents(ek1, ek2), ok)
+            key = pack(merge_even_exponents(ek1, ek2), ok)
             acc = q_add(terms.get(key, Q_ZERO), c)
             if acc == Q_ZERO:
                 terms.pop(key, None)
@@ -153,18 +180,19 @@ def partials(terms, even, odd):
     position.  Taking one factor of a variable out is injective on the
     monomials that hold it, so within one partial no key repeats."""
     by_even, by_odd = {}, {}
-    for (ek, ok), q in terms.items():
+    for key, q in terms.items():
+        ek, ok = unpack(key)
         for pos, (v, e) in enumerate(ek):
             if v in even:
                 if e == 1:
-                    key, c = (ek[:pos] + ek[pos + 1:], ok), q
+                    key, c = pack(ek[:pos] + ek[pos + 1:], ok), q
                 else:
-                    key = (ek[:pos] + ((v, e - 1),) + ek[pos + 1:], ok)
+                    key = pack(ek[:pos] + ((v, e - 1),) + ek[pos + 1:], ok)
                     c = q_mul(q, (e, 0, 0, 0, 1))
                 by_even.setdefault(v, {})[key] = c
         for pos, v in enumerate(ok):
             if v in odd:
-                key = (ek, ok[:pos] + ok[pos + 1:])
+                key = pack(ek, ok[:pos] + ok[pos + 1:])
                 by_odd.setdefault(v, {})[key] = q_neg(q) if pos & 1 else q
     return by_even, by_odd
 
@@ -188,7 +216,8 @@ def demote(ctx, p):
         raise ContextError("demote target is not a prefix of the source"
                            " context")
     ne, no = len(ctx.even_names), len(ctx.odd_names)
-    for ek, ok in p.terms:
+    for key in p.terms:
+        ek, ok = unpack(key)
         if any(vid >= ne for vid, _ in ek) or any(oid >= no for oid in ok):
             raise ContextError("polynomial uses variables outside the target"
                                " context")
@@ -223,7 +252,8 @@ def substitute(p, bindings):
             else target.var(name)
 
     out = target.zero
-    for (ek, ok), q in p.terms.items():
+    for key, q in p.terms.items():
+        ek, ok = unpack(key)
         piece = target.scalar(FieldScalar.from_q(q))
         for vid, e in ek:
             piece = piece * image(evens[vid]) ** e

@@ -1,5 +1,6 @@
 """Charts, the supergroup action, fundamental fields, the isotropic chart."""
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -35,10 +36,12 @@ from superflag.scalars import FieldScalar
 from superflag.weights import Weight
 
 from oracles import (
+    add_product_loop,
     bracket_all_names,
     demote,
     dependent_values,
     formal_isotropic_chart,
+    partial,
     residual_entries,
     substitute,
 )
@@ -588,6 +591,46 @@ def _over_extension(field, ext):
         coeffs |= {"t": t * t, "tau": tau * t}
     return VectorField(ext, field.parity, coeffs,
                        field.order + ("t", "tau"))
+
+
+@functools.lru_cache(maxsize=None)
+def _chart_and_basis(k1, l1, tail):
+    return isotropic_chart(k1, l1, tail=tail), basis("odd", k1 - 1, l1)
+
+
+@pytest.mark.parametrize("k1, l1, tail, x, y", [
+    (5, 4, ((2,), (1,)), "C21:2,2", "B21:1,1"),
+    (5, 4, ((2,), (1,)), "B21:1,3", "C21:1,3"),
+    (5, 4, ((2,), (1,)), "G3:3", "A21:1,2"),
+    (5, 4, ((2,), (1,)), "C21:1,2", "C21:4,4"),
+    (6, 5, None, "B21:2,4", "C21:3,5"),
+])
+def test_bracket_matches_the_all_names_scan_on_the_costliest_pairs(
+        k1, l1, tail, x, y):
+    """The five generator pairs of the benchmark's fields pool whose field
+    bracket takes the most term products, on the widest charts there: the
+    bracket equals the oracle's in both orders.  These brackets are zero,
+    so thousands of products must cancel exactly; each field applied to
+    the other's coefficients, a half of the bracket, is not zero, and
+    equals the sum of coefficient times oracle partial."""
+    iso, bas = _chart_and_basis(k1, l1, tail)
+    v = fundamental_field(bas[x].matrix, iso.chart)
+    w = fundamental_field(bas[y].matrix, iso.chart)
+    for a, b in ((v, w), (w, v)):
+        halves = 0
+        for poly in b.coefficients.values():
+            want = {}
+            for name in poly.variables() & a.coefficients.keys():
+                add_product_loop(want, a.coefficients[name],
+                                 partial(poly, name))
+            got = a.apply(poly).terms
+            assert got == want
+            halves += bool(got)
+        assert halves
+        got, want = a.bracket(b), bracket_all_names(a, b)
+        assert {n: c.terms for n, c in got.coefficients.items()} == \
+            {n: c.terms for n, c in want.coefficients.items() if c.terms}
+        assert got.render() == want.render()
 
 
 def test_bracket_matches_the_all_names_scan():

@@ -746,6 +746,28 @@ VERIFY_PINS = {
 }
 
 
+#: sha256 of the stdout of two commands that print Grassmann polynomials
+#: from wide charts under the default cap, with their exit codes: a field
+#: at (6,6) and the tailed (5,4) chart of the benchmark's costliest pair.
+#: A change to the ring's monomial keys keeps these.
+POLYNOMIAL_PINS = {
+    ("fundamental-field", "--k1", "6", "--l1", "6", "--tag", "C21:2,2"): (
+        0, 'c02049aaafc63ea49374802648c9c90c4bb8bf91957d3588a24a4787c57a0a88'),
+    ("isotropic-chart", "--k1", "5", "--l1", "4", "--tail", "k=2 l=1"): (
+        0, '349a305d115585f0722874b45bd5bc14ebc7f351df6ff82c987f0d0a4c648226'),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POLYNOMIAL_PINS),
+                         ids=lambda argv: argv[0])
+def test_polynomial_output_matches_pins(capsys, monkeypatch, argv):
+    monkeypatch.delenv("SUPERFLAG_MAX_SIZE", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+        POLYNOMIAL_PINS[argv]
+
+
 def _verify_runs():
     yield ()
     for m in range(4):

@@ -1,14 +1,17 @@
-"""The low-level kernels: normalisation and sign oracles."""
+"""The low-level kernels: normalisation, and the product of packed
+monomial keys against sign and exponent oracles."""
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superflag
-from superflag.ring import merge_odd, mul_even
-from superflag.scalars import FieldScalar, q_mul, q_normalize
+from superflag.ring import CONSTANT, MAX_EXPONENT, W, RingContext, \
+    SuperPoly, add_monomial_product
+from superflag.scalars import Q_ONE, FieldScalar, q_mul, q_neg, q_normalize
 
 ints = st.integers(min_value=-40, max_value=40)
 dens = st.integers(min_value=1, max_value=24)
@@ -72,17 +75,37 @@ def _permutation_sign(perm):
     return -1 if inversions % 2 else 1
 
 
-def test_merge_odd_permutation_sign_oracle():
-    """Interleaving two ascending runs costs the inversion-count sign of
-    their concatenation."""
+#: A ring with four even and five odd variables, for the monomials below.
+RING = RingContext()
+RING.evens("x0", "x1", "x2", "x3")
+RING.odds("t0", "t1", "t2", "t3", "t4")
+
+
+def _odd_part(ids):
+    return sum(1 << i for i in ids)
+
+
+def _product(left, right):
+    """The term dict of the product of two monomials of RING, each given
+    as a packed key with coefficient 1."""
+    terms = {}
+    add_monomial_product(terms, {left: Q_ONE}, *right, Q_ONE, 1, RING._guard)
+    return terms
+
+
+def test_product_sign_is_the_permutation_sign():
+    """Interleaving two ascending runs of odd ids costs the inversion-count
+    sign of their concatenation; the odd parts are or-ed, and the even
+    parts, here one x0 on each side, add."""
     base = frozenset(range(5))
     subsets = [tuple(sorted(s)) for s in _powerset(base)]
     for u in subsets:
         rest = base - set(u)
         for v in (tuple(sorted(rest)), tuple(sorted(rest))[:2]):
-            sign, merged = merge_odd(u, v)
-            assert merged == tuple(sorted(u + v))
-            assert sign == _permutation_sign(u + v), (u, v)
+            got = _product((1, _odd_part(u)), (1, _odd_part(v)))
+            sign = _permutation_sign(u + v)
+            assert got == {(2, _odd_part(u + v)):
+                           Q_ONE if sign > 0 else q_neg(Q_ONE)}, (u, v)
 
 
 def _powerset(items):
@@ -92,13 +115,34 @@ def _powerset(items):
     return out
 
 
-def test_merge_odd_repeat_kills():
-    assert merge_odd((1,), (1,)) == (0, ())
-    assert merge_odd((1, 2), (2,))[0] == 0
+def test_product_with_a_repeated_odd_id_is_zero():
+    assert _product((0, _odd_part([1])), (0, _odd_part([1]))) == {}
+    assert _product((0, _odd_part([1, 2])), (0, _odd_part([2]))) == {}
+    assert _product((5, _odd_part([0, 4])), (7, _odd_part([3, 4]))) == {}
 
 
-def test_mul_even_merges_sorted_exponents():
-    p = ((0, 2), (3, 1))
-    q = ((0, 1), (2, 4))
-    assert mul_even(p, q) == ((0, 3), (2, 4), (3, 1))
-    assert mul_even((), p) == p
+def test_product_adds_exponents():
+    """x0^2 x3 times x0 x2^4 is x0^3 x2^4 x3, and the constant monomial is
+    the unit of the product."""
+    p = 2 + (1 << 3 * W)
+    q = 1 + (4 << 2 * W)
+    assert _product((p, 0), (q, 0)) == {(3 + (4 << 2 * W) + (1 << 3 * W), 0):
+                                        Q_ONE}
+    assert _product(CONSTANT, (p, 0)) == {(p, 0): Q_ONE}
+    assert _product((p, 0), CONSTANT) == {(p, 0): Q_ONE}
+
+
+def test_product_past_the_largest_exponent_raises():
+    """An exponent may reach MAX_EXPONENT; a product past it raises
+    ValueError rather than carry into the next variable's field, whichever
+    variable it is and on whichever side the large power stands."""
+    x0, x1, x2 = (RING.var(n) for n in ("x0", "x1", "x2"))
+    top = SuperPoly._new(RING, {(MAX_EXPONENT << W, 0): Q_ONE})   # x1^max
+    below = SuperPoly._new(RING, {((MAX_EXPONENT - 1) << W, 0): Q_ONE})
+    assert (below * x1).render() == f"x1^{MAX_EXPONENT}"
+    assert (top * x0 * x2).render() == f"x0*x1^{MAX_EXPONENT}*x2"
+    for left, right in ((top, x1), (x1, top), (top * x0, x1 * x2),
+                        (top, below)):
+        with pytest.raises(ValueError, match=str(MAX_EXPONENT)):
+            left * right
+    assert MAX_EXPONENT == (1 << (W - 1)) - 1

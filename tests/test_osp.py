@@ -29,7 +29,7 @@ from superflag.osp import (
     jacobi_failures,
     membership_residual,
 )
-from superflag.ring import RingContext
+from superflag.ring import CONSTANT, RingContext
 from superflag.scalars import FieldScalar, ONE, Q_MINUS_ONE, Q_ONE, Q_ZERO, \
     ZERO, add_scaled, q_mul, q_neg
 
@@ -647,6 +647,24 @@ def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
     assert records["center"].witness == "undetermined: closure failed"
 
 
+def test_jacobi_triples_are_the_random_choice_triples():
+    """The suite's Jacobi triples are the 300 that three Random.choice
+    calls a triple draw from the seed 20240811, at the tag count of every
+    osp(2m+1|2n) from (2,2) to (8,8); a Python whose choice draws another
+    way fails here.  At most 12 tags give every triple."""
+    counts = {sum(dimension_counts("odd", m, n))
+              for m in range(2, 9) for n in range(2, 9)}
+    for count in sorted(counts):
+        tags = [f"T{i}" for i in range(count)]
+        rng = random.Random(20240811)
+        want = [(rng.choice(tags), rng.choice(tags), rng.choice(tags))
+                for _ in range(300)]
+        assert suites.jacobi_triples(tags) == want, count
+    tags = basis("odd", 1, 1).tags()
+    assert suites.jacobi_triples(tags) == [
+        (x, y, z) for x in tags for y in tags for z in tags]
+
+
 @pytest.mark.parametrize("case", [("odd", 1, 1), ("gl", 2, 1),
                                   ("primed", 3, 1)])
 def test_two_way_bracket_table_matches_the_recursive_rule(case):
@@ -873,7 +891,7 @@ def test_gram_permutation_reads_back_off_its_matrix(flavor):
             entries = {}
             for slot, v in gram.matrix.entries.items():
                 (key, q), = v.terms.items()
-                assert key == ((), ())
+                assert key == CONSTANT
                 entries[slot] = {Q_ONE: 1, Q_MINUS_ONE: -1}[q]
             assert len(entries) == gram.shape.total
             perm = tuple(y for _, y in sorted(entries))

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superflag.ring import ContextError, NUMERIC_CTX, RingContext, \
-    SuperPoly, add_derivative, add_product, merge_odd
+from superflag.ring import CONSTANT, ContextError, NUMERIC_CTX, \
+    RingContext, SuperPoly, add_derivative, add_product
 from superflag.scalars import FieldScalar, I, ONE, SQRT2, Q_ONE, q_neg, \
     q_normalize
 
-from oracles import add_product_loop, demote, partial, partials, \
-    substitute
+from oracles import add_product_loop, demote, merge_odd_ids, pack, \
+    partial, partials, substitute, unpack
 
 
 @pytest.fixture()
@@ -122,7 +122,8 @@ def _accumulated_left_derivative(p, name):
         else:
             terms[key] = acc
 
-    for (ek, ok), q in p.terms.items():
+    for key, q in p.terms.items():
+        ek, ok = unpack(key)
         if parity == 0:
             for pos, (v, e) in enumerate(ek):
                 if v == vid:
@@ -130,11 +131,12 @@ def _accumulated_left_derivative(p, name):
                         new_ek = ek[:pos] + ek[pos + 1:]
                     else:
                         new_ek = ek[:pos] + ((v, e - 1),) + ek[pos + 1:]
-                    add((new_ek, ok), q_mul(q, (e, 0, 0, 0, 1)))
+                    add(pack(new_ek, ok), q_mul(q, (e, 0, 0, 0, 1)))
                     break
         elif vid in ok:
             pos = ok.index(vid)
-            add((ek, ok[:pos] + ok[pos + 1:]), q if pos % 2 == 0 else q_neg(q))
+            add(pack(ek, ok[:pos] + ok[pos + 1:]),
+                q if pos % 2 == 0 else q_neg(q))
     return terms
 
 
@@ -172,8 +174,8 @@ def test_left_derivative_matches_the_accumulating_loop():
             parity, vid = ctx._byname[name]
             assert (by_odd if parity else by_even).get(vid, {}) == \
                 _accumulated_left_derivative(p, name)
-        for _, ok in p.terms:
-            positions.update(enumerate(ok))
+        for key in p.terms:
+            positions.update(enumerate(unpack(key)[1]))
     # every odd variable is seen at every position it can take
     assert positions == {(pos, vid) for vid in range(4)
                          for pos in range(vid + 1)}
@@ -185,11 +187,11 @@ def _random_terms(rng, count):
     terms = {}
     for _ in range(count):
         if rng.random() < 0.2:
-            key = ((), ())
+            key = CONSTANT
         else:
             ek = tuple((v, rng.randint(1, 3))
                        for v in sorted(rng.sample(range(3), rng.randint(0, 2))))
-            key = (ek, tuple(sorted(rng.sample(range(4), rng.randint(0, 3)))))
+            key = pack(ek, sorted(rng.sample(range(4), rng.randint(0, 3))))
         if rng.random() < 0.5:
             q = rng.choice((Q_ONE, q_neg(Q_ONE)))
         else:
@@ -233,14 +235,14 @@ def test_add_product_matches_the_plain_loop():
             for key2, q2 in q.terms.items():
                 units = (q1 in (Q_ONE, q_neg(Q_ONE)),
                          q2 in (Q_ONE, q_neg(Q_ONE)))
-                seen.add(("constant", key1 == ((), ()) or key2 == ((), ())))
+                odd1, odd2 = unpack(key1)[1], unpack(key2)[1]
+                seen.add(("constant", CONSTANT in (key1, key2)))
                 seen.add(("unit", any(units)))
                 seen.add(("units", units))
-                seen.add(("repeat", bool(set(key1[1]) & set(key2[1]))))
-                seen.add(("long odd parts",
-                          len(key1[1]) >= 2 and len(key2[1]) >= 2))
+                seen.add(("repeat", bool(set(odd1) & set(odd2))))
+                seen.add(("long odd parts", len(odd1) >= 2 and len(odd2) >= 2))
                 seen.add(("merge sign", any(units),
-                          merge_odd(key1[1], key2[1])[0]))
+                          merge_odd_ids(odd1, odd2)[0]))
         seen.add(("negate", negate))
     # a unit on the left, the right, both or neither (the q_mul path);
     # each merge sign with and without a unit, since one comparison folds
@@ -269,7 +271,7 @@ def _random_ring_terms(rng, ring, count, max_exponent):
                         q_normalize(rng.randint(-3, 3), rng.randint(-2, 2),
                                     0, rng.randint(-1, 1), rng.randint(1, 3))))
         if q[:4] != (0, 0, 0, 0):
-            terms[(ek, ok)] = q
+            terms[pack(ek, ok)] = q
     return terms
 
 
@@ -323,7 +325,8 @@ def test_add_derivative_matches_the_sum_of_oracle_partials():
         if start == "cancel":
             assert fast == {}
         even_ids, odd_ids = held
-        for ek, ok in poly.terms:
+        for key in poly.terms:
+            ek, ok = unpack(key)
             for vid, e in ek:
                 seen.add(("exponent", e, vid in even_ids))
             for pos, vid in enumerate(ok):
