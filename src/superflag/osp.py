@@ -81,11 +81,11 @@ to end: the center feeds them to ``RankTracker`` as ``{column: q}`` rows
 and scales the generators' entry tables by its ``{column: q}`` nullspace
 vectors, so no FieldScalar is built in these checks.  The
 matrix-bracket Jacobi identity, the conjugation by two matrix products,
-the one-way constant table, the residual on whole term dicts and by
-matrix products, the matrix-first basis, the matrix bordering with its
-span test, the read-off by re-assembly and the odd/even stabilizer of
-the base flag, which the tests compare these with, live in
-``tests/oracles.py``.
+the one-way constant table, the residual by matrix products, the
+nullspace of the defining equation over unit matrices, the matrix
+bordering with its span test, the read-off by re-assembly and the
+odd/even stabilizer of the base flag, which the tests compare these
+with, live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

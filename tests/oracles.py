@@ -1,50 +1,27 @@
-"""Reference implementations that the tests compare the library with.
+"""Reference implementations that the tests compare the library with,
+one per fact, and the few helpers the test files share.
 
 Each oracle computes its answer another way than the code it checks, and
-none calls that code: Fractions for the text of a field tuple, the
-product loop with no fast paths for ``ring.add_product``, which merges
-odd parts by counting inversions and even parts through a dict on keys
-unpacked to tuples by a reader of its own (``unpack``), the
-partials of a polynomial built one dict each for the one-pass
-``ring.add_derivative``, a bracket that scans every coefficient name and
-multiplies those partials for ``VectorField.bracket``, matrix
-brackets for the Jacobi identity that ``osp.jacobi_failures`` composes
-from structure constants, two matrix products for the conjugation that
-``osp.conjugate_entries`` forms on entry tables, the structure constants
-of the all-pairs matrix closure kept in one order and read the other way
-by recursion for the two-way view of the ``osp.BracketTable`` that
-``osp.closure_check`` returns, the enumerated positive roots for the closed
-forms of ``RootSystem.violation``, term-by-term substitution for the
-resolved isotropic chart, a chart with every slot a variable built by
-hand for ``charts.isotropic_chart``, the dense body of a matrix, the
-dense inverse of a FieldScalar list and a Neumann loop on it that decides
-only after summing its powers for the sparse body inverse and up-front
-test of ``SuperMatrix.invert``, the residual on whole term dicts
-(``residual_terms``) and the defining equation as written, by two matrix
-products (``defining_residual``), for the per-component
-``osp.entry_residual`` of ``membership_residual``, and the span route
-the imp-witness suite took before it read its Grassmann components off
-one basis each: numeric matrices built even, expanded in bases of even
-generators only, the bordered one built with ``embed_j``.  That route
-shares neither the split, the bordering, the parity test nor the
-read-off with the suite.  The matrix route of the suite's numeric
-witnesses (odd FieldScalar matrices, ``defining_residual`` and
-``j_image_contains``, ``SuperMatrix.superbracket``) checks the entry
-tables, ``entry_residual`` and ``odd_self_bracket`` that the suite uses
-in its place.  The matrix bordering the isomorphism suite once ran
-(``embed_j``, a shift of a member's entries by (1, 1), ``bordered_basis``,
-``j_image_contains`` and ``coefficients_of``, which converts a matrix
-before its read-off) checks the suite's P X P^T on entry tables.
-Likewise the matrix-first basis shares the family specs with
-``osp.basis``, but not the route from a spec to a generator: ``build``'s
-parity check, the residual and the table read back off the matrix.
-``reassembled_read_off`` sums the combination that the primary slots
-name and compares it with the entries, where ``OspBasis.read_off``
-checks each entry against its slot's owner.  Every membership verdict
-here comes from ``defining_residual`` and every span verdict from
-``reassembled_read_off``: no oracle names the library's residual, its
-membership test, its read-off or its owner map, which a test checks by
-parsing this file.
+none calls that code: Fractions for the text of a field tuple; a product
+loop with no fast paths, on keys unpacked by a reader of its own
+(``unpack``), one dict per partial and substitution monomial by monomial
+for the ring; a bracket that scans every coefficient name for
+``VectorField.bracket``; dense Gauss-Jordan on FieldScalar lists
+(``DenseTracker``), with the dense inverse and a Neumann loop on it, for
+``RankTracker`` and ``SuperMatrix.invert``; the defining equation by two
+matrix products (``defining_residual``) for ``membership_residual``; its
+nullspace over unit matrices (``defining_system``) for ``basis``; the
+read-off by re-assembly after a Grassmann split of its own
+(``reassembled_read_off``, ``split``) for ``OspBasis.read_off``; matrix
+brackets, matrix products and a one-way constant table for Jacobi,
+conjugation and ``BracketTable``; the matrix bordering and the
+imp-witness suite's old matrix routes for the entry-table suites; the
+enumerated positive roots; and the isotropic chart with every slot a
+variable.  Every membership verdict here comes from ``defining_residual``
+and every span verdict from ``reassembled_read_off``.  A tier-1 test
+holds this file to a ledger of the library names it may import or read
+off a library module (``RankTracker`` only in the nullspace oracle) and
+refuses private names and the attributes of the routes it checks.
 """
 
 from __future__ import annotations
@@ -60,11 +37,11 @@ from superflag.linalg import RankTracker, SingularMatrixError
 from superflag.matrices import BlockShape, NotNilpotentError, ParityError, \
     SuperMatrix
 from superflag.osp import PARABOLIC_TAGS, Generator, NotInSpanError, \
-    OspBasis, basis, components, constant_entries
-from superflag.ring import CONSTANT, NUMERIC_CTX, ContextError, \
-    RingContext, SuperPoly, W, common_context
-from superflag.scalars import Q_MINUS_ONE, Q_ONE, Q_ZERO, ZERO, \
-    FieldScalar, add_scaled, q_add, q_mul, q_neg
+    OspBasis, basis
+from superflag.ring import NUMERIC_CTX, ContextError, RingContext, \
+    SuperPoly, W, common_context
+from superflag.scalars import ONE, Q_ZERO, ZERO, FieldScalar, add_scaled, \
+    q_add, q_mul, q_neg
 from superflag.weights import Weight
 
 
@@ -169,6 +146,16 @@ def add_product_loop(terms, p, q, negate=False):
                 terms[key] = acc
 
 
+_CELL = BlockShape(1, 0)
+
+
+def poly_of(ctx, terms):
+    """The polynomial over ``ctx`` with the term dict ``terms``: the one
+    entry of the 1x1 matrix that ``SuperMatrix.from_terms`` makes of it,
+    the library's public constructor from term dicts."""
+    return SuperMatrix.from_terms(_CELL, _CELL, ctx, 0, {(0, 0): terms})[0, 0]
+
+
 def partials(terms, even, odd):
     """The left partial derivatives of the term dict ``terms`` by the even
     variable ids in ``even`` and the odd ids in ``odd``: ``(by_even,
@@ -200,11 +187,13 @@ def partials(terms, even, odd):
 def partial(poly, name):
     """The left partial derivative of ``poly`` by the variable ``name`` of
     its ring, from :func:`partials`."""
-    parity, vid = poly.ctx._byname[name]
+    ctx = poly.ctx
+    parity = ctx.parity_of(name)
+    vid = (ctx.odd_names if parity else ctx.even_names).index(name)
     ids = {vid}
     parts = partials(poly.terms, set() if parity else ids,
                      ids if parity else set())
-    return SuperPoly._new(poly.ctx, parts[parity].get(vid, {}))
+    return poly_of(ctx, parts[parity].get(vid, {}))
 
 
 def demote(ctx, p):
@@ -221,7 +210,7 @@ def demote(ctx, p):
         if any(vid >= ne for vid, _ in ek) or any(oid >= no for oid in ok):
             raise ContextError("polynomial uses variables outside the target"
                                " context")
-    return SuperPoly._new(ctx, p.terms)
+    return poly_of(ctx, p.terms)
 
 
 def substitute(p, bindings):
@@ -288,7 +277,7 @@ def bracket_all_names(v, w):
         terms = {}
         apply_into(v, terms, w.coefficient(name))
         apply_into(w, terms, v.coefficient(name), negate)
-        coeffs[name] = SuperPoly._new(ctx, terms)
+        coeffs[name] = poly_of(ctx, terms)
     return VectorField(ctx, (v.parity + w.parity) % 2, coeffs, names)
 
 
@@ -306,23 +295,74 @@ def body(m):
     return out
 
 
+class DenseTracker:
+    """Row reduction on dense lists of FieldScalars: Gauss-Jordan, one row
+    at a time, rows kept ordered by pivot column."""
+
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec):
+        vec = list(vec)
+        for row, col in zip(self.rows, self.pivots):
+            if vec[col]:
+                factor = vec[col]
+                vec = [x - factor * y for x, y in zip(vec, row)]
+        lead = next((c for c in range(self.ncols) if vec[c]), None)
+        if lead is None:
+            return False
+        inv_lead = vec[lead].inverse()
+        vec = [x * inv_lead for x in vec]
+        for i, row in enumerate(self.rows):
+            if row[lead]:
+                factor = row[lead]
+                self.rows[i] = [x - factor * y for x, y in zip(row, vec)]
+        pos = sum(1 for c in self.pivots if c < lead)
+        self.rows.insert(pos, vec)
+        self.pivots.insert(pos, lead)
+        return True
+
+    def nullspace(self):
+        out = []
+        for free in range(self.ncols):
+            if free in self.pivots:
+                continue
+            vec = [ZERO] * self.ncols
+            vec[free] = ONE
+            for row, col in zip(self.rows, self.pivots):
+                if row[free]:
+                    vec[col] = -row[free]
+            out.append(vec)
+        return out
+
+
+def sparse_row(row):
+    """A dense FieldScalar row as a ``{column: q}`` dict of its nonzero
+    entries, the row form of ``RankTracker``."""
+    return {c: x.q for c, x in enumerate(row) if x}
+
+
+def dense_row(vec, ncols):
+    """A ``{column: q}`` dict as a dense FieldScalar row of ``ncols``."""
+    return [FieldScalar.from_q(vec.get(c, Q_ZERO)) for c in range(ncols)]
+
+
 def invert(a):
     """The exact inverse of a dense square list of FieldScalars; raises
     SingularMatrixError when the rank drops.
 
-    The reduced form of [A | I] is [I | A^-1] exactly when every pivot lies
-    in the A half.
+    ``DenseTracker`` reduces [A | I] to [I | A^-1] exactly when every
+    pivot lies in the A half.
     """
     n = len(a)
-    tracker = RankTracker(2 * n)
+    tracker = DenseTracker(2 * n)
     for i, row in enumerate(a):
-        entries = {j: x.q for j, x in enumerate(row)}
-        entries[n + i] = Q_ONE
-        tracker.add(entries)
+        tracker.add([*row, *(ONE if j == i else ZERO for j in range(n))])
     if tracker.pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return [[FieldScalar.from_q(row.get(n + j, Q_ZERO)) for j in range(n)]
-            for row in tracker.rows]
+    return [row[n:] for row in tracker.rows]
 
 
 def neumann_invert(m):
@@ -349,6 +389,35 @@ def neumann_invert(m):
     return acc @ binv
 
 
+def group_like(rng, ctx, shape, identity_rows, odd_vars):
+    """A seeded numeric-plus-nilpotent even matrix over ``ctx`` whose rows
+    ``identity_rows`` keep the chart submatrix exactly invertible; such
+    matrices are closed under multiplication.  Shared by the action tests
+    of ``test_charts`` and ``test_acceptance``."""
+    entries = {}
+    n = shape.total
+    for i in range(n):
+        for j in range(n):
+            even_slot = shape.is_odd_index(i) == shape.is_odd_index(j)
+            if even_slot:
+                val = FieldScalar(rng.randint(-2, 2))
+                if i == j:
+                    val = FieldScalar(rng.choice([1, -1, 2]))
+                if i in identity_rows and j not in identity_rows:
+                    val = FieldScalar(0)
+                p = ctx.scalar(val)
+                if rng.random() < 0.5:
+                    p = p + odd_vars[rng.randrange(len(odd_vars))] * \
+                        odd_vars[rng.randrange(len(odd_vars))] * \
+                        FieldScalar(rng.randint(-1, 1))
+                if not p.is_zero():
+                    entries[(i, j)] = p
+            elif rng.random() < 0.5:
+                entries[(i, j)] = odd_vars[rng.randrange(len(odd_vars))] * \
+                    FieldScalar(rng.randint(-2, 2))
+    return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=0)
+
+
 # ---------------------------------------------------------------------------
 # Orthosymplectic algebras
 # ---------------------------------------------------------------------------
@@ -363,55 +432,27 @@ def defining_residual(m, gram):
     return m.supertranspose() @ g + g @ m
 
 
-def residual_terms(m, gram):
-    """M^ST G + G M as ``{slot: term dict}``, read off the Gram's signed
-    permutation on the whole term dicts of M, with no split into Grassmann
-    components: each entry of M lands at two slots with a sign.  A slot
-    whose contributions cancel holds an empty dict.  ValueError for a
-    shape that is not the Gram's, ParityError for a matrix that is not
-    parity-homogeneous."""
-    shape = gram.shape
-    if m.rows != shape or m.cols != shape:
-        raise ValueError("matrix shape does not match the gram form")
-    if m.parity not in (0, 1):
-        raise ParityError("supertranspose needs a parity-homogeneous matrix")
-    acc = {}
-    for (r, c), v in m.entries.items():
-        x = gram.inverse[r]
-        slot, sign = gram.partner(r, c)
-        for out, s in (((x, c), gram.sign[x]), (slot, sign)):
-            terms = acc.setdefault(out, {})
-            add_scaled(terms, v.terms, Q_MINUS_ONE if s < 0 else Q_ONE)
-    return acc
-
-
-def matrix_built_basis(flavor, a, b):
-    """``basis(flavor, a, b)`` built matrix first: each spec's entries, as
-    FieldScalars, go through ``SuperMatrix.build`` with the family parity,
-    which checks the entries against it, the matrix must pass
-    ``residual_terms``, and each generator's entry table is read back off
-    its matrix with ``constant_entries``.  Returns ``(basis, matrices)``,
-    the matrices in generator order.  It shares the family specs with the
-    library, not the route from a spec to a generator."""
-    shape = osp._shape(flavor, a, b)
-    if flavor == "gl":
-        gram, specs = None, osp._gl_specs(shape)
-    else:
-        gram = osp.gram_form(flavor, a, b)
-        specs = osp._family_specs(
-            "primed" if flavor == "primed" else "original", gram)
-    gens, mats = [], []
-    for tag, parity, entries, primary in specs:
-        mat = SuperMatrix.build(
-            shape, shape,
-            {slot: FieldScalar.from_q(q) for slot, q in entries.items()},
-            parity=parity)
-        if gram is not None and any(residual_terms(mat, gram).values()):
-            raise AssertionError(f"generator {tag} fails the defining equation")
-        gens.append(Generator(tag, parity, constant_entries(mat), primary,
-                              shape))
-        mats.append(mat)
-    return OspBasis(gram, gens), mats
+def defining_system(shape, gram):
+    """M^ST G + G M = 0 over the unknown entries of a matrix of ``shape``,
+    one unknown per slot, row-reduced: ``(slots, system)``, with column c
+    of the ``RankTracker`` ``system`` the unknown at ``slots[c]``, so its
+    nullspace is the solution space.  The equations are read off the
+    ``defining_residual`` of each unit matrix, not from the family specs
+    or the Gram's permutation that ``basis`` and ``membership_residual``
+    read.  A ``gram`` of None (gl) poses no equation, and every unit
+    matrix is a solution."""
+    slots = [(i, j) for i in range(shape.total) for j in range(shape.total)]
+    system = RankTracker(len(slots))
+    if gram is None:
+        return slots, system
+    equations = {}
+    for col, slot in enumerate(slots):
+        unit = SuperMatrix.build(shape, shape, {slot: ONE})
+        for out, v in defining_residual(unit, gram).entries.items():
+            equations.setdefault(out, {})[col] = v.scalar_part().q
+    for row in equations.values():
+        system.add(row)
+    return slots, system
 
 
 def super_jacobi_holds(x, y, z):
@@ -459,13 +500,28 @@ class OneWayBracketTable:
         return self.table.get((a, b), {})
 
 
+#: The tuple form of the key of the constant monomial.
+NO_FACTORS = ((), ())
+
+
+def split(m):
+    """The Grassmann components of the matrix ``m``: ``{monomial: {slot:
+    q}}``, each monomial in the tuple form of :func:`unpack`, the constant
+    one ``NO_FACTORS``."""
+    parts = {}
+    for slot, v in m.entries.items():
+        for key, q in v.terms.items():
+            parts.setdefault(unpack(key), {})[slot] = q
+    return parts
+
+
 def coefficients_of(bas, m):
     """Expand the matrix ``m`` exactly in ``bas`` as ``{tag: FieldScalar}``
     in generator order, or raise NotInSpanError: ``m`` is split into its
     Grassmann components, a non-constant part is out of the span, and the
     constant part is read off with ``reassembled_read_off``."""
-    parts = components(m)
-    entries = parts.pop(CONSTANT, {})
+    parts = split(m)
+    entries = parts.pop(NO_FACTORS, {})
     others = {slot for part in parts.values() for slot in part}
     bad = [g.primary for g in bas.generators if g.primary in others]
     if bad:
@@ -505,10 +561,11 @@ def embed_j(x):
     l1 = q // 2
     if not defining_residual(x, osp.gram_form("primed", t, l1)).is_zero():
         raise ValueError("matrix is not in the source algebra")
-    target = osp._shape("primed", t + 1, l1)
-    return SuperMatrix._new(target, target, x.ctx, x.parity,
-                            {(i + 1, j + 1): v
-                             for (i, j), v in x.entries.items()})
+    target = BlockShape(t + 1, q)
+    return SuperMatrix.build(target, target,
+                             {(i + 1, j + 1): v
+                              for (i, j), v in x.entries.items()},
+                             ctx=x.ctx, parity=x.parity)
 
 
 def bordered_basis(generators):
@@ -519,7 +576,7 @@ def bordered_basis(generators):
     if not images:
         raise ValueError("no generators to border")
     shape = images[0].rows
-    gens = [Generator(g.tag, g.parity, constant_entries(img),
+    gens = [Generator(g.tag, g.parity, split(img).pop(NO_FACTORS),
                       (g.primary[0] + 1, g.primary[1] + 1), shape)
             for g, img in zip(generators, images)]
     return OspBasis(osp.gram_form("primed", shape.even, shape.odd // 2),
@@ -636,7 +693,7 @@ def witness_numeric_route(k1, l1):
     matrices: the two Grassmann witnesses built as SuperMatrices, their
     numeric forms (``witness_numeric``), the membership verdicts of each
     (``witness_membership``), and the bordered one bracketed with itself by
-    ``SuperMatrix.superbracket`` and split by ``osp.components``.  Returns
+    ``SuperMatrix.superbracket`` and split by :func:`split`.  Returns
     a dict with ``witnesses`` and ``numeric``, each the pair (bordered,
     first-row), ``membership``, one verdict pair per witness, and
     ``self_bracket``, the entries ``{slot: q}`` of the self bracket."""
@@ -671,7 +728,7 @@ def witness_numeric_route(k1, l1):
         "witnesses": witnesses,
         "numeric": numeric,
         "membership": tuple(witness_membership(m) for m in numeric),
-        "self_bracket": osp.components(self_br).get(CONSTANT, {}),
+        "self_bracket": split(self_br).get(NO_FACTORS, {}),
     }
 
 

@@ -24,7 +24,6 @@ from superflag.charts import (
 )
 from superflag.matrices import BlockShape, SuperMatrix
 from superflag.osp import (
-    PARABOLIC_TAGS,
     basis,
     basis_change_S,
     center_from_constants,
@@ -44,13 +43,13 @@ from superflag.weights import (
 )
 
 from oracles import (
-    coefficients_of,
     conjugate,
     defining_residual,
     dependent_values,
     embed_j,
     formal_isotropic_chart,
-    parabolic_basis,
+    group_like,
+    parabolic_strays,
     residual_entries,
     substitute,
     super_jacobi_holds,
@@ -240,16 +239,8 @@ def test_criterion_6_basis_change_and_embedding(capfd):
                             embed_j(y.matrix))
                         if lhs != rhs:
                             failures.append(("dj-bracket", k1, l1, x.tag, y.tag))
-                p = parabolic_basis("p", k1, l1)
-                ambient = basis("primed", 2 * k1, l1)
-                allowed = PARABOLIC_TAGS["p1"]
-                for g in p:
-                    coeffs = coefficients_of(ambient, embed_j(g.matrix))
-                    stray = [t for t, c in coeffs.items()
-                             if not c.is_zero()
-                             and t.split(":")[0] not in allowed]
-                    if stray:
-                        failures.append(("dj-parabolic", k1, l1, g.tag, stray))
+                failures.extend(("dj-parabolic", k1, l1, src_tag, tag)
+                                for src_tag, tag in parabolic_strays(k1, l1))
 
 
 def test_criterion_7_image_witness(capfd):
@@ -261,31 +252,6 @@ def test_criterion_7_image_witness(capfd):
             for record in report.records:
                 if not record.ok:
                     failures.append((k1, l1, record.check_id))
-
-
-def _group_like(rng, ctx, shape, identity_rows, odd_vars):
-    entries = {}
-    n = shape.total
-    for i in range(n):
-        for j in range(n):
-            even_slot = shape.is_odd_index(i) == shape.is_odd_index(j)
-            if even_slot:
-                val = FieldScalar(rng.randint(-2, 2))
-                if i == j:
-                    val = FieldScalar(rng.choice([1, -1, 2]))
-                if i in identity_rows and j not in identity_rows:
-                    val = FieldScalar(0)
-                p = ctx.scalar(val)
-                if rng.random() < 0.5:
-                    p = p + odd_vars[rng.randrange(len(odd_vars))] * \
-                        odd_vars[rng.randrange(len(odd_vars))] * \
-                        FieldScalar(rng.randint(-1, 1))
-                if not p.is_zero():
-                    entries[(i, j)] = p
-            elif rng.random() < 0.5:
-                entries[(i, j)] = odd_vars[rng.randrange(len(odd_vars))] * \
-                    FieldScalar(rng.randint(-2, 2))
-    return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=0)
 
 
 def test_criterion_8_action_coherence(capfd):
@@ -302,8 +268,8 @@ def test_criterion_8_action_coherence(capfd):
         identity_rows = {0, 3}
         rng = random.Random(77002)
         for trial in range(20):
-            l1 = _group_like(rng, ext, shape, identity_rows, odd_vars)
-            l2 = _group_like(rng, ext, shape, identity_rows, odd_vars)
+            l1 = group_like(rng, ext, shape, identity_rows, odd_vars)
+            l2 = group_like(rng, ext, shape, identity_rows, odd_vars)
             if act(l2, act(l1, chart)) != act(l2 @ l1, chart):
                 failures.append(("composition", trial))
 

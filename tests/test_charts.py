@@ -8,6 +8,7 @@ from itertools import product
 
 import pytest
 
+from superflag import suites
 from superflag.charts import (
     Chart,
     ChartError,
@@ -41,6 +42,7 @@ from oracles import (
     demote,
     dependent_values,
     formal_isotropic_chart,
+    group_like,
     partial,
     residual_entries,
     substitute,
@@ -138,33 +140,6 @@ def test_act_identity_fixes_chart():
     assert act(ident, c) == c
 
 
-def _group_like(rng, ctx, shape, identity_rows, odd_vars):
-    """Numeric-plus-nilpotent matrices whose designated rows keep the
-    chart submatrix exactly invertible; closed under multiplication."""
-    entries = {}
-    n = shape.total
-    for i in range(n):
-        for j in range(n):
-            even_slot = shape.is_odd_index(i) == shape.is_odd_index(j)
-            if even_slot:
-                val = FieldScalar(rng.randint(-2, 2))
-                if i == j:
-                    val = FieldScalar(rng.choice([1, -1, 2]))
-                if i in identity_rows and j not in identity_rows:
-                    val = FieldScalar(0)
-                p = ctx.scalar(val)
-                if rng.random() < 0.5:
-                    p = p + odd_vars[rng.randrange(len(odd_vars))] * \
-                        odd_vars[rng.randrange(len(odd_vars))] * \
-                        FieldScalar(rng.randint(-1, 1))
-                if not p.is_zero():
-                    entries[(i, j)] = p
-            elif rng.random() < 0.5:
-                entries[(i, j)] = odd_vars[rng.randrange(len(odd_vars))] * \
-                    FieldScalar(rng.randint(-2, 2))
-    return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=0)
-
-
 def test_act_composition_randomized():
     ft = validate_flag_type((3, 1), (2, 1))
     c = build_chart(ft)
@@ -175,8 +150,8 @@ def test_act_composition_randomized():
     rng = random.Random(20240815)
     done = 0
     while done < 8:
-        l1 = _group_like(rng, ext, shape, identity_rows, odd_vars)
-        l2 = _group_like(rng, ext, shape, identity_rows, odd_vars)
+        l1 = group_like(rng, ext, shape, identity_rows, odd_vars)
+        l2 = group_like(rng, ext, shape, identity_rows, odd_vars)
         lhs = act(l2, act(l1, c))
         rhs = act(l2 @ l1, c)
         assert lhs == rhs
@@ -521,6 +496,29 @@ def test_lemma_fields_all_indices(k1, l1):
         for b in range(1, k1):
             got = fundamental_field(lemma_eta_generator(iso, a, b), iso.chart)
             assert got == lemma_eta_field(iso, a, b)
+
+
+def test_lemma_fields_fails_an_eta_field_with_one_coefficient_more(
+        monkeypatch):
+    """The eta-field check is ``got == want`` alone: an eta field given one
+    nonzero coefficient more fails it, since a field keeps only nonzero
+    coefficients and equality reads an absent name as zero.  The h fields,
+    left as they are, still pass."""
+    real = suites.fundamental_field
+
+    def one_more(x, chart):
+        field = real(x, chart)
+        if len(field.coefficients) > 1:
+            return field
+        return VectorField(field.ctx, field.parity,
+                           {**field.coefficients, "xi1_1": field.ctx.one},
+                           field.order)
+
+    monkeypatch.setattr(suites, "fundamental_field", one_more)
+    verdicts = {}
+    for r in suites.suite_lemma_fields(3, 2).records:
+        verdicts.setdefault(r.check_id[:3], []).append(r.ok)
+    assert verdicts == {"h-f": [True] * 2, "eta": [False] * 4}
 
 
 def test_lemma_fields_ignore_one_step_tail():

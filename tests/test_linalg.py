@@ -1,7 +1,8 @@
-"""Exact linear algebra: the sparse row reduction, and the dense inverse
-through it that the tests use as an oracle.  The tracker takes and gives
-``{column: q}`` dicts; the tests that compare it with dense FieldScalar
-elimination convert between the two forms here."""
+"""Exact linear algebra: the sparse row reduction against dense
+Gauss-Jordan elimination (``oracles.DenseTracker``), and the dense inverse
+on that elimination that the tests use as an oracle.  The tracker takes
+and gives ``{column: q}`` dicts, and ``oracles.sparse_row`` and
+``oracles.dense_row`` convert between them and dense FieldScalar rows."""
 
 import random
 
@@ -11,21 +12,11 @@ from superflag.linalg import RankTracker, SingularMatrixError
 from superflag.scalars import FieldScalar, ONE, Q_ZERO, ZERO, q_add, \
     q_mul, q_normalize
 
-from oracles import invert
+from oracles import DenseTracker, dense_row, invert, sparse_row
 
 
 def _scalar(rng):
     return FieldScalar(*(rng.randint(-3, 3) for _ in range(4)))
-
-
-def _sparse(row):
-    """A dense FieldScalar row as the tracker's ``{column: q}`` dict."""
-    return {c: x.q for c, x in enumerate(row) if x}
-
-
-def _dense(vec, ncols):
-    """A ``{column: q}`` dict as a dense FieldScalar row."""
-    return [FieldScalar.from_q(vec.get(c, Q_ZERO)) for c in range(ncols)]
 
 
 def _mat_mul(a, b):
@@ -75,49 +66,6 @@ def test_invert_rejects_rank_drop_in_last_column(n):
         invert(a)
 
 
-class _DenseTracker:
-    """Reference elimination on dense lists: Gauss-Jordan, one row at a
-    time, rows kept ordered by pivot column."""
-
-    def __init__(self, ncols):
-        self.ncols = ncols
-        self.rows = []
-        self.pivots = []
-
-    def add(self, vec):
-        vec = list(vec)
-        for row, col in zip(self.rows, self.pivots):
-            if vec[col]:
-                factor = vec[col]
-                vec = [x - factor * y for x, y in zip(vec, row)]
-        lead = next((c for c in range(self.ncols) if vec[c]), None)
-        if lead is None:
-            return False
-        inv_lead = vec[lead].inverse()
-        vec = [x * inv_lead for x in vec]
-        for i, row in enumerate(self.rows):
-            if row[lead]:
-                factor = row[lead]
-                self.rows[i] = [x - factor * y for x, y in zip(row, vec)]
-        pos = sum(1 for c in self.pivots if c < lead)
-        self.rows.insert(pos, vec)
-        self.pivots.insert(pos, lead)
-        return True
-
-    def nullspace(self):
-        out = []
-        for free in range(self.ncols):
-            if free in self.pivots:
-                continue
-            vec = [ZERO] * self.ncols
-            vec[free] = ONE
-            for row, col in zip(self.rows, self.pivots):
-                if row[free]:
-                    vec[col] = -row[free]
-            out.append(vec)
-        return out
-
-
 def _stream(rng, ncols):
     """Sparse random rows interleaved with rows that reduce to zero: exact
     duplicates and combinations of two earlier rows.  It runs on past full
@@ -142,19 +90,19 @@ def test_rank_tracker_matches_dense_elimination(ncols):
     rng = random.Random(300 + ncols)
     seen = set()
     for _ in range(4):
-        sparse, dense = RankTracker(ncols), _DenseTracker(ncols)
+        sparse, dense = RankTracker(ncols), DenseTracker(ncols)
         for k, row in enumerate(_stream(rng, ncols)):
             was_full = sparse.is_full()
             # every other row keeps its zero entries, which add drops
             grew = sparse.add({c: x.q for c, x in enumerate(row)} if k % 2
-                              else _sparse(row))
+                              else sparse_row(row))
             assert grew == dense.add(row)
             seen.add((was_full, grew))
             assert sparse.rank == len(dense.rows)
             assert sparse.pivots == dense.pivots
-            assert [_dense(r, ncols) for r in sparse.rows] == dense.rows
+            assert [dense_row(r, ncols) for r in sparse.rows] == dense.rows
             assert sparse.is_full() == (len(dense.rows) == ncols)
-            assert [_dense(v, ncols) for v in sparse.nullspace()] \
+            assert [dense_row(v, ncols) for v in sparse.nullspace()] \
                 == dense.nullspace()
     # rows that reduced to zero below full rank, and rows fed after it
     assert {(False, False), (True, False)} <= seen
@@ -164,14 +112,14 @@ def test_rank_tracker_full_rank_is_the_identity():
     rng = random.Random(7)
     tracker = RankTracker(3)
     while not tracker.is_full():
-        tracker.add(_sparse([_scalar(rng) for _ in range(3)]))
-    assert [_dense(r, 3) for r in tracker.rows] == _identity(3) \
+        tracker.add(sparse_row([_scalar(rng) for _ in range(3)]))
+    assert [dense_row(r, 3) for r in tracker.rows] == _identity(3) \
         and tracker.pivots == [0, 1, 2]
     assert tracker.nullspace() == []
     for _ in range(5):
-        assert not tracker.add(_sparse([_scalar(rng) for _ in range(3)]))
+        assert not tracker.add(sparse_row([_scalar(rng) for _ in range(3)]))
     assert not tracker.add({c: Q_ZERO for c in range(3)})
-    assert [_dense(r, 3) for r in tracker.rows] == _identity(3)
+    assert [dense_row(r, 3) for r in tracker.rows] == _identity(3)
 
 
 def test_rank_tracker_hands_out_q_tuples():
@@ -179,7 +127,7 @@ def test_rank_tracker_hands_out_q_tuples():
     5-tuples, and the dense inverse of the oracle hands out FieldScalars."""
     rng = random.Random(11)
     tracker = RankTracker(4)
-    assert tracker.add(_sparse([_scalar(rng), ZERO, _scalar(rng), ZERO]))
+    assert tracker.add(sparse_row([_scalar(rng), ZERO, _scalar(rng), ZERO]))
     assert tracker.add({1: _scalar(rng).q, 3: _scalar(rng).q})
     assert not tracker.add({0: Q_ZERO})
     values = [x for row in tracker.rows for x in row.values()] \

@@ -23,7 +23,7 @@ from superflag.ring import RingContext
 from superflag.scalars import FieldScalar, ONE, ZERO
 
 from oracles import body, defining_residual, embed_j, invert, \
-    neumann_invert, residual_terms
+    neumann_invert
 
 
 def rand_numeric(rng, rows, cols, parity):
@@ -493,10 +493,10 @@ def test_membership_residual_matches_separate_products():
 def test_membership_residual_matches_the_whole_term_oracle():
     """``membership_residual``, which applies the one residual on
     ``{slot: q}`` to each Grassmann component, against
-    ``oracles.residual_terms``, which reads whole term dicts: seeded
-    numeric and Grassmann matrices, members and not, for odd, even and
-    primed Grams; a non-homogeneous matrix raises ParityError and a wrong
-    shape ValueError on both sides."""
+    ``oracles.defining_residual``, which multiplies whole entries with no
+    Grassmann split: seeded numeric and Grassmann matrices, members and
+    not, for odd, even and primed Grams; a non-homogeneous matrix raises
+    ParityError and a wrong shape ValueError on both sides."""
     rng = random.Random(2203)
     members = 0
     for flavor, a, b in (("odd", 1, 1), ("odd", 2, 1), ("even", 1, 2),
@@ -514,19 +514,17 @@ def test_membership_residual_matches_the_whole_term_oracle():
             cases.append(g.matrix * th1)
             cases.append(g.matrix * x + same.matrix * 3)
         for m in cases:
-            terms = residual_terms(m, gram)
-            want = SuperMatrix.from_terms(sh, sh, m.ctx, m.parity, terms)
+            want = defining_residual(m, gram)
             got = membership_residual(m, gram)
             assert got == want and got.parity == want.parity
             assert got.ctx is m.ctx
-            assert got.is_zero() == (not any(terms.values()))
             members += got.is_zero()
         mixed = SuperMatrix.build(sh, sh, {(0, 0): ONE, (0, sh.total - 1):
                                            ONE}, parity=None)
         wrong = rand_numeric(rng, BlockShape(sh.even + 1, sh.odd),
                              BlockShape(sh.even + 1, sh.odd), 0)
         for bad, error in ((mixed, ParityError), (wrong, ValueError)):
-            for residual in (membership_residual, residual_terms):
+            for residual in (membership_residual, defining_residual):
                 with pytest.raises(error):
                     residual(bad, gram)
     assert members >= 24
