@@ -9,7 +9,10 @@ of X is the t-linear part of the action of ``E + t X`` for a square-zero
 parameter t, which ``fundamental_field`` computes in closed form.  It
 reads the chart matrices through ``Chart.field_index``, built once per
 chart, so a field costs what the entries of X touch, not what the chart
-holds, and it keeps only the nonzero coefficients.  ``VectorField.bracket``
+holds.  It forms only the entries it reads: the identity rows, which
+carry the action to the next step, and the slots of independent
+coordinates; a dependent slot of the isotropic chart is never formed.  It
+keeps only the nonzero coefficients.  ``VectorField.bracket``
 passes once over the terms of each coefficient polynomial, differentiating
 each term by the variables the other field holds and multiplying it by
 their coefficients in the same step, and keeps only the nonzero
@@ -527,10 +530,14 @@ def fundamental_field(X, chart):
     entry of A meets the row of Z_s it names, each entry of B the column
     of Z~_s (of Z_s for even X) it names, both read off the chart's
     ``field_index``, and only the slots these products touch are read.
-    Z~_s B is subtracted outside the rows I_s only: on them P - Z~_s B is
-    zero and no coordinate sits, so B keeps P's term dicts there.  The
-    field keeps the nonzero coefficients; its ``order`` lists every
-    independent coordinate.
+    P is formed only at the rows I_s, which B reads, and at the slots of
+    independent coordinates (``names``); a dependent slot of the isotropic
+    chart's first step holds no coordinate, so its entry is never formed.
+    Z~_s B is subtracted outside the rows I_s only, and there only at
+    coordinate slots: on the rows I_s, P - Z~_s B is zero and no
+    coordinate sits, so B keeps P's term dicts there.  The field keeps
+    the nonzero coefficients; its ``order`` lists every independent
+    coordinate.
     """
     if X.parity not in (0, 1):
         raise ValueError("fundamental_field needs a parity-homogeneous matrix")
@@ -543,18 +550,22 @@ def fundamental_field(X, chart):
     coeffs = {}
     for step in chart.field_index:
         cols = step.twisted_cols if odd else step.cols
+        fixed, names = step.fixed, step.names
         rate = {}                                   # P, then P - Z~_s B
         for (i, k), a in carrier.items():
+            kept = i in fixed
             for j, z in step.rows.get(k, ()):
-                add_product(rate.setdefault((i, j), {}), a, z)
-        carrier = {(step.fixed[i], j): SuperPoly._new(ctx, terms)
+                if kept or (i, j) in names:
+                    add_product(rate.setdefault((i, j), {}), a, z)
+        carrier = {(fixed[i], j): SuperPoly._new(ctx, terms)
                    for (i, j), terms in rate.items()
-                   if terms and i in step.fixed}
+                   if terms and i in fixed}
         for (c, j), b in carrier.items():
             for i, z in cols.get(c, ()):
-                add_product(rate.setdefault((i, j), {}), z, b, True)
+                if (i, j) in names:
+                    add_product(rate.setdefault((i, j), {}), z, b, True)
         for slot, terms in rate.items():
-            name = step.names.get(slot)
+            name = names.get(slot)
             if name is not None and terms:
                 coeffs[name] = SuperPoly._new(ctx, terms)
     return VectorField(ctx, X.parity, coeffs, chart.independent)

@@ -8,9 +8,8 @@ from itertools import product
 
 import pytest
 
-from superflag import suites
+from superflag import charts, suites
 from superflag.charts import (
-    Chart,
     ChartError,
     FlagType,
     FlagTypeError,
@@ -19,7 +18,6 @@ from superflag.charts import (
     build_chart,
     chart_variable_count,
     constant_functions_predicate,
-    default_index_sets,
     fundamental_bracket_sign,
     fundamental_field,
     isotropic_chart,
@@ -743,14 +741,17 @@ def test_closed_form_matches_tau_path_on_built_charts(k, l):
     pytest.param(3, 2, None, id="3-2"),
     pytest.param(3, 2, ((1,), (1,)), id="3-2-tail"),
     pytest.param(4, 3, ((2,), (1,)), id="4-3-tail"),
+    pytest.param(5, 4, ((2,), (1,)), id="5-4-tail"),
+    pytest.param(6, 5, None, id="6-5"),
 ])
 def test_closed_form_matches_tau_path_on_isotropic_charts(k1, l1, tail):
-    """Every odd generator, and seeded even combinations of generators."""
+    """Every generator of both parities, and seeded even combinations of
+    generators.  (5,4) with tail (2|1) and (6,5) are the benchmark's two
+    largest charts, where the first step has the most dependent slots."""
     chart = isotropic_chart(k1, l1, tail=tail).chart
     bas = basis("odd", k1 - 1, l1)
     for g in bas:
-        if g.parity:
-            _assert_same_field(g.matrix, chart)
+        _assert_same_field(g.matrix, chart)
     rng = random.Random(k1 * 10 + l1)
     evens = [g.matrix for g in bas if not g.parity]
     for _ in range(3):
@@ -758,6 +759,28 @@ def test_closed_form_matches_tau_path_on_isotropic_charts(k1, l1, tail):
         for m in rng.sample(evens[1:], 3):
             x = x + m * FieldScalar(rng.randint(-2, 2))
         _assert_same_field(x, chart)
+
+
+@pytest.mark.parametrize("tail,products", [
+    pytest.param(None, 4040, id="5-4"),
+    pytest.param(((2,), (1,)), 6053, id="5-4-tail"),
+])
+def test_fundamental_field_forms_no_dependent_slot(monkeypatch, tail,
+                                                   products):
+    """A guard against forming entries the field throws away: over every
+    generator's field on the (5,4) chart, P is formed only at the identity
+    rows and coordinate slots, and Z~_s B only at coordinate slots."""
+    chart = isotropic_chart(5, 4, tail=tail).chart
+    calls = []
+
+    def counting(*args, _real=charts.add_product):
+        calls.append(None)
+        return _real(*args)
+
+    monkeypatch.setattr(charts, "add_product", counting)
+    for g in basis("odd", 4, 4):
+        fundamental_field(g.matrix, chart)
+    assert len(calls) == products
 
 
 def test_fundamental_field_requires_homogeneous_matrix():

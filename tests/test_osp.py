@@ -944,16 +944,6 @@ def test_conjugation_on_entry_tables_matches_the_matrix_oracle(flavor, k1,
         assert got == constant_entries(conjugate(g.matrix, s, s_inv)), g.tag
 
 
-def test_embed_j_preserves_brackets():
-    src = basis("primed", 3, 1)
-    gens = list(src)
-    for x in gens:
-        for y in gens:
-            lhs = embed_j(x.matrix.superbracket(y.matrix))
-            rhs = embed_j(x.matrix).superbracket(embed_j(y.matrix))
-            assert lhs == rhs, (x.tag, y.tag)
-
-
 def _matrix_loop_preserves_brackets(src):
     """The N^2 oracle: embed_j([x, y]) == [j x, j y] as matrices."""
     return all(embed_j(x.matrix.superbracket(y.matrix))

@@ -3,12 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from superflag.ring import CONSTANT, ContextError, NUMERIC_CTX, \
     RingContext, SuperPoly, add_derivative, add_product
-from superflag.scalars import FieldScalar, I, ONE, SQRT2, Q_ONE, q_neg, \
+from superflag.scalars import FieldScalar, ONE, SQRT2, Q_ONE, q_neg, \
     q_normalize
 
 from oracles import add_product_loop, demote, merge_odd_ids, pack, \
