@@ -352,22 +352,16 @@ def chart_variable_count(ft):
 # ---------------------------------------------------------------------------
 
 
-def _designated(prod, ft, index_sets, s):
-    """The square submatrix of ``prod`` in the rows named by the index set
-    of step s, even rows first: the rows that hold the identity in Z_s."""
-    shape = BlockShape(ft.k[s], ft.l[s])
-    return prod.submatrix(list(_identity_rows(ft, s, *index_sets[s - 1])),
-                          range(shape.total), shape, shape)
-
-
 def act(L, chart, J=None):
     """Transform a chart by the supergroup element L.
 
     The first matrix becomes ``L Z_1 C_1^{-1}``; later ones become
-    ``C_{s-1} Z_s C_s^{-1}``, where C_s is the submatrix of the rows
-    designated by the target index sets J (default: the chart's own).  The
-    result carries exact identity rows again by construction.  Raises when
-    a designated submatrix has singular body, or when its entries are not
+    ``C_{s-1} Z_s C_s^{-1}``, where C_s holds the rows of the product
+    designated by the target index sets J (default: the chart's own), each
+    moved to the row of its fixed 1 by the identity-row map, as
+    ``fundamental_field`` forms its next carrier.  The result carries
+    exact identity rows again by construction.  Raises when a designated
+    submatrix has singular body, or when its entries are not
     scalar-plus-nilpotent so the exact inverse does not exist.
     """
     ft = chart.ft
@@ -380,7 +374,10 @@ def act(L, chart, J=None):
     ctx = chart.ctx
     for s in range(1, ft.r + 1):
         prod = carrier @ chart.matrix(s)
-        c_s = _designated(prod, ft, J, s)
+        fixed = _identity_rows(ft, s, *J[s - 1])
+        c_s = SuperMatrix.from_terms(prod.cols, prod.cols, prod.ctx, None, {
+            (fixed[i], j): v.terms
+            for (i, j), v in prod.entries.items() if i in fixed})
         new_mats.append(prod @ c_s.invert())
         ctx = new_mats[-1].ctx
         carrier = c_s

@@ -390,21 +390,6 @@ class SuperMatrix:
             acc = acc + (-power if k % 2 else power)
         return acc @ binv
 
-    # -- slicing ----------------------------------------------------------------
-
-    def submatrix(self, row_indices, col_indices, rows_shape, cols_shape):
-        if len(row_indices) != rows_shape.total or len(col_indices) != cols_shape.total:
-            raise ShapeError("index lists do not match the requested shape")
-        row_pos = {r: i for i, r in enumerate(row_indices)}
-        col_pos = {c: j for j, c in enumerate(col_indices)}
-        entries = {}
-        for (i, j), v in self.entries.items():
-            if i in row_pos and j in col_pos:
-                entries[(row_pos[i], col_pos[j])] = v
-        mat = SuperMatrix._new(rows_shape, cols_shape, self.ctx, None, entries)
-        mat.parity = mat._infer_parity()
-        return mat
-
     # -- rendering ----------------------------------------------------------------
 
     def render(self):

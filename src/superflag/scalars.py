@@ -28,12 +28,13 @@ Q_MINUS_ONE = (-1, 0, 0, 0, 1)
 
 
 def q_normalize(a, b, c, d, den):
-    """Reduce to lowest terms with a positive denominator."""
+    """Reduce to lowest terms with a positive denominator: one gcd of all
+    five integers; an integer tuple (den 1) is already reduced."""
     if den == 1:
         return (a, b, c, d, 1)
     if den < 0:
         a, b, c, d, den = -a, -b, -c, -d, -den
-    g = gcd(gcd(gcd(a, b), gcd(c, d)), den)
+    g = gcd(a, b, c, d, den)
     if g > 1:
         return (a // g, b // g, c // g, d // g, den // g)
     return (a, b, c, d, den)

@@ -79,7 +79,6 @@ from .osp import (
     dimension_counts,
     entry_lines,
     entry_residual,
-    gram_form,
     jacobi_failures,
     odd_self_bracket,
 )
@@ -168,19 +167,11 @@ def _timed(fn):
 def jacobi_triples(tags):
     """The triples of ``tags`` that ``suite_osp_defining`` checks Jacobi
     on: all of them for at most 12 tags, else 300 drawn from a Random
-    seeded 20240811, the tags in each triple left to right.  Each tag is
-    drawn as ``Random.choice`` draws it, without its calls: getrandbits of
-    the tag count's bit length, drawn again until it is below the count."""
+    seeded 20240811 as one ``choices`` draw of 900 tags, the tags in each
+    triple left to right."""
     if len(tags) <= 12:
         return [(x, y, z) for x in tags for y in tags for z in tags]
-    draw, n = random.Random(20240811).getrandbits, len(tags)
-    k = n.bit_length()
-    picks = []
-    while len(picks) < 900:
-        r = draw(k)
-        if r < n:
-            picks.append(tags[r])
-    it = iter(picks)
+    it = iter(random.Random(20240811).choices(tags, k=900))
     return list(zip(it, it, it))
 
 
@@ -263,22 +254,18 @@ def suite_isomorphism(k1, l1):
     if k1 < 1 or l1 < 1:
         raise ValueError("the isomorphism suite needs k1 >= 1 and l1 >= 1")
     rep = SuiteReport(f"isomorphism(k1={k1},l1={l1})")
-    for flavor, t in (("odd", 2 * k1 - 1), ("even", 2 * k1)):
-        if flavor == "odd":
-            src = basis("odd", k1 - 1, l1)
-        else:
-            src = basis("even", k1, l1)
-        primed_gram = gram_form("primed", t, l1)
+    for flavor, t, m in (("odd", 2 * k1 - 1, k1 - 1), ("even", 2 * k1, k1)):
+        src = basis(flavor, m, l1)
+        primed = basis("primed", t, l1)
         s = basis_change_S(flavor, k1, l1)
         lhs = s.supertranspose() @ src.gram.matrix @ s
         rep.add(f"gram-transform-{flavor}",
                 "S^ST Gram S equals the primed Gram",
-                lhs == primed_gram.matrix)
+                lhs == primed.gram.matrix)
         s_inv = s.invert()
         s_rows = entry_lines(constant_entries(s, "S"))
         s_inv_cols = entry_lines(constant_entries(s_inv, "S^-1"),
                                  by_column=True)
-        primed = basis("primed", t, l1)
         images = RankTracker(len(primed))
         fwd = []
         for g, entries in zip(src, src.entry_table()):

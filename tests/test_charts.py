@@ -27,7 +27,8 @@ from superflag.charts import (
     lemma_h_generator,
     validate_flag_type,
 )
-from superflag.matrices import BlockShape, SuperMatrix
+from superflag.linalg import SingularMatrixError
+from superflag.matrices import BlockShape, NotNilpotentError, SuperMatrix
 from superflag.osp import basis
 from superflag.ring import ContextError, RingContext, SuperPoly, \
     common_context
@@ -168,6 +169,91 @@ def test_act_retarget_index_sets():
     assert z[1, 0].scalar_part() == FieldScalar(1)   # identity row moved
     assert z[0, 0] == moved.ctx.lift(c.ctx.var("x1_2_1"))
     assert moved.index_sets == (((2,), (1,)),)
+
+
+#: Flag types of the action pin: one to four steps, a zero last k and a
+#: zero last l among them.
+ACT_TYPES = [
+    ((2, 1), (1, 1)),
+    ((3, 1), (2, 1)),
+    ((3, 2, 1), (2, 1, 0)),
+    ((3, 1, 0), (2, 1, 1)),
+    ((2, 2, 1), (2, 1, 0)),
+    ((3, 2, 1, 1), (3, 2, 1, 0)),
+]
+
+
+def _retargeted(rng, ft):
+    """Seeded index sets of ``ft``, drawn from each step's whole range."""
+    return [(rng.sample(range(1, ft.k[s - 1] + 1), ft.k[s]),
+             rng.sample(range(1, ft.l[s - 1] + 1), ft.l[s]))
+            for s in range(1, ft.r + 1)]
+
+
+def _numeric_acting(rng, shape, kept):
+    """A seeded even numeric matrix; for ``kept`` rows, only its entries in
+    the ``kept`` columns are nonzero."""
+    entries = {}
+    for i in range(shape.total):
+        for j in range(shape.total):
+            if shape.is_odd_index(i) != shape.is_odd_index(j):
+                continue
+            if i in kept and j not in kept:
+                continue
+            v = rng.randint(-1, 2) + (2 if i == j else 0)
+            if v:
+                entries[(i, j)] = FieldScalar(v)
+    return SuperMatrix.build(shape, shape, entries, parity=0)
+
+
+def _act_sweep():
+    """One line or block per ``act`` call: the rendered chart and its index
+    sets, or the type and text of the error raised.  Per flag type of
+    ``ACT_TYPES`` and per target (the chart's own index sets, then seeded
+    ones): numeric L, half of them with the designated rows of the first
+    step kept off the other columns, and E + X t over the chart's ring
+    extended by odd tau__1, tau__2, with t = tau__1 for odd X and
+    tau__1 tau__2 for even X, X numeric or with odd chart variables."""
+    rng = random.Random(20261022)
+    out = []
+    for k, l in ACT_TYPES:
+        chart = build_chart(validate_flag_type(k, l))
+        ft = chart.ft
+        shape = BlockShape(ft.m, ft.n)
+        ext = chart.ctx.extended(odd=("tau__1", "tau__2"))
+        t_odd = ext.var("tau__1")
+        t_even = t_odd * ext.var("tau__2")
+        eye = SuperMatrix.identity(shape, ext)
+        for J in (None, _retargeted(rng, ft)):
+            own = chart.index_sets if J is None else J
+            kept = set(charts._identity_rows(ft, 1, *own[0]))
+            acting = [_numeric_acting(rng, shape, kept if i % 2 else ())
+                      for i in range(8)]
+            for i in range(16):
+                parity = i % 2
+                x = _random_algebra_matrix(
+                    rng, shape, parity, chart.ctx if i % 4 > 1 else None)
+                acting.append(eye + x.lift(ext) * (t_odd if parity
+                                                   else t_even))
+            for L in acting:
+                try:
+                    moved = act(L, chart, J)
+                except (SingularMatrixError, NotNilpotentError) as exc:
+                    out.append(f"{type(exc).__name__}: {exc}")
+                else:
+                    out.append(f"{moved.index_sets}\n{moved.render()}")
+    return out
+
+
+#: sha256 over ``_act_sweep()``, one entry per ``act`` call: 168 charts
+#: and 120 errors; taken while C_s was still cut out by a submatrix call.
+PINNED_ACT = ("e39d2c7c6869bd4376d05c4f5d16b6c2"
+              "6fed2ee638d448c2cdea12555c1f4901")
+
+
+def test_act_matches_pinned_digest():
+    text = "\n".join(_act_sweep()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_ACT
 
 
 # ---------------------------------------------------------------------------

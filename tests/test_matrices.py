@@ -299,16 +299,6 @@ def test_superbracket_conventions():
             assert b.superbracket(a) == br.map_entries(lambda p: p * (-sign))
 
 
-def test_submatrix():
-    sh = BlockShape(2, 1)
-    m = SuperMatrix.build(
-        sh, sh, {(i, j): FieldScalar(10 * i + j) for i in range(3)
-                 for j in range(3)}, parity=None)
-    sub = m.submatrix([0, 2], [0, 2], BlockShape(1, 1), BlockShape(1, 1))
-    assert sub[0, 0].scalar_part() == FieldScalar(0)
-    assert sub[1, 1].scalar_part() == FieldScalar(22)
-
-
 def test_matmul_parity_and_context_lift():
     ctx = RingContext()
     ctx.odds("th")
@@ -447,16 +437,16 @@ def _random_grassmann(rng, shape, parity):
     return SuperMatrix.build(shape, shape, entries, ctx=ctx, parity=parity)
 
 
-def test_membership_residual_matches_separate_products():
-    """The residual read off the Gram's signed permutation equals
-    M^ST G + G M from matrix products (``oracles.defining_residual``), and
-    is zero on the members alone, for the odd and even flavors and for
-    primed forms with odd and even t: on generators, on generators times
-    an odd variable, on generators with their forced entry scaled
-    (non-members), on bordered images of primed generators and on
-    Grassmann-entry matrices."""
+def _residual_cases_by_products():
+    """Seeded cases for odd and even flavors and for primed forms with odd
+    and even t: generators (members), generators times an odd variable,
+    generators with their forced entry scaled (non-members), Grassmann
+    noise (non-members), bordered images of primed generators and, at the
+    (5|4) Grams, the Grassmann-entry matrices, the first a non-member of
+    osp(5|4)."""
     rng = random.Random(53)
     th = _grassmann_matrices()[1].ctx.var("xi1_1")
+    cases = []
     for flavor, a, b in (("odd", 1, 1), ("odd", 2, 2), ("even", 1, 1),
                          ("even", 2, 2), ("primed", 2, 1), ("primed", 5, 2),
                          ("primed", 4, 2), ("primed", 3, 1)):
@@ -469,36 +459,26 @@ def test_membership_residual_matches_separate_products():
             {s: v if s == g.primary else v * 2
              for s, v in g.matrix.entries.items()}, parity=g.parity)
             for g in bas if len(g.matrix.entries) > 1]
-        cases = [(m, gram) for m in
-                 gens + [m * th for m in gens[::3]] + noise + scaled]
+        assert scaled
+        cases += [(m, gram, True) for m in gens]
+        cases += [(m * th, gram, None) for m in gens[::3]]
+        cases += [(m, gram, False) for m in noise + scaled]
         if gram.shape == _grassmann_matrices()[0].rows:
-            cases += [(m, gram) for m in _grassmann_matrices()]
+            cases += [(m, gram, None) for m in _grassmann_matrices()]
         if flavor == "primed" and a % 2:
             target = gram_form(flavor, a + 1, b)
-            cases += [(embed_j(m), target) for m in gens]
-        for m, form in cases:
-            want = defining_residual(m, form)
-            got = membership_residual(m, form)
-            assert got == want and got.parity == want.parity, flavor
-            assert got.ctx is m.ctx
-            assert got.is_zero() == want.is_zero()
-        assert all(membership_residual(m, gram).is_zero() for m in gens)
-        assert scaled and not any(membership_residual(m, gram).is_zero()
-                                  for m in scaled)
-        assert not any(membership_residual(m, gram).is_zero() for m in noise)
-    assert not membership_residual(_grassmann_matrices()[0],
-                                   gram_form("odd", 2, 2)).is_zero()
+            cases += [(embed_j(m), target, None) for m in gens]
+    cases.append((_grassmann_matrices()[0], gram_form("odd", 2, 2), False))
+    return cases, []
 
 
-def test_membership_residual_matches_the_whole_term_oracle():
-    """``membership_residual``, which applies the one residual on
-    ``{slot: q}`` to each Grassmann component, against
-    ``oracles.defining_residual``, which multiplies whole entries with no
-    Grassmann split: seeded numeric and Grassmann matrices, members and
-    not, for odd, even and primed Grams; a non-homogeneous matrix raises
-    ParityError and a wrong shape ValueError on both sides."""
+def _residual_cases_by_whole_terms():
+    """Seeded numeric and Grassmann matrices, generators times an odd or an
+    even variable and sums of generators, for odd, even and primed Grams;
+    per Gram, a non-homogeneous matrix (ParityError) and one of the wrong
+    shape (ValueError)."""
     rng = random.Random(2203)
-    members = 0
+    cases, errors = [], []
     for flavor, a, b in (("odd", 1, 1), ("odd", 2, 1), ("even", 1, 2),
                          ("even", 2, 1), ("primed", 3, 1), ("primed", 4, 2)):
         gram = gram_form(flavor, a, b)
@@ -506,36 +486,49 @@ def test_membership_residual_matches_the_whole_term_oracle():
         gens = basis(flavor, a, b).generators
         grassmann = [_random_grassmann(rng, sh, p) for p in (0, 1, 0, 1)]
         x, th1 = grassmann[0].ctx.var("x"), grassmann[0].ctx.var("th1")
-        cases = [rand_numeric(rng, sh, sh, p) for p in (0, 1, 0, 1)]
-        cases += grassmann
+        ms = [rand_numeric(rng, sh, sh, p) for p in (0, 1, 0, 1)]
+        ms += grassmann
         for _ in range(4):
             g, h = rng.sample(gens, 2)
             same = h if h.parity == g.parity else g
-            cases.append(g.matrix * th1)
-            cases.append(g.matrix * x + same.matrix * 3)
-        for m in cases:
-            want = defining_residual(m, gram)
-            got = membership_residual(m, gram)
-            assert got == want and got.parity == want.parity
-            assert got.ctx is m.ctx
-            members += got.is_zero()
+            ms.append(g.matrix * th1)
+            ms.append(g.matrix * x + same.matrix * 3)
+        cases += [(m, gram, None) for m in ms]
         mixed = SuperMatrix.build(sh, sh, {(0, 0): ONE, (0, sh.total - 1):
                                            ONE}, parity=None)
         wrong = rand_numeric(rng, BlockShape(sh.even + 1, sh.odd),
                              BlockShape(sh.even + 1, sh.odd), 0)
-        for bad, error in ((mixed, ParityError), (wrong, ValueError)):
-            for residual in (membership_residual, defining_residual):
-                with pytest.raises(error):
-                    residual(bad, gram)
-    assert members >= 24
+        errors += [(mixed, gram, ParityError, "parity-homogeneous"),
+                   (wrong, gram, ValueError, None)]
+    return cases, errors
 
 
-def test_membership_residual_rejects_a_non_homogeneous_matrix():
-    gram = gram_form("odd", 1, 1)
-    mixed = SuperMatrix.build(gram.shape, gram.shape,
-                              {(0, 0): ONE, (0, 4): ONE}, parity=None)
-    with pytest.raises(ParityError, match="parity-homogeneous"):
-        membership_residual(mixed, gram)
+@pytest.mark.parametrize("build,members_at_least", [
+    pytest.param(_residual_cases_by_products, 0, id="products"),
+    pytest.param(_residual_cases_by_whole_terms, 24, id="whole-terms"),
+])
+def test_membership_residual_matches_the_oracle(build, members_at_least):
+    """``membership_residual``, read off the Gram's signed permutation and
+    applied to each Grassmann component, equals M^ST G + G M from whole
+    matrix products (``oracles.defining_residual``) with its parity and
+    the ring of M; a case known to be a member, or not, has a zero residual
+    exactly when it is one.  Each error case raises on both sides."""
+    cases, errors = build()
+    members = 0
+    for m, form, member in cases:
+        want = defining_residual(m, form)
+        got = membership_residual(m, form)
+        assert got == want and got.parity == want.parity
+        assert got.ctx is m.ctx
+        assert got.is_zero() == want.is_zero()
+        if member is not None:
+            assert got.is_zero() == member
+        members += got.is_zero()
+    assert members >= members_at_least
+    for bad, form, error, match in errors:
+        for residual in (membership_residual, defining_residual):
+            with pytest.raises(error, match=match):
+                residual(bad, form)
 
 
 def test_cancelling_products_store_no_zero_entry():

@@ -634,22 +634,28 @@ def test_osp_defining_suite_reports_a_late_missing_bracket(monkeypatch):
     assert records["center"].witness == "undetermined: closure failed"
 
 
-def test_jacobi_triples_are_the_random_choice_triples():
-    """The suite's Jacobi triples are the 300 that three Random.choice
-    calls a triple draw from the seed 20240811, at the tag count of every
-    osp(2m+1|2n) from (2,2) to (8,8); a Python whose choice draws another
-    way fails here.  At most 12 tags give every triple."""
+#: sha256 over ``"{count} {jacobi_triples(tags)}"`` lines, tags T0, T1, ...,
+#: at every tag count of osp(2m+1|2n) from (2,2) to (8,8), in increasing
+#: order; taken when the draw became one ``Random.choices`` call.
+PINNED_JACOBI = ("f487863dbb1788dd0164515da19bbd51"
+                 "b4aa8a87fa94f4c3b18c5b3b02f1cd8c")
+
+
+def test_jacobi_triples_match_pinned_digest():
+    """The suite's Jacobi triples are pinned at every tag count it draws
+    from up to (8,8); a Python whose ``choices`` draws another way fails
+    here.  At most 12 tags give every triple."""
     counts = {sum(dimension_counts("odd", m, n))
               for m in range(2, 9) for n in range(2, 9)}
+    h = hashlib.sha256()
     for count in sorted(counts):
         tags = [f"T{i}" for i in range(count)]
-        rng = random.Random(20240811)
-        want = [(rng.choice(tags), rng.choice(tags), rng.choice(tags))
-                for _ in range(300)]
-        assert suites.jacobi_triples(tags) == want, count
-    tags = basis("odd", 1, 1).tags()
+        h.update(f"{count} {suites.jacobi_triples(tags)}\n".encode())
+    assert h.hexdigest() == PINNED_JACOBI
+    tags = [f"T{i}" for i in range(12)]
     assert suites.jacobi_triples(tags) == [
         (x, y, z) for x in tags for y in tags for z in tags]
+    assert len(suites.jacobi_triples(tags + ["T12"])) == 300
 
 
 @pytest.mark.parametrize("case", [("odd", 1, 1), ("gl", 2, 1),
