@@ -503,11 +503,7 @@ def _residual_cases_by_whole_terms():
     return cases, errors
 
 
-@pytest.mark.parametrize("build,members_at_least", [
-    pytest.param(_residual_cases_by_products, 0, id="products"),
-    pytest.param(_residual_cases_by_whole_terms, 24, id="whole-terms"),
-])
-def test_membership_residual_matches_the_oracle(build, members_at_least):
+def _check_residual_cases(build, members_at_least):
     """``membership_residual``, read off the Gram's signed permutation and
     applied to each Grassmann component, equals M^ST G + G M from whole
     matrix products (``oracles.defining_residual``) with its parity and
@@ -529,6 +525,22 @@ def test_membership_residual_matches_the_oracle(build, members_at_least):
         for residual in (membership_residual, defining_residual):
             with pytest.raises(error, match=match):
                 residual(bad, form)
+
+
+def test_membership_residual_matches_separate_products():
+    _check_residual_cases(_residual_cases_by_products, 0)
+
+
+def test_membership_residual_matches_the_whole_term_oracle():
+    _check_residual_cases(_residual_cases_by_whole_terms, 24)
+
+
+def test_membership_residual_rejects_a_non_homogeneous_matrix():
+    gram = gram_form("odd", 1, 1)
+    mixed = SuperMatrix.build(gram.shape, gram.shape,
+                              {(0, 0): ONE, (0, 4): ONE}, parity=None)
+    with pytest.raises(ParityError, match="parity-homogeneous"):
+        membership_residual(mixed, gram)
 
 
 def test_cancelling_products_store_no_zero_entry():
